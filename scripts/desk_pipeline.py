@@ -74,9 +74,9 @@ def main() -> int:
         lr_period=150,
     )
     ft = T.finetune_per_trait(base, trait, ft_config, manifest)
-    acc, n, _ = T.evaluate_single_trait(ft.arch, ft.params, trait, manifest, "validation")
+    ft_report = T.evaluate(ft.arch, ft.params, manifest, "validation", trait=trait)
     base_acc = float(report.per_trait[trait])
-    print(f"      holdout accuracy {acc:.4f} over {n} clips (base model: {base_acc:.4f})")
+    print(f"      holdout accuracy {ft_report.average:.4f} over {ft_report.clips} clips (base model: {base_acc:.4f})")
     return 0
 
 

@@ -244,13 +244,13 @@ def _cmd_eval(s: Settings) -> int:
     manifest = D.load_manifest(s.get("manifest"))
     split = s.get("split", "validation")
     stride = int(s.get("frame_stride", 1))
-    if ckpt.arch.out_dim == 1:
-        if ckpt.trait is None:
-            raise ValueError("single-output checkpoint lacks a trait tag")
-        acc, n, excluded = T.evaluate_single_trait(ckpt.arch, ckpt.params, ckpt.trait, manifest, split, stride)
-        print(f"trait,{D.TRAITS[ckpt.trait]},accuracy,{acc:.6f},clips,{n},excluded,{excluded}")
+    single = ckpt.arch.out_dim == 1
+    trait = ckpt.trait if single else None
+    report = T.evaluate(ckpt.arch, ckpt.params, manifest, split, stride, threads=_threads(s), trait=trait)
+    if single:
+        acc = report.per_trait[0]
+        print(f"trait,{D.TRAITS[trait]},accuracy,{acc:.6f},clips,{report.clips},excluded,{report.excluded}")
         return 0
-    report = T.evaluate(ckpt.arch, ckpt.params, manifest, split, stride, threads=_threads(s))
     text = report.csv()
     out = s.get("out") or os.path.join(os.path.dirname(os.path.abspath(s.get("checkpoint"))), f"eval_{split}.csv")
     D.atomic_write_text(out, text)

@@ -63,6 +63,10 @@ class ExtentOverflowError(ClipFormatError):
     pass
 
 
+class AudioRangeError(ClipFormatError):
+    """Audio samples that are not finite or lie outside [-1, 1]."""
+
+
 class ManifestError(ValueError):
     pass
 
@@ -165,11 +169,16 @@ def atomic_write_text(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 # clip container I/O
 
+def _check_audio(audio: np.ndarray, path: str) -> None:
+    # a NaN compares False, so this rejects it along with inf and |a| > 1
+    if not np.all(np.abs(audio) <= 1.0):
+        raise AudioRangeError(f"{path}: audio samples must be finite and lie in [-1, 1]")
+
+
 def save_clip(clip: Clip, path: str) -> None:
     """Serialize a clip; lossless against load_clip for u8-grid frames."""
     audio = np.ascontiguousarray(clip.audio, dtype="<f4")
-    if float(np.max(np.abs(audio))) > 1.0:
-        raise ValueError("audio samples must lie in [-1, 1]")
+    _check_audio(audio, path)
     frames = clip.frames
     if float(frames.min()) < 0.0 or float(frames.max()) > 1.0:
         raise ValueError("frame values must lie in [0, 1]")
@@ -203,6 +212,7 @@ def load_clip(path: str) -> Clip:
     if len(blob) != expected:
         raise TruncatedPayloadError(f"{path}: file length {len(blob)} != header-implied {expected}")
     audio = np.frombuffer(blob, dtype="<f4", count=S, offset=_HEADER.size).reshape(1, S)
+    _check_audio(audio, path)
     frames_u8 = np.frombuffer(blob, dtype=np.uint8, count=n_pixels, offset=_HEADER.size + 4 * S)
     frames = (frames_u8.astype(np.float32) / np.float32(255.0)).reshape(T, 3, H, W)
     return Clip(audio=np.ascontiguousarray(audio, dtype=np.float32), frames=frames)

@@ -7,9 +7,12 @@ explicit state arguments, except ``batchnorm_forward`` in train mode,
 which updates the running statistics in place (single writer: the
 training loop).
 
-1-d layers (audio) and 2-d layers (images) share one windowing core: a
-1-d input ``(B, C, L)`` is lifted to a width-1 image ``(B, C, L, 1)``, so
-the dimensional correspondence between the two holds structurally.
+1-d layers (audio) and 2-d layers (images) share one N-d windowing core,
+``_windows``: it pads the input once and views it as ``(B, C, *out,
+*kernel)`` sliding windows. Convolution gathers its column matrix from
+that view and pooling takes a running maximum over the kernel offsets;
+both backward passes add gradients into the same view of a zero buffer,
+one kernel offset at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeMismatchError, max0
 
@@ -78,47 +82,36 @@ def _check_out_extents(spatial, spec: ConvSpec):
     return outs
 
 
-def _lift_1d(x):
-    return x[..., None]
+def _windows(shape, spec: ConvSpec, fill, dtype, x=None):
+    """Pad once and view the padded buffer as sliding windows.
 
-
-# ---------------------------------------------------------------------------
-# im2col core (2-d)
-
-def _im2col(x, kernel, stride, padding, fill=0.0):
-    """Unfold (B, C, H, W) into (B*Ho*Wo, C*kh*kw) window rows.
-
-    Column order is (channel, kernel row, kernel col), i.e. increasing
-    linear index within each window.
+    Allocates the input `shape` grown by `spec.padding` on both sides,
+    filled with `fill`, and copies `x` into its interior when given.
+    Returns (interior, windows), two writeable views of that one buffer:
+    `interior` is the unpadded region and `windows` has shape
+    (B, C, *out, *kernel) with ``windows[b, c, *o, *k] ==
+    padded[b, c, *(o * stride + k)]``. Reading `windows` gathers; adding
+    into ``windows[..., *k]`` one kernel offset at a time and reading
+    `interior` is its adjoint, since one offset never maps two outputs to
+    the same element.
     """
-    B, C, H, W = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    Ho = out_extent(H, kh, sh, ph)
-    Wo = out_extent(W, kw, sw, pw)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
-    cols = np.empty((B, C, kh, kw, Ho, Wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + sh * Ho : sh, j : j + sw * Wo : sw]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(B * Ho * Wo, C * kh * kw), (Ho, Wo)
+    spatial = shape[2:]
+    outs = _check_out_extents(spatial, spec)
+    buf = np.full(shape[:2] + tuple(n + 2 * p for n, p in zip(spatial, spec.padding)), fill, dtype=dtype)
+    interior = buf[(slice(None), slice(None)) + tuple(slice(p, p + n) for n, p in zip(spatial, spec.padding))]
+    if x is not None:
+        interior[...] = x
+    st = buf.strides
+    windows = as_strided(
+        buf,
+        shape=shape[:2] + outs + spec.kernel,
+        strides=st[:2] + tuple(s * t for s, t in zip(spec.stride, st[2:])) + st[2:],
+    )
+    return interior, windows
 
 
-def _col2im(dcols, x_shape, kernel, stride, padding):
-    """Adjoint of _im2col: scatter-add window rows back onto the input."""
-    B, C, H, W = x_shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    Ho = out_extent(H, kh, sh, ph)
-    Wo = out_extent(W, kw, sw, pw)
-    d6 = dcols.reshape(B, Ho, Wo, C, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    dxp = np.zeros((B, C, H + 2 * ph, W + 2 * pw), dtype=dcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + sh * Ho : sh, j : j + sw * Wo : sw] += d6[:, :, i, j]
-    return dxp[:, :, ph : ph + H, pw : pw + W]
+def _axes(first: int, n: int) -> tuple:
+    return tuple(range(first, first + n))
 
 
 # ---------------------------------------------------------------------------
@@ -138,49 +131,42 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
         raise ShapeMismatchError("conv weight", w.shape, (spec.out_channels, spec.in_channels) + spec.kernel)
     if b.shape != (spec.out_channels,):
         raise ShapeMismatchError("conv bias", b.shape, (spec.out_channels,))
-    _check_out_extents(x.shape[2:], spec)
 
-    if spec.ndim == 1:
-        y2, cache2 = conv_forward(_lift_1d(x), _lift_1d(w), b, _spec_2d(spec))
-        return y2[..., 0], ("1d", cache2)
-
-    B = x.shape[0]
-    cols, (Ho, Wo) = _im2col(x, spec.kernel, spec.stride, spec.padding)
-    wf = w.reshape(spec.out_channels, -1)
-    out = cols @ wf.T + b
-    y = out.reshape(B, Ho, Wo, spec.out_channels).transpose(0, 3, 1, 2)
-    cache = ("2d", cols, x.shape, w, spec)
-    return np.ascontiguousarray(y), cache
+    nd = spec.ndim
+    _, win = _windows(x.shape, spec, 0.0, x.dtype, x)
+    outs = win.shape[2 : 2 + nd]
+    # Copy kernel-offset-major (B, C, *kernel, *out), then lay one row out
+    # per window, columns in (channel, *kernel) order. That reshape copies
+    # into a C-contiguous cols, except at B == 1 where it is an
+    # F-contiguous view of the copy; a cols in neither layout would take
+    # matmul off BLAS.
+    blocks = np.ascontiguousarray(win.transpose((0, 1) + _axes(2 + nd, nd) + _axes(2, nd)))
+    cols = blocks.transpose((0,) + _axes(2 + nd, nd) + (1,) + _axes(2, nd)).reshape(-1, w[0].size)
+    out = cols @ w.reshape(spec.out_channels, -1).T + b
+    y = out.reshape((x.shape[0],) + outs + (spec.out_channels,)).transpose((0, nd + 1) + _axes(1, nd))
+    return np.ascontiguousarray(y), (cols, x.shape, w, spec)
 
 
 def conv_backward(cache, grad_out: np.ndarray):
     """Exact adjoint of conv_forward; returns (dw, db, dx)."""
-    if cache[0] == "1d":
-        dw, db, dx = conv_backward(cache[1], _lift_1d(grad_out))
-        return dw[..., 0], db, dx[..., 0]
-    _, cols, x_shape, w, spec = cache
-    expect = (x_shape[0], spec.out_channels) + _check_out_extents(x_shape[2:], spec)
+    cols, x_shape, w, spec = cache
+    outs = _check_out_extents(x_shape[2:], spec)
+    expect = (x_shape[0], spec.out_channels) + outs
     if grad_out.shape != expect:
         raise ShapeMismatchError("conv grad_out", grad_out.shape, expect)
 
+    nd = spec.ndim
     Cout = spec.out_channels
-    g2 = grad_out.transpose(0, 2, 3, 1).reshape(-1, Cout)
+    g2 = grad_out.transpose((0,) + _axes(2, nd) + (1,)).reshape(-1, Cout)
     db = g2.sum(axis=0)
     wf = w.reshape(Cout, -1)
     dwf = g2.T @ cols
-    dcols = g2 @ wf
-    dx = _col2im(dcols, x_shape, spec.kernel, spec.stride, spec.padding)
+    # window gradients as (Cin, *kernel, B, *out): one contiguous block per offset
+    dwin = (wf.T @ g2.T).reshape((spec.in_channels,) + spec.kernel + (x_shape[0],) + outs)
+    dx, dx_win = _windows(x_shape, spec, 0.0, dwin.dtype)
+    for k in np.ndindex(spec.kernel):
+        dx_win[(Ellipsis,) + k] += dwin[(slice(None),) + k].swapaxes(0, 1)
     return dwf.reshape(w.shape), db, dx
-
-
-def _spec_2d(spec: ConvSpec) -> ConvSpec:
-    return ConvSpec(
-        kernel=spec.kernel + (1,),
-        stride=spec.stride + (1,),
-        padding=spec.padding + (0,),
-        in_channels=spec.in_channels,
-        out_channels=spec.out_channels,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -279,50 +265,40 @@ def batchnorm_backward(cache, grad_out: np.ndarray):
 def maxpool_forward(x: np.ndarray, spec: ConvSpec):
     """Per-window maximum with -inf padding semantics.
 
-    Returns (y, argmax) where argmax holds, per output element, the flat
-    index of the winning element within that (batch, channel) slice of the
-    unpadded input. Ties break toward the lowest linear index.
+    Returns (y, cache). The cache holds the padded window view of x and y
+    itself, so the backward pass can find each window's maximum again.
     """
     if x.ndim != spec.ndim + 2:
         raise ShapeMismatchError("maxpool input rank", x.shape, spec.kernel)
     if any(p >= k for p, k in zip(spec.padding, spec.kernel)):
         raise ValueError("maxpool padding must be < kernel so every window sees data")
-    _check_out_extents(x.shape[2:], spec)
 
-    if spec.ndim == 1:
-        y2, (arg2, shape2) = maxpool_forward(_lift_1d(x), _spec_2d(spec))
-        return y2[..., 0], (arg2[..., 0], x.shape)
-
-    B, C, H, W = x.shape
-    kh, kw = spec.kernel
-    sh, sw = spec.stride
-    ph, pw = spec.padding
-    xr = x.reshape(B * C, 1, H, W)
-    cols, (Ho, Wo) = _im2col(xr, spec.kernel, spec.stride, spec.padding, fill=-np.inf)
-    widx = cols.argmax(axis=1)
-    y = cols[np.arange(cols.shape[0]), widx].reshape(B * C, Ho, Wo).reshape(B, C, Ho, Wo)
-
-    # window-local index -> unpadded input coordinates
-    widx = widx.reshape(B * C, Ho, Wo)
-    oh = np.arange(Ho)[:, None]
-    ow = np.arange(Wo)[None, :]
-    in_h = oh * sh - ph + widx // kw
-    in_w = ow * sw - pw + widx % kw
-    argmax = (in_h * W + in_w).reshape(B, C, Ho, Wo)
-    return np.ascontiguousarray(y), (argmax, x.shape)
+    _, win = _windows(x.shape, spec, -np.inf, x.dtype, x)
+    offsets = list(np.ndindex(spec.kernel))
+    y = win[(Ellipsis,) + offsets[0]].copy()
+    for k in offsets[1:]:
+        np.maximum(y, win[(Ellipsis,) + k], out=y)
+    return y, (win, y, x.shape, spec)
 
 
 def maxpool_backward(cache, grad_out: np.ndarray):
-    """Route each output gradient to the one input element that won."""
-    argmax, x_shape = cache
-    if grad_out.shape != argmax.shape:
-        raise ShapeMismatchError("maxpool grad_out", grad_out.shape, argmax.shape)
-    B, C = x_shape[0], x_shape[1]
-    spatial = int(np.prod(x_shape[2:]))
-    dxf = np.zeros((B * C, spatial), dtype=grad_out.dtype)
-    rows = np.repeat(np.arange(B * C), argmax[0, 0].size)
-    np.add.at(dxf, (rows, argmax.reshape(B * C, -1).ravel()), grad_out.reshape(B * C, -1).ravel())
-    return dxf.reshape(x_shape)
+    """Route each output gradient to one input element that holds its window's maximum.
+
+    Ties break toward the first kernel offset, i.e. the lowest linear
+    index within the window.
+    """
+    win, y, x_shape, spec = cache
+    if grad_out.shape != y.shape:
+        raise ShapeMismatchError("maxpool grad_out", grad_out.shape, y.shape)
+    dx, dx_win = _windows(x_shape, spec, 0.0, grad_out.dtype)
+    pending = np.ones(y.shape, dtype=bool)  # outputs whose gradient is not routed yet
+    for k in np.ndindex(spec.kernel):
+        hit = win[(Ellipsis,) + k] == y
+        hit &= pending
+        pending ^= hit
+        # a multiply beats add(where=): the mask is too irregular to branch on
+        dx_win[(Ellipsis,) + k] += grad_out * hit
+    return dx
 
 
 def global_average_pool(x: np.ndarray):

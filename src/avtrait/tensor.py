@@ -1,4 +1,7 @@
-"""Dense float tensors and the validated op set used by the layer stack.
+"""Dense float tensors: the shape error, the rectifier and a validated op set.
+
+The layer stack uses ``ShapeMismatchError`` and ``max0``; the other ops
+are called only by their own tests.
 
 Values are plain numpy arrays in row-major order. float32 is the working
 precision for training and inference; float64 is reserved for
@@ -61,27 +64,6 @@ def mul(a, b):
 def max0(a):
     """Rectifier: elementwise max(a, 0)."""
     return np.maximum(a, np.asarray(0, dtype=a.dtype))
-
-
-def tanh(a):
-    return np.tanh(a)
-
-
-_UNARY = {"max0": max0, "tanh": tanh}
-_BINARY = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(op: str, a, b=None):
-    """Dispatch by name over the supported elementwise op set."""
-    if op in _UNARY:
-        if b is not None:
-            raise ValueError(f"{op} takes a single operand")
-        return _UNARY[op](a)
-    if op in _BINARY:
-        if b is None:
-            raise ValueError(f"{op} takes two operands")
-        return _BINARY[op](a, b)
-    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 def reduce_mean(a: np.ndarray, axes) -> np.ndarray:

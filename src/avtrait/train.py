@@ -429,7 +429,7 @@ def finetune_per_trait(base: Checkpoint, trait: int, config: TrainConfig, manife
 
 @dataclass
 class EvalReport:
-    per_trait: np.ndarray  # (5,) accuracies, trait order as in the manifest header
+    per_trait: np.ndarray  # (5,) accuracies in manifest trait order; (1,) for a single-trait head
     average: float
     clips: int
     excluded: int
@@ -463,44 +463,35 @@ def predict_rows(arch, params, manifest: Manifest, rows, frame_stride: int = 1, 
     return [one(row) for row in rows]
 
 
-def evaluate(arch, params, manifest: Manifest, split: str = "validation", frame_stride: int = 1, threads: int = 1) -> EvalReport:
-    """Full-clip protocol: accuracy_k = 1 - mean |pred_k - target_k|."""
+def evaluate(
+    arch, params, manifest: Manifest, split: str = "validation", frame_stride: int = 1, threads: int = 1,
+    trait: Optional[int] = None,
+) -> EvalReport:
+    """Full-clip protocol: accuracy_k = 1 - mean |pred_k - target_k|.
+
+    A 5-output head is scored on every trait. A 1-output head, as
+    fine-tuned per trait, is scored on `trait` alone, and its report has
+    that one accuracy in `per_trait`.
+    """
+    if arch.out_dim == 5 and trait is None:
+        cols = list(range(5))
+    elif arch.out_dim == 1 and trait is not None and 0 <= trait < 5:
+        cols = [trait]
+    else:
+        raise ValueError(f"a {arch.out_dim}-output head cannot be scored with trait={trait!r}")
     rows = manifest.split_rows(split)
     if not rows:
         raise ValueError(f"split {split!r} is empty")
-    if arch.out_dim != 5:
-        raise ValueError("evaluate needs a 5-trait head; use evaluate_single_trait for fine-tuned models")
-    err = np.zeros(5, dtype=np.float64)
+    err = np.zeros(len(cols), dtype=np.float64)
     n = 0
     excluded = 0
     for row, pred in predict_rows(arch, params, manifest, rows, frame_stride, threads):
         if pred is None:
             excluded += 1
             continue
-        err += np.abs(pred.astype(np.float64) - row.traits)
+        err += np.abs(pred.astype(np.float64) - row.traits[cols])
         n += 1
     if n == 0:
         raise ValueError(f"no readable clips in split {split!r}")
     per_trait = 1.0 - err / n
     return EvalReport(per_trait=per_trait, average=aggregate_accuracies(per_trait), clips=n, excluded=excluded)
-
-
-def evaluate_single_trait(arch, params, trait: int, manifest: Manifest, split: str = "train", frame_stride: int = 1):
-    """Accuracy of a 1-output head on one trait; returns (accuracy, clips, excluded)."""
-    if arch.out_dim != 1:
-        raise ValueError("single-trait evaluation expects a 1-output head")
-    rows = manifest.split_rows(split)
-    if not rows:
-        raise ValueError(f"split {split!r} is empty")
-    err = 0.0
-    n = 0
-    excluded = 0
-    for row, pred in predict_rows(arch, params, manifest, rows, frame_stride):
-        if pred is None:
-            excluded += 1
-            continue
-        err += abs(float(pred[0]) - float(row.traits[trait]))
-        n += 1
-    if n == 0:
-        raise ValueError(f"no readable clips in split {split!r}")
-    return 1.0 - err / n, n, excluded

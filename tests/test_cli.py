@@ -160,14 +160,27 @@ class TestFinetuneCommand:
         ckpt = T.load_checkpoint(os.path.join(out, files[0]))
         assert ckpt.trait == 2 and ckpt.arch.out_dim == 1
 
-    def test_eval_on_finetuned_checkpoint(self, workspace, capsys):
+    def test_eval_on_finetuned_checkpoint(self, workspace, capsys, monkeypatch):
         out = str(workspace["root"] / "ft")
         files = [f for f in os.listdir(out) if f.endswith(".ckpt")]
-        code = run(["eval", "--checkpoint", os.path.join(out, files[0]),
-                    "--manifest", workspace["manifest"], "--split", "validation"])
-        assert code == 0
-        line = capsys.readouterr().out.strip()
-        assert line.startswith("trait,conscientiousness,accuracy,")
+        argv = ["eval", "--checkpoint", os.path.join(out, files[0]),
+                "--manifest", workspace["manifest"], "--split", "validation"]
+        assert run(argv) == 0
+        single = capsys.readouterr().out
+        assert single.strip().startswith("trait,conscientiousness,accuracy,")
+
+        # --threads reaches the scoring of a single-trait head too
+        seen = []
+        predict_rows = T.predict_rows
+
+        def spy(arch, params, manifest, rows, frame_stride=1, threads=1):
+            seen.append(threads)
+            return predict_rows(arch, params, manifest, rows, frame_stride, threads)
+
+        monkeypatch.setattr(T, "predict_rows", spy)
+        assert run(argv + ["--threads", "2"]) == 0
+        assert seen == [2]
+        assert capsys.readouterr().out == single
 
     def test_bad_trait_name_is_usage_error(self, workspace):
         assert run(["finetune", "--checkpoint", workspace["ckpt"], "--trait", "charisma",

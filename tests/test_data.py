@@ -73,10 +73,21 @@ class TestClipContainer:
             D.load_clip(path)
 
     def test_audio_range_enforced_on_save(self, tmp_path):
-        clip = tiny_clip()
-        clip.audio[0, 0] = 1.5
-        with pytest.raises(ValueError, match="audio"):
-            D.save_clip(clip, str(tmp_path / "a.clip"))
+        for bad in (1.5, np.nan, np.inf, -np.inf):
+            clip = tiny_clip()
+            clip.audio[0, 0] = bad
+            with pytest.raises(D.AudioRangeError, match="audio"):
+                D.save_clip(clip, str(tmp_path / "a.clip"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5])
+    def test_bad_audio_rejected_on_load(self, tmp_path, bad):
+        path = str(tmp_path / "a.clip")
+        D.save_clip(tiny_clip(S=8), path)
+        blob = bytearray(open(path, "rb").read())
+        blob[20 + 4 * 3 : 20 + 4 * 4] = np.array([bad], dtype="<f4").tobytes()
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(D.AudioRangeError):
+            D.load_clip(path)
 
     def test_pixels_map_by_255(self, tmp_path):
         frames = np.zeros((1, 3, 2, 2), np.float32)

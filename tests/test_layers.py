@@ -132,6 +132,91 @@ class TestConvBackward:
             L.conv_backward(cache, np.zeros((1, 1, 5), dtype=np.float32))
 
 
+@st.composite
+def window_geometry(draw, ndim):
+    """Kernel 1-5, stride 1-4 (also above the kernel), padding 0..k-1 and
+    extents that need not be multiples of the stride."""
+    kernel = tuple(draw(st.integers(1, 5)) for _ in range(ndim))
+    stride = tuple(draw(st.integers(1, 4)) for _ in range(ndim))
+    padding = tuple(draw(st.integers(0, k - 1)) for k in kernel)
+    extent = tuple(draw(st.integers(max(1, k - 2 * p), k - 2 * p + 8)) for k, p in zip(kernel, padding))
+    batch, cin, cout = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    spec = L.ConvSpec(kernel, stride, padding, cin, cout)
+    return spec, (batch, cin) + extent, np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32))))
+
+
+def conv_loops(x, w, b, spec):
+    if spec.ndim == 1:
+        return conv1d_loops(x, w, b, spec.stride[0], spec.padding[0])
+    return conv2d_loops(x, w, b, spec.stride, spec.padding)
+
+
+def maxpool_windows(x, spec):
+    if spec.ndim == 1:
+        return maxpool1d_windows(x, spec.kernel[0], spec.stride[0], spec.padding[0])
+    return maxpool2d_windows(x, spec.kernel, spec.stride, spec.padding)
+
+
+def window_max_mask(x, y, spec):
+    """True where an input element equals the maximum of a window that holds it."""
+    mask = np.zeros(x.shape, dtype=bool)
+    for b, c, *o in np.ndindex(*y.shape):
+        for k in np.ndindex(*spec.kernel):
+            pos = tuple(oi * s - p + ki for oi, s, p, ki in zip(o, spec.stride, spec.padding, k))
+            if all(0 <= q < n for q, n in zip(pos, x.shape[2:])) and x[(b, c) + pos] == y[(b, c) + tuple(o)]:
+                mask[(b, c) + pos] = True
+    return mask
+
+
+class TestWindowProperties:
+    """The shared window view, checked in float64 over random 1-d and 2-d geometries."""
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_conv_forward_matches_loop_oracle(self, ndim, data):
+        spec, shape, rng = data.draw(window_geometry(ndim))
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((spec.out_channels, spec.in_channels) + spec.kernel)
+        b = rng.standard_normal(spec.out_channels)
+        y, _ = L.conv_forward(x, w, b, spec)
+        np.testing.assert_allclose(y, conv_loops(x, w, b, spec), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_conv_adjoint_identity(self, ndim, data):
+        # conv is bilinear in (x, w), so <conv(x) - b, g> = <x, dx> = <w, dw>
+        spec, shape, rng = data.draw(window_geometry(ndim))
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((spec.out_channels, spec.in_channels) + spec.kernel)
+        b = rng.standard_normal(spec.out_channels)
+        y, cache = L.conv_forward(x, w, b, spec)
+        g = rng.standard_normal(y.shape)
+        dw, db, dx = L.conv_backward(cache, g)
+        assert dx.shape == x.shape and dw.shape == w.shape
+        lhs = float(np.sum((y - b.reshape((1, -1) + (1,) * ndim)) * g))
+        scale = float(np.sum(np.abs(y) * np.abs(g))) + 1.0
+        assert abs(float(np.sum(x * dx)) - lhs) <= 1e-12 * scale
+        assert abs(float(np.sum(w * dw)) - lhs) <= 1e-12 * scale
+        np.testing.assert_allclose(db, g.sum(axis=(0,) + tuple(range(2, 2 + ndim))), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), ties=st.booleans())
+    def test_maxpool_matches_window_scan_and_routes_to_maxima(self, ndim, data, ties):
+        spec, shape, rng = data.draw(window_geometry(ndim))
+        # small integers make ties common; normals make them rare
+        x = rng.integers(0, 3, shape).astype(np.float64) if ties else rng.standard_normal(shape)
+        y, cache = L.maxpool_forward(x, spec)
+        np.testing.assert_array_equal(y, maxpool_windows(x, spec))
+        g = rng.standard_normal(y.shape)
+        dx = L.maxpool_backward(cache, g)
+        assert dx.shape == x.shape
+        assert float(dx.sum()) == pytest.approx(float(g.sum()), rel=1e-12, abs=1e-12)
+        assert not dx[~window_max_mask(x, y, spec)].any()
+
+
 class TestDimensionalCorrespondence:
     def test_1d_equals_width1_2d_bitwise(self):
         rng = rng64(6)
@@ -327,12 +412,10 @@ class TestGlobalAveragePool:
         assert y[0, 0] == pytest.approx(4.0)
 
     def test_matches_reduce_mean_oracle(self):
-        from avtrait.tensor import reduce_mean
-
         rng = rng64(20)
         x = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
         y, _ = L.global_average_pool(x)
-        np.testing.assert_array_equal(y, reduce_mean(x, {2, 3}))
+        np.testing.assert_array_equal(y, x.mean(axis=(2, 3)))
 
     def test_any_spatial_extent_works(self):
         for shape in [(1, 4, 1), (1, 4, 173), (1, 4, 3, 11)]:

@@ -17,20 +17,6 @@ class TestElementwise:
         out = T.max0(T.tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
 
-    def test_tanh_at_origin(self):
-        assert T.tanh(T.tensor([0.0]))[0] == 0.0
-
-    def test_dispatch_matches_named(self):
-        a = T.tensor([1.0, -2.0, 3.0])
-        b = T.tensor([0.5, 0.5, -1.0])
-        np.testing.assert_array_equal(T.elementwise("sub", a, b), T.sub(a, b))
-        np.testing.assert_array_equal(T.elementwise("mul", a, b), T.mul(a, b))
-        np.testing.assert_array_equal(T.elementwise("max0", a), T.max0(a))
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            T.elementwise("div", T.tensor([1.0]), T.tensor([1.0]))
-
     def test_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(T.ShapeMismatchError) as exc:
             T.add(T.tensor([[1.0, 2.0]]), T.tensor([1.0, 2.0, 3.0]))

@@ -255,6 +255,22 @@ class TestEvaluate:
         assert report.excluded == 1
         assert report.clips == len(dataset.split_rows("validation"))
 
+    def test_nan_audio_clip_excluded_not_scored(self, dataset, tmp_path):
+        # one NaN sample used to pass both container checks and turn every
+        # trait's accuracy into nan with excluded=0
+        bad = dataset.split_rows("validation")[0]
+        blob = bytearray(open(dataset.clip_path(bad), "rb").read())
+        blob[20:24] = np.array([np.nan], dtype="<f4").tobytes()  # first audio sample
+        path = str(tmp_path / "nan.clip")
+        open(path, "wb").write(bytes(blob))
+        rows = [D.ManifestRow(r.clip_id, path if r is bad else r.path, r.traits, r.split) for r in dataset.rows]
+        manifest = D.Manifest(rows=rows, directory=dataset.directory)
+        arch = M.mini_architecture()
+        report = T.evaluate(arch, M.build_network(arch, 0), manifest, "validation")
+        assert report.excluded == 1
+        assert report.clips == len(dataset.split_rows("validation")) - 1
+        assert np.all(np.isfinite(report.per_trait)) and np.isfinite(report.average)
+
     def test_eval_accuracy_in_unit_interval(self, dataset):
         arch = M.mini_architecture()
         params = M.build_network(arch, 2)
@@ -315,5 +331,9 @@ class TestFinetune:
     def test_evaluate_single_trait(self, tmp_path, dataset):
         base = self.base_checkpoint(tmp_path, dataset)
         res = T.finetune_per_trait(base, 1, tiny_config(str(tmp_path / "ft"), epochs=1), dataset)
-        acc, n, excluded = T.evaluate_single_trait(res.arch, res.params, 1, dataset, "train")
-        assert 0.0 <= acc <= 1.0 and n == len(dataset.split_rows("train")) and excluded == 0
+        report = T.evaluate(res.arch, res.params, dataset, "train", trait=1)
+        assert report.per_trait.shape == (1,) and report.average == report.per_trait[0]
+        assert 0.0 <= report.average <= 1.0
+        assert report.clips == len(dataset.split_rows("train")) and report.excluded == 0
+        with pytest.raises(ValueError, match="trait"):
+            T.evaluate(res.arch, res.params, dataset, "train")
