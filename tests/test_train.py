@@ -256,8 +256,8 @@ class TestEvaluate:
         assert report.clips == len(dataset.split_rows("validation"))
 
     def test_nan_audio_clip_excluded_not_scored(self, dataset, tmp_path):
-        # one NaN sample used to pass both container checks and turn every
-        # trait's accuracy into nan with excluded=0
+        # a NaN sample must stop at load_clip: scored, it turns every
+        # trait's accuracy into nan
         bad = dataset.split_rows("validation")[0]
         blob = bytearray(open(dataset.clip_path(bad), "rb").read())
         blob[20:24] = np.array([np.nan], dtype="<f4").tobytes()  # first audio sample
