@@ -11,6 +11,10 @@ Clip container (little-endian), one preprocessed video sample per file:
     frames  T*3*H*W * u8, planar: frame-major, channels R,G,B, rows
             row-major; pixel values map to [0, 1] by /255
 
+Frames stay u8 in memory: a loaded clip's frames are a read-only view of the
+file's bytes, and `unit_frames` maps them to [0, 1] floats only where a
+layer reads them (one crop in training, one frame at a time in inference).
+
 Manifest: UTF-8 CSV with header
     clip_id,path,openness,agreeableness,conscientiousness,neuroticism,extraversion,split
 Trait values must parse into [0, 1]; split is train/validation/test; paths
@@ -100,7 +104,7 @@ class Clip:
     """One preprocessed sample: waveform, frame stack, optional label.
 
     audio:  (1, S) float32 in [-1, 1]
-    frames: (T, 3, H, W) float32 in [0, 1]
+    frames: (T, 3, H, W) uint8 pixels as stored; `unit_frames` maps them to [0, 1]
     """
 
     audio: np.ndarray
@@ -112,6 +116,8 @@ class Clip:
             raise ValueError(f"audio must be (1, S>=1), got {self.audio.shape}")
         if self.frames.ndim != 4 or self.frames.shape[1] != 3 or self.frames.shape[0] < 1:
             raise ValueError(f"frames must be (T>=1, 3, H, W), got {self.frames.shape}")
+        if self.frames.dtype != np.uint8:
+            raise ValueError(f"frames must be uint8 pixels, got {self.frames.dtype}")
 
     @property
     def sample_count(self) -> int:
@@ -176,26 +182,26 @@ def _check_audio(audio: np.ndarray, path: str) -> None:
 
 
 def save_clip(clip: Clip, path: str) -> None:
-    """Serialize a clip; lossless against load_clip for u8-grid frames."""
+    """Serialize a clip; load_clip gives back the same audio and frames bitwise."""
     audio = np.ascontiguousarray(clip.audio, dtype="<f4")
     _check_audio(audio, path)
-    frames = clip.frames
-    if float(frames.min()) < 0.0 or float(frames.max()) > 1.0:
-        raise ValueError("frame values must lie in [0, 1]")
-    T, _, H, W = frames.shape
+    T, _, H, W = clip.frames.shape
     S = clip.sample_count
     if S >= 1 << 32 or T >= 1 << 32 or H >= 1 << 16 or W >= 1 << 16:
         raise ExtentOverflowError(f"extents out of header range: S={S} T={T} H={H} W={W}")
-    frames_u8 = np.clip(np.round(frames.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
     buf = io.BytesIO()
     buf.write(_HEADER.pack(CLIP_MAGIC, S, T, H, W))
     buf.write(audio.tobytes(order="C"))
-    buf.write(np.ascontiguousarray(frames_u8).tobytes(order="C"))
+    buf.write(clip.frames.tobytes(order="C"))
     atomic_write_bytes(path, buf.getvalue())
 
 
 def load_clip(path: str) -> Clip:
-    """Parse a clip container; raises distinct errors per defect."""
+    """Parse a clip container; raises distinct errors per defect.
+
+    The returned audio and u8 frames are read-only views of the bytes read,
+    so a clip holds the file's size in memory and no more.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -213,9 +219,13 @@ def load_clip(path: str) -> Clip:
         raise TruncatedPayloadError(f"{path}: file length {len(blob)} != header-implied {expected}")
     audio = np.frombuffer(blob, dtype="<f4", count=S, offset=_HEADER.size).reshape(1, S)
     _check_audio(audio, path)
-    frames_u8 = np.frombuffer(blob, dtype=np.uint8, count=n_pixels, offset=_HEADER.size + 4 * S)
-    frames = (frames_u8.astype(np.float32) / np.float32(255.0)).reshape(T, 3, H, W)
-    return Clip(audio=np.ascontiguousarray(audio, dtype=np.float32), frames=frames)
+    frames = np.frombuffer(blob, dtype=np.uint8, count=n_pixels, offset=_HEADER.size + 4 * S)
+    return Clip(audio=np.ascontiguousarray(audio, dtype=np.float32), frames=frames.reshape(T, 3, H, W))
+
+
+def unit_frames(pixels: np.ndarray, dtype=np.float32) -> np.ndarray:
+    """u8 pixels mapped to [0, 1] by /255 in float32, then cast to dtype."""
+    return np.divide(pixels, np.float32(255.0), dtype=np.float32).astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +305,7 @@ def crop_frame(clip: Clip, rng: np.random.Generator, crop: int = 224) -> np.ndar
     out = clip.frames[t, :, top : top + crop, left : left + crop]
     if flip:
         out = out[:, :, ::-1]
-    return np.ascontiguousarray(out)
+    return unit_frames(out)  # a fresh C-ordered array, also for a mirrored view
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +364,11 @@ def synth_clip(rng: np.random.Generator, seconds: float = 2.0, height: int = 48,
     wobble = _WOBBLE_AMPLITUDE * np.sin(2.0 * math.pi * ts / max(T, 1) + wobble_phase)
     pix = base[None, :, None, None] + _GRADIENT_AMPLITUDE * proj[None, None, :, :] + wobble[:, None, None, None]
     frames_u8 = np.clip(np.round(pix * 255.0), 0, 255).astype(np.uint8)
-    frames = frames_u8.astype(np.float32) / np.float32(255.0)
+    frames = unit_frames(frames_u8)
 
     means = [float(frames[:, c].mean(dtype=np.float64)) for c in range(3)]
     label = _synth_labels(freq, means, theta)
-    return Clip(audio=audio, frames=frames, label=label)
+    return Clip(audio=audio, frames=frames_u8, label=label)
 
 
 def synth_dataset(

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Clip
+from .data import Clip, unit_frames
 from .layers import (
     BatchNormState,
     ConvSpec,
@@ -430,7 +430,7 @@ def forward_infer(arch: Architecture, params: dict, clip: Clip, frame_stride: in
 
     frame_feats = []
     for t in range(0, clip.frame_count, frame_stride):
-        frame = clip.frames[t].astype(dtype, copy=False)
+        frame = unit_frames(clip.frames[t], dtype)
         fv, _ = forward_stream(frame[None, :, :, :], arch.visual, "visual", params, "eval")
         frame_feats.append(fv[0])
     fv_mean = _fsum_mean(frame_feats).astype(dtype)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FPS, SAMPLE_RATE, Clip
+from .data import FPS, SAMPLE_RATE, Clip, unit_frames
 from .layers import (
     dropout_backward,
     dropout_forward,
@@ -106,7 +106,7 @@ def extract_features(clip: Clip, arch: Architecture, base_params: dict) -> np.nd
         fa, _ = forward_stream(audio[None, :, :], arch.auditory, "auditory", base_params, "eval")
         frame_feats = []
         for f in range(t * FPS, (t + 1) * FPS):
-            frame = clip.frames[f].astype(dtype, copy=False)
+            frame = unit_frames(clip.frames[f], dtype)
             fv, _ = forward_stream(frame[None, :, :, :], arch.visual, "visual", base_params, "eval")
             frame_feats.append(fv[0])
         fv_mean = _fsum_mean(frame_feats).astype(dtype)

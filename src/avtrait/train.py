@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -91,6 +92,11 @@ class CheckpointManifestError(CheckpointError):
     pass
 
 
+class CheckpointDecodeError(CheckpointError):
+    """A field that does not decode: a non-UTF-8 name, a trailer that is not
+    a JSON object, or a counter that is not a whole number."""
+
+
 # ---------------------------------------------------------------------------
 # tensor container
 
@@ -129,17 +135,18 @@ def read_tensor_container(path: str):
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, off)
             off += 2
-            name = blob[off : off + name_len].decode("utf-8")
+            try:
+                name = blob[off : off + name_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointDecodeError(f"{path}: tensor name at byte {off} is not UTF-8") from None
             off += name_len
             (rank,) = struct.unpack_from("<B", blob, off)
             off += 1
             shape = struct.unpack_from(f"<{rank}I", blob, off)
             off += 4 * rank
-            n = 1
-            for s in shape:
-                if s < 1:
-                    raise CheckpointError(f"{path}: zero extent in {name!r}")
-                n *= s
+            if rank < 1 or 0 in shape:
+                raise CheckpointError(f"{path}: tensor {name!r} has rank 0 or a zero extent: {shape}")
+            n = math.prod(shape)
             end = off + 4 * n
             if end > len(blob):
                 raise CheckpointTruncatedError(f"{path}: tensor {name!r} runs past end of file")
@@ -200,6 +207,14 @@ def _infer_architecture(params: dict):
     raise CheckpointManifestError("tensor names/shapes match no known architecture")
 
 
+def _counter(path: str, name: str, arr: np.ndarray, end: float = math.inf) -> int:
+    """The whole number in [0, end) that a one-element tensor holds."""
+    value = float(arr.flat[0])
+    if arr.size != 1 or not value.is_integer() or not 0 <= value < end:
+        raise CheckpointDecodeError(f"{path}: {name} = {arr.tolist()} is not a whole number in [0, {end})")
+    return int(value)
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     epoch, named, trailer = read_tensor_container(path)
     params = {}
@@ -213,9 +228,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         elif name.startswith("adam.v."):
             moments_v[name[len("adam.v.") :]] = arr
         elif name == "adam.t":
-            t = int(arr[0])
+            t = _counter(path, name, arr)
         elif name == "meta.trait":
-            trait = int(arr[0])
+            trait = _counter(path, name, arr, len(TRAITS))
         else:
             params[name] = arr
     arch, mini = _infer_architecture(params)
@@ -225,7 +240,14 @@ def load_checkpoint(path: str) -> Checkpoint:
         if set(moments_m) != trainable or set(moments_v) != trainable:
             raise CheckpointManifestError(f"{path}: optimizer moments do not cover the trainable set")
         adam = AdamState(m=moments_m, v=moments_v, t=t)
-    rng_state = json.loads(trailer.decode("utf-8")) if trailer else None
+    rng_state = None
+    if trailer:
+        try:
+            rng_state = json.loads(trailer.decode("utf-8"))
+        except ValueError:  # a UnicodeDecodeError or a JSONDecodeError
+            raise CheckpointDecodeError(f"{path}: trailer is not UTF-8 JSON") from None
+        if not isinstance(rng_state, dict):
+            raise CheckpointDecodeError(f"{path}: trailer is not a JSON object")
     return Checkpoint(epoch=epoch, params=params, adam=adam, rng_state=rng_state, arch=arch, mini=mini, trait=trait)
 
 

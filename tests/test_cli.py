@@ -117,6 +117,14 @@ class TestEvalCommand:
         open(bad, "wb").write(b"garbage")
         assert run(["eval", "--checkpoint", bad, "--manifest", workspace["manifest"]]) == 2
 
+    def test_infinite_step_count_is_data_error(self, workspace, tmp_path, capsys):
+        epoch, named, trailer = T.read_tensor_container(workspace["ckpt"])
+        named["adam.t"] = np.array([np.inf], np.float32)
+        bad = str(tmp_path / "inf.ckpt")
+        T.write_tensor_container(bad, named, epoch, trailer)
+        assert run(["eval", "--checkpoint", bad, "--manifest", workspace["manifest"]]) == 2
+        assert "adam.t" in capsys.readouterr().err
+
     def test_threads_env_fallback(self, workspace, monkeypatch):
         monkeypatch.setenv("DI_THREADS", "2")
         assert run(["eval", "--checkpoint", workspace["ckpt"], "--manifest", workspace["manifest"],

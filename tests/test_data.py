@@ -11,8 +11,7 @@ from avtrait import data as D
 def tiny_clip(rng=None, S=2000, T=3, H=40, W=52, label=None):
     rng = rng or np.random.Generator(np.random.PCG64(0))
     audio = (rng.random((1, S), dtype=np.float32) * 1.6 - 0.8).astype(np.float32)
-    frames_u8 = rng.integers(0, 256, size=(T, 3, H, W), dtype=np.uint8)
-    frames = frames_u8.astype(np.float32) / np.float32(255.0)
+    frames = rng.integers(0, 256, size=(T, 3, H, W), dtype=np.uint8)
     return D.Clip(audio=audio, frames=frames, label=label)
 
 
@@ -23,7 +22,13 @@ class TestClipContainer:
         D.save_clip(clip, path)
         back = D.load_clip(path)
         np.testing.assert_array_equal(back.audio, clip.audio)
+        assert back.frames.dtype == np.uint8 and not back.frames.flags.writeable
         np.testing.assert_array_equal(back.frames, clip.frames)
+
+    def test_float_frames_rejected(self):
+        clip = tiny_clip()
+        with pytest.raises(ValueError, match="uint8"):
+            D.Clip(audio=clip.audio, frames=D.unit_frames(clip.frames))
 
     def test_file_layout_matches_contract(self, tmp_path):
         clip = tiny_clip(S=5, T=1, H=2, W=3)
@@ -90,15 +95,25 @@ class TestClipContainer:
             D.load_clip(path)
 
     def test_pixels_map_by_255(self, tmp_path):
-        frames = np.zeros((1, 3, 2, 2), np.float32)
-        frames[0, 0, 0, 0] = 1.0
-        frames[0, 1, 1, 1] = np.float32(128 / 255)
+        frames = np.zeros((1, 3, 2, 2), np.uint8)
+        frames[0, 0, 0, 0] = 255
+        frames[0, 1, 1, 1] = 128
         clip = D.Clip(audio=np.zeros((1, 4), np.float32), frames=frames)
         path = str(tmp_path / "a.clip")
         D.save_clip(clip, path)
         blob = open(path, "rb").read()
         pixels = np.frombuffer(blob[20 + 16 :], dtype=np.uint8).reshape(1, 3, 2, 2)
-        assert pixels[0, 0, 0, 0] == 255 and pixels[0, 1, 1, 1] == 128
+        np.testing.assert_array_equal(pixels, frames)
+        unit = D.unit_frames(D.load_clip(path).frames)
+        assert unit.dtype == np.float32
+        assert unit[0, 0, 0, 0] == 1.0 and unit[0, 1, 1, 1] == np.float32(128) / np.float32(255)
+        assert unit[0, 2, 0, 0] == 0.0
+
+    def test_unit_frames_bitwise_for_every_pixel_value(self):
+        pixels = np.arange(256, dtype=np.uint8)
+        expect = pixels.astype(np.float32) / np.float32(255.0)
+        assert D.unit_frames(pixels).tobytes() == expect.tobytes()
+        assert D.unit_frames(pixels, np.float64).tobytes() == expect.astype(np.float64).tobytes()
 
 
 class TestManifest:
@@ -186,8 +201,9 @@ class TestCropFrame:
         rng = np.random.Generator(np.random.PCG64(5))
         for _ in range(8):
             out = D.crop_frame(clip, rng, crop=24)
+            frames = D.unit_frames(clip.frames)
             matches = [
-                np.array_equal(out, clip.frames[t]) or np.array_equal(out, clip.frames[t][:, :, ::-1])
+                np.array_equal(out, frames[t]) or np.array_equal(out, frames[t][:, :, ::-1])
                 for t in range(clip.frame_count)
             ]
             assert any(matches)
@@ -198,26 +214,44 @@ class TestCropFrame:
         np.testing.assert_array_equal(frame[:, :, ::-1][:, :, ::-1], frame)
 
     def test_crop_origin_support_on_canonical_frames(self):
-        # encode (row, col) in the pixel values so each crop reveals its origin
+        # encode the row in channel 0 and the column in channels 1-2 (high,
+        # low byte) so each crop reveals its origin
         H, W = 256, 456
-        pos = np.arange(H * W, dtype=np.float32).reshape(H, W) / (H * W)
-        frames = np.broadcast_to(pos, (1, 3, H, W)).copy()
+        frames = np.zeros((1, 3, H, W), np.uint8)
+        frames[0, 0] = np.arange(H)[:, None]
+        frames[0, 1] = np.arange(W)[None, :] >> 8
+        frames[0, 2] = np.arange(W)[None, :] & 0xFF
         clip = D.Clip(audio=np.zeros((1, 10), np.float32), frames=frames)
         rng = np.random.Generator(np.random.PCG64(6))
         rows, cols = set(), set()
         for _ in range(400):
             out = D.crop_frame(clip, rng, crop=224)
             assert out.shape == (3, 224, 224)
-            corner = min(float(out[0, 0, 0]), float(out[0, 0, -1]))  # undo a possible mirror
-            flat = round(corner * (H * W))
-            top, left = divmod(flat, W)
-            rows.add(top)
-            cols.add(left)
+            pixels = np.round(out * 255.0).astype(int)
+            ends = [256 * pixels[1, 0, c] + pixels[2, 0, c] for c in (0, -1)]
+            rows.add(pixels[0, 0, 0])
+            cols.add(min(ends))  # undo a possible mirror
         assert min(rows) >= 0 and max(rows) <= 256 - 224
         assert min(cols) >= 0 and max(cols) <= 456 - 224
         # empirical support should reach both ends of the valid ranges
         assert max(rows) > 24 and min(rows) < 8
         assert max(cols) > 200 and min(cols) < 30
+
+    def test_bitwise_equal_to_cropping_float_frames(self):
+        clip = tiny_clip(T=4, H=40, W=52)
+        frames = clip.frames.astype(np.float32) / np.float32(255.0)
+        rng = np.random.Generator(np.random.PCG64(9))
+        twin = np.random.Generator(np.random.PCG64(9))
+        for _ in range(16):
+            out = D.crop_frame(clip, rng, crop=32)
+            t = int(twin.integers(0, 4))
+            top = int(twin.integers(0, 40 - 32 + 1))
+            left = int(twin.integers(0, 52 - 32 + 1))
+            expect = frames[t, :, top : top + 32, left : left + 32]
+            if twin.random() < 0.5:
+                expect = expect[:, :, ::-1]
+            assert out.flags.c_contiguous and out.dtype == np.float32
+            assert out.tobytes() == np.ascontiguousarray(expect).tobytes()
 
     def test_too_small_frame_rejected(self):
         clip = tiny_clip(H=20, W=64)
@@ -310,3 +344,43 @@ def test_container_roundtrip_property(tmp_path_factory, S, T, H, W):
     back = D.load_clip(path)
     np.testing.assert_array_equal(back.audio, clip.audio)
     np.testing.assert_array_equal(back.frames, clip.frames)
+
+
+def _write(path, blob):
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5))
+def test_every_truncation_is_typed(tmp_path_factory, S, T, H, W):
+    path = str(tmp_path_factory.mktemp("clips") / "c.clip")
+    D.save_clip(tiny_clip(S=S, T=T, H=H, W=W), path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    for end in range(len(blob)):
+        _write(path, blob[:end])
+        with pytest.raises(D.TruncatedPayloadError):
+            D.load_clip(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_flipped_byte_loads_or_is_typed(tmp_path_factory, S, T, H, W, data):
+    path = str(tmp_path_factory.mktemp("clips") / "c.clip")
+    D.save_clip(tiny_clip(S=S, T=T, H=H, W=W), path)
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+    _write(path, bytes(blob))
+    if at < 20:
+        # every header field is checked against the file, so a flip there never loads
+        with pytest.raises(D.ClipFormatError):
+            D.load_clip(path)
+        return
+    try:
+        clip = D.load_clip(path)
+    except D.AudioRangeError:
+        return
+    assert clip.frames.dtype == np.uint8 and clip.frames.shape == (T, 3, H, W)

@@ -1,11 +1,13 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from avtrait import data as D
 from avtrait import model as M
+from avtrait.layers import linear_forward, scaled_tanh
 from oracles import central_difference, fd_rel_err, stride_trace
 
 HERE = os.path.dirname(__file__)
@@ -263,7 +265,7 @@ class TestForwardInfer:
 
     def clip_of_identical_frames(self, T):
         rng = rng64(5)
-        frame = rng.random((3, 48, 48), dtype=np.float32)
+        frame = rng.integers(0, 256, (3, 48, 48), dtype=np.uint8)
         frames = np.broadcast_to(frame, (T, 3, 48, 48)).copy()
         audio = (rng.random((1, 16000), dtype=np.float32) - 0.5).astype(np.float32)
         return D.Clip(audio=audio, frames=frames)
@@ -279,7 +281,7 @@ class TestForwardInfer:
 
     def test_frame_order_invariance(self):
         rng = rng64(6)
-        frames = rng.random((6, 3, 48, 48), dtype=np.float32)
+        frames = rng.integers(0, 256, (6, 3, 48, 48), dtype=np.uint8)
         audio = (rng.random((1, 8000), dtype=np.float32) - 0.5).astype(np.float32)
         clip = D.Clip(audio=audio, frames=frames)
         perm = rng.permutation(6)
@@ -299,7 +301,7 @@ class TestForwardInfer:
         rng = rng64(7)
         clip = D.Clip(
             audio=(rng.random((1, 300), dtype=np.float32) - 0.5).astype(np.float32),
-            frames=rng.random((2, 3, 48, 48), dtype=np.float32),
+            frames=rng.integers(0, 256, (2, 3, 48, 48), dtype=np.uint8),
         )
         pred = M.forward_infer(self.arch, self.params, clip)
         assert pred.shape == (5,) and np.all(np.isfinite(pred))
@@ -313,7 +315,7 @@ class TestForwardInfer:
 
     def test_frame_stride_subsamples(self):
         rng = rng64(8)
-        frames = rng.random((4, 3, 48, 48), dtype=np.float32)
+        frames = rng.integers(0, 256, (4, 3, 48, 48), dtype=np.uint8)
         audio = (rng.random((1, 4000), dtype=np.float32) - 0.5).astype(np.float32)
         clip = D.Clip(audio=audio, frames=frames)
         strided = D.Clip(audio=audio, frames=frames[::2].copy())
@@ -326,3 +328,45 @@ class TestForwardInfer:
         clip = self.clip_of_identical_frames(2)
         pred = M.forward_infer(self.arch, self.params, clip)
         assert np.all(pred > 0.0) and np.all(pred < 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_float_frames(self, dtype):
+        # the same protocol run by hand on frames converted up front
+        rng = rng64(9)
+        frames_u8 = rng.integers(0, 256, (5, 3, 48, 48), dtype=np.uint8)
+        audio = (rng.random((1, 3000), dtype=np.float32) - 0.5).astype(np.float32)
+        params = {n: v.astype(dtype) for n, v in self.params.items()}
+        frames = frames_u8.astype(np.float32) / np.float32(255.0)
+        fa, _ = M.forward_stream(audio.astype(dtype)[None], self.arch.auditory, "auditory", params, "eval")
+        fv = [
+            M.forward_stream(f.astype(dtype)[None], self.arch.visual, "visual", params, "eval")[0][0]
+            for f in frames[::2]
+        ]
+        feats = np.concatenate([fa[0], M._fsum_mean(fv).astype(dtype)])[None]
+        expect, _ = scaled_tanh(linear_forward(feats, params["fusion.w"], params["fusion.b"])[0])
+        pred = M.forward_infer(self.arch, params, D.Clip(audio=audio, frames=frames_u8), frame_stride=2)
+        assert pred.dtype == dtype and pred.tobytes() == expect[0].tobytes()
+
+
+class TestClipMemory:
+    def test_long_clip_peak_stays_near_file_size(self, tmp_path):
+        # 1500 frames of 64x64 (18.4 MB of pixels) and 1 s of audio, so the
+        # frames dominate the file; a float32 copy of them alone is 4x that.
+        # One frame a second is scored: the peak does not depend on the stride.
+        rng = rng64(11)
+        frames = rng.integers(0, 256, (1500, 3, 64, 64), dtype=np.uint8)
+        audio = (rng.random((1, D.SAMPLE_RATE), dtype=np.float32) - 0.5).astype(np.float32)
+        path = str(tmp_path / "long.clip")
+        D.save_clip(D.Clip(audio=audio, frames=frames), path)
+        del frames
+        size = os.path.getsize(path)
+        arch = M.mini_architecture()
+        params = M.build_network(arch, 3)
+        tracemalloc.start()
+        try:
+            pred = M.forward_infer(arch, params, D.load_clip(path), frame_stride=D.FPS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(pred))
+        assert peak < 1.5 * size + 4e6, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB clip"

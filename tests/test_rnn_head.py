@@ -254,7 +254,7 @@ class TestExtractFeatures:
         S = int(seconds * D.SAMPLE_RATE)
         T = int(seconds * D.FPS)
         audio = (rng.random((1, S), dtype=np.float32) - 0.5).astype(np.float32)
-        frames = rng.random((T, 3, 32, 32), dtype=np.float32)
+        frames = rng.integers(0, 256, (T, 3, 32, 32), dtype=np.uint8)
         return D.Clip(audio=audio, frames=frames)
 
     def test_row_count_is_floor_of_seconds(self, base):
@@ -263,6 +263,22 @@ class TestExtractFeatures:
         assert feats.shape == (2, arch.fusion_in)
         feats = R.extract_features(self.synth_clip(2.96), arch, params)
         assert feats.shape == (2, arch.fusion_in)
+
+    def test_bitwise_equal_to_float_frames(self, base):
+        # per-second rows computed by hand on frames converted up front
+        arch, params = base
+        clip = self.synth_clip(2.0)
+        frames = clip.frames.astype(np.float32) / np.float32(255.0)
+        rows = []
+        for t in range(2):
+            audio = clip.audio[None, :, t * D.SAMPLE_RATE : (t + 1) * D.SAMPLE_RATE]
+            fa, _ = M.forward_stream(audio, arch.auditory, "auditory", params, "eval")
+            fv = [
+                M.forward_stream(f[None], arch.visual, "visual", params, "eval")[0][0]
+                for f in frames[t * D.FPS : (t + 1) * D.FPS]
+            ]
+            rows.append(np.concatenate([fa[0], M._fsum_mean(fv).astype(np.float32)]))
+        assert R.extract_features(clip, arch, params).tobytes() == np.stack(rows).tobytes()
 
     def test_sub_second_clip_rejected(self, base):
         arch, params = base

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avtrait import data as D
 from avtrait import model as M
@@ -71,6 +73,34 @@ class TestTensorContainer:
         with pytest.raises(T.CheckpointTruncatedError):
             T.read_tensor_container(path)
 
+    def test_non_utf8_name_is_decode_error(self, tmp_path):
+        path = str(tmp_path / "t.ckpt")
+        T.write_tensor_container(path, {"x": np.ones(1, np.float32)})
+        blob = bytearray(open(path, "rb").read())
+        blob[20 + 2] = 0xFF  # first byte of the first name, after the header and its length
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(T.CheckpointDecodeError, match="UTF-8"):
+            T.read_tensor_container(path)
+
+    def test_rank_zero_rejected(self, tmp_path):
+        path = str(tmp_path / "t.ckpt")
+        T.write_tensor_container(path, {"x": np.ones(1, np.float32)})
+        blob = bytearray(open(path, "rb").read())
+        blob[20 + 2 + 1] = 0  # the rank byte after the one-byte name
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(T.CheckpointError, match="rank 0"):
+            T.read_tensor_container(path)
+
+
+def _small_checkpoint(path):
+    arch = M.mini_architecture()
+    params = M.build_network(arch, 0)
+    from avtrait.optim import init_adam
+
+    adam = init_adam(params, M.trainable_names(arch))
+    adam.t = 3
+    T.save_checkpoint(path, 1, params, adam, np.random.Generator(np.random.PCG64(1)), trait=2)
+
 
 class TestCheckpoint:
     def make_state(self, seed=0):
@@ -121,6 +151,28 @@ class TestCheckpoint:
         ckpt = T.load_checkpoint(path)
         assert ckpt.arch.out_dim == 1 and ckpt.trait == 3
 
+    @pytest.mark.parametrize("name,bad", [
+        ("adam.t", np.nan), ("adam.t", np.inf), ("adam.t", -1.0), ("adam.t", 2.5),
+        ("meta.trait", np.nan), ("meta.trait", -np.inf), ("meta.trait", 1.5), ("meta.trait", 5.0),
+    ])
+    def test_counter_not_a_whole_number_is_decode_error(self, tmp_path, name, bad):
+        path = str(tmp_path / "c.ckpt")
+        _small_checkpoint(path)
+        epoch, named, trailer = T.read_tensor_container(path)
+        named[name] = np.array([bad], np.float32)
+        T.write_tensor_container(path, named, epoch, trailer)
+        with pytest.raises(T.CheckpointDecodeError, match=name):
+            T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("trailer", [b"\xff" + b"}" * 9, b'{"state": ', b"[1, 2]"])
+    def test_corrupt_trailer_is_decode_error(self, tmp_path, trailer):
+        path = str(tmp_path / "c.ckpt")
+        _small_checkpoint(path)
+        epoch, named, _ = T.read_tensor_container(path)
+        T.write_tensor_container(path, named, epoch, trailer)
+        with pytest.raises(T.CheckpointDecodeError, match="trailer"):
+            T.load_checkpoint(path)
+
     def test_predictions_survive_round_trip(self, tmp_path, dataset):
         arch, params, adam, rng = self.make_state(9)
         path = str(tmp_path / "c.ckpt")
@@ -130,6 +182,64 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             M.forward_infer(arch, params, clip), M.forward_infer(ckpt.arch, ckpt.params, clip)
         )
+
+
+def test_every_truncation_is_typed(tmp_path):
+    path = str(tmp_path / "t.ckpt")
+    named = {"adam.t": np.array([4.0], np.float32), "meta.trait": np.array([1.0], np.float32),
+             "w": np.arange(6, dtype=np.float32).reshape(2, 3)}
+    T.write_tensor_container(path, named, epoch=2, trailer=b'{"a": 1}')
+    blob = open(path, "rb").read()
+    for end in range(len(blob)):
+        open(path, "wb").write(blob[:end])
+        with pytest.raises(T.CheckpointTruncatedError):
+            T.load_checkpoint(path)
+
+
+def _structure_offsets(blob):
+    """Offsets of the bytes the parser decodes, by region: the file header, the
+    record headers (name length, name, rank, extents), the one-element
+    counters' values, and the trailer with its length."""
+    records, counters = [], []
+    off = 20
+    for _ in range(int.from_bytes(blob[16:20], "little")):
+        name_len = int.from_bytes(blob[off : off + 2], "little")
+        rank = blob[off + 2 + name_len]
+        head = 2 + name_len + 1 + 4 * rank
+        count = int(np.prod(np.frombuffer(blob[off + 3 + name_len : off + head], "<u4")))
+        records += range(off, off + head)
+        if count == 1:
+            counters += range(off + head, off + head + 4)
+        off += head + 4 * count
+    return [list(range(20)), records, counters, list(range(off, len(blob)))]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_blob(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("ckpt") / "c.ckpt")
+    _small_checkpoint(path)
+    blob = open(path, "rb").read()
+    return blob, _structure_offsets(blob)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_truncated_or_flipped_checkpoint_loads_or_is_typed(tmp_path_factory, checkpoint_blob, data):
+    blob, regions = checkpoint_blob
+    blob = bytearray(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="end") :]
+    else:
+        anywhere = st.integers(0, len(blob) - 1)
+        at = data.draw(st.one_of(*map(st.sampled_from, regions), anywhere), label="offset")
+        blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+    path = str(tmp_path_factory.getbasetemp() / "flipped.ckpt")
+    open(path, "wb").write(bytes(blob))
+    try:
+        ckpt = T.load_checkpoint(path)
+    except T.CheckpointError:
+        return
+    assert ckpt.mini and ckpt.trait in range(5)
 
 
 class TestTrainLoop:
