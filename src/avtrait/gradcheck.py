@@ -1,5 +1,9 @@
 """Central finite-difference verification of every analytic backward pass.
 
+`LAYER_CASES` is the one per-layer case table. The `gradcheck` command runs
+it with `numeric_grad` below, and `tests/test_layers.py` runs the same cases
+against the frozen difference loop in `tests/oracles.py`.
+
 All checks run in float64 with h = 1e-5. Per-layer checks differentiate
 every element; the whole-network check on the miniature configuration
 samples a few elements per tensor (the full element count would be
@@ -45,25 +49,14 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def numeric_grad(f, x: np.ndarray, h: float = H) -> np.ndarray:
-    """Full elementwise central differences of scalar f with respect to x."""
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f()
-        flat[i] = orig - h
-        fm = f()
-        flat[i] = orig
-        gf[i] = (fp - fm) / (2.0 * h)
-    return g
+def numeric_grad(f, x: np.ndarray, idx=None, h: float = H) -> np.ndarray:
+    """Central differences of scalar f with respect to x, flattened.
 
-
-def sampled_numeric_grad(f, x: np.ndarray, idx: np.ndarray, h: float = H) -> np.ndarray:
+    Every element of x is perturbed in place, or only the flat indices idx.
+    """
     flat = x.reshape(-1)
-    out = np.zeros(idx.size, dtype=np.float64)
+    idx = range(flat.size) if idx is None else idx
+    out = np.zeros(len(idx), dtype=np.float64)
     for j, i in enumerate(idx):
         orig = flat[i]
         flat[i] = orig + h
@@ -77,66 +70,49 @@ def sampled_numeric_grad(f, x: np.ndarray, idx: np.ndarray, h: float = H) -> np.
 
 # ---------------------------------------------------------------------------
 # per-layer cases
+#
+# A case builds float64 inputs from an rng and returns (run, arrays): arrays
+# are the named inputs, perturbed in place by the difference loop, and run()
+# gives (loss, {name: analytic gradient}) for loss = <output, R> at a fixed
+# random R.
 
-def _proj(rng, shape):
-    return rng.standard_normal(shape)
+def _projected(rng, arrays: dict, forward, grads):
+    """The case for forward() -> (y, cache) and grads(cache, R) -> {name: gradient}."""
+    y0, _ = forward()
+    R = rng.standard_normal(y0.shape)
 
+    def run():
+        y, cache = forward()
+        return float(np.sum(y * R)), grads(cache, R)
 
-def _check(f_forward_backward, arrays: dict) -> float:
-    """f_forward_backward() -> (loss, {name: analytic grad}); arrays are differentiated in place."""
-    _, analytic = f_forward_backward()
-    worst = 0.0
-    for name, x in arrays.items():
-        numeric = numeric_grad(lambda: f_forward_backward()[0], x)
-        worst = max(worst, rel_err(analytic[name], numeric))
-    return worst
+    return run, arrays
 
 
 def _conv_case(rng, ndim):
     if ndim == 1:
         x = rng.standard_normal((2, 3, 12))
         spec = L.ConvSpec((5,), (2,), (2,), 3, 4)
-        w = rng.standard_normal((4, 3, 5)) * 0.5
     else:
-        x = rng.standard_normal((2, 3, 8, 8))
+        x = rng.standard_normal((2, 3, 7, 6))  # non-square, so swapped extents show
         spec = L.ConvSpec((3, 3), (2, 2), (1, 1), 3, 4)
-        w = rng.standard_normal((4, 3, 3, 3)) * 0.5
+    w = rng.standard_normal((4, 3) + spec.kernel) * 0.5
     b = rng.standard_normal(4) * 0.1
-    y0, _ = L.conv_forward(x, w, b, spec)
-    R = _proj(rng, y0.shape)
-
-    def run():
-        y, cache = L.conv_forward(x, w, b, spec)
-        loss = float(np.sum(y * R))
-        dw, db, dx = L.conv_backward(cache, R)
-        return loss, {"x": dx, "w": dw, "b": db}
-
-    return run, {"x": x, "w": w, "b": b}
+    return _projected(
+        rng, {"x": x, "w": w, "b": b},
+        lambda: L.conv_forward(x, w, b, spec),
+        lambda cache, R: dict(zip(("w", "b", "x"), L.conv_backward(cache, R))),
+    )
 
 
 def _batchnorm_case(rng):
     x = rng.standard_normal((4, 3, 5))
     gamma = 1.0 + 0.2 * rng.standard_normal(3)
     beta = 0.1 * rng.standard_normal(3)
-
-    def make_state():
-        return L.BatchNormState(
-            gamma=gamma,
-            beta=beta,
-            running_mean=np.zeros(3),
-            running_var=np.ones(3),
-        )
-
-    y0, _ = L.batchnorm_forward(x, make_state(), "train")
-    R = _proj(rng, y0.shape)
-
-    def run():
-        y, cache = L.batchnorm_forward(x, make_state(), "train")
-        loss = float(np.sum(y * R))
-        dgamma, dbeta, dx = L.batchnorm_backward(cache, R)
-        return loss, {"x": dx, "gamma": dgamma, "beta": dbeta}
-
-    return run, {"x": x, "gamma": gamma, "beta": beta}
+    return _projected(
+        rng, {"x": x, "gamma": gamma, "beta": beta},
+        lambda: L.batchnorm_forward(x, L.BatchNormState(gamma, beta, np.zeros(3), np.ones(3)), "train"),
+        lambda cache, R: dict(zip(("gamma", "beta", "x"), L.batchnorm_backward(cache, R))),
+    )
 
 
 def _maxpool_case(rng, ndim):
@@ -146,54 +122,34 @@ def _maxpool_case(rng, ndim):
     else:
         x = rng.standard_normal((2, 2, 6, 6))
         spec = L.ConvSpec((3, 3), (2, 2), (1, 1))
-    y0, _ = L.maxpool_forward(x, spec)
-    R = _proj(rng, y0.shape)
-
-    def run():
-        y, cache = L.maxpool_forward(x, spec)
-        loss = float(np.sum(y * R))
-        return loss, {"x": L.maxpool_backward(cache, R)}
-
-    return run, {"x": x}
+    return _projected(
+        rng, {"x": x}, lambda: L.maxpool_forward(x, spec), lambda cache, R: {"x": L.maxpool_backward(cache, R)}
+    )
 
 
 def _gap_case(rng):
     x = rng.standard_normal((2, 3, 4, 5))
-    R = _proj(rng, (2, 3))
-
-    def run():
-        y, cache = L.global_average_pool(x)
-        loss = float(np.sum(y * R))
-        return loss, {"x": L.global_average_pool_backward(cache, R)}
-
-    return run, {"x": x}
+    return _projected(
+        rng, {"x": x},
+        lambda: L.global_average_pool(x),
+        lambda cache, R: {"x": L.global_average_pool_backward(cache, R)},
+    )
 
 
 def _linear_case(rng):
     x = rng.standard_normal((4, 6))
     w = rng.standard_normal((6, 3)) * 0.5
     b = rng.standard_normal(3) * 0.1
-    R = _proj(rng, (4, 3))
-
-    def run():
-        y, cache = L.linear_forward(x, w, b)
-        loss = float(np.sum(y * R))
-        dw, db, dx = L.linear_backward(cache, R)
-        return loss, {"x": dx, "w": dw, "b": db}
-
-    return run, {"x": x, "w": w, "b": b}
+    return _projected(
+        rng, {"x": x, "w": w, "b": b},
+        lambda: L.linear_forward(x, w, b),
+        lambda cache, R: dict(zip(("w", "b", "x"), L.linear_backward(cache, R))),
+    )
 
 
 def _scaled_tanh_case(rng):
     x = rng.standard_normal((3, 4))
-    R = _proj(rng, (3, 4))
-
-    def run():
-        y, cache = L.scaled_tanh(x)
-        loss = float(np.sum(y * R))
-        return loss, {"x": L.scaled_tanh_backward(cache, R)}
-
-    return run, {"x": x}
+    return _projected(rng, {"x": x}, lambda: L.scaled_tanh(x), lambda cache, R: {"x": L.scaled_tanh_backward(cache, R)})
 
 
 def _block_case(rng, kind):
@@ -203,7 +159,7 @@ def _block_case(rng, kind):
     spec1 = L.ConvSpec((3, 3), stride, (1, 1), in_ch, out_ch)
     spec2 = L.ConvSpec((3, 3), (1, 1), (1, 1), out_ch, out_ch)
     arrays = {
-        "conv1.w": rng.standard_normal(spec1.out_channels * in_ch * 9).reshape(out_ch, in_ch, 3, 3) * 0.4,
+        "conv1.w": rng.standard_normal((out_ch, in_ch, 3, 3)) * 0.4,
         "conv1.b": rng.standard_normal(out_ch) * 0.1,
         "bn1.gamma": 1.0 + 0.2 * rng.standard_normal(out_ch),
         "bn1.beta": 0.1 * rng.standard_normal(out_ch),
@@ -216,8 +172,8 @@ def _block_case(rng, kind):
         arrays["shortcut.w"] = rng.standard_normal((out_ch, in_ch, 1, 1)) * 0.4
         arrays["shortcut.b"] = rng.standard_normal(out_ch) * 0.1
 
-    def make_block():
-        return L.ResidualBlockParams(
+    def forward():
+        block = L.ResidualBlockParams(
             kind=kind,
             conv1_w=arrays["conv1.w"],
             conv1_b=arrays["conv1.b"],
@@ -231,23 +187,18 @@ def _block_case(rng, kind):
             shortcut_b=arrays.get("shortcut.b"),
             shortcut_spec=L.ConvSpec((1, 1), stride, (0, 0), in_ch, out_ch) if kind == "projection" else None,
         )
+        return L.residual_block_forward(x, block, "train")
 
-    y0, _ = L.residual_block_forward(x, make_block(), "train")
-    R = _proj(rng, y0.shape)
-    arrays["x"] = x
+    def grads(cache, R):
+        named, dx = L.residual_block_backward(cache, R)
+        return {**named, "x": dx}
 
-    def run():
-        y, cache = L.residual_block_forward(x, make_block(), "train")
-        loss = float(np.sum(y * R))
-        grads, dx = L.residual_block_backward(cache, R)
-        grads["x"] = dx
-        return loss, grads
-
-    return run, arrays
+    return _projected(rng, {**arrays, "x": x}, forward, grads)
 
 
 def _lstm_case(rng):
     B, D, Hn = 2, 4, 3
+    # in lstm_step's argument order, which lstm_step_backward's gradients follow
     arrays = {
         "x": rng.standard_normal((B, D)),
         "h": rng.standard_normal((B, Hn)),
@@ -256,19 +207,17 @@ def _lstm_case(rng):
         "wh": rng.standard_normal((Hn, 4 * Hn)) * 0.5,
         "b": rng.standard_normal(4 * Hn) * 0.1,
     }
-    Rh = _proj(rng, (B, Hn))
-    Rc = _proj(rng, (B, Hn))
 
-    def run():
-        h, c, cache = L.lstm_step(arrays["x"], arrays["h"], arrays["c"], arrays["wx"], arrays["wh"], arrays["b"])
-        loss = float(np.sum(h * Rh) + np.sum(c * Rc))
-        dx, dh_prev, dc_prev, dwx, dwh, db = L.lstm_step_backward(cache, Rh, Rc)
-        return loss, {"x": dx, "h": dh_prev, "c": dc_prev, "wx": dwx, "wh": dwh, "b": db}
+    def forward():  # both outputs, so loss = <h, R[0]> + <c, R[1]>
+        h, c, cache = L.lstm_step(*arrays.values())
+        return np.stack([h, c]), cache
 
-    return run, arrays
+    return _projected(
+        rng, arrays, forward, lambda cache, R: dict(zip(arrays, L.lstm_step_backward(cache, R[0], R[1])))
+    )
 
 
-_LAYER_CASES = [
+LAYER_CASES = [
     ("conv1d", lambda rng: _conv_case(rng, 1)),
     ("conv2d", lambda rng: _conv_case(rng, 2)),
     ("batchnorm", _batchnorm_case),
@@ -285,10 +234,11 @@ _LAYER_CASES = [
 
 def run_layer_checks(seed: int = 0) -> list:
     rows = []
-    for name, build in _LAYER_CASES:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        run, arrays = build(rng)
-        rows.append(GradCheckRow(name, _check(run, arrays), LAYER_TOL))
+    for name, build in LAYER_CASES:
+        run, arrays = build(np.random.Generator(np.random.PCG64(seed)))
+        _, analytic = run()
+        worst = max(rel_err(analytic[k], numeric_grad(lambda: run()[0], x)) for k, x in arrays.items())
+        rows.append(GradCheckRow(name, worst, LAYER_TOL))
     return rows
 
 
@@ -299,23 +249,20 @@ def run_network_check(seed: int = 0, samples_per_tensor: int = 4) -> GradCheckRo
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     audio = rng.standard_normal((2, 1, 1024))
     frames = rng.standard_normal((2, 3, 16, 16)) * 0.5
-    pred0, _ = forward_train(arch, params, audio, frames)
-    R = rng.standard_normal(pred0.shape)
+    pred, tape = forward_train(arch, params, audio, frames)
+    R = rng.standard_normal(pred.shape)
+    analytic = backward(tape, R)
 
     def loss() -> float:
         pred, _ = forward_train(arch, params, audio, frames)
         return float(np.sum(pred * R))
 
-    pred, tape = forward_train(arch, params, audio, frames)
-    analytic = backward(tape, R)
     pick = np.random.Generator(np.random.PCG64(seed + 2))
     worst = 0.0
     for name in trainable_names(arch):
         x = params[name]
-        k = min(samples_per_tensor, x.size)
-        idx = pick.choice(x.size, size=k, replace=False)
-        numeric = sampled_numeric_grad(loss, x, idx)
-        worst = max(worst, rel_err(analytic[name].reshape(-1)[idx], numeric))
+        idx = pick.choice(x.size, size=min(samples_per_tensor, x.size), replace=False)
+        worst = max(worst, rel_err(analytic[name].reshape(-1)[idx], numeric_grad(loss, x, idx)))
     return GradCheckRow("full_miniature_network", worst, NETWORK_TOL)
 
 

@@ -413,6 +413,20 @@ def _fsum_mean(rows: list) -> np.ndarray:
     return np.array([math.fsum(stack[:, c]) for c in range(stack.shape[1])]) / stack.shape[0]
 
 
+def mean_visual_features(arch: Architecture, params: dict, clip: Clip, frames) -> np.ndarray:
+    """Mean visual-stream features of the clip frames at the indices `frames`.
+
+    Each frame runs alone at native resolution in eval mode; the mean is
+    `_fsum_mean`'s, cast to the parameters' dtype.
+    """
+    dtype = params["fusion.w"].dtype
+    rows = []
+    for t in frames:
+        fv, _ = forward_stream(unit_frames(clip.frames[t], dtype)[None], arch.visual, "visual", params, "eval")
+        rows.append(fv[0])
+    return _fsum_mean(rows).astype(dtype)
+
+
 def forward_infer(arch: Architecture, params: dict, clip: Clip, frame_stride: int = 1) -> np.ndarray:
     """Whole-clip prediction per the evaluation protocol.
 
@@ -426,15 +440,10 @@ def forward_infer(arch: Architecture, params: dict, clip: Clip, frame_stride: in
         raise ValueError("frame_stride must be >= 1")
     dtype = params["fusion.w"].dtype
     audio = _pad_audio(clip.audio.astype(dtype, copy=False), MIN_AUDIO_SAMPLES)
-    fa, _ = forward_stream(audio[None, :, :], arch.auditory, "auditory", params, "eval")
-
-    frame_feats = []
-    for t in range(0, clip.frame_count, frame_stride):
-        frame = unit_frames(clip.frames[t], dtype)
-        fv, _ = forward_stream(frame[None, :, :, :], arch.visual, "visual", params, "eval")
-        frame_feats.append(fv[0])
-    fv_mean = _fsum_mean(frame_feats).astype(dtype)
-
+    # keep no tape: eval mode reads none of it, and a held one would stay
+    # alive through the frame loop
+    fa = forward_stream(audio[None, :, :], arch.auditory, "auditory", params, "eval")[0]
+    fv_mean = mean_visual_features(arch, params, clip, range(0, clip.frame_count, frame_stride))
     feats = np.concatenate([fa[0], fv_mean])[None, :]
     z, _ = linear_forward(feats, params["fusion.w"], params["fusion.b"])
     pred, _ = scaled_tanh(z)

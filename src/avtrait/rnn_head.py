@@ -15,12 +15,11 @@ carries no gradient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FPS, SAMPLE_RATE, Clip, unit_frames
+from .data import FPS, SAMPLE_RATE, Clip
 from .layers import (
     dropout_backward,
     dropout_forward,
@@ -31,7 +30,7 @@ from .layers import (
     scaled_tanh,
     scaled_tanh_backward,
 )
-from .model import Architecture, _fsum_mean, forward_stream, he_normal
+from .model import Architecture, forward_stream, he_normal, mean_visual_features
 from .optim import adam_step, init_adam, mae_loss
 
 RNN_HIDDEN = 512
@@ -103,13 +102,10 @@ def extract_features(clip: Clip, arch: Architecture, base_params: dict) -> np.nd
     rows = []
     for t in range(seconds):
         audio = clip.audio[:, t * SAMPLE_RATE : (t + 1) * SAMPLE_RATE].astype(dtype, copy=False)
-        fa, _ = forward_stream(audio[None, :, :], arch.auditory, "auditory", base_params, "eval")
-        frame_feats = []
-        for f in range(t * FPS, (t + 1) * FPS):
-            frame = unit_frames(clip.frames[f], dtype)
-            fv, _ = forward_stream(frame[None, :, :, :], arch.visual, "visual", base_params, "eval")
-            frame_feats.append(fv[0])
-        fv_mean = _fsum_mean(frame_feats).astype(dtype)
+        # keep no tape: eval mode reads none of it, and a held one would stay
+        # alive through the frame loop
+        fa = forward_stream(audio[None, :, :], arch.auditory, "auditory", base_params, "eval")[0]
+        fv_mean = mean_visual_features(arch, base_params, clip, range(t * FPS, (t + 1) * FPS))
         rows.append(np.concatenate([fa[0], fv_mean]))
     return np.stack(rows)
 

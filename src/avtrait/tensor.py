@@ -78,24 +78,3 @@ def reduce_mean(a: np.ndarray, axes) -> np.ndarray:
         if not 0 <= ax < a.ndim:
             raise ValueError(f"axis {ax} invalid for rank-{a.ndim} tensor")
     return a.mean(axis=axes)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of 2-d tensors; accumulation at operand precision."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatchError("matmul needs rank-2 operands", a.shape, b.shape)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError("matmul inner extents", a.shape, b.shape)
-    return a @ b
-
-
-def reshape(a: np.ndarray, shape) -> np.ndarray:
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise ValueError(f"extents must be >= 1, got {shape}")
-    n = 1
-    for s in shape:
-        n *= s
-    if n != a.size:
-        raise ShapeMismatchError("reshape element count", a.shape, shape)
-    return np.ascontiguousarray(a).reshape(shape)

@@ -29,7 +29,7 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -94,7 +94,8 @@ class CheckpointManifestError(CheckpointError):
 
 class CheckpointDecodeError(CheckpointError):
     """A field that does not decode: a non-UTF-8 name, a trailer that is not
-    a JSON object, or a counter that is not a whole number."""
+    a JSON object holding a PCG64 state, or a counter that is not a whole
+    number."""
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +249,10 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointDecodeError(f"{path}: trailer is not UTF-8 JSON") from None
         if not isinstance(rng_state, dict):
             raise CheckpointDecodeError(f"{path}: trailer is not a JSON object")
+        try:  # numpy's setter raises any of these for a malformed state
+            np.random.PCG64().state = rng_state
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise CheckpointDecodeError(f"{path}: trailer is not a PCG64 state") from None
     return Checkpoint(epoch=epoch, params=params, adam=adam, rng_state=rng_state, arch=arch, mini=mini, trait=trait)
 
 

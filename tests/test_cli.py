@@ -92,6 +92,15 @@ class TestTrainCommand:
         assert code == 0
         assert os.path.exists(os.path.join(out, "checkpoint_00002.ckpt"))
 
+    def test_resume_from_bad_rng_trailer_is_data_error(self, workspace, tmp_path, capsys):
+        epoch, named, _ = T.read_tensor_container(workspace["ckpt"])
+        bad = str(tmp_path / "rng.ckpt")
+        T.write_tensor_container(bad, named, epoch, b'{"bit_generator": "PCG64", "state": [1, 2]}')
+        code = run(["train", "--manifest", workspace["manifest"], "--out", str(tmp_path / "o"),
+                    "--epochs", "3", "--batch-size", "4", "--mini", "--resume", bad])
+        assert code == 2
+        assert "PCG64" in capsys.readouterr().err
+
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert run(["train", "--manifest", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")]) == 2
 
@@ -226,6 +235,9 @@ class TestGradcheckCommand:
         assert run(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "conv2d" in out and "lstm_step" in out and "pass" in out
+        assert run(["gradcheck", "--seed", "0", "--mini"]) == 0
+        row = [line for line in capsys.readouterr().out.splitlines() if line.startswith("full_miniature_network")]
+        assert len(row) == 1 and row[0].split()[-1] == "pass"
 
     def test_failure_exits_three(self, monkeypatch, capsys):
         from avtrait.gradcheck import GradCheckRow

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avtrait import layers as L
+from avtrait.gradcheck import LAYER_CASES
 from oracles import (
     batchnorm_train_loops,
     central_difference,
@@ -20,6 +21,15 @@ FD_TOL = 1e-5
 
 def rng64(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+@pytest.mark.parametrize("layer, build", LAYER_CASES, ids=[layer for layer, _ in LAYER_CASES])
+def test_gradients_match_finite_differences(layer, build):
+    # the `gradcheck` command's own table, differenced by the frozen oracle
+    run, arrays = build(rng64(0))
+    _, analytic = run()
+    for name, x in arrays.items():
+        assert fd_rel_err(analytic[name], central_difference(lambda: run()[0], x)) <= FD_TOL, name
 
 
 class TestConvSpec:
@@ -104,25 +114,6 @@ class TestConvBackward:
         wm = w.reshape(5, 3)
         ref = np.einsum("bohw,oc->bchw", g, wm)
         np.testing.assert_allclose(dx, ref, rtol=1e-12)
-
-    def test_gradients_match_finite_differences(self):
-        rng = rng64(5)
-        x = rng.standard_normal((2, 3, 7, 6))
-        w = rng.standard_normal((4, 3, 3, 3)) * 0.5
-        b = rng.standard_normal(4) * 0.1
-        spec = L.ConvSpec((3, 3), (2, 2), (1, 1), 3, 4)
-        y0, _ = L.conv_forward(x, w, b, spec)
-        R = rng.standard_normal(y0.shape)
-
-        def loss():
-            y, _ = L.conv_forward(x, w, b, spec)
-            return float(np.sum(y * R))
-
-        _, cache = L.conv_forward(x, w, b, spec)
-        dw, db, dx = L.conv_backward(cache, R)
-        assert fd_rel_err(dx, central_difference(loss, x)) <= FD_TOL
-        assert fd_rel_err(dw, central_difference(loss, w)) <= FD_TOL
-        assert fd_rel_err(db, central_difference(loss, b)) <= FD_TOL
 
     def test_grad_shape_mismatch_rejected(self):
         x = np.zeros((1, 1, 8), dtype=np.float32)
@@ -314,27 +305,6 @@ class TestBatchNorm:
         _, _, dx = L.batchnorm_backward(cache, np.ones((5, 3, 4)))
         np.testing.assert_allclose(dx.sum(axis=(0, 2)), 0.0, atol=1e-10)
 
-    def test_gradients_match_finite_differences(self):
-        rng = rng64(15)
-        x = rng.standard_normal((4, 3, 5))
-        gamma = 1.0 + 0.3 * rng.standard_normal(3)
-        beta = 0.2 * rng.standard_normal(3)
-        R = rng.standard_normal((4, 3, 5))
-
-        def forward():
-            state = L.BatchNormState(gamma, beta, np.zeros(3), np.ones(3))
-            return L.batchnorm_forward(x, state, "train")
-
-        def loss():
-            y, _ = forward()
-            return float(np.sum(y * R))
-
-        _, cache = forward()
-        dgamma, dbeta, dx = L.batchnorm_backward(cache, R)
-        assert fd_rel_err(dx, central_difference(loss, x)) <= FD_TOL
-        assert fd_rel_err(dgamma, central_difference(loss, gamma)) <= FD_TOL
-        assert fd_rel_err(dbeta, central_difference(loss, beta)) <= FD_TOL
-
 
 class TestMaxPool:
     def test_window_maxima(self):
@@ -375,21 +345,6 @@ class TestMaxPool:
         dx = L.maxpool_backward(cache, np.ones_like(y))
         np.testing.assert_array_equal(dx, [[[1.0, 0.0, 0.0, 0.0]]])
 
-    def test_gradients_match_finite_differences(self):
-        rng = rng64(19)
-        x = rng.standard_normal((2, 2, 8, 8))
-        spec = L.ConvSpec((3, 3), (2, 2), (1, 1))
-        y0, _ = L.maxpool_forward(x, spec)
-        R = rng.standard_normal(y0.shape)
-
-        def loss():
-            y, _ = L.maxpool_forward(x, spec)
-            return float(np.sum(y * R))
-
-        _, cache = L.maxpool_forward(x, spec)
-        dx = L.maxpool_backward(cache, R)
-        assert fd_rel_err(dx, central_difference(loss, x)) <= FD_TOL
-
     def test_output_extent_must_be_positive(self):
         with pytest.raises(ValueError):
             L.maxpool_forward(np.ones((1, 1, 2), np.float32), L.ConvSpec((4,), (4,), (0,)))
@@ -422,19 +377,6 @@ class TestGlobalAveragePool:
             y, _ = L.global_average_pool(np.ones(shape, np.float32))
             assert y.shape == (1, 4)
 
-    def test_gradients_match_finite_differences(self):
-        rng = rng64(21)
-        x = rng.standard_normal((2, 3, 4, 5))
-        R = rng.standard_normal((2, 3))
-
-        def loss():
-            y, _ = L.global_average_pool(x)
-            return float(np.sum(y * R))
-
-        _, cache = L.global_average_pool(x)
-        dx = L.global_average_pool_backward(cache, R)
-        assert fd_rel_err(dx, central_difference(loss, x)) <= FD_TOL
-
 
 class TestLinear:
     def test_identity_weight_adds_bias(self):
@@ -458,23 +400,6 @@ class TestLinear:
         b = rng.standard_normal(2)
         y, _ = L.linear_forward(x, w, b)
         np.testing.assert_allclose(y, matmul_loops(x, w) + b, rtol=1e-12)
-
-    def test_gradients_match_finite_differences(self):
-        rng = rng64(23)
-        x = rng.standard_normal((4, 6))
-        w = rng.standard_normal((6, 3))
-        b = rng.standard_normal(3)
-        R = rng.standard_normal((4, 3))
-
-        def loss():
-            y, _ = L.linear_forward(x, w, b)
-            return float(np.sum(y * R))
-
-        _, cache = L.linear_forward(x, w, b)
-        dw, db, dx = L.linear_backward(cache, R)
-        assert fd_rel_err(dx, central_difference(loss, x)) <= FD_TOL
-        assert fd_rel_err(dw, central_difference(loss, w)) <= FD_TOL
-        assert fd_rel_err(db, central_difference(loss, b)) <= FD_TOL
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(L.ShapeMismatchError):
@@ -502,19 +427,6 @@ class TestScaledTanh:
         y, _ = L.scaled_tanh(z)
         assert np.all(y > 0.0) and np.all(y < 1.0)
         assert np.all(np.diff(y) >= 0.0)
-
-    def test_gradients_match_finite_differences(self):
-        rng = rng64(24)
-        z = rng.standard_normal((3, 4))
-        R = rng.standard_normal((3, 4))
-
-        def loss():
-            y, _ = L.scaled_tanh(z)
-            return float(np.sum(y * R))
-
-        _, cache = L.scaled_tanh(z)
-        dz = L.scaled_tanh_backward(cache, R)
-        assert fd_rel_err(dz, central_difference(loss, z)) <= FD_TOL
 
 
 def make_block(rng, kind, ndim=2, in_ch=3, out_ch=None, zero_main=False):
@@ -592,36 +504,6 @@ class TestResidualBlock:
                 spec2=blk.spec2,
             )
 
-    @pytest.mark.parametrize("kind", ["identity", "projection"])
-    def test_gradients_match_finite_differences(self, kind):
-        rng = rng64(29)
-        x = rng.standard_normal((2, 3, 6, 6))
-        blk = make_block(rng, kind)
-        arrays = {"x": x, "conv1.w": blk.conv1_w, "conv1.b": blk.conv1_b,
-                  "bn1.gamma": blk.bn1.gamma, "bn1.beta": blk.bn1.beta,
-                  "conv2.w": blk.conv2_w, "conv2.b": blk.conv2_b,
-                  "bn2.gamma": blk.bn2.gamma, "bn2.beta": blk.bn2.beta}
-        if kind == "projection":
-            arrays["shortcut.w"] = blk.shortcut_w
-            arrays["shortcut.b"] = blk.shortcut_b
-        y0, _ = L.residual_block_forward(x, blk, "train")
-        R = rng.standard_normal(y0.shape)
-
-        def run():
-            blk.bn1.running_mean[:] = 0
-            blk.bn1.running_var[:] = 1
-            blk.bn2.running_mean[:] = 0
-            blk.bn2.running_var[:] = 1
-            y, cache = L.residual_block_forward(x, blk, "train")
-            return float(np.sum(y * R)), cache
-
-        _, cache = run()
-        grads, dx = L.residual_block_backward(cache, R)
-        grads["x"] = dx
-        for name, arr in arrays.items():
-            numeric = central_difference(lambda: run()[0], arr)
-            assert fd_rel_err(grads[name], numeric) <= FD_TOL, name
-
 
 class TestLstmStep:
     def make_params(self, rng, D=4, H=3):
@@ -658,21 +540,6 @@ class TestLstmStep:
         h_ref, c_ref = lstm_step_loops(x, h_prev, c_prev, wx, wh, b)
         np.testing.assert_allclose(h, h_ref, atol=1e-6)
         np.testing.assert_allclose(c, c_ref, atol=1e-6)
-
-    def test_gradients_match_finite_differences(self):
-        rng = rng64(33)
-        x, h_prev, c_prev, wx, wh, b = self.make_params(rng)
-        Rh = rng.standard_normal(h_prev.shape)
-        Rc = rng.standard_normal(c_prev.shape)
-
-        def loss():
-            h, c, _ = L.lstm_step(x, h_prev, c_prev, wx, wh, b)
-            return float(np.sum(h * Rh) + np.sum(c * Rc))
-
-        _, _, cache = L.lstm_step(x, h_prev, c_prev, wx, wh, b)
-        dx, dh_prev, dc_prev, dwx, dwh, db = L.lstm_step_backward(cache, Rh, Rc)
-        for analytic, arr in [(dx, x), (dh_prev, h_prev), (dc_prev, c_prev), (dwx, wx), (dwh, wh), (db, b)]:
-            assert fd_rel_err(analytic, central_difference(loss, arr)) <= FD_TOL
 
     def test_shape_mismatch_rejected(self):
         rng = rng64(34)

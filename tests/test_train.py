@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -164,7 +165,19 @@ class TestCheckpoint:
         with pytest.raises(T.CheckpointDecodeError, match=name):
             T.load_checkpoint(path)
 
-    @pytest.mark.parametrize("trailer", [b"\xff" + b"}" * 9, b'{"state": ', b"[1, 2]"])
+    @pytest.mark.parametrize("trailer", [b"\xff" + b"}" * 9, b'{"state": ', b"[1, 2]"] + [
+        # JSON objects that numpy's PCG64 state setter rejects with ValueError,
+        # KeyError, TypeError or OverflowError
+        json.dumps(state).encode("utf-8") for state in [
+            {"a": 1},
+            {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0},
+            {"bit_generator": "PCG64", "state": {"state": 1}, "has_uint32": 0, "uinteger": 0},
+            {"bit_generator": "PCG64", "state": [1, 2], "has_uint32": 0, "uinteger": 0},
+            {"bit_generator": "PCG64", "state": {"state": 1, "inc": "x"}, "has_uint32": 0, "uinteger": 0},
+            {"bit_generator": "PCG64", "state": {"state": -1, "inc": 1}, "has_uint32": 0, "uinteger": 0},
+            {"bit_generator": "PCG64", "state": {"state": 2**200, "inc": 1}, "has_uint32": 0, "uinteger": 0},
+        ]
+    ])
     def test_corrupt_trailer_is_decode_error(self, tmp_path, trailer):
         path = str(tmp_path / "c.ckpt")
         _small_checkpoint(path)
