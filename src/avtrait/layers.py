@@ -9,15 +9,21 @@ training loop).
 
 1-d layers (audio) and 2-d layers (images) share one N-d windowing core,
 ``_windows``: it pads the input once and views it as ``(B, C, *out,
-*kernel)`` sliding windows. Convolution gathers its column matrix from
-that view and pooling takes a running maximum over the kernel offsets;
-both backward passes add gradients into the same view of a zero buffer,
-one kernel offset at a time.
+*kernel)`` sliding windows. Convolution copies that view into channel-major
+columns, ``cols`` of shape ``(B, Cin * prod(kernel), prod(out))``, so one
+product with the flattened weight gives ``(B, Cout, *out)`` directly;
+pooling takes a running maximum over the kernel offsets. Both backward
+passes add gradients into the same view of a zero buffer, one kernel
+offset at a time.
+
+Eval mode folds each batch norm into the convolution before it
+(``fold_batchnorm``, ``fold_block``), so an eval residual block is
+convolutions and in-place rectifiers only, and keeps no cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -133,18 +139,16 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
         raise ShapeMismatchError("conv bias", b.shape, (spec.out_channels,))
 
     nd = spec.ndim
+    B = x.shape[0]
     _, win = _windows(x.shape, spec, 0.0, x.dtype, x)
     outs = win.shape[2 : 2 + nd]
-    # Copy kernel-offset-major (B, C, *kernel, *out), then lay one row out
-    # per window, columns in (channel, *kernel) order. That reshape copies
-    # into a C-contiguous cols, except at B == 1 where it is an
-    # F-contiguous view of the copy; a cols in neither layout would take
-    # matmul off BLAS.
-    blocks = np.ascontiguousarray(win.transpose((0, 1) + _axes(2 + nd, nd) + _axes(2, nd)))
-    cols = blocks.transpose((0,) + _axes(2 + nd, nd) + (1,) + _axes(2, nd)).reshape(-1, w[0].size)
-    out = cols @ w.reshape(spec.out_channels, -1).T + b
-    y = out.reshape((x.shape[0],) + outs + (spec.out_channels,)).transpose((0, nd + 1) + _axes(1, nd))
-    return np.ascontiguousarray(y), (cols, x.shape, w, spec)
+    # Copy kernel-offset-major (B, C, *kernel, *out): that buffer already is
+    # cols, one row per (channel, *kernel) and one column per window, and
+    # the weight product comes out channel-major with no transpose.
+    cols = np.ascontiguousarray(win.transpose((0, 1) + _axes(2 + nd, nd) + _axes(2, nd))).reshape(B, w[0].size, -1)
+    y = np.matmul(w.reshape(spec.out_channels, -1), cols)
+    y += b[:, None]
+    return y.reshape((B, spec.out_channels) + outs), (cols, x.shape, w, spec)
 
 
 def conv_backward(cache, grad_out: np.ndarray):
@@ -155,18 +159,16 @@ def conv_backward(cache, grad_out: np.ndarray):
     if grad_out.shape != expect:
         raise ShapeMismatchError("conv grad_out", grad_out.shape, expect)
 
-    nd = spec.ndim
-    Cout = spec.out_channels
-    g2 = grad_out.transpose((0,) + _axes(2, nd) + (1,)).reshape(-1, Cout)
-    db = g2.sum(axis=0)
-    wf = w.reshape(Cout, -1)
-    dwf = g2.T @ cols
-    # window gradients as (Cin, *kernel, B, *out): one contiguous block per offset
-    dwin = (wf.T @ g2.T).reshape((spec.in_channels,) + spec.kernel + (x_shape[0],) + outs)
+    B, Cout = x_shape[0], spec.out_channels
+    g = grad_out.reshape(B, Cout, -1)
+    db = g.sum(axis=(0, 2))
+    dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+    # window gradients as (B, Cin, *kernel, *out): one block per offset
+    dwin = np.matmul(w.reshape(Cout, -1).T, g).reshape((B, spec.in_channels) + spec.kernel + outs)
     dx, dx_win = _windows(x_shape, spec, 0.0, dwin.dtype)
     for k in np.ndindex(spec.kernel):
-        dx_win[(Ellipsis,) + k] += dwin[(slice(None),) + k].swapaxes(0, 1)
-    return dwf.reshape(w.shape), db, dx
+        dx_win[(Ellipsis,) + k] += dwin[(slice(None), slice(None)) + k]
+    return dw.reshape(w.shape), db, dx
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +237,20 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str):
     state.running_var[...] = m * state.running_var + (1.0 - m) * var
     cache = (xhat, inv_std, state.gamma, n)
     return y.astype(x.dtype, copy=False), cache
+
+
+def fold_batchnorm(w: np.ndarray, b: np.ndarray, state: BatchNormState):
+    """Fold eval-mode batch norm into the convolution before it.
+
+    Returns (w * s, (b - running_mean) * s + beta) with s = gamma /
+    sqrt(running_var + epsilon) per output channel, so conv_forward with
+    the folded pair equals conv_forward then batchnorm_forward(..., "eval")
+    up to rounding.
+    """
+    if state.gamma.shape != (w.shape[0],):
+        raise ShapeMismatchError("folded batchnorm channels", state.gamma.shape, (w.shape[0],))
+    s = state.gamma / np.sqrt(state.running_var + state.epsilon)
+    return w * s.reshape((-1,) + (1,) * (w.ndim - 1)), (b - state.running_mean) * s + state.beta
 
 
 def batchnorm_backward(cache, grad_out: np.ndarray):
@@ -370,16 +386,20 @@ def relu_backward(cache, grad_out: np.ndarray):
 
 @dataclass
 class ResidualBlockParams:
-    """Parameters for conv-BN-ReLU-conv-BN plus an identity or projection shortcut."""
+    """Parameters for conv-BN-ReLU-conv-BN plus an identity or projection shortcut.
+
+    bn1 and bn2 are None in a block from fold_block, whose convolutions
+    already hold them; such a block runs in eval mode only.
+    """
 
     kind: str  # "identity" | "projection"
     conv1_w: np.ndarray
     conv1_b: np.ndarray
-    bn1: BatchNormState
+    bn1: Optional[BatchNormState]
     spec1: ConvSpec
     conv2_w: np.ndarray
     conv2_b: np.ndarray
-    bn2: BatchNormState
+    bn2: Optional[BatchNormState]
     spec2: ConvSpec
     shortcut_w: Optional[np.ndarray] = None
     shortcut_b: Optional[np.ndarray] = None
@@ -399,8 +419,33 @@ class ResidualBlockParams:
             raise ValueError("projection block needs shortcut conv parameters")
 
 
+def fold_block(blk: ResidualBlockParams) -> ResidualBlockParams:
+    """The block with eval-mode bn1 and bn2 folded into conv1 and conv2."""
+    w1, b1 = fold_batchnorm(blk.conv1_w, blk.conv1_b, blk.bn1)
+    w2, b2 = fold_batchnorm(blk.conv2_w, blk.conv2_b, blk.bn2)
+    return replace(blk, conv1_w=w1, conv1_b=b1, bn1=None, conv2_w=w2, conv2_b=b2, bn2=None)
+
+
 def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams, mode: str):
-    """Main path conv-BN-ReLU-conv-BN, add shortcut, final ReLU."""
+    """Main path conv-BN-ReLU-conv-BN, add shortcut, final ReLU.
+
+    Eval mode runs the convolutions with batch norm folded in (by
+    fold_block, here unless the caller did it once already), rectifies in
+    place and returns no cache.
+    """
+    if mode == "eval":
+        if blk.bn1 is not None:
+            blk = fold_block(blk)
+        r1, _ = conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
+        np.maximum(r1, 0, out=r1)
+        y, _ = conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
+        if blk.kind == "projection":
+            y += conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)[0]
+        else:
+            y += x
+        return np.maximum(y, 0, out=y), None
+    if blk.bn1 is None:
+        raise ValueError("a folded block has no batch norm to train; fold_block output is eval-only")
     h1, c_conv1 = conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
     n1, c_bn1 = batchnorm_forward(h1, blk.bn1, mode)
     r1, c_relu1 = relu_forward(n1)
@@ -417,6 +462,8 @@ def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams, mode: str):
 
 def residual_block_backward(cache, grad_out: np.ndarray):
     """Returns ({param name -> grad}, dx) for a residual block."""
+    if cache is None:
+        raise ValueError("no cache: an eval-mode residual block has no backward")
     c_conv1, c_bn1, c_relu1, c_conv2, c_bn2, c_sc, c_out, kind = cache
     g = relu_backward(c_out, grad_out)
     grads = {}

@@ -39,6 +39,8 @@ from .layers import (
     batchnorm_forward,
     conv_backward,
     conv_forward,
+    fold_batchnorm,
+    fold_block,
     global_average_pool,
     global_average_pool_backward,
     linear_backward,
@@ -281,8 +283,43 @@ def _block_params(stream: StreamSpec, prefix: str, name: str, in_ch, out_ch, str
     return blk
 
 
+@dataclass(frozen=True)
+class FoldedStream:
+    """One stream's eval-mode weights, every batch norm folded into its conv."""
+
+    stem_w: np.ndarray
+    stem_b: np.ndarray
+    blocks: tuple  # fold_block results, in _block_layout order
+
+
+def fold_stream(stream: StreamSpec, prefix: str, params: dict) -> FoldedStream:
+    """The stream's eval-mode weights, for forward_stream's `params`."""
+    stem_bn = _bn_state(params, f"{prefix}.stem.bn")
+    w, b = fold_batchnorm(params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], stem_bn)
+    blocks = tuple(fold_block(_block_params(stream, prefix, *layout, params)) for layout in _block_layout(stream))
+    return FoldedStream(stem_w=w, stem_b=b, blocks=blocks)
+
+
+class EvalTapeError(ValueError):
+    """Backward was asked of an eval-mode tape, which records nothing."""
+
+
 def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict, mode: str):
-    """Run one stream to its pooled feature vector; returns ((B, C), tape)."""
+    """Run one stream to its pooled feature vector; returns ((B, C), tape).
+
+    Eval mode runs the convolutions with batch norm folded in, keeps no
+    layer cache and returns an empty tape. Its `params` may be
+    fold_stream's result instead of the parameter dict, so that a caller
+    running many inputs folds once.
+    """
+    if mode == "eval":
+        folded = params if isinstance(params, FoldedStream) else fold_stream(stream, prefix, params)
+        y, _ = conv_forward(x, folded.stem_w, folded.stem_b, _stem_spec(stream))
+        np.maximum(y, 0, out=y)
+        y, _ = maxpool_forward(y, _pool_spec(stream))
+        for blk in folded.blocks:
+            y, _ = residual_block_forward(y, blk, "eval")
+        return global_average_pool(y)[0], []
     tape = []
     y, cache = conv_forward(x, params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], _stem_spec(stream))
     tape.append(("conv", f"{prefix}.stem.conv", cache))
@@ -303,6 +340,8 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
 
 def backward_stream(tape, grad_feat: np.ndarray):
     """Walk a stream tape in reverse; returns (param grads, input grad)."""
+    if not tape:
+        raise EvalTapeError("an eval-mode forward records no tape to differentiate; run it in train mode")
     grads = {}
     g = grad_feat
     for kind, name, cache in reversed(tape):
@@ -416,13 +455,15 @@ def _fsum_mean(rows: list) -> np.ndarray:
 def mean_visual_features(arch: Architecture, params: dict, clip: Clip, frames) -> np.ndarray:
     """Mean visual-stream features of the clip frames at the indices `frames`.
 
-    Each frame runs alone at native resolution in eval mode; the mean is
-    `_fsum_mean`'s, cast to the parameters' dtype.
+    Each frame runs alone at native resolution in eval mode, with batch
+    norm folded once for all of them; the mean is `_fsum_mean`'s, cast to
+    the parameters' dtype.
     """
     dtype = params["fusion.w"].dtype
+    folded = fold_stream(arch.visual, "visual", params)
     rows = []
     for t in frames:
-        fv, _ = forward_stream(unit_frames(clip.frames[t], dtype)[None], arch.visual, "visual", params, "eval")
+        fv, _ = forward_stream(unit_frames(clip.frames[t], dtype)[None], arch.visual, "visual", folded, "eval")
         rows.append(fv[0])
     return _fsum_mean(rows).astype(dtype)
 
@@ -433,16 +474,15 @@ def forward_infer(arch: Architecture, params: dict, clip: Clip, frame_stride: in
     The full waveform runs through the auditory stream in one pass (pooled
     over its whole temporal extent); every frame_stride-th frame runs
     through the visual stream at native resolution and the per-frame
-    pooled vectors are averaged. Batch norm reads running statistics and
-    nothing is mutated, so calls are deterministic and thread-safe.
+    pooled vectors are averaged. Batch norm uses its running statistics,
+    folded into the convolution weights once per stream and clip; nothing
+    is mutated, so calls are deterministic and thread-safe.
     """
     if frame_stride < 1:
         raise ValueError("frame_stride must be >= 1")
     dtype = params["fusion.w"].dtype
     audio = _pad_audio(clip.audio.astype(dtype, copy=False), MIN_AUDIO_SAMPLES)
-    # keep no tape: eval mode reads none of it, and a held one would stay
-    # alive through the frame loop
-    fa = forward_stream(audio[None, :, :], arch.auditory, "auditory", params, "eval")[0]
+    fa, _ = forward_stream(audio[None, :, :], arch.auditory, "auditory", params, "eval")
     fv_mean = mean_visual_features(arch, params, clip, range(0, clip.frame_count, frame_stride))
     feats = np.concatenate([fa[0], fv_mean])[None, :]
     z, _ = linear_forward(feats, params["fusion.w"], params["fusion.b"])

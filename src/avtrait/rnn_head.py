@@ -30,7 +30,7 @@ from .layers import (
     scaled_tanh,
     scaled_tanh_backward,
 )
-from .model import Architecture, forward_stream, he_normal, mean_visual_features
+from .model import Architecture, fold_stream, forward_stream, he_normal, mean_visual_features
 from .optim import adam_step, init_adam, mae_loss
 
 RNN_HIDDEN = 512
@@ -99,12 +99,11 @@ def extract_features(clip: Clip, arch: Architecture, base_params: dict) -> np.nd
     if seconds < 1:
         raise ValueError("clip must span at least one whole second of audio and video")
     dtype = base_params["fusion.w"].dtype
+    folded = fold_stream(arch.auditory, "auditory", base_params)
     rows = []
     for t in range(seconds):
         audio = clip.audio[:, t * SAMPLE_RATE : (t + 1) * SAMPLE_RATE].astype(dtype, copy=False)
-        # keep no tape: eval mode reads none of it, and a held one would stay
-        # alive through the frame loop
-        fa = forward_stream(audio[None, :, :], arch.auditory, "auditory", base_params, "eval")[0]
+        fa, _ = forward_stream(audio[None, :, :], arch.auditory, "auditory", folded, "eval")
         fv_mean = mean_visual_features(arch, base_params, clip, range(t * FPS, (t + 1) * FPS))
         rows.append(np.concatenate([fa[0], fv_mean]))
     return np.stack(rows)

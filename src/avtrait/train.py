@@ -253,6 +253,10 @@ def load_checkpoint(path: str) -> Checkpoint:
             np.random.PCG64().state = rng_state
         except (KeyError, TypeError, ValueError, OverflowError):
             raise CheckpointDecodeError(f"{path}: trailer is not a PCG64 state") from None
+        # the setter truncates a float or a bool to an int without a word
+        numbers = (rng_state["state"]["state"], rng_state["state"]["inc"], rng_state["has_uint32"], rng_state["uinteger"])
+        if any(type(v) is not int for v in numbers):
+            raise CheckpointDecodeError(f"{path}: trailer holds a PCG64 state with a non-integer value")
     return Checkpoint(epoch=epoch, params=params, adam=adam, rng_state=rng_state, arch=arch, mini=mini, trait=trait)
 
 

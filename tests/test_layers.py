@@ -429,7 +429,16 @@ class TestScaledTanh:
         assert np.all(np.diff(y) >= 0.0)
 
 
-def make_block(rng, kind, ndim=2, in_ch=3, out_ch=None, zero_main=False):
+def random_bn(rng, c):
+    """A batch-norm state far from identity: every statistic moves the output."""
+    return L.BatchNormState(
+        rng.uniform(0.5, 1.5, c), rng.standard_normal(c) * 0.3, rng.standard_normal(c) * 0.3, rng.uniform(0.5, 2.0, c)
+    )
+
+
+def make_block(rng, kind, ndim=2, in_ch=3, out_ch=None, zero_main=False, affine=False):
+    """A block with unit batch norm and zero biases, or with `affine` random
+    batch-norm states and conv biases."""
     out_ch = out_ch or (in_ch if kind == "identity" else in_ch + 2)
     stride = (1,) * ndim if kind == "identity" else (2,) * ndim
     kernel = (3,) * ndim
@@ -437,24 +446,76 @@ def make_block(rng, kind, ndim=2, in_ch=3, out_ch=None, zero_main=False):
     scale = 0.0 if zero_main else 0.4
 
     def bn(c):
-        return L.BatchNormState(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
+        return random_bn(rng, c) if affine else L.BatchNormState(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
+
+    def bias(c):
+        return rng.standard_normal(c) * 0.2 if affine else np.zeros(c)
 
     return L.ResidualBlockParams(
         kind=kind,
         conv1_w=rng.standard_normal((out_ch, in_ch) + kernel) * scale,
-        conv1_b=np.zeros(out_ch),
+        conv1_b=bias(out_ch),
         bn1=bn(out_ch),
         spec1=L.ConvSpec(kernel, stride, pad, in_ch, out_ch),
         conv2_w=rng.standard_normal((out_ch, out_ch) + kernel) * scale,
-        conv2_b=np.zeros(out_ch),
+        conv2_b=bias(out_ch),
         bn2=bn(out_ch),
         spec2=L.ConvSpec(kernel, (1,) * ndim, pad, out_ch, out_ch),
         shortcut_w=(rng.standard_normal((out_ch, in_ch) + (1,) * ndim) * 0.5 if kind == "projection" else None),
-        shortcut_b=(np.zeros(out_ch) if kind == "projection" else None),
+        shortcut_b=(bias(out_ch) if kind == "projection" else None),
         shortcut_spec=(
             L.ConvSpec((1,) * ndim, stride, (0,) * ndim, in_ch, out_ch) if kind == "projection" else None
         ),
     )
+
+
+def composed_eval_block(x, blk):
+    """An eval-mode residual block from unfolded layers: conv_forward ->
+    batchnorm_forward(..., "eval") -> relu_forward, twice, plus the shortcut."""
+    h1, _ = L.conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
+    r1, _ = L.relu_forward(L.batchnorm_forward(h1, blk.bn1, "eval")[0])
+    h2, _ = L.conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
+    n2, _ = L.batchnorm_forward(h2, blk.bn2, "eval")
+    sc = x if blk.kind == "identity" else L.conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)[0]
+    return L.relu_forward(n2 + sc)[0]
+
+
+class TestBatchNormFold:
+    # float64, so any difference beyond rounding is a folding error
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("kind", ["identity", "projection"])
+    def test_eval_block_matches_composed_layers(self, kind, ndim):
+        rng = rng64(29)
+        blk = make_block(rng, kind, ndim=ndim, affine=True)
+        x = rng.standard_normal((2, 3) + (9,) * ndim)
+        y, cache = L.residual_block_forward(x, blk, "eval")
+        assert cache is None
+        np.testing.assert_allclose(y, composed_eval_block(x, blk), rtol=1e-10)
+        # folding once up front is the same computation
+        np.testing.assert_array_equal(L.residual_block_forward(x, L.fold_block(blk), "eval")[0], y)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_folded_stem_matches_composed_layers(self, ndim):
+        # the streams' eval stem: conv with the folded pair, then ReLU
+        rng = rng64(30)
+        spec = L.ConvSpec((7,) * ndim, (2,) * ndim, (3,) * ndim, 3, 4)
+        x = rng.standard_normal((2, 3) + (15,) * ndim)
+        w = rng.standard_normal((4, 3) + spec.kernel) * 0.2
+        b = rng.standard_normal(4) * 0.2
+        state = random_bn(rng, 4)
+        y, _ = L.conv_forward(x, *L.fold_batchnorm(w, b, state), spec)
+        h, _ = L.conv_forward(x, w, b, spec)
+        ref, _ = L.relu_forward(L.batchnorm_forward(h, state, "eval")[0])
+        np.testing.assert_allclose(np.maximum(y, 0.0), ref, rtol=1e-10)
+
+    def test_folded_block_cannot_train_or_backpropagate(self):
+        blk = L.fold_block(make_block(rng64(31), "identity", affine=True))
+        x = rng64(32).standard_normal((2, 3, 6, 6))
+        with pytest.raises(ValueError, match="eval-only"):
+            L.residual_block_forward(x, blk, "train")
+        y, cache = L.residual_block_forward(x, blk, "eval")
+        with pytest.raises(ValueError, match="no cache"):
+            L.residual_block_backward(cache, np.ones_like(y))
 
 
 class TestResidualBlock:

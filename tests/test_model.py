@@ -7,8 +7,10 @@ import pytest
 
 from avtrait import data as D
 from avtrait import model as M
+from avtrait import layers as L
 from avtrait.layers import linear_forward, scaled_tanh
-from oracles import central_difference, fd_rel_err, stride_trace
+from test_layers import composed_eval_block, random_bn
+from oracles import fd_rel_err, stride_trace
 
 HERE = os.path.dirname(__file__)
 
@@ -346,6 +348,73 @@ class TestForwardInfer:
         expect, _ = scaled_tanh(linear_forward(feats, params["fusion.w"], params["fusion.b"])[0])
         pred = M.forward_infer(self.arch, params, D.Clip(audio=audio, frames=frames_u8), frame_stride=2)
         assert pred.dtype == dtype and pred.tobytes() == expect[0].tobytes()
+
+
+def unfolded_stream(x, stream, prefix, params):
+    """An eval-mode stream from unfolded layers, batch norm as its own pass."""
+    y, _ = L.conv_forward(x, params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], M._stem_spec(stream))
+    y, _ = L.relu_forward(L.batchnorm_forward(y, M._bn_state(params, f"{prefix}.stem.bn"), "eval")[0])
+    y, _ = L.maxpool_forward(y, M._pool_spec(stream))
+    for layout in M._block_layout(stream):
+        y = composed_eval_block(y, M._block_params(stream, prefix, *layout, params))
+    return L.global_average_pool(y)[0]
+
+
+class TestBatchNormFold:
+    def setup_method(self):
+        # the full architecture, every batch norm far from identity
+        self.arch = M.full_architecture()
+        params = M.build_network(self.arch, 17)
+        rng = rng64(17)
+        for name in [n for n in params if n.endswith(".gamma")]:
+            prefix = name[: -len(".gamma")]
+            bn = random_bn(rng, params[name].shape[0])
+            for field in ("gamma", "beta", "running_mean", "running_var"):
+                params[f"{prefix}.{field}"] = getattr(bn, field).astype(np.float32)
+        self.params = params
+        self.clip = D.Clip(
+            audio=(rng.random((1, 4000), dtype=np.float32) - 0.5).astype(np.float32),
+            frames=rng.integers(0, 256, (3, 3, 64, 64), dtype=np.uint8),
+        )
+
+    def unfolded_features(self):
+        fa = unfolded_stream(self.clip.audio[None], self.arch.auditory, "auditory", self.params)
+        fv = [
+            unfolded_stream(D.unit_frames(f)[None], self.arch.visual, "visual", self.params)[0] for f in self.clip.frames
+        ]
+        return np.concatenate([fa[0], M._fsum_mean(fv).astype(np.float32)])
+
+    def test_eval_stream_matches_unfolded_layers(self):
+        for stream, x in (("auditory", self.clip.audio[None]), ("visual", D.unit_frames(self.clip.frames[0])[None])):
+            spec = getattr(self.arch, stream)
+            folded, tape = M.forward_stream(x, spec, stream, self.params, "eval")
+            assert tape == []
+            ref = unfolded_stream(x, spec, stream, self.params)
+            # float32 rounding through 17 convolutions, reordered by the
+            # fold: measured at most 8e-7 of the largest feature
+            assert float(np.abs(folded - ref).max()) <= 1e-5 * float(np.abs(ref).max()), stream
+
+    def test_forward_infer_matches_unfolded_layers(self):
+        feats = self.unfolded_features()
+        # scale the fusion so predictions stay clear of tanh saturation
+        self.params["fusion.w"] *= np.float32(1.0 / np.abs(feats @ self.params["fusion.w"]).max())
+        z = feats.astype(np.float64) @ self.params["fusion.w"] + self.params["fusion.b"]
+        ref = (np.tanh(z) + 1.0) / 2.0
+        assert np.all((ref > 0.1) & (ref < 0.9))
+        pred = M.forward_infer(self.arch, self.params, self.clip)
+        # the float32 fold moves predictions by at most 3e-7 here; leaving
+        # one of the three frames out moves them by 6e-3 to 1e-2
+        np.testing.assert_allclose(pred, ref, rtol=0, atol=2e-6)
+
+
+class TestEvalTape:
+    def test_backward_through_eval_tape_is_rejected(self):
+        arch = M.mini_architecture()
+        params = M.build_network(arch, 0)
+        audio = np.zeros((2, 1, 1024), np.float32)
+        feats, tape = M.forward_stream(audio, arch.auditory, "auditory", params, "eval")
+        with pytest.raises(M.EvalTapeError):
+            M.backward_stream(tape, np.ones_like(feats))
 
 
 class TestClipMemory:

@@ -177,6 +177,19 @@ class TestCheckpoint:
             {"bit_generator": "PCG64", "state": {"state": -1, "inc": 1}, "has_uint32": 0, "uinteger": 0},
             {"bit_generator": "PCG64", "state": {"state": 2**200, "inc": 1}, "has_uint32": 0, "uinteger": 0},
         ]
+    ] + [
+        # JSON floats and booleans that numpy's setter would truncate to ints
+        json.dumps({"bit_generator": "PCG64", "state": {"state": 1, "inc": 1}, "has_uint32": 0, "uinteger": 0,
+                    **override}).encode("utf-8")
+        for override in [
+            {"state": {"state": 1.5, "inc": 1.0}},
+            {"state": {"state": 1, "inc": 1.0}},
+            {"state": {"state": True, "inc": 1}},
+            {"has_uint32": False},
+            {"has_uint32": 0.0},
+            {"uinteger": 7.0},
+            {"uinteger": True},
+        ]
     ])
     def test_corrupt_trailer_is_decode_error(self, tmp_path, trailer):
         path = str(tmp_path / "c.ckpt")
