@@ -2,5 +2,5 @@
 
 __version__ = "0.1.0"
 
-from .data import TRAITS, Clip, TraitVector  # noqa: F401
+from .data import TRAITS, Clip  # noqa: F401
 from .model import full_architecture, mini_architecture  # noqa: F401

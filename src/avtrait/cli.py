@@ -20,7 +20,6 @@ from . import data as D
 from . import rnn_head as R
 from . import train as T
 from .gradcheck import run_gradcheck
-from .optim import NonFiniteGradientError  # noqa: F401  (subclass of FloatingPointError)
 
 
 class UsageError(Exception):

@@ -76,30 +76,6 @@ class ManifestError(ValueError):
 
 
 @dataclass
-class TraitVector:
-    """The five apparent-personality scores, each in [0, 1], in fixed order."""
-
-    openness: float
-    agreeableness: float
-    conscientiousness: float
-    neuroticism: float
-    extraversion: float
-
-    def as_array(self, dtype=np.float32) -> np.ndarray:
-        return np.array(
-            [self.openness, self.agreeableness, self.conscientiousness, self.neuroticism, self.extraversion],
-            dtype=dtype,
-        )
-
-    @classmethod
-    def from_array(cls, a) -> "TraitVector":
-        a = np.asarray(a, dtype=np.float64).reshape(-1)
-        if a.shape != (5,):
-            raise ValueError(f"trait vector needs 5 components, got shape {a.shape}")
-        return cls(*(float(v) for v in a))
-
-
-@dataclass
 class Clip:
     """One preprocessed sample: waveform, frame stack, optional label.
 

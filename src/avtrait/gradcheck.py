@@ -187,7 +187,7 @@ def _block_case(rng, kind):
             shortcut_b=arrays.get("shortcut.b"),
             shortcut_spec=L.ConvSpec((1, 1), stride, (0, 0), in_ch, out_ch) if kind == "projection" else None,
         )
-        return L.residual_block_forward(x, block, "train")
+        return L.residual_block_forward(x, block)
 
     def grads(cache, R):
         named, dx = L.residual_block_backward(cache, R)

@@ -17,8 +17,9 @@ passes add gradients into the same view of a zero buffer, one kernel
 offset at a time.
 
 Eval mode folds each batch norm into the convolution before it
-(``fold_batchnorm``, ``fold_block``), so an eval residual block is
-convolutions and in-place rectifiers only, and keeps no cache.
+(``fold_batchnorm``, ``fold_block``). A folded residual block runs in eval
+mode, as convolutions and in-place rectifiers only, and keeps no cache; any
+other block trains. Every shape check raises ``ShapeMismatchError``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import ShapeMismatchError, max0
+
+class ShapeMismatchError(ValueError):
+    """Operand shapes do not line up; message reports both shapes."""
+
+    def __init__(self, what: str, a_shape, b_shape):
+        self.a_shape = tuple(a_shape)
+        self.b_shape = tuple(b_shape)
+        super().__init__(f"{what}: shapes {self.a_shape} vs {self.b_shape}")
 
 
 @dataclass(frozen=True)
@@ -374,7 +382,7 @@ def scaled_tanh_backward(cache, grad_out: np.ndarray):
 
 
 def relu_forward(x: np.ndarray):
-    return max0(x), x > 0
+    return np.maximum(x, 0), x > 0
 
 
 def relu_backward(cache, grad_out: np.ndarray):
@@ -389,7 +397,8 @@ class ResidualBlockParams:
     """Parameters for conv-BN-ReLU-conv-BN plus an identity or projection shortcut.
 
     bn1 and bn2 are None in a block from fold_block, whose convolutions
-    already hold them; such a block runs in eval mode only.
+    already hold them; residual_block_forward runs such a block in eval
+    mode.
     """
 
     kind: str  # "identity" | "projection"
@@ -426,16 +435,14 @@ def fold_block(blk: ResidualBlockParams) -> ResidualBlockParams:
     return replace(blk, conv1_w=w1, conv1_b=b1, bn1=None, conv2_w=w2, conv2_b=b2, bn2=None)
 
 
-def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams, mode: str):
+def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams):
     """Main path conv-BN-ReLU-conv-BN, add shortcut, final ReLU.
 
-    Eval mode runs the convolutions with batch norm folded in (by
-    fold_block, here unless the caller did it once already), rectifies in
-    place and returns no cache.
+    A block from fold_block runs in eval mode: batch norm is already in its
+    convolutions, it rectifies in place and returns no cache. Any other
+    block trains on batch statistics and updates its running ones.
     """
-    if mode == "eval":
-        if blk.bn1 is not None:
-            blk = fold_block(blk)
+    if blk.bn1 is None:
         r1, _ = conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
         np.maximum(r1, 0, out=r1)
         y, _ = conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
@@ -444,13 +451,11 @@ def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams, mode: str):
         else:
             y += x
         return np.maximum(y, 0, out=y), None
-    if blk.bn1 is None:
-        raise ValueError("a folded block has no batch norm to train; fold_block output is eval-only")
     h1, c_conv1 = conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
-    n1, c_bn1 = batchnorm_forward(h1, blk.bn1, mode)
+    n1, c_bn1 = batchnorm_forward(h1, blk.bn1, "train")
     r1, c_relu1 = relu_forward(n1)
     h2, c_conv2 = conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
-    n2, c_bn2 = batchnorm_forward(h2, blk.bn2, mode)
+    n2, c_bn2 = batchnorm_forward(h2, blk.bn2, "train")
     if blk.kind == "projection":
         sc, c_sc = conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)
     else:

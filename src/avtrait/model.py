@@ -35,6 +35,7 @@ from .layers import (
     BatchNormState,
     ConvSpec,
     ResidualBlockParams,
+    ShapeMismatchError,
     batchnorm_backward,
     batchnorm_forward,
     conv_backward,
@@ -54,7 +55,6 @@ from .layers import (
     scaled_tanh,
     scaled_tanh_backward,
 )
-from .tensor import ShapeMismatchError
 
 BN_MOMENTUM = 0.9
 BN_EPSILON = 1e-5
@@ -318,7 +318,7 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
         np.maximum(y, 0, out=y)
         y, _ = maxpool_forward(y, _pool_spec(stream))
         for blk in folded.blocks:
-            y, _ = residual_block_forward(y, blk, "eval")
+            y, _ = residual_block_forward(y, blk)
         return global_average_pool(y)[0], []
     tape = []
     y, cache = conv_forward(x, params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], _stem_spec(stream))
@@ -331,7 +331,7 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     tape.append(("maxpool", None, cache))
     for name, in_ch, out_ch, stride, kind in _block_layout(stream):
         blk = _block_params(stream, prefix, name, in_ch, out_ch, stride, kind, params)
-        y, cache = residual_block_forward(y, blk, mode)
+        y, cache = residual_block_forward(y, blk)
         tape.append(("block", f"{prefix}.{name}", cache))
     y, cache = global_average_pool(y)
     tape.append(("gap", None, cache))

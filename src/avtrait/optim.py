@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeMismatchError
+from .layers import ShapeMismatchError
 
 
 class NonFiniteGradientError(FloatingPointError):

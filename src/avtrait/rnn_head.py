@@ -34,7 +34,6 @@ from .model import Architecture, fold_stream, forward_stream, he_normal, mean_vi
 from .optim import adam_step, init_adam, mae_loss
 
 RNN_HIDDEN = 512
-RNN_LAYERS = 2
 TRUNCATION = 15
 DROPOUT_RATE = 0.5
 
@@ -49,6 +48,10 @@ class RnnTrainConfig:
     beta1: float = 0.5
     beta2: float = 0.999
     epsilon: float = 1e-8
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 def head_manifest(input_dim: int = 512, hidden: int = RNN_HIDDEN, out_dim: int = 5) -> dict:
@@ -66,6 +69,8 @@ def head_manifest(input_dim: int = 512, hidden: int = RNN_HIDDEN, out_dim: int =
 
 def build_rnn_head(seed, input_dim: int = 512, hidden: int = RNN_HIDDEN, out_dim: int = 5, dtype=np.float32) -> dict:
     """He-normal weights, zero biases except the forget gate's, set to 1."""
+    if hidden < 1:
+        raise ValueError(f"hidden must be >= 1, got {hidden}")
     rng = np.random.Generator(np.random.PCG64(seed))
     params = {}
     for name, shape in head_manifest(input_dim, hidden, out_dim).items():

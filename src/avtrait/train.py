@@ -35,10 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .data import (
-    Clip,
     ClipFormatError,
     Manifest,
-    ManifestRow,
     TRAITS,
     atomic_write_bytes,
     atomic_write_text,
@@ -54,8 +52,8 @@ from .model import (
     forward_train,
     full_architecture,
     mini_architecture,
-    param_manifest,
     trainable_names,
+    validate_params,
     with_out_dim,
 )
 from .optim import AdamState, LrSchedule, adam_step, init_adam, mae_loss
@@ -202,9 +200,11 @@ def _infer_architecture(params: dict):
     for mini in (False, True):
         for out_dim in (5, 1):
             arch = (mini_architecture if mini else full_architecture)(out_dim=out_dim)
-            manifest = param_manifest(arch)
-            if set(manifest) == set(params) and all(params[n].shape == s for n, s in manifest.items()):
-                return arch, mini
+            try:
+                validate_params(arch, params)
+            except ValueError:
+                continue
+            return arch, mini
     raise CheckpointManifestError("tensor names/shapes match no known architecture")
 
 
@@ -281,8 +281,9 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "checkpoint_every", "lr_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm needs real statistics)")
 
@@ -311,14 +312,6 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 # training
 
-def _load_row_clip(manifest: Manifest, row: ManifestRow, cache: dict) -> Clip:
-    clip = cache.get(row.clip_id)
-    if clip is None:
-        clip = load_clip(manifest.clip_path(row))
-        cache[row.clip_id] = clip
-    return clip
-
-
 def _loss_log_text(losses) -> str:
     lines = ["epoch,alpha,train_mae"]
     lines += [f"{e},{a:.8g},{m:.6f}" for e, a, m in losses]
@@ -338,6 +331,19 @@ def _read_loss_log(path: str, up_to_epoch: int) -> list:
     return out
 
 
+def _fresh_start(arch: Architecture, config: TrainConfig, base: Optional[dict] = None):
+    """(params, adam, rng) for a run from epoch 0, drawn from config.seed.
+
+    With `base`, every tensor outside the fusion head is a copy of base's.
+    """
+    init_ss, data_ss = np.random.SeedSequence(config.seed).spawn(2)
+    params = build_network(arch, init_ss)
+    if base is not None:
+        params.update({n: v.copy() for n, v in base.items() if not n.startswith("fusion.")})
+    adam = init_adam(params, trainable_names(arch), config.initial_alpha, config.beta1, config.beta2, config.epsilon)
+    return params, adam, np.random.Generator(np.random.PCG64(data_ss))
+
+
 def _run_epochs(
     arch: Architecture,
     params: dict,
@@ -345,11 +351,13 @@ def _run_epochs(
     rng: np.random.Generator,
     config: TrainConfig,
     manifest: Manifest,
-    rows: list,
     start_epoch: int,
     losses: list,
     trait: Optional[int],
-) -> str:
+) -> TrainResult:
+    rows = manifest.split_rows("train")
+    if len(rows) < config.batch_size:
+        raise ValueError(f"need >= batch_size ({config.batch_size}) training clips, have {len(rows)}")
     audio_crop, frame_crop = config.crops
     schedule = config.schedule
     cache: dict = {}
@@ -376,7 +384,9 @@ def _run_epochs(
             audios, frames, labels = [], [], []
             for j in ids:
                 row = rows[int(j)]
-                clip = _load_row_clip(manifest, row, cache)
+                clip = cache.get(row.clip_id)
+                if clip is None:
+                    clip = cache[row.clip_id] = load_clip(manifest.clip_path(row))
                 audios.append(crop_audio(clip, rng, audio_crop))
                 frames.append(crop_frame(clip, rng, frame_crop))
                 labels.append(row.traits if trait is None else row.traits[[trait]])
@@ -394,39 +404,27 @@ def _run_epochs(
             ckpt_path = checkpoint(epoch)
     if not ckpt_path:
         ckpt_path = checkpoint(config.epochs - 1)
-    return ckpt_path
+    return TrainResult(arch, params, adam, config.epochs - 1, losses, ckpt_path, out_dir)
 
 
 def train(config: TrainConfig, manifest: Manifest, resume: Optional[str] = None) -> TrainResult:
     """Train the challenge model; fully determined by (seed, config, dataset)."""
     arch = mini_architecture() if config.mini else full_architecture()
-    rows = manifest.split_rows("train")
-    if len(rows) < config.batch_size:
-        raise ValueError(f"need >= batch_size ({config.batch_size}) training clips, have {len(rows)}")
+    if resume is None:
+        params, adam, rng = _fresh_start(arch, config)
+        return _run_epochs(arch, params, adam, rng, config, manifest, 0, [], trait=None)
 
-    if resume is not None:
-        ckpt = load_checkpoint(resume)
-        if ckpt.mini != config.mini or ckpt.arch.out_dim != 5:
-            raise CheckpointManifestError(f"{resume}: checkpoint architecture does not match the run config")
-        if ckpt.adam is None or ckpt.rng_state is None:
-            raise CheckpointError(f"{resume}: checkpoint lacks optimizer/rng state, cannot resume")
-        params = ckpt.params
-        adam = ckpt.adam
-        adam.beta1, adam.beta2, adam.epsilon = config.beta1, config.beta2, config.epsilon
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = ckpt.rng_state
-        start_epoch = ckpt.epoch + 1
-        losses = _read_loss_log(os.path.join(config.out_dir, "loss_log.csv"), ckpt.epoch)
-    else:
-        init_ss, data_ss = np.random.SeedSequence(config.seed).spawn(2)
-        params = build_network(arch, init_ss)
-        adam = init_adam(params, trainable_names(arch), config.initial_alpha, config.beta1, config.beta2, config.epsilon)
-        rng = np.random.Generator(np.random.PCG64(data_ss))
-        start_epoch = 0
-        losses = []
-
-    ckpt_path = _run_epochs(arch, params, adam, rng, config, manifest, rows, start_epoch, losses, trait=None)
-    return TrainResult(arch, params, adam, config.epochs - 1, losses, ckpt_path, config.out_dir)
+    ckpt = load_checkpoint(resume)
+    if ckpt.mini != config.mini or ckpt.arch.out_dim != 5:
+        raise CheckpointManifestError(f"{resume}: checkpoint architecture does not match the run config")
+    if ckpt.adam is None or ckpt.rng_state is None:
+        raise CheckpointError(f"{resume}: checkpoint lacks optimizer/rng state, cannot resume")
+    adam = ckpt.adam
+    adam.beta1, adam.beta2, adam.epsilon = config.beta1, config.beta2, config.epsilon
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = ckpt.rng_state
+    losses = _read_loss_log(os.path.join(config.out_dir, "loss_log.csv"), ckpt.epoch)
+    return _run_epochs(arch, ckpt.params, adam, rng, config, manifest, ckpt.epoch + 1, losses, trait=None)
 
 
 def finetune_per_trait(base: Checkpoint, trait: int, config: TrainConfig, manifest: Manifest) -> TrainResult:
@@ -438,21 +436,8 @@ def finetune_per_trait(base: Checkpoint, trait: int, config: TrainConfig, manife
     if base.mini != config.mini:
         raise CheckpointManifestError("checkpoint and config disagree about the miniature flag")
     arch = with_out_dim(base.arch, 1)
-    rows = manifest.split_rows("train")
-    if len(rows) < config.batch_size:
-        raise ValueError(f"need >= batch_size ({config.batch_size}) training clips, have {len(rows)}")
-
-    init_ss, data_ss = np.random.SeedSequence(config.seed).spawn(2)
-    head = build_network(arch, init_ss)  # only its fusion tensors are used
-    params = {n: v.copy() for n, v in base.params.items() if not n.startswith("fusion.")}
-    params["fusion.w"] = head["fusion.w"]
-    params["fusion.b"] = head["fusion.b"]
-    adam = init_adam(params, trainable_names(arch), config.initial_alpha, config.beta1, config.beta2, config.epsilon)
-    rng = np.random.Generator(np.random.PCG64(data_ss))
-
-    losses: list = []
-    ckpt_path = _run_epochs(arch, params, adam, rng, config, manifest, rows, 0, losses, trait=trait)
-    return TrainResult(arch, params, adam, config.epochs - 1, losses, ckpt_path, config.out_dir)
+    params, adam, rng = _fresh_start(arch, config, base.params)
+    return _run_epochs(arch, params, adam, rng, config, manifest, 0, [], trait=trait)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,36 @@ class TestGradcheckCommand:
         assert run(["gradcheck"]) == 3
 
 
+@pytest.fixture
+def feature_cache(workspace, tmp_path):
+    manifest = D.load_manifest(workspace["manifest"])
+    path = str(tmp_path / "feats.ckpt")
+    T.write_tensor_container(path, {f"feat.{row.clip_id}": np.ones((2, 4), np.float32) for row in manifest.rows})
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, flags, config, message",
+    [
+        ("train", ["--checkpoint-every", "0"], "", "checkpoint_every"),
+        ("train", [], "lr_period = 0\n", "lr_period"),
+        ("train-rnn", ["--epochs", "0"], "", "epochs"),
+        ("train-rnn", ["--hidden", "0"], "", "hidden"),
+    ],
+)
+def test_degenerate_setting_is_data_error(workspace, feature_cache, tmp_path, capsys, command, flags, config, message):
+    # every other setting is one that runs, so only the degenerate one can fail
+    cfg = str(tmp_path / "c.cfg")
+    open(cfg, "w").write("audio_crop = 2048\nframe_crop = 32\n" + config)
+    if command == "train":
+        inputs = ["--mini", "--epochs", "1", "--batch-size", "4"]
+    else:
+        inputs = ["--features", feature_cache, "--epochs", "1", "--hidden", "2"]
+    argv = [command, "--manifest", workspace["manifest"], "--out", str(tmp_path / "o"), "--config", cfg]
+    assert run(argv + inputs + flags) == 2
+    assert message in capsys.readouterr().err
+
+
 class TestNumericFailureExit:
     def test_training_divergence_maps_to_exit_three(self, workspace, monkeypatch):
         def boom(*a, **kw):

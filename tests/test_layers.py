@@ -84,6 +84,13 @@ class TestConvForward:
         with pytest.raises(L.ShapeMismatchError):
             L.conv_forward(x, w, np.zeros(1, np.float32), L.ConvSpec((3,), (1,), (1,), 3, 1))
 
+    def test_weight_mismatch_reports_both_shapes(self):
+        x = np.zeros((1, 2, 8), dtype=np.float32)
+        w = np.zeros((1, 2, 5), dtype=np.float32)
+        with pytest.raises(L.ShapeMismatchError) as exc:
+            L.conv_forward(x, w, np.zeros(1, np.float32), L.ConvSpec((3,), (1,), (1,), 2, 1))
+        assert "(1, 2, 5)" in str(exc.value) and "(1, 2, 3)" in str(exc.value)
+
     def test_too_small_output_rejected(self):
         x = np.zeros((1, 1, 2), dtype=np.float32)
         w = np.zeros((1, 1, 5), dtype=np.float32)
@@ -429,6 +436,16 @@ class TestScaledTanh:
         assert np.all(np.diff(y) >= 0.0)
 
 
+class TestRelu:
+    def test_values_and_mask(self):
+        for dtype in (np.float32, np.float64):
+            y, mask = L.relu_forward(np.array([-1.0, 0.0, 2.0], dtype=dtype))
+            assert y.dtype == dtype
+            np.testing.assert_array_equal(y, [0.0, 0.0, 2.0])
+            np.testing.assert_array_equal(mask, [False, False, True])
+            np.testing.assert_array_equal(L.relu_backward(mask, np.full(3, 5.0, dtype)), [0.0, 0.0, 5.0])
+
+
 def random_bn(rng, c):
     """A batch-norm state far from identity: every statistic moves the output."""
     return L.BatchNormState(
@@ -488,11 +505,9 @@ class TestBatchNormFold:
         rng = rng64(29)
         blk = make_block(rng, kind, ndim=ndim, affine=True)
         x = rng.standard_normal((2, 3) + (9,) * ndim)
-        y, cache = L.residual_block_forward(x, blk, "eval")
+        y, cache = L.residual_block_forward(x, L.fold_block(blk))
         assert cache is None
         np.testing.assert_allclose(y, composed_eval_block(x, blk), rtol=1e-10)
-        # folding once up front is the same computation
-        np.testing.assert_array_equal(L.residual_block_forward(x, L.fold_block(blk), "eval")[0], y)
 
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_folded_stem_matches_composed_layers(self, ndim):
@@ -508,12 +523,10 @@ class TestBatchNormFold:
         ref, _ = L.relu_forward(L.batchnorm_forward(h, state, "eval")[0])
         np.testing.assert_allclose(np.maximum(y, 0.0), ref, rtol=1e-10)
 
-    def test_folded_block_cannot_train_or_backpropagate(self):
+    def test_folded_block_cannot_backpropagate(self):
         blk = L.fold_block(make_block(rng64(31), "identity", affine=True))
         x = rng64(32).standard_normal((2, 3, 6, 6))
-        with pytest.raises(ValueError, match="eval-only"):
-            L.residual_block_forward(x, blk, "train")
-        y, cache = L.residual_block_forward(x, blk, "eval")
+        y, cache = L.residual_block_forward(x, blk)
         with pytest.raises(ValueError, match="no cache"):
             L.residual_block_backward(cache, np.ones_like(y))
 
@@ -523,22 +536,22 @@ class TestResidualBlock:
         rng = rng64(25)
         x = rng.standard_normal((2, 3, 6, 6))
         blk = make_block(rng, "identity", zero_main=True)
-        # zero conv weights push zeros into BN, which is degenerate; feed
-        # eval mode so the zero main path stays exactly zero
-        y, _ = L.residual_block_forward(x, blk, "eval")
+        # zero conv weights push zeros into BN, which is degenerate; fold
+        # it (eval mode) so the zero main path stays exactly zero
+        y, _ = L.residual_block_forward(x, L.fold_block(blk))
         np.testing.assert_allclose(y, np.maximum(x, 0.0), atol=1e-12)
 
     def test_zero_input_zero_biases_gives_zero(self):
         rng = rng64(26)
         blk = make_block(rng, "projection")
-        y, _ = L.residual_block_forward(np.zeros((2, 3, 6, 6)), blk, "eval")
+        y, _ = L.residual_block_forward(np.zeros((2, 3, 6, 6)), L.fold_block(blk))
         np.testing.assert_allclose(y, 0.0, atol=1e-12)
 
     def test_matches_composed_layer_oracle(self):
         rng = rng64(27)
         x = rng.standard_normal((2, 3, 6, 6))
         blk = make_block(rng, "projection")
-        y, _ = L.residual_block_forward(x, blk, "train")
+        y, _ = L.residual_block_forward(x, blk)
 
         h1, _ = L.conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
         n1, _ = L.batchnorm_forward(h1, make_block(rng64(27), "projection").bn1, "train")

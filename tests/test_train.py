@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from avtrait import data as D
 from avtrait import model as M
+from avtrait import rnn_head as R
 from avtrait import train as T
 
 
@@ -331,6 +332,14 @@ class TestTrainLoop:
             T.TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             T.TrainConfig(batch_size=1)
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            T.TrainConfig(checkpoint_every=0)
+        with pytest.raises(ValueError, match="lr_period"):
+            T.TrainConfig(lr_period=0)
+        with pytest.raises(ValueError, match="epochs"):
+            R.RnnTrainConfig(epochs=0)
+        with pytest.raises(ValueError, match="hidden"):
+            R.build_rnn_head(0, input_dim=4, hidden=0)
 
 
 class TestEvaluate:
@@ -443,15 +452,21 @@ class TestFinetune:
 
     def test_non_head_weights_bitwise_at_step_zero(self, tmp_path, dataset):
         base = self.base_checkpoint(tmp_path, dataset)
+        before = {n: v.copy() for n, v in base.params.items()}
         arch = M.with_out_dim(base.arch, 1)
-        init_ss, _ = np.random.SeedSequence(5).spawn(2)
-        params = {n: v.copy() for n, v in base.params.items() if not n.startswith("fusion.")}
-        head = M.build_network(arch, init_ss)
-        params["fusion.w"] = head["fusion.w"]
-        params["fusion.b"] = head["fusion.b"]
+        cfg = tiny_config(str(tmp_path / "ft"))
+        params, _, _ = T._fresh_start(arch, cfg, base.params)
+        assert list(params) == list(M.param_manifest(arch))
         for name, v in base.params.items():
             if not name.startswith("fusion."):
                 np.testing.assert_array_equal(params[name], v)
+                params[name] += 1.0  # training writes into its own copy, never the base
+        for name, v in before.items():
+            np.testing.assert_array_equal(base.params[name], v)
+        # the head is the fresh network's, drawn from the run's seed
+        head = M.build_network(arch, np.random.SeedSequence(cfg.seed).spawn(2)[0])
+        for name in ("fusion.w", "fusion.b"):
+            np.testing.assert_array_equal(params[name], head[name])
 
     def test_bad_trait_index_rejected(self, tmp_path, dataset):
         base = self.base_checkpoint(tmp_path, dataset)
