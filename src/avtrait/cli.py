@@ -5,6 +5,11 @@ train-rnn, predict-rnn, gradcheck. Every command accepts --seed, --threads
 and --config; all stochastic behavior flows from the seed. An optional
 config file holds plain ``key = value`` lines; explicit flags override it.
 
+The multi-clip commands eval, predict, extract-features and predict-rnn run
+--threads clips at once. Each skips, with a warning, a clip it cannot use
+(unreadable, corrupt, or for per-second features under one second), and
+exits 2 only when no clip is usable.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -175,10 +180,14 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # command bodies
 
-def _rows_for(manifest: D.Manifest, split):
-    if split in (None, "all"):
-        return manifest.rows
-    return manifest.split_rows(split)
+def _base_and_rows(s: Settings, command: str):
+    """The 5-trait base checkpoint, the manifest and its --split rows (all by default)."""
+    ckpt = T.load_checkpoint(s.get("checkpoint"))
+    if ckpt.arch.out_dim != 5:
+        raise ValueError(f"{command} uses the 5-trait base network")
+    manifest = D.load_manifest(s.get("manifest"))
+    split = s.get("split", "all")
+    return ckpt, manifest, manifest.rows if split == "all" else manifest.split_rows(split)
 
 
 def _trait_index(raw: str) -> int:
@@ -247,36 +256,29 @@ def _cmd_eval(s: Settings) -> int:
     report = T.evaluate(ckpt.arch, ckpt.params, manifest, split, stride, threads=_threads(s), trait=trait)
     if single:
         acc = report.per_trait[0]
-        print(f"trait,{D.TRAITS[trait]},accuracy,{acc:.6f},clips,{report.clips},excluded,{report.excluded}")
-        return 0
-    text = report.csv()
+        text = f"trait,{D.TRAITS[trait]},accuracy,{acc:.6f},clips,{report.clips},excluded,{report.excluded}\n"
+    else:
+        text = report.csv()
     out = s.get("out") or os.path.join(os.path.dirname(os.path.abspath(s.get("checkpoint"))), f"eval_{split}.csv")
     D.atomic_write_text(out, text)
     sys.stdout.write(text)
     return 0
 
 
-def _format_pred_line(clip_id: str, pred) -> str:
-    return clip_id + "," + ",".join(f"{float(v):.6f}" for v in pred)
-
-
-def _cmd_predict(s: Settings) -> int:
-    ckpt = T.load_checkpoint(s.get("checkpoint"))
-    if ckpt.arch.out_dim != 5:
-        raise ValueError("predict needs a 5-trait checkpoint")
-    manifest = D.load_manifest(s.get("manifest"))
-    rows = _rows_for(manifest, s.get("split"))
-    stride = int(s.get("frame_stride", 1))
-    lines = []
-    for row, pred in T.predict_rows(ckpt.arch, ckpt.params, manifest, rows, stride, threads=_threads(s)):
-        if pred is None:
-            raise D.ClipFormatError(f"clip {row.clip_id} unreadable")
-        lines.append(_format_pred_line(row.clip_id, pred))
-    text = "\n".join(lines) + "\n"
+def _write_predictions(s: Settings, results: list) -> int:
+    """One `clip_id,trait,...` line per usable clip, to stdout and --out."""
+    usable = T.readable(results, s.get("split", "all"))
+    text = "".join(row.clip_id + "," + ",".join(f"{float(v):.6f}" for v in pred) + "\n" for row, pred in usable)
     if s.get("out"):
         D.atomic_write_text(s.get("out"), text)
     sys.stdout.write(text)
     return 0
+
+
+def _cmd_predict(s: Settings) -> int:
+    ckpt, manifest, rows = _base_and_rows(s, "predict")
+    stride = int(s.get("frame_stride", 1))
+    return _write_predictions(s, T.predict_rows(ckpt.arch, ckpt.params, manifest, rows, stride, threads=_threads(s)))
 
 
 def _cmd_finetune(s: Settings) -> int:
@@ -293,15 +295,9 @@ def _cmd_finetune(s: Settings) -> int:
 
 
 def _cmd_extract_features(s: Settings) -> int:
-    ckpt = T.load_checkpoint(s.get("checkpoint"))
-    if ckpt.arch.out_dim != 5:
-        raise ValueError("feature extraction uses the 5-trait base network")
-    manifest = D.load_manifest(s.get("manifest"))
-    rows = _rows_for(manifest, s.get("split"))
-    named = {}
-    for row in rows:
-        clip = D.load_clip(manifest.clip_path(row))
-        named[f"feat.{row.clip_id}"] = R.extract_features(clip, ckpt.arch, ckpt.params)
+    ckpt, manifest, rows = _base_and_rows(s, "extract-features")
+    results = T.map_clips(manifest, rows, lambda clip: R.extract_features(clip, ckpt.arch, ckpt.params), _threads(s))
+    named = {f"feat.{row.clip_id}": feats for row, feats in T.readable(results, s.get("split", "all"))}
     T.write_tensor_container(s.get("out"), named)
     print(f"wrote {len(named)} feature sequences to {s.get('out')}")
     return 0
@@ -346,23 +342,11 @@ def _cmd_train_rnn(s: Settings) -> int:
 
 
 def _cmd_predict_rnn(s: Settings) -> int:
-    ckpt = T.load_checkpoint(s.get("checkpoint"))
-    if ckpt.arch.out_dim != 5:
-        raise ValueError("predict-rnn uses the 5-trait base network")
+    ckpt, manifest, rows = _base_and_rows(s, "predict-rnn")
     _, head, _ = T.read_tensor_container(s.get("rnn_head"))
     R.head_dims(head)
-    manifest = D.load_manifest(s.get("manifest"))
-    rows = _rows_for(manifest, s.get("split"))
-    lines = []
-    for row in rows:
-        clip = D.load_clip(manifest.clip_path(row))
-        pred = R.predict_rnn(clip, ckpt.arch, ckpt.params, head)
-        lines.append(_format_pred_line(row.clip_id, pred))
-    text = "\n".join(lines) + "\n"
-    if s.get("out"):
-        D.atomic_write_text(s.get("out"), text)
-    sys.stdout.write(text)
-    return 0
+    results = T.map_clips(manifest, rows, lambda clip: R.predict_rnn(clip, ckpt.arch, ckpt.params, head), _threads(s))
+    return _write_predictions(s, results)
 
 
 def _cmd_gradcheck(s: Settings) -> int:

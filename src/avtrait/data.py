@@ -52,7 +52,7 @@ _MAX_PAYLOAD = 1 << 40
 
 
 class ClipFormatError(ValueError):
-    """Base for malformed clip container files."""
+    """Base for clips that are malformed or unusable; a multi-clip run skips them."""
 
 
 class BadMagicError(ClipFormatError):
@@ -69,6 +69,10 @@ class ExtentOverflowError(ClipFormatError):
 
 class AudioRangeError(ClipFormatError):
     """Audio samples that are not finite or lie outside [-1, 1]."""
+
+
+class ClipTooShortError(ClipFormatError):
+    """A clip too short for what is asked of it, such as one whole second."""
 
 
 class ManifestError(ValueError):
@@ -243,8 +247,9 @@ def load_manifest(path: str) -> Manifest:
                 traits = np.array([float(v) for v in record[2:7]], dtype=np.float64)
             except ValueError:
                 raise ManifestError(f"{path}:{lineno}: unparseable trait value") from None
-            if np.any(traits < 0.0) or np.any(traits > 1.0):
-                raise ManifestError(f"{path}:{lineno}: trait outside [0, 1]")
+            # a NaN compares False, so this rejects it along with inf
+            if not np.all((traits >= 0.0) & (traits <= 1.0)):
+                raise ManifestError(f"{path}:{lineno}: trait is not a finite value in [0, 1]")
             split = record[7]
             if split not in SPLITS:
                 raise ManifestError(f"{path}:{lineno}: unknown split {split!r}")
@@ -316,6 +321,8 @@ def _synth_labels(freq, means, theta):
 
 def synth_clip(rng: np.random.Generator, seconds: float = 2.0, height: int = 48, width: int = 48) -> Clip:
     """One synthetic clip; consumes a fixed number of draws from rng."""
+    if height < 1 or width < 1:
+        raise ValueError(f"frame extent must be >= 1, got {height}x{width}")
     freq = float(rng.uniform(_FREQ_LO, _FREQ_HI))
     phase2 = float(rng.uniform(0.0, 2.0 * math.pi))
     phase3 = float(rng.uniform(0.0, 2.0 * math.pi))

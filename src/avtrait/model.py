@@ -452,39 +452,45 @@ def _fsum_mean(rows: list) -> np.ndarray:
     return np.array([math.fsum(stack[:, c]) for c in range(stack.shape[1])]) / stack.shape[0]
 
 
-def mean_visual_features(arch: Architecture, params: dict, clip: Clip, frames) -> np.ndarray:
-    """Mean visual-stream features of the clip frames at the indices `frames`.
+def clip_features(arch: Architecture, params: dict, clip: Clip, spans) -> np.ndarray:
+    """One fused feature row per span of the clip, stacked as (len(spans), fusion_in).
 
-    Each frame runs alone at native resolution in eval mode, with batch
-    norm folded once for all of them; the mean is `_fsum_mean`'s, cast to
-    the parameters' dtype.
+    A span is (first sample, end sample, frame indices). Its row is the
+    auditory-stream features of those samples, zero-padded to
+    MIN_AUDIO_SAMPLES, then the `_fsum_mean` of the visual-stream features
+    of those frames, each run alone at native resolution. Both streams run
+    in eval mode, each folded once per call; the auditory weights are
+    dropped before the visual stream is folded, so no pass holds both.
     """
     dtype = params["fusion.w"].dtype
+    folded = fold_stream(arch.auditory, "auditory", params)
+    audio_rows = []
+    for lo, hi, _ in spans:
+        audio = _pad_audio(clip.audio[:, lo:hi].astype(dtype, copy=False), MIN_AUDIO_SAMPLES)
+        audio_rows.append(forward_stream(audio[None], arch.auditory, "auditory", folded, "eval")[0][0])
+    del folded
     folded = fold_stream(arch.visual, "visual", params)
     rows = []
-    for t in frames:
-        fv, _ = forward_stream(unit_frames(clip.frames[t], dtype)[None], arch.visual, "visual", folded, "eval")
-        rows.append(fv[0])
-    return _fsum_mean(rows).astype(dtype)
+    for fa, (_, _, frames) in zip(audio_rows, spans):
+        fv = [
+            forward_stream(unit_frames(clip.frames[t], dtype)[None], arch.visual, "visual", folded, "eval")[0][0]
+            for t in frames
+        ]
+        rows.append(np.concatenate([fa, _fsum_mean(fv).astype(dtype)]))
+    return np.stack(rows)
 
 
 def forward_infer(arch: Architecture, params: dict, clip: Clip, frame_stride: int = 1) -> np.ndarray:
     """Whole-clip prediction per the evaluation protocol.
 
-    The full waveform runs through the auditory stream in one pass (pooled
-    over its whole temporal extent); every frame_stride-th frame runs
-    through the visual stream at native resolution and the per-frame
-    pooled vectors are averaged. Batch norm uses its running statistics,
-    folded into the convolution weights once per stream and clip; nothing
+    `clip_features` over one span: the full waveform, pooled over its whole
+    temporal extent, and every frame_stride-th frame, whose pooled vectors
+    are averaged. The fusion head maps that row to the prediction. Nothing
     is mutated, so calls are deterministic and thread-safe.
     """
     if frame_stride < 1:
         raise ValueError("frame_stride must be >= 1")
-    dtype = params["fusion.w"].dtype
-    audio = _pad_audio(clip.audio.astype(dtype, copy=False), MIN_AUDIO_SAMPLES)
-    fa, _ = forward_stream(audio[None, :, :], arch.auditory, "auditory", params, "eval")
-    fv_mean = mean_visual_features(arch, params, clip, range(0, clip.frame_count, frame_stride))
-    feats = np.concatenate([fa[0], fv_mean])[None, :]
+    feats = clip_features(arch, params, clip, [(0, clip.sample_count, range(0, clip.frame_count, frame_stride))])
     z, _ = linear_forward(feats, params["fusion.w"], params["fusion.b"])
     pred, _ = scaled_tanh(z)
     return pred[0]

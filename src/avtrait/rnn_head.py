@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FPS, SAMPLE_RATE, Clip
+from .data import FPS, SAMPLE_RATE, Clip, ClipTooShortError
 from .layers import (
     dropout_backward,
     dropout_forward,
@@ -30,7 +30,7 @@ from .layers import (
     scaled_tanh,
     scaled_tanh_backward,
 )
-from .model import Architecture, fold_stream, forward_stream, he_normal, mean_visual_features
+from .model import Architecture, clip_features, he_normal
 from .optim import adam_step, init_adam, mae_loss
 
 RNN_HIDDEN = 512
@@ -45,9 +45,6 @@ class RnnTrainConfig:
     trunc: int = TRUNCATION
     dropout: float = DROPOUT_RATE
     alpha: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -102,16 +99,9 @@ def extract_features(clip: Clip, arch: Architecture, base_params: dict) -> np.nd
     """One 512-d pooled feature row per whole second; base net stays frozen."""
     seconds = min(clip.sample_count // SAMPLE_RATE, clip.frame_count // FPS)
     if seconds < 1:
-        raise ValueError("clip must span at least one whole second of audio and video")
-    dtype = base_params["fusion.w"].dtype
-    folded = fold_stream(arch.auditory, "auditory", base_params)
-    rows = []
-    for t in range(seconds):
-        audio = clip.audio[:, t * SAMPLE_RATE : (t + 1) * SAMPLE_RATE].astype(dtype, copy=False)
-        fa, _ = forward_stream(audio[None, :, :], arch.auditory, "auditory", folded, "eval")
-        fv_mean = mean_visual_features(arch, base_params, clip, range(t * FPS, (t + 1) * FPS))
-        rows.append(np.concatenate([fa[0], fv_mean]))
-    return np.stack(rows)
+        raise ClipTooShortError("clip must span at least one whole second of audio and video")
+    spans = [(t * SAMPLE_RATE, (t + 1) * SAMPLE_RATE, range(t * FPS, (t + 1) * FPS)) for t in range(seconds)]
+    return clip_features(arch, base_params, clip, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +215,7 @@ def train_rnn(sequences, params: dict, config: RnnTrainConfig):
     """
     if not sequences:
         raise ValueError("no training sequences")
-    adam = init_adam(params, _GRAD_KEYS, config.alpha, config.beta1, config.beta2, config.epsilon)
+    adam = init_adam(params, _GRAD_KEYS, config.alpha)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     losses = []
     for _ in range(config.epochs):

@@ -462,21 +462,37 @@ def aggregate_accuracies(per_trait) -> float:
     return float(per_trait.mean())
 
 
-def predict_rows(arch, params, manifest: Manifest, rows, frame_stride: int = 1, threads: int = 1):
-    """Whole-clip predictions in manifest order; None marks unreadable clips."""
+def map_clips(manifest: Manifest, rows, fn, threads: int = 1) -> list:
+    """[(row, fn(its loaded clip))] in row order, on `threads` workers.
+
+    A clip whose loading or `fn` raises OSError or ClipFormatError is logged
+    and gets None; any other error propagates.
+    """
 
     def one(row):
         try:
-            clip = load_clip(manifest.clip_path(row))
+            return row, fn(load_clip(manifest.clip_path(row)))
         except (OSError, ClipFormatError) as exc:
             log.warning("skipping clip %s: %s", row.clip_id, exc)
             return row, None
-        return row, forward_infer(arch, params, clip, frame_stride=frame_stride)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, rows))
     return [one(row) for row in rows]
+
+
+def readable(results: list, split) -> list:
+    """map_clips' results without the skipped clips; raises if none is left."""
+    kept = [(row, out) for row, out in results if out is not None]
+    if not kept:
+        raise ValueError(f"no readable clips in split {split!r}")
+    return kept
+
+
+def predict_rows(arch, params, manifest: Manifest, rows, frame_stride: int = 1, threads: int = 1):
+    """Whole-clip predictions in manifest order; None marks unusable clips."""
+    return map_clips(manifest, rows, lambda clip: forward_infer(arch, params, clip, frame_stride=frame_stride), threads)
 
 
 def evaluate(
@@ -498,16 +514,11 @@ def evaluate(
     rows = manifest.split_rows(split)
     if not rows:
         raise ValueError(f"split {split!r} is empty")
+    results = predict_rows(arch, params, manifest, rows, frame_stride, threads)
+    scored = readable(results, split)
     err = np.zeros(len(cols), dtype=np.float64)
-    n = 0
-    excluded = 0
-    for row, pred in predict_rows(arch, params, manifest, rows, frame_stride, threads):
-        if pred is None:
-            excluded += 1
-            continue
+    for row, pred in scored:
         err += np.abs(pred.astype(np.float64) - row.traits[cols])
-        n += 1
-    if n == 0:
-        raise ValueError(f"no readable clips in split {split!r}")
+    n = len(scored)
     per_trait = 1.0 - err / n
-    return EvalReport(per_trait=per_trait, average=aggregate_accuracies(per_trait), clips=n, excluded=excluded)
+    return EvalReport(per_trait=per_trait, average=aggregate_accuracies(per_trait), clips=n, excluded=len(results) - n)

@@ -5,6 +5,7 @@ import pytest
 
 from avtrait import cli
 from avtrait import data as D
+from avtrait import rnn_head as R
 from avtrait import train as T
 
 
@@ -63,6 +64,8 @@ class TestSynth:
 
     def test_invalid_counts_are_data_error(self, tmp_path):
         assert run(["synth", "--n", "2", "--val-n", "3", "--out", str(tmp_path / "x")]) == 2
+        for extent in ("--height", "--width"):
+            assert run(["synth", "--n", "2", extent, "0", "--out", str(tmp_path / "y")]) == 2
 
 
 class TestTrainCommand:
@@ -185,6 +188,7 @@ class TestFinetuneCommand:
         assert run(argv) == 0
         single = capsys.readouterr().out
         assert single.strip().startswith("trait,conscientiousness,accuracy,")
+        assert open(os.path.join(out, "eval_validation.csv")).read() == single
 
         # --threads reaches the scoring of a single-trait head too
         seen = []
@@ -228,6 +232,70 @@ class TestRnnPipeline:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and all(len(l.split(",")) == 6 for l in lines)
+
+
+@pytest.fixture(scope="module")
+def mixed_split(workspace, tmp_path_factory):
+    """A validation split of a good clip, a truncated clip and a 0.5 s clip,
+    with a recurrent head for the base checkpoint."""
+    root = tmp_path_factory.mktemp("mixed")
+    good = D.load_manifest(workspace["manifest"]).split_rows("validation")[0]
+    blob = open(os.path.join(workspace["data"], good.path), "rb").read()
+    open(root / "truncated.clip", "wb").write(blob[:-100])
+    D.save_clip(D.synth_clip(np.random.default_rng(0), seconds=0.5, height=40, width=40), str(root / "short.clip"))
+    rows = [
+        D.ManifestRow(good.clip_id, os.path.join(workspace["data"], good.path), good.traits, "validation"),
+        D.ManifestRow("truncated", "truncated.clip", good.traits, "validation"),
+        D.ManifestRow("short", "short.clip", good.traits, "validation"),
+    ]
+    head = str(root / "head.ckpt")
+    T.write_tensor_container(head, R.build_rnn_head(0, input_dim=64, hidden=8))
+    return {"root": root, "rows": rows, "head": head}
+
+
+def _run_on_rows(command, workspace, mixed_split, rows, tmp_path):
+    manifest = str(mixed_split["root"] / f"{tmp_path.name}.csv")
+    D.save_manifest(D.Manifest(rows=rows), manifest)
+    out = str(tmp_path / "out")
+    argv = [command, "--checkpoint", workspace["ckpt"], "--manifest", manifest, "--split", "validation",
+            "--out", out, "--threads", "2"]
+    if command == "predict-rnn":
+        argv += ["--rnn-head", mixed_split["head"]]
+    return run(argv), out
+
+
+# whole-clip inference pads a 0.5 s clip; the per-second commands cannot use it
+USABLE = {
+    "eval": ["clip0004", "short"],
+    "predict": ["clip0004", "short"],
+    "extract-features": ["clip0004"],
+    "predict-rnn": ["clip0004"],
+}
+
+
+@pytest.mark.parametrize("command", list(USABLE))
+def test_multi_clip_command_skips_unusable_clips(command, workspace, mixed_split, tmp_path, capsys):
+    code, out = _run_on_rows(command, workspace, mixed_split, mixed_split["rows"], tmp_path)
+    assert code == 0, capsys.readouterr().err
+    printed = capsys.readouterr().out
+    if command == "eval":
+        header, values = printed.splitlines()
+        report = dict(zip(header.split(","), values.split(",")))
+        assert (report["clips"], report["excluded"]) == ("2", "1")
+    elif command == "extract-features":
+        assert sorted(cli.load_feature_cache(out)) == USABLE[command]
+    else:
+        assert [line.split(",")[0] for line in printed.splitlines()] == USABLE[command]
+        assert open(out).read() == printed
+
+
+@pytest.mark.parametrize("command", list(USABLE))
+def test_multi_clip_command_without_usable_clips_is_data_error(command, workspace, mixed_split, tmp_path, capsys):
+    rows = [r for r in mixed_split["rows"] if r.clip_id not in USABLE[command]]
+    code, out = _run_on_rows(command, workspace, mixed_split, rows, tmp_path)
+    assert code == 2
+    assert "no readable clips" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 class TestGradcheckCommand:

@@ -137,9 +137,11 @@ class TestManifest:
         np.testing.assert_allclose(back.rows[0].traits, rows[0].traits, atol=1e-6)
 
     def test_trait_out_of_range_reports_row(self, tmp_path):
-        path = self.write(tmp_path, "a,a.clip,0.5,0.5,1.2,0.5,0.5,train\n")
-        with pytest.raises(D.ManifestError, match=":2"):
-            D.load_manifest(path)
+        # a NaN label passes both `< 0` and `> 1`, so it needs its own case
+        for value in ("1.2", "-0.1", "nan", "inf", "-inf"):
+            path = self.write(tmp_path, f"a,a.clip,0.5,0.5,{value},0.5,0.5,train\n")
+            with pytest.raises(D.ManifestError, match=":2"):
+                D.load_manifest(path)
 
     def test_unparseable_trait_reports_row(self, tmp_path):
         path = self.write(tmp_path, "a,a.clip,x,0.5,0.5,0.5,0.5,train\n")

@@ -1,5 +1,7 @@
 """Every module of the package (bar __init__.py) and of the tests reads each
-name it imports; a dead import is reported with its line."""
+name it imports; a dead import is reported with its line. Every top-level
+function and class of the package is read by the package or the benchmark;
+a dead definition is reported with its module and line."""
 
 import ast
 import os
@@ -14,6 +16,13 @@ MODULES = sorted(
     for name in os.listdir(os.path.join(ROOT, d))
     if name.endswith(".py") and name != "__init__.py"
 )
+# modules whose reads keep a definition alive; tests do not count
+CALLERS = sorted(
+    os.path.join(d, name)
+    for d in (os.path.join("src", "avtrait"), "benchmarks")
+    for name in os.listdir(os.path.join(ROOT, d))
+    if name.endswith(".py")
+)
 
 
 def unused_imports(source: str) -> list:
@@ -27,6 +36,51 @@ def unused_imports(source: str) -> list:
             bound += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted((line, name) for line, name in bound if name not in read)
+
+
+def _reads(node) -> set:
+    """Names and attribute names that expressions under `node` read."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+    return names
+
+
+def dead_definitions(sources: dict, defining) -> list:
+    """(path, line, name) of each top-level function or class of a module in
+    `defining` that no module in `sources` (path -> source) reads outside
+    that definition's own body."""
+    read = set()
+    defined = []
+    for path, source in sources.items():
+        for stmt in ast.parse(source).body:
+            reads = _reads(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                reads.discard(stmt.name)
+                if path in defining:
+                    defined.append((path, stmt.lineno, stmt.name))
+            read |= reads
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_checker_finds_dead_definitions():
+    sources = {
+        "a.py": "def used():\n    pass\n\n\ndef dead():\n    return dead()\n\n\nclass Kept:\n    pass\n",
+        "b.py": "import a\nfrom a import used\n\nused()\na.Kept()\n\n\ndef dead():\n    pass\n",
+    }
+    assert dead_definitions(sources, {"a.py"}) == [("a.py", 5, "dead")]
+
+
+def test_no_dead_definitions():
+    sources = {}
+    for path in CALLERS:
+        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+            sources[path] = fh.read()
+    defining = {p for p in CALLERS if p.startswith("src") and not p.endswith("__init__.py")}
+    assert dead_definitions(sources, defining) == []
 
 
 def test_checker_finds_dead_imports():

@@ -282,8 +282,22 @@ class TestExtractFeatures:
 
     def test_sub_second_clip_rejected(self, base):
         arch, params = base
-        with pytest.raises(ValueError, match="second"):
+        with pytest.raises(D.ClipTooShortError, match="second"):
             R.extract_features(self.synth_clip(0.6), arch, params)
+
+    @pytest.mark.parametrize("seconds", [1.0, 3.0])
+    def test_each_stream_folded_once_per_clip(self, base, monkeypatch, seconds):
+        arch, params = base
+        folded = []
+        fold_stream = M.fold_stream
+
+        def spy(stream, prefix, params_):
+            folded.append(prefix)
+            return fold_stream(stream, prefix, params_)
+
+        monkeypatch.setattr(M, "fold_stream", spy)
+        R.extract_features(self.synth_clip(seconds), arch, params)
+        assert folded == ["auditory", "visual"]
 
     def test_identical_seconds_give_identical_rows(self, base):
         arch, params = base

@@ -342,6 +342,29 @@ class TestTrainLoop:
             R.build_rnn_head(0, input_dim=4, hidden=0)
 
 
+class TestMapClips:
+    def test_rows_keep_their_order_on_two_threads(self, dataset):
+        rows = dataset.rows
+        results = T.map_clips(dataset, rows, lambda clip: clip.audio[0, :8].copy(), threads=2)
+        assert [row for row, _ in results] == rows
+        for row, head in results:
+            assert head.tobytes() == D.load_clip(dataset.clip_path(row)).audio[0, :8].tobytes()
+
+    def test_other_errors_propagate(self, dataset):
+        def fn(clip):
+            raise ValueError("not a clip defect")
+
+        with pytest.raises(ValueError, match="not a clip defect"):
+            T.map_clips(dataset, dataset.rows, fn)
+
+    def test_clip_too_short_is_skipped(self, dataset):
+        def fn(clip):
+            raise D.ClipTooShortError("under one second")
+
+        results = T.map_clips(dataset, dataset.rows, fn, threads=2)
+        assert results == [(row, None) for row in dataset.rows]
+
+
 class TestEvaluate:
     def test_perfect_predictor_scores_one(self, dataset, monkeypatch):
         arch = M.mini_architecture()
