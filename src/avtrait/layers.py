@@ -371,14 +371,23 @@ def linear_backward(cache, grad_out: np.ndarray):
 
 
 def scaled_tanh(z: np.ndarray):
-    """(tanh(z) + 1) / 2: squashes into (0, 1), 0.5 at the origin."""
-    t = np.tanh(z)
-    return (t + 1.0) / 2.0, t
+    """(tanh(z) + 1) / 2: squashes into (0, 1), 0.5 at the origin.
+
+    Evaluated as the equal logistic 1 / (1 + exp(-2z)) in float64 and
+    returned in z's dtype. numpy's float64 tanh is not monotone where its
+    kernel changes method at |z| = 8 (tanh(-8) > tanh(nextafter(-8, 0))),
+    and float32 exp is not monotone either; float64 exp is. The cache is
+    the output itself.
+    """
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-2.0 * np.asarray(z, np.float64)))
+    y = y.astype(z.dtype, copy=False)
+    return y, y
 
 
 def scaled_tanh_backward(cache, grad_out: np.ndarray):
-    t = cache
-    return grad_out * (1.0 - t * t) / 2.0
+    y = cache
+    return grad_out * (2.0 * y * (1.0 - y))
 
 
 def relu_forward(x: np.ndarray):

@@ -435,6 +435,21 @@ class TestScaledTanh:
         assert np.all(y > 0.0) and np.all(y < 1.0)
         assert np.all(np.diff(y) >= 0.0)
 
+    def test_monotone_across_the_tanh_kernel_seam(self):
+        # numpy's float64 tanh steps back by one ulp at z = -8 and z = +8
+        for dtype in (np.float64, np.float32):
+            for edge in (-8.0, 8.0):
+                z = np.asarray(edge, dtype)
+                below = [z]
+                above = [z]
+                for _ in range(64):
+                    below.append(np.nextafter(below[-1], dtype(-np.inf)))
+                    above.append(np.nextafter(above[-1], dtype(np.inf)))
+                z = np.array(below[::-1] + above[1:], dtype)
+                y, _ = L.scaled_tanh(z)
+                assert y.dtype == dtype
+                assert np.all(np.diff(y) >= 0.0), (dtype, edge)
+
 
 class TestRelu:
     def test_values_and_mask(self):
