@@ -237,8 +237,8 @@ def _cmd_synth(s: Settings) -> int:
 
 
 def _cmd_train(s: Settings) -> int:
-    manifest = D.load_manifest(s.get("manifest"))
     config = _train_config(s, s.get("out"), s.get("mini", False))
+    manifest = D.load_manifest(s.get("manifest"))
     result = T.train(config, manifest, resume=s.get("resume"))
     last_epoch, alpha, mae = result.losses[-1]
     print(f"epoch {last_epoch} alpha {alpha:.8g} train_mae {mae:.6f}")
@@ -314,6 +314,13 @@ def load_feature_cache(path: str) -> dict:
 
 
 def _cmd_train_rnn(s: Settings) -> int:
+    config = R.RnnTrainConfig(
+        epochs=int(s.get("epochs", 100)),
+        seed=int(s.get("seed", 0)),
+        trunc=int(s.get("trunc", R.TRUNCATION)),
+        dropout=float(s.get("dropout", R.DROPOUT_RATE)),
+        alpha=float(s.get("alpha", 2e-4)),
+    )
     feats = load_feature_cache(s.get("features"))
     manifest = D.load_manifest(s.get("manifest"))
     labels = {row.clip_id: row.traits.astype(np.float32) for row in manifest.rows}
@@ -326,13 +333,6 @@ def _cmd_train_rnn(s: Settings) -> int:
         raise D.ManifestError("feature cache is empty")
     input_dim = sequences[0][0].shape[1]
     hidden = int(s.get("hidden", R.RNN_HIDDEN))
-    config = R.RnnTrainConfig(
-        epochs=int(s.get("epochs", 100)),
-        seed=int(s.get("seed", 0)),
-        trunc=int(s.get("trunc", R.TRUNCATION)),
-        dropout=float(s.get("dropout", R.DROPOUT_RATE)),
-        alpha=float(s.get("alpha", 2e-4)),
-    )
     params = R.build_rnn_head(config.seed, input_dim=input_dim, hidden=hidden, out_dim=5)
     losses = R.train_rnn(sequences, params, config)
     T.write_tensor_container(s.get("out"), params)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import layers as L
 from .model import backward, build_network, forward_train, mini_architecture, trainable_names
+from .rnn_head import head_manifest, rnn_backward, rnn_forward
 
 H = 1e-5
 LAYER_TOL = 1e-5
@@ -196,25 +197,23 @@ def _block_case(rng, kind):
     return _projected(rng, {**arrays, "x": x}, forward, grads)
 
 
-def _lstm_case(rng):
-    B, D, Hn = 2, 4, 3
-    # in lstm_step's argument order, which lstm_step_backward's gradients follow
-    arrays = {
-        "x": rng.standard_normal((B, D)),
-        "h": rng.standard_normal((B, Hn)),
-        "c": rng.standard_normal((B, Hn)),
-        "wx": rng.standard_normal((D, 4 * Hn)) * 0.5,
-        "wh": rng.standard_normal((Hn, 4 * Hn)) * 0.5,
-        "b": rng.standard_normal(4 * Hn) * 0.1,
-    }
+def _lstm_segment_case(rng):
+    """Both LSTM layers and the readout over a T=4 segment from a nonzero state.
 
-    def forward():  # both outputs, so loss = <h, R[0]> + <c, R[1]>
-        h, c, cache = L.lstm_step(*arrays.values())
-        return np.stack([h, c]), cache
+    Every forward reseeds its generator, so the dropout masks stay fixed
+    while the weights are perturbed.
+    """
+    T, D, Hn, K = 4, 3, 3, 2
+    arrays = {name: rng.standard_normal(shape) * 0.5 for name, shape in head_manifest(D, Hn, K).items()}
+    seq = rng.standard_normal((T, D))
+    state = tuple(rng.standard_normal((1, Hn)) for _ in range(4))
+    mask_seed = int(rng.integers(2**32))
 
-    return _projected(
-        rng, arrays, forward, lambda cache, R: dict(zip(arrays, L.lstm_step_backward(cache, R[0], R[1])))
-    )
+    def forward():
+        out, tape, _ = rnn_forward(seq, arrays, "train", np.random.Generator(np.random.PCG64(mask_seed)), 0.5, state)
+        return out, tape
+
+    return _projected(rng, arrays, forward, lambda tape, R: rnn_backward(tape, R, arrays))
 
 
 LAYER_CASES = [
@@ -228,7 +227,7 @@ LAYER_CASES = [
     ("scaled_tanh", _scaled_tanh_case),
     ("residual_block_identity", lambda rng: _block_case(rng, "identity")),
     ("residual_block_projection", lambda rng: _block_case(rng, "projection")),
-    ("lstm_step", _lstm_case),
+    ("lstm_segment", _lstm_segment_case),
 ]
 
 

@@ -541,11 +541,14 @@ def lstm_step(x, h_prev, c_prev, wx, wh, b):
 
 
 def lstm_step_backward(cache, dh, dc):
-    """Adjoint of lstm_step. dh/dc are gradients flowing into h_t and c_t.
+    """Adjoint of lstm_step through its state. dh/dc are gradients flowing into h_t and c_t.
 
-    Returns (dx, dh_prev, dc_prev, dwx, dwh, db).
+    Returns (dz, dh_prev, dc_prev), dz (B, 4H) being the gradient at the
+    gate pre-activations. The weight and input gradients are products with
+    dz (x.T @ dz, h_prev.T @ dz, dz.sum(0), dz @ wx.T), which a caller
+    forms once over the stacked dz of many steps.
     """
-    x, h_prev, c_prev, wx, wh, i, f, g, o, tc = cache
+    _, _, c_prev, _, wh, i, f, g, o, tc = cache
     do = dh * tc
     dct = dc + dh * o * (1.0 - tc * tc)
     di = dct * g
@@ -557,12 +560,7 @@ def lstm_step_backward(cache, dh, dc):
     dzg = dg * (1.0 - g * g)
     dzo = do * o * (1.0 - o)
     dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)
-    dwx = x.T @ dz
-    dwh = h_prev.T @ dz
-    db = dz.sum(axis=0)
-    dx = dz @ wx.T
-    dh_prev = dz @ wh.T
-    return dx, dh_prev, dc_prev, dwx, dwh, db
+    return dz, dz @ wh.T, dc_prev
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,32 @@ class AdamState:
     epsilon: float = 1e-8
 
 
+# Elements per block in adam_step. One block of each operand it touches
+# (gradient, both moments, the update and two temporaries: 768 KB at float32)
+# stays in a core's L2 cache through the block's 15 elementwise passes. On
+# x86 cores with 2 MB of L2, 2**15 was the fastest power of two from 2**12
+# to 2**17 over the 4.2M-parameter recurrent head.
+ADAM_BLOCK = 1 << 15
+
+
+def check_adam_hyperparameters(alpha, beta1=0.5, beta2=0.999, epsilon=1e-8) -> None:
+    """Reject a step size, decay or epsilon that would make Adam's updates meaningless."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= beta < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), got {beta}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
 def init_adam(params: dict, trainable, alpha=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8) -> AdamState:
+    check_adam_hyperparameters(alpha, beta1, beta2, epsilon)
     state = AdamState(alpha=alpha, beta1=beta1, beta2=beta2, epsilon=epsilon)
     for name in trainable:
         p = params[name]
-        state.m[name] = np.zeros_like(p)
-        state.v[name] = np.zeros_like(p)
+        state.m[name] = np.zeros(p.shape, p.dtype)
+        state.v[name] = np.zeros(p.shape, p.dtype)
     return state
 
 
@@ -62,31 +82,69 @@ def update_bound(state: AdamState) -> float:
     return state.alpha * math.sqrt((1.0 - state.beta1) / (1.0 - state.beta2))
 
 
+def _flat(moment: np.ndarray, name: str) -> np.ndarray:
+    if not moment.flags.c_contiguous:
+        raise ValueError(f"Adam moment for {name!r} must be C-contiguous to be updated in place")
+    return moment.reshape(-1)
+
+
+def _checked_update(name: str, g: np.ndarray, state: AdamState, bc1: float, bc2: float, bound: float) -> np.ndarray:
+    """Advance one tensor's moments in place and return its checked update."""
+    beta1, beta2, alpha, epsilon = state.beta1, state.beta2, state.alpha, state.epsilon
+    m = _flat(state.m[name], name)
+    v = _flat(state.v[name], name)
+    g = g.reshape(-1)
+    update = np.empty(state.m[name].shape, np.result_type(m, v))
+    u = update.reshape(-1)
+    tg = np.empty(min(g.size, ADAM_BLOCK), np.result_type(g, 1.0))
+    tu = np.empty(tg.size, u.dtype)
+    for lo in range(0, g.size, ADAM_BLOCK):
+        blk = slice(lo, lo + ADAM_BLOCK)
+        gb, mb, vb, ub = g[blk], m[blk], v[blk], u[blk]
+        t_g, t_u = tg[: gb.size], tu[: gb.size]
+        mb *= beta1
+        mb += np.multiply(1.0 - beta1, gb, out=t_g)
+        vb *= beta2
+        vb += np.multiply(1.0 - beta2, np.multiply(gb, gb, out=t_g), out=t_g)
+        np.multiply(alpha, np.divide(mb, bc1, out=ub), out=ub)
+        np.divide(ub, np.add(np.sqrt(np.divide(vb, bc2, out=t_u), out=t_u), epsilon, out=t_u), out=ub)
+        peak = float(np.abs(ub, out=t_u).max())
+        # a NaN or infinite gradient entry makes its update NaN, so only a
+        # block that fails the bound can hold one
+        if not peak <= bound:
+            if not np.all(np.isfinite(gb)):
+                raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
+            raise FloatingPointError(f"update for {name!r} exceeded its bound ({peak:g} > {bound:g})")
+    return update
+
+
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place, over every tracked parameter."""
+    """One bias-corrected Adam update, in place, over every tracked parameter.
+
+    Each tensor goes in blocks of ADAM_BLOCK elements: the moments are
+    updated in place and the update is written into one scratch buffer,
+    which is subtracted from the parameter only once every block has passed
+    the bound check. Every elementwise operation has the operands, order
+    and dtypes of the one-expression form
+        m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g^2,
+        p -= alpha (m / bc1) / (sqrt(v / bc2) + epsilon),
+    so the result is bitwise that form's. A tensor whose gradient is not
+    finite, or whose update is NaN or beyond the bound, raises and keeps its
+    parameter unchanged; its moments and the step count are not restored.
+    """
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
     bound = update_bound(state) * (1.0 + 1e-6)
-    for name in sorted(state.m):
-        if name not in grads:
-            raise KeyError(f"gradient missing for parameter {name!r}")
-        g = grads[name]
-        if g.shape != params[name].shape:
-            raise ShapeMismatchError(f"gradient for {name}", g.shape, params[name].shape)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-        peak = float(np.max(np.abs(update))) if update.size else 0.0
-        if peak > bound:
-            raise FloatingPointError(f"update for {name!r} exceeded its bound ({peak:g} > {bound:g})")
-        params[name] -= update
+    # inf / inf is how a non-finite gradient shows in its update
+    with np.errstate(invalid="ignore"):
+        for name in sorted(state.m):
+            if name not in grads:
+                raise KeyError(f"gradient missing for parameter {name!r}")
+            g = grads[name]
+            if g.shape != params[name].shape:
+                raise ShapeMismatchError(f"gradient for {name}", g.shape, params[name].shape)
+            params[name] -= _checked_update(name, g, state, bc1, bc2, bound)
 
 
 def mae_loss(pred: np.ndarray, target: np.ndarray):

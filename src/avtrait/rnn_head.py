@@ -31,7 +31,7 @@ from .layers import (
     scaled_tanh_backward,
 )
 from .model import Architecture, clip_features, he_normal
-from .optim import adam_step, init_adam, mae_loss
+from .optim import adam_step, check_adam_hyperparameters, init_adam, mae_loss
 
 RNN_HIDDEN = 512
 TRUNCATION = 15
@@ -49,6 +49,11 @@ class RnnTrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.trunc < 1:
+            raise ValueError(f"truncation length must be >= 1, got {self.trunc}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout rate must be in [0,1), got {self.dropout}")
+        check_adam_hyperparameters(self.alpha)
 
 
 def head_manifest(input_dim: int = 512, hidden: int = RNN_HIDDEN, out_dim: int = 5) -> dict:
@@ -142,36 +147,45 @@ def rnn_forward(seq: np.ndarray, params: dict, mode: str, rng=None, dropout: flo
 _GRAD_KEYS = ("rnn.l1.wx", "rnn.l1.wh", "rnn.l1.b", "rnn.l2.wx", "rnn.l2.wh", "rnn.l2.b", "rnn.out.w", "rnn.out.b")
 
 
+def _rows(steps):
+    """Stack per-step (1, n) arrays into (T, n); None when the steps hold None."""
+    return None if steps[0] is None else np.concatenate(steps)
+
+
+def _layer_backward(caches, dh_in):
+    """BPTT through one LSTM layer over a segment.
+
+    dh_in (T, H) is the gradient reaching each step's output from above.
+    Only the dh/dc recurrence runs per step; the weight gradients are one
+    product each over the segment's stacked gate gradients dZ (T, 4H).
+    Returns (dZ, dwx, dwh, db).
+    """
+    dh = np.zeros_like(dh_in[:1])
+    dc = np.zeros_like(dh)
+    dz_steps = [None] * len(caches)
+    for t in range(len(caches) - 1, -1, -1):
+        dz_steps[t], dh, dc = lstm_step_backward(caches[t], dh + dh_in[t : t + 1], dc)
+    dZ = np.concatenate(dz_steps)
+    x = np.concatenate([cache[0] for cache in caches])
+    h_prev = np.concatenate([cache[1] for cache in caches])
+    return dZ, x.T @ dZ, h_prev.T @ dZ, dZ.sum(axis=0)
+
+
 def rnn_backward(tape, grad_out: np.ndarray, params: dict) -> dict:
     """Full backpropagation through the steps covered by `tape`.
 
     Gradients do not flow out of the segment's initial state, which is what
-    truncation means.
+    truncation means. The readout and each layer's weight gradients are
+    formed once per segment; layer 2's recurrence runs first, and one
+    product with its input weights gives layer 1 its per-step gradients.
     """
-    _, hidden, _ = head_dims(params)
-    dtype = grad_out.dtype
-    grads = {k: np.zeros_like(params[k]) for k in _GRAD_KEYS}
-    dh1 = np.zeros((1, hidden), dtype=dtype)
-    dc1 = np.zeros((1, hidden), dtype=dtype)
-    dh2 = np.zeros((1, hidden), dtype=dtype)
-    dc2 = np.zeros((1, hidden), dtype=dtype)
-    for t in range(len(tape) - 1, -1, -1):
-        cache1, mask1, cache2, mask2, c_lin, c_tanh = tape[t]
-        dz = scaled_tanh_backward(c_tanh, grad_out[t : t + 1])
-        dw, db, dd2 = linear_backward(c_lin, dz)
-        grads["rnn.out.w"] += dw
-        grads["rnn.out.b"] += db
-        dh2 = dh2 + dropout_backward(mask2, dd2)
-        dd1, dh2, dc2, dwx2, dwh2, db2 = lstm_step_backward(cache2, dh2, dc2)
-        grads["rnn.l2.wx"] += dwx2
-        grads["rnn.l2.wh"] += dwh2
-        grads["rnn.l2.b"] += db2
-        dh1 = dh1 + dropout_backward(mask1, dd1)
-        _, dh1, dc1, dwx1, dwh1, db1 = lstm_step_backward(cache1, dh1, dc1)
-        grads["rnn.l1.wx"] += dwx1
-        grads["rnn.l1.wh"] += dwh1
-        grads["rnn.l1.b"] += db1
-    return grads
+    caches1, masks1, caches2, masks2, lins, outs = zip(*tape)
+    dz = scaled_tanh_backward(np.concatenate(outs), grad_out)
+    dw_out, db_out, dd2 = linear_backward((np.concatenate([lin[0] for lin in lins]), params["rnn.out.w"]), dz)
+    dZ2, dwx2, dwh2, db2 = _layer_backward(caches2, dropout_backward(_rows(masks2), dd2))
+    dd1 = dZ2 @ params["rnn.l2.wx"].T
+    _, dwx1, dwh1, db1 = _layer_backward(caches1, dropout_backward(_rows(masks1), dd1))
+    return dict(zip(_GRAD_KEYS, (dwx1, dwh1, db1, dwx2, dwh2, db2, dw_out, db_out)))
 
 
 def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, mode: str = "eval", rng=None, dropout: float = 0.0):
@@ -199,8 +213,9 @@ def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, mode: 
         outs.append(out)
     outputs = np.concatenate(outs, axis=0)
     loss, dout = mae_loss(outputs, np.ascontiguousarray(target))
-    grads = {k: np.zeros_like(params[k]) for k in _GRAD_KEYS}
-    for tape, seg in segments:
+    (tape, seg), *rest = segments
+    grads = rnn_backward(tape, dout[seg], params)
+    for tape, seg in rest:
         seg_grads = rnn_backward(tape, dout[seg], params)
         for k in _GRAD_KEYS:
             grads[k] += seg_grads[k]

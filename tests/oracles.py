@@ -154,6 +154,43 @@ def lstm_step_loops(x, h_prev, c_prev, wx, wh, b):
     return h, c
 
 
+def rnn_backward_per_step(tape, grad_out, params):
+    """Per-step BPTT over an `rnn_head.rnn_forward` tape.
+
+    Every step forms its own weight-gradient outer products and adds them
+    into the totals, layer 2 then layer 1. `rnn_head.rnn_backward` forms
+    one product per segment instead, so the two differ only in summation
+    order.
+    """
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    hidden = params["rnn.l1.wh"].shape[0]
+    dh1, dc1, dh2, dc2 = (np.zeros((1, hidden), dtype=grad_out.dtype) for _ in range(4))
+
+    def step(cache, dh, dc, prefix):
+        x, h_prev, c_prev, wx, wh, i, f, g, o, tc = cache
+        dct = dc + dh * o * (1.0 - tc * tc)
+        dz = np.concatenate(
+            [dct * g * i * (1.0 - i), dct * c_prev * f * (1.0 - f), dct * i * (1.0 - g * g), dh * tc * o * (1.0 - o)],
+            axis=1,
+        )
+        grads[prefix + ".wx"] += x.T @ dz
+        grads[prefix + ".wh"] += h_prev.T @ dz
+        grads[prefix + ".b"] += dz.sum(axis=0)
+        return dz @ wx.T, dz @ wh.T, dct * f
+
+    for t in range(len(tape) - 1, -1, -1):
+        cache1, mask1, cache2, mask2, (d2, w_out), y = tape[t]
+        dz = grad_out[t : t + 1] * (2.0 * y * (1.0 - y))
+        grads["rnn.out.w"] += d2.T @ dz
+        grads["rnn.out.b"] += dz.sum(axis=0)
+        dd2 = dz @ w_out.T
+        dh2 = dh2 + (dd2 if mask2 is None else dd2 * mask2)
+        dd1, dh2, dc2 = step(cache2, dh2, dc2, "rnn.l2")
+        dh1 = dh1 + (dd1 if mask1 is None else dd1 * mask1)
+        _, dh1, dc1 = step(cache1, dh1, dc1, "rnn.l1")
+    return grads
+
+
 def adam_scalar_reference(g_fn, theta0, steps, alpha, beta1, beta2, epsilon):
     """Pure-Python scalar Adam; g_fn maps theta -> gradient."""
     theta = float(theta0)

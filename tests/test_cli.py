@@ -302,7 +302,7 @@ class TestGradcheckCommand:
     def test_layer_table_exit_zero(self, capsys):
         assert run(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "conv2d" in out and "lstm_step" in out and "pass" in out
+        assert "conv2d" in out and "lstm_segment" in out and "pass" in out
         assert run(["gradcheck", "--seed", "0", "--mini"]) == 0
         row = [line for line in capsys.readouterr().out.splitlines() if line.startswith("full_miniature_network")]
         assert len(row) == 1 and row[0].split()[-1] == "pass"
@@ -342,6 +342,29 @@ def test_degenerate_setting_is_data_error(workspace, feature_cache, tmp_path, ca
     argv = [command, "--manifest", workspace["manifest"], "--out", str(tmp_path / "o"), "--config", cfg]
     assert run(argv + inputs + flags) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags, config, message",
+    [
+        ("train-rnn", ["--trunc", "0"], "", "truncation length"),
+        ("train-rnn", ["--dropout", "1"], "", "dropout rate"),
+        ("train-rnn", [], "alpha = nan\n", "alpha"),
+        ("train", [], "initial_alpha = nan\n", "alpha"),
+        ("train", [], "beta2 = 1.0\n", "beta2"),
+    ],
+)
+def test_bad_setting_exits_before_reading_data(tmp_path, capsys, command, flags, config, message):
+    # neither input exists, so only a check made before reading them can
+    # name the setting
+    cfg = str(tmp_path / "c.cfg")
+    open(cfg, "w").write(config)
+    argv = [command, "--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o"), "--config", cfg]
+    if command == "train-rnn":
+        argv += ["--features", str(tmp_path / "missing.ckpt")]
+    assert run(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert message in err and "missing" not in err
 
 
 class TestNumericFailureExit:

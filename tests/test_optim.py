@@ -170,3 +170,91 @@ class TestUpdateBound:
     def test_paper_betas_value(self):
         state = O.AdamState(alpha=2e-4, beta1=0.5, beta2=0.999)
         assert O.update_bound(state) == pytest.approx(2e-4 * math.sqrt(500.0))
+
+
+class TestAdamHyperparameters:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": 0.0}, {"alpha": -1e-4},
+            {"beta1": -0.1}, {"beta1": 1.0}, {"beta1": math.nan}, {"beta2": 1.0},
+            {"epsilon": 0.0}, {"epsilon": -1e-8}, {"epsilon": math.nan},
+        ],
+    )
+    def test_init_rejects(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            O.init_adam(one_param([1.0, 2.0, 3.0]), ["w"], **kwargs)
+
+    def test_nan_step_size_fails_closed(self):
+        # a NaN bound must fail the check, not pass it
+        params = one_param([1.0, 2.0, 3.0])
+        state = O.init_adam(params, ["w"])
+        state.alpha = math.nan
+        with pytest.raises(FloatingPointError, match="bound"):
+            O.adam_step(params, {"w": np.array([0.1, -0.2, 0.3])}, state)
+        np.testing.assert_array_equal(params["w"], [1.0, 2.0, 3.0])
+
+
+# 0-d, empty, and sizes on both sides of one and two block boundaries
+ADAM_SHAPES = [(), (0,), (3, 0), (7,), (O.ADAM_BLOCK - 1,), (O.ADAM_BLOCK + 1,), (2, O.ADAM_BLOCK + 3), (3, 5, 7)]
+
+
+def _adam_case(shape, dtype, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    p = np.asarray(rng.standard_normal(shape), dtype)  # a 0-d draw would otherwise decay to a scalar
+    grads = [np.asarray(rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3), dtype) for _ in range(3)]
+    return p, grads
+
+
+class TestBlockedAdam:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(ADAM_SHAPES),
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-4, 2e-4, 3e-2]),
+        st.sampled_from([0.0, 0.5, 0.9]),
+        st.sampled_from([0.9, 0.999]),
+    )
+    def test_three_steps_equal_textbook_update_bitwise(self, shape, dtype, seed, alpha, beta1, beta2):
+        p, grads = _adam_case(shape, dtype, seed)
+        params = {"w": p.copy()}
+        state = O.init_adam(params, ["w"], alpha=alpha, beta1=beta1, beta2=beta2)
+        ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        for t, g in enumerate(grads, start=1):
+            O.adam_step(params, {"w": g}, state)
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * (g * g)
+            ref = ref - alpha * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + 1e-8)
+        assert isinstance(params["w"], np.ndarray) and params["w"].dtype == dtype and params["w"].shape == shape
+        assert params["w"].tobytes() == ref.tobytes()
+        assert state.m["w"].tobytes() == m.tobytes() and state.v["w"].tobytes() == v.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([s for s in ADAM_SHAPES if math.prod(s) > 0]),
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["nan", "inf", "-inf", "bound"]),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_rejected_step_leaves_parameter_unchanged(self, shape, dtype, seed, fault, where):
+        p, grads = _adam_case(shape, dtype, seed)
+        params = {"w": p}
+        state = O.init_adam(params, ["w"])
+        O.adam_step(params, {"w": grads[0]}, state)
+        before = params["w"].tobytes()
+        i = int(where * p.size)
+        g = grads[1].copy()
+        if fault == "bound":
+            # a first moment with no second moment: the update is about m / epsilon
+            state.m["w"].reshape(-1)[i] = 1.0
+            state.v["w"].reshape(-1)[i] = 0.0
+            g.reshape(-1)[i] = 0.0
+            error = FloatingPointError
+        else:
+            g.reshape(-1)[i] = float(fault)
+            error = O.NonFiniteGradientError
+        with pytest.raises(error, match="'w'"):
+            O.adam_step(params, {"w": g}, state)
+        assert params["w"].tobytes() == before

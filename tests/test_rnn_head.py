@@ -5,7 +5,8 @@ from avtrait import data as D
 from avtrait import model as M
 from avtrait import rnn_head as R
 from avtrait.layers import lstm_step
-from oracles import central_difference, fd_rel_err
+from avtrait.optim import mae_loss
+from oracles import central_difference, fd_rel_err, rnn_backward_per_step
 
 
 def rng64(seed=0):
@@ -159,6 +160,37 @@ class TestTruncatedBptt:
         for name, arr in params.items():
             numeric = central_difference(loss, arr)
             assert fd_rel_err(grads[name], numeric) <= 1e-5, name
+
+
+class TestPerStepOracle:
+    @pytest.mark.parametrize("steps", [1, 3, 15, 20])
+    def test_segment_backward_matches_per_step_bptt(self, steps):
+        # float64, trunc 15, dropout 0.5: the gradients differ from the
+        # per-step path only in summation order. The error is measured
+        # against each tensor's largest entry, since an entry that nearly
+        # cancels keeps the absolute rounding of the terms that made it.
+        def close(got, ref, name):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=name)
+
+        params = toy_head(37, input_dim=6, hidden=8, out_dim=3)
+        seq = rng64(38).standard_normal((steps, 6))
+        target = rng64(39).random(3)
+        _, grads, outputs = R.sequence_gradients(params, seq, target, 15, mode="train", rng=rng64(40), dropout=0.5)
+        _, dout = mae_loss(outputs, np.ascontiguousarray(np.broadcast_to(target, (steps, 3))))
+        rng = rng64(40)  # the same seed draws the same masks in the same order
+        state = None
+        expect = {k: np.zeros_like(v) for k, v in params.items()}
+        for lo in range(0, steps, 15):
+            seg = slice(lo, lo + 15)
+            out, tape, state = R.rnn_forward(seq[seg], params, "train", rng, 0.5, state=state)
+            np.testing.assert_array_equal(out, outputs[seg])
+            got = R.rnn_backward(tape, dout[seg], params)
+            ref = rnn_backward_per_step(tape, dout[seg], params)
+            for k in params:
+                close(got[k], ref[k], k)
+                expect[k] += ref[k]
+        for k in params:
+            close(grads[k], expect[k], k)
 
 
 class TestDropout:
