@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -282,11 +283,14 @@ def _cmd_predict(s: Settings) -> int:
 
 
 def _cmd_finetune(s: Settings) -> int:
+    # the checks do not look at the crops, so the base's miniature flag can
+    # join the config after it is read
+    config = _train_config(s, s.get("out"), s.get("mini", False))
     base = T.load_checkpoint(s.get("checkpoint"))
     trait = _trait_index(str(s.get("trait")))
     manifest = D.load_manifest(s.get("manifest"))
-    mini = s.get("mini", False) or base.mini
-    config = _train_config(s, s.get("out"), mini)
+    if base.mini and not config.mini:
+        config = replace(config, mini=True)
     result = T.finetune_per_trait(base, trait, config, manifest)
     last_epoch, alpha, mae = result.losses[-1]
     print(f"trait {D.TRAITS[trait]} epoch {last_epoch} train_mae {mae:.6f}")

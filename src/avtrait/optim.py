@@ -18,11 +18,22 @@ class NonFiniteGradientError(FloatingPointError):
     """A gradient contained NaN or inf; message names the parameter."""
 
 
+def check_decay_factor(factor, name="decay_factor") -> None:
+    """Reject a step-decay factor under which alpha would grow, change sign, turn NaN or divide by zero."""
+    if not (math.isfinite(factor) and factor >= 1.0):
+        raise ValueError(f"{name} must be finite and >= 1, got {factor}")
+
+
 @dataclass
 class LrSchedule:
     initial_alpha: float = 2e-4
     decay_factor: float = 10.0
     period: int = 300
+
+    def __post_init__(self):
+        check_decay_factor(self.decay_factor)
+        if self.period < 1:
+            raise ValueError(f"period must be >= 1, got {self.period}")
 
     def alpha_for_epoch(self, epoch: int) -> float:
         if epoch < 0:

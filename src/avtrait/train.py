@@ -56,7 +56,7 @@ from .model import (
     validate_params,
     with_out_dim,
 )
-from .optim import AdamState, LrSchedule, adam_step, check_adam_hyperparameters, init_adam, mae_loss
+from .optim import AdamState, LrSchedule, adam_step, check_adam_hyperparameters, check_decay_factor, init_adam, mae_loss
 
 log = logging.getLogger(__name__)
 
@@ -286,6 +286,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm needs real statistics)")
+        check_decay_factor(self.lr_decay_factor, "lr_decay_factor")
         check_adam_hyperparameters(self.initial_alpha, self.beta1, self.beta2, self.epsilon)
 
     @property

@@ -84,6 +84,19 @@ def batchnorm_train_loops(x, gamma, beta, epsilon=1e-5):
     return out.reshape(x.shape)
 
 
+def batchnorm_backward_three_term(xhat, inv_std, gamma, grad_out):
+    """Train-mode batch-norm input gradient through dxhat = gamma * g:
+    inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) per channel,
+    with the means over (batch, spatial). Returns (dgamma, dbeta, dx)."""
+    axes = (0,) + tuple(range(2, grad_out.ndim))
+    shape = (1, -1) + (1,) * (grad_out.ndim - 2)
+    dxhat = grad_out * gamma.reshape(shape)
+    mean_dxhat = dxhat.mean(axis=axes).reshape(shape)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=axes).reshape(shape)
+    dx = inv_std.reshape(shape) * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    return (grad_out * xhat).sum(axis=axes), grad_out.sum(axis=axes), dx
+
+
 def maxpool1d_windows(x, kernel, stride, padding):
     """Explicit window scan with -inf padding."""
     B, C, L = x.shape

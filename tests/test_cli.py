@@ -352,16 +352,21 @@ def test_degenerate_setting_is_data_error(workspace, feature_cache, tmp_path, ca
         ("train-rnn", [], "alpha = nan\n", "alpha"),
         ("train", [], "initial_alpha = nan\n", "alpha"),
         ("train", [], "beta2 = 1.0\n", "beta2"),
+        ("train", [], "lr_decay_factor = 0\n", "lr_decay_factor"),
+        ("train", [], "lr_decay_factor = nan\n", "lr_decay_factor"),
+        ("finetune", [], "initial_alpha = nan\n", "alpha"),
     ],
 )
 def test_bad_setting_exits_before_reading_data(tmp_path, capsys, command, flags, config, message):
-    # neither input exists, so only a check made before reading them can
-    # name the setting
+    # no input exists, so only a check made before reading them can name
+    # the setting
     cfg = str(tmp_path / "c.cfg")
     open(cfg, "w").write(config)
     argv = [command, "--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o"), "--config", cfg]
     if command == "train-rnn":
         argv += ["--features", str(tmp_path / "missing.ckpt")]
+    if command == "finetune":
+        argv += ["--checkpoint", str(tmp_path / "missing.ckpt"), "--trait", "0"]
     assert run(argv + flags) == 2
     err = capsys.readouterr().err
     assert message in err and "missing" not in err

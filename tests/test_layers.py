@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from avtrait import layers as L
 from avtrait.gradcheck import LAYER_CASES
 from oracles import (
+    batchnorm_backward_three_term,
     batchnorm_train_loops,
     central_difference,
     conv1d_loops,
@@ -30,6 +33,23 @@ def test_gradients_match_finite_differences(layer, build):
     _, analytic = run()
     for name, x in arrays.items():
         assert fd_rel_err(analytic[name], central_difference(lambda: run()[0], x)) <= FD_TOL, name
+
+
+def reachable_arrays(obj):
+    """Every array a (nested) cache reaches: its arrays and the buffers they view."""
+    found, stack = [], [obj]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, (tuple, list)):
+            stack.extend(o)
+        elif dataclasses.is_dataclass(o) and not isinstance(o, type):
+            stack.extend(getattr(o, f.name) for f in dataclasses.fields(o))
+        elif isinstance(o, np.ndarray):
+            while o is not None:  # an as_strided view's base is a wrapper whose base is the buffer
+                if isinstance(o, np.ndarray):
+                    found.append(o)
+                o = getattr(o, "base", None)
+    return found
 
 
 class TestConvSpec:
@@ -128,6 +148,46 @@ class TestConvBackward:
         _, cache = L.conv_forward(x, w, np.zeros(1, np.float32), L.ConvSpec((3,), (1,), (1,), 1, 1))
         with pytest.raises(L.ShapeMismatchError):
             L.conv_backward(cache, np.zeros((1, 1, 5), dtype=np.float32))
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_cache_holds_nothing_larger_than_input_or_weight(self, ndim):
+        # the columns are 9x the input here; backward rebuilds them from x
+        rng = rng64(5)
+        x = rng.standard_normal((2, 4) + (12,) * ndim).astype(np.float32)
+        w = rng.standard_normal((4, 4) + (3,) * ndim).astype(np.float32)
+        spec = L.ConvSpec((3,) * ndim, (1,) * ndim, (1,) * ndim, 4, 4)
+        _, cache = L.conv_forward(x, w, np.zeros(4, np.float32), spec)
+        largest = max(a.nbytes for a in reachable_arrays(cache))
+        assert largest <= max(x.nbytes, w.nbytes)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_sample_slices_match_the_whole_batch(self, monkeypatch, ndim, stride):
+        rng = rng64(7)
+        x = rng.standard_normal((3, 2) + (9,) * ndim)
+        w = rng.standard_normal((4, 2) + (3,) * ndim)
+        spec = L.ConvSpec((3,) * ndim, (stride,) * ndim, (1,) * ndim, 2, 4)
+        y, cache = L.conv_forward(x, w, np.zeros(4), spec)
+        g = rng.standard_normal(y.shape)
+        dw, db, dx = L.conv_backward(cache, g)
+        monkeypatch.setattr(L, "COLUMN_BYTES", 1)
+        dw1, db1, dx1 = L.conv_backward(cache, g)
+        np.testing.assert_allclose(dw1, dw, rtol=1e-12)
+        np.testing.assert_array_equal(db1, db)
+        np.testing.assert_array_equal(dx1, dx)
+
+    def test_unit_stride_with_padding_beyond_kernel_is_adjoint(self):
+        # padding >= kernel leaves the correlation form; the offset adds take over
+        rng = rng64(6)
+        x = rng.standard_normal((2, 2, 5, 4))
+        w = rng.standard_normal((3, 2, 2, 3))
+        spec = L.ConvSpec((2, 3), (1, 1), (2, 1), 2, 3)
+        y, cache = L.conv_forward(x, w, np.zeros(3), spec)
+        g = rng.standard_normal(y.shape)
+        dw, _, dx = L.conv_backward(cache, g)
+        lhs = float(np.sum(y * g))
+        assert float(np.sum(x * dx)) == pytest.approx(lhs, rel=1e-12)
+        assert float(np.sum(w * dw)) == pytest.approx(lhs, rel=1e-12)
 
 
 @st.composite
@@ -290,6 +350,41 @@ class TestBatchNorm:
         np.testing.assert_array_equal(state.running_mean, before[0])
         np.testing.assert_array_equal(state.running_var, before[1])
 
+    @pytest.mark.parametrize("shape", [(6, 3, 40), (4, 3, 6, 7)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_forward_bitwise_equals_var_form(self, shape, dtype):
+        rng = rng64(15)
+        x = (rng.standard_normal(shape) * 3.0 + 1.0).astype(dtype)
+        c = shape[1]
+        gamma, beta = (rng.standard_normal(c) + 1.0).astype(dtype), rng.standard_normal(c).astype(dtype)
+        state = L.BatchNormState(gamma, beta, rng.standard_normal(c).astype(dtype), rng.random(c).astype(dtype) + 0.5)
+        axes, bc = (0,) + tuple(range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        inv_std = 1.0 / np.sqrt(var + state.epsilon)
+        xhat = (x - mean.reshape(bc)) * inv_std.reshape(bc)
+        ref = gamma.reshape(bc) * xhat + beta.reshape(bc)
+        m = state.momentum
+        running = (m * state.running_mean + (1.0 - m) * mean, m * state.running_var + (1.0 - m) * var)
+        y, cache = L.batchnorm_forward(x, state, "train")
+        assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()
+        assert cache[0].tobytes() == xhat.tobytes()
+        assert state.running_mean.tobytes() == running[0].tobytes()
+        assert state.running_var.tobytes() == running[1].tobytes()
+
+    @pytest.mark.parametrize("shape", [(7, 3), (5, 3, 11), (4, 3, 5, 6)], ids=["0d", "1d", "2d"])
+    def test_backward_matches_three_term_oracle(self, shape):
+        rng = rng64(16)
+        c = shape[1]
+        gamma = rng.standard_normal(c) * 2.0
+        state = L.BatchNormState(gamma, rng.standard_normal(c), np.zeros(c), np.ones(c))
+        _, cache = L.batchnorm_forward(rng.standard_normal(shape) * 2.0 - 0.5, state, "train")
+        g = rng.standard_normal(shape)
+        xhat, inv_std, _, _ = cache
+        got = L.batchnorm_backward(cache, g)
+        for a, b in zip(got, batchnorm_backward_three_term(xhat, inv_std, gamma, g)):
+            # dx sums to zero per channel, so the absolute floor is relative to its largest entry
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
     def test_degenerate_batch_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
             L.batchnorm_forward(np.ones((1, 2)), self.fresh_state(2), "train")
@@ -351,6 +446,17 @@ class TestMaxPool:
         y, cache = L.maxpool_forward(x, L.ConvSpec((4,), (4,), (0,)))
         dx = L.maxpool_backward(cache, np.ones_like(y))
         np.testing.assert_array_equal(dx, [[[1.0, 0.0, 0.0, 0.0]]])
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_one_sample_slices_match_the_whole_batch(self, monkeypatch, ndim):
+        # integers make ties, so the first-offset rule is exercised per slice
+        rng = rng64(17)
+        x = rng.integers(0, 3, (3, 2) + (7,) * ndim).astype(np.float32)
+        y, cache = L.maxpool_forward(x, L.ConvSpec((3,) * ndim, (2,) * ndim, (1,) * ndim))
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        whole = L.maxpool_backward(cache, g)
+        monkeypatch.setattr(L, "POOL_BYTES", 1)
+        np.testing.assert_array_equal(L.maxpool_backward(cache, g), whole)
 
     def test_output_extent_must_be_positive(self):
         with pytest.raises(ValueError):

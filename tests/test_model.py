@@ -9,7 +9,7 @@ from avtrait import data as D
 from avtrait import model as M
 from avtrait import layers as L
 from avtrait.layers import linear_forward, scaled_tanh
-from test_layers import composed_eval_block, random_bn
+from test_layers import composed_eval_block, random_bn, reachable_arrays
 from oracles import fd_rel_err, stride_trace
 
 HERE = os.path.dirname(__file__)
@@ -197,6 +197,25 @@ class TestForwardTrain:
     def test_mismatched_batches_rejected(self):
         with pytest.raises(M.ShapeMismatchError):
             M.forward_train(self.arch, self.params, self.audio[:2], self.frames)
+
+    def test_tape_holds_less_than_the_activations(self, monkeypatch):
+        # The tape keeps layer inputs, x-hats, masks and the pool's padded
+        # copy. Convolution columns (9 times a 3x3 conv's input) would put
+        # it several times over the bytes every layer outputs.
+        produced = []
+        for name in ("conv_forward", "batchnorm_forward", "relu_forward", "maxpool_forward"):
+            def counted(*args, _fn=getattr(L, name)):
+                y, cache = _fn(*args)
+                produced.append(y.nbytes)
+                return y, cache
+
+            monkeypatch.setattr(L, name, counted)
+            monkeypatch.setattr(M, name, counted)
+        _, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
+        params = {id(v) for v in self.params.values()}
+        buffers = {id(a): a.nbytes for a in reachable_arrays(tape) if a.base is None and id(a) not in params}
+        bound = self.audio.nbytes + self.frames.nbytes + sum(produced)
+        assert sum(buffers.values()) <= bound
 
 
 class TestBackward:

@@ -77,6 +77,15 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             O.LrSchedule().alpha_for_epoch(-1)
 
+    @pytest.mark.parametrize("factor", [0.0, 0.5, -10.0, float("nan"), float("inf")])
+    def test_decay_factor_that_breaks_the_schedule_rejected(self, factor):
+        with pytest.raises(ValueError, match="decay_factor"):
+            O.LrSchedule(decay_factor=factor)
+
+    def test_zero_period_rejected(self):
+        with pytest.raises(ValueError, match="period"):
+            O.LrSchedule(period=0)
+
 
 def one_param(value, dtype=np.float64):
     return {"w": np.array(value, dtype=dtype)}

@@ -336,6 +336,9 @@ class TestTrainLoop:
             T.TrainConfig(checkpoint_every=0)
         with pytest.raises(ValueError, match="lr_period"):
             T.TrainConfig(lr_period=0)
+        for factor in (0.0, 0.5, -10.0, float("nan")):
+            with pytest.raises(ValueError, match="lr_decay_factor"):
+                T.TrainConfig(lr_decay_factor=factor)
         with pytest.raises(ValueError, match="epochs"):
             R.RnnTrainConfig(epochs=0)
         with pytest.raises(ValueError, match="hidden"):
