@@ -10,20 +10,17 @@ training loop).
 1-d layers (audio) and 2-d layers (images) share one N-d windowing core,
 ``_windows``: it pads the input once and views it as ``(B, C, *out,
 *kernel)`` sliding windows. Convolution copies that view into channel-major
-columns (``_columns``), so one product with the flattened weight gives
-``(B, Cout, *out)`` directly; pooling takes a running maximum over the
-kernel offsets.
+columns, ``cols`` of shape ``(B, Cin * prod(kernel), prod(out))``, so one
+product with the flattened weight gives ``(B, Cout, *out)`` directly;
+pooling takes a running maximum over the kernel offsets.
 
 A training tape keeps layer inputs, not columns: the convolution cache is
 ``(x, w, spec)``. The backward pass rebuilds x's columns, laid out
 ``(Cin * prod(kernel), b * prod(out))``, for one ``dw`` product per slice
-of b batch samples (``COLUMN_BYTES``). At unit stride, dx is the
-correlation of the output gradient with the flipped, in/out-swapped kernel
-at padding ``kernel - 1 - padding``, through the same column routine.
-Strided convolutions and max pooling add input gradients into a window view
-of a zero buffer, one kernel offset at a time, a batch slice at a time.
-Batch norm caches x-hat and forms its input gradient from the two parameter
-gradients.
+of b batch samples (``COLUMN_BYTES``). Convolution and max pooling form dx
+by adding window gradients into a window view of a zero buffer, one kernel
+offset at a time. Batch norm caches x-hat and forms its input gradient from
+the two parameter gradients.
 
 Eval mode folds each batch norm into the convolution before it
 (``fold_batchnorm``, ``fold_block``). A folded residual block runs in eval
@@ -151,25 +148,12 @@ def _axes(first: int, n: int) -> tuple:
 COLUMN_BYTES = 8 << 20
 
 
-def _columns(x: np.ndarray, spec: ConvSpec, batch_major: bool = True):
-    """x's columns, one row per (channel, *kernel) offset; returns (cols, outs).
-
-    cols is (B, Cin * prod(kernel), prod(out)) when `batch_major`, for one
-    weight product per sample, and (Cin * prod(kernel), B * prod(out))
-    otherwise, for one product over all of x's samples. outs is the output
-    extent per spatial axis.
-    """
+def _columns(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """x's columns as (Cin * prod(kernel), B * prod(out)), for conv_backward's dw."""
     nd = spec.ndim
-    B = x.shape[0]
     _, win = _windows(x.shape, spec, 0.0, x.dtype, x)
-    outs = win.shape[2 : 2 + nd]
-    # Copy kernel-offset-major (B, C, *kernel, *out) or (C, *kernel, B, *out):
-    # either buffer already is the column matrix, so no transpose follows.
-    if batch_major:
-        order, shape = (0, 1) + _axes(2 + nd, nd) + _axes(2, nd), (B, -1, math.prod(outs))
-    else:
-        order, shape = (1,) + _axes(2 + nd, nd) + (0,) + _axes(2, nd), (-1, B * math.prod(outs))
-    return np.ascontiguousarray(win.transpose(order)).reshape(shape), outs
+    # copied in (C, *kernel, B, *out) order, the buffer is the column matrix
+    return np.ascontiguousarray(win.transpose((1,) + _axes(2 + nd, nd) + (0,) + _axes(2, nd))).reshape(x.shape[1] * math.prod(spec.kernel), -1)
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
@@ -189,21 +173,26 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
     if b.shape != (spec.out_channels,):
         raise ShapeMismatchError("conv bias", b.shape, (spec.out_channels,))
 
-    cols, outs = _columns(x, spec)
+    nd = spec.ndim
+    B = x.shape[0]
+    _, win = _windows(x.shape, spec, 0.0, x.dtype, x)
+    outs = win.shape[2 : 2 + nd]
+    # Copy kernel-offset-major (B, C, *kernel, *out): that buffer already is
+    # cols, one row per (channel, *kernel) and one column per window, and
+    # the weight product comes out channel-major with no transpose.
+    cols = np.ascontiguousarray(win.transpose((0, 1) + _axes(2 + nd, nd) + _axes(2, nd))).reshape(B, w[0].size, -1)
     y = np.matmul(w.reshape(spec.out_channels, -1), cols)
     y += b[:, None]
-    return y.reshape((x.shape[0], spec.out_channels) + outs), (x, w, spec)
+    return y.reshape((B, spec.out_channels) + outs), (x, w, spec)
 
 
 def conv_backward(cache, grad_out: np.ndarray):
     """Exact adjoint of conv_forward; returns (dw, db, dx).
 
-    dw is a product of the output gradient with x's rebuilt columns, one
-    per batch slice. At unit stride, when every padding is below its
-    kernel, dx is the correlation of grad_out with the flipped kernel,
-    input and output channels swapped, at padding kernel - 1 - padding;
-    otherwise each kernel offset's window gradients are added into a
-    window view of a zero buffer.
+    Works in batch slices of at most COLUMN_BYTES of columns. Per slice,
+    dw gains the product of the output gradient with x's rebuilt columns,
+    and each kernel offset's window gradients are added into a window view
+    of dx's zero buffer.
     """
     x, w, spec = cache
     outs = _check_out_extents(x.shape[2:], spec)
@@ -214,34 +203,24 @@ def conv_backward(cache, grad_out: np.ndarray):
 
     g = grad_out.reshape(B, Cout, -1)
     db = g.sum(axis=(0, 2))
-    dtype = np.result_type(w, grad_out)
-    unit = all(s == 1 for s in spec.stride) and all(p < k for p, k in zip(spec.padding, spec.kernel))
-    if unit:
-        flipped = np.flip(w, _axes(2, spec.ndim)).swapaxes(0, 1).reshape(Cin, -1)
-        dspec = ConvSpec(spec.kernel, spec.stride, tuple(k - 1 - p for k, p in zip(spec.kernel, spec.padding)), Cout, Cin)
-        dx = np.empty((B, Cin, math.prod(x.shape[2:])), dtype)
-    else:
-        dx, dx_win = _windows(x.shape, spec, 0.0, dtype)
-    dw = None
-    step = max(1, COLUMN_BYTES // (w[0].size * g.shape[2] * x.itemsize))
+    wf = w.reshape(Cout, -1)
+    dw = np.zeros(wf.shape, np.result_type(grad_out, x))
+    dx, dx_win = _windows(x.shape, spec, 0.0, np.result_type(w, grad_out))
+    step = max(1, COLUMN_BYTES // (wf.shape[1] * g.shape[2] * x.itemsize))
     for lo in range(0, B, step):
         sl = slice(lo, lo + step)
-        # (Cout, b * prod(out)) against (Cin * prod(kernel), b * prod(out)):
-        # the sum over the slice's samples is inside the product
-        part = np.matmul(g[sl].transpose(1, 0, 2).reshape(Cout, -1), _columns(x[sl], spec, batch_major=False)[0].T)
-        if dw is None:
-            dw = part
-        else:
-            dw += part
-        if unit:
-            np.matmul(flipped, _columns(grad_out[sl], dspec)[0], out=dx[sl])
-        else:
-            # window gradients as (b, Cin, *kernel, *out): one block per offset
-            dwin = np.matmul(w.reshape(Cout, -1).T, g[sl]).reshape((-1, Cin) + spec.kernel + outs)
-            dxw = dx_win[sl]
-            for k in np.ndindex(spec.kernel):
-                dxw[(Ellipsis,) + k] += dwin[(slice(None), slice(None)) + k]
-    return dw.reshape(w.shape), db, dx.reshape(x.shape)
+        # One product sums over the slice's samples. The columns are freed
+        # with this statement, before the window gradients are allocated:
+        # holding both let glibc hand the heap back to the system and fault
+        # it in again on every call, which tripled the miniature audio
+        # stem's backward time.
+        dw += np.matmul(_columns(x[sl], spec), g[sl].transpose(1, 0, 2).reshape(Cout, -1).T).T
+        # window gradients as (b, Cin, *kernel, *out): one block per offset
+        dwin = np.matmul(wf.T, g[sl]).reshape((-1, Cin) + spec.kernel + outs)
+        dxw = dx_win[sl]
+        for k in np.ndindex(spec.kernel):
+            dxw[(Ellipsis,) + k] += dwin[(slice(None), slice(None)) + k]
+    return dw.reshape(w.shape), db, dx
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +357,6 @@ def maxpool_forward(x: np.ndarray, spec: ConvSpec):
     return y, (win, y, x.shape, spec)
 
 
-# maxpool_backward routes batch slices of at most this many bytes of input
-# (and at least one sample), so that a slice's masks and window views stay in
-# a core's L2 cache across the kernel offsets. On a 2-core x86-64 VM, one
-# 1.6 MB visual-stem sample per slice took 27 ms at batch 8 against 42 ms for
-# the whole batch at once, while miniature inputs ran fastest in one slice.
-POOL_BYTES = 1 << 20
-
-
 def maxpool_backward(cache, grad_out: np.ndarray):
     """Route each output gradient to one input element that holds its window's maximum.
 
@@ -396,21 +367,13 @@ def maxpool_backward(cache, grad_out: np.ndarray):
     if grad_out.shape != y.shape:
         raise ShapeMismatchError("maxpool grad_out", grad_out.shape, y.shape)
     dx, dx_win = _windows(x_shape, spec, 0.0, grad_out.dtype)
-    offsets = [(Ellipsis,) + k for k in np.ndindex(spec.kernel)]
-    step = max(1, POOL_BYTES // (math.prod(x_shape[1:]) * grad_out.itemsize))
-    for lo in range(0, y.shape[0], step):
-        sl = slice(lo, lo + step)
-        ys, gs, ws, dws = y[sl], grad_out[sl], win[sl], dx_win[sl]
-        hit = np.empty(ys.shape, dtype=bool)
-        pending = np.ones(ys.shape, dtype=bool)  # outputs whose gradient is not routed yet
-        routed = np.empty(ys.shape, dtype=grad_out.dtype)
-        for k in offsets:
-            np.equal(ws[k], ys, out=hit)
-            hit &= pending
-            pending ^= hit
-            # a multiply beats add(where=): the mask is too irregular to branch on
-            np.multiply(gs, hit, out=routed)
-            dws[k] += routed
+    pending = np.ones(y.shape, dtype=bool)  # outputs whose gradient is not routed yet
+    for k in np.ndindex(spec.kernel):
+        hit = win[(Ellipsis,) + k] == y
+        hit &= pending
+        pending ^= hit
+        # a multiply beats add(where=): the mask is too irregular to branch on
+        dx_win[(Ellipsis,) + k] += grad_out * hit
     return dx
 
 

@@ -18,12 +18,6 @@ class NonFiniteGradientError(FloatingPointError):
     """A gradient contained NaN or inf; message names the parameter."""
 
 
-def check_decay_factor(factor, name="decay_factor") -> None:
-    """Reject a step-decay factor under which alpha would grow, change sign, turn NaN or divide by zero."""
-    if not (math.isfinite(factor) and factor >= 1.0):
-        raise ValueError(f"{name} must be finite and >= 1, got {factor}")
-
-
 @dataclass
 class LrSchedule:
     initial_alpha: float = 2e-4
@@ -31,7 +25,9 @@ class LrSchedule:
     period: int = 300
 
     def __post_init__(self):
-        check_decay_factor(self.decay_factor)
+        # below 1 alpha would grow, at 0 divide by zero, below 0 change sign
+        if not (math.isfinite(self.decay_factor) and self.decay_factor >= 1.0):
+            raise ValueError(f"decay_factor must be finite and >= 1, got {self.decay_factor}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
 

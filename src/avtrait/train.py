@@ -56,7 +56,7 @@ from .model import (
     validate_params,
     with_out_dim,
 )
-from .optim import AdamState, LrSchedule, adam_step, check_adam_hyperparameters, check_decay_factor, init_adam, mae_loss
+from .optim import AdamState, LrSchedule, adam_step, check_adam_hyperparameters, init_adam, mae_loss
 
 log = logging.getLogger(__name__)
 
@@ -281,12 +281,15 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        for name in ("epochs", "checkpoint_every", "lr_period"):
+        for name in ("epochs", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm needs real statistics)")
-        check_decay_factor(self.lr_decay_factor, "lr_decay_factor")
+        try:
+            self.schedule
+        except ValueError as e:  # LrSchedule checks decay_factor and period: name the lr_* settings
+            raise ValueError(f"lr_{e}") from None
         check_adam_hyperparameters(self.initial_alpha, self.beta1, self.beta2, self.epsilon)
 
     @property

@@ -176,8 +176,8 @@ class TestConvBackward:
         np.testing.assert_array_equal(db1, db)
         np.testing.assert_array_equal(dx1, dx)
 
-    def test_unit_stride_with_padding_beyond_kernel_is_adjoint(self):
-        # padding >= kernel leaves the correlation form; the offset adds take over
+    def test_padding_beyond_kernel_is_adjoint(self):
+        # windows that lie wholly in the padding get gradients but add nothing to dx
         rng = rng64(6)
         x = rng.standard_normal((2, 2, 5, 4))
         w = rng.standard_normal((3, 2, 2, 3))
@@ -446,17 +446,6 @@ class TestMaxPool:
         y, cache = L.maxpool_forward(x, L.ConvSpec((4,), (4,), (0,)))
         dx = L.maxpool_backward(cache, np.ones_like(y))
         np.testing.assert_array_equal(dx, [[[1.0, 0.0, 0.0, 0.0]]])
-
-    @pytest.mark.parametrize("ndim", [1, 2])
-    def test_one_sample_slices_match_the_whole_batch(self, monkeypatch, ndim):
-        # integers make ties, so the first-offset rule is exercised per slice
-        rng = rng64(17)
-        x = rng.integers(0, 3, (3, 2) + (7,) * ndim).astype(np.float32)
-        y, cache = L.maxpool_forward(x, L.ConvSpec((3,) * ndim, (2,) * ndim, (1,) * ndim))
-        g = rng.standard_normal(y.shape).astype(np.float32)
-        whole = L.maxpool_backward(cache, g)
-        monkeypatch.setattr(L, "POOL_BYTES", 1)
-        np.testing.assert_array_equal(L.maxpool_backward(cache, g), whole)
 
     def test_output_extent_must_be_positive(self):
         with pytest.raises(ValueError):
