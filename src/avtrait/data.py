@@ -11,9 +11,12 @@ Clip container (little-endian), one preprocessed video sample per file:
     frames  T*3*H*W * u8, planar: frame-major, channels R,G,B, rows
             row-major; pixel values map to [0, 1] by /255
 
-Frames stay u8 in memory: a loaded clip's frames are a read-only view of the
-file's bytes, and `unit_frames` maps them to [0, 1] floats only where a
-layer reads them (one crop in training, one frame at a time in inference).
+Inference loads a clip whole (`load_clip`). Its frames stay u8, a read-only
+view of the file's bytes, and `unit_frames` maps one frame at a time to
+[0, 1] floats. Training holds no clip: `index_clip` checks a clip once
+through `load_clip` and keeps a `ClipFile`, its path and header extents.
+Each crop then reads only the drawn audio window and the drawn frame's crop
+rows from the file, and maps that one crop to floats.
 
 Manifest: UTF-8 CSV with header
     clip_id,path,openness,agreeableness,conscientiousness,neuroticism,extraversion,split
@@ -106,6 +109,18 @@ class Clip:
     @property
     def frame_count(self) -> int:
         return self.frames.shape[0]
+
+    @property
+    def frame_shape(self) -> tuple:
+        return self.frames.shape
+
+    def audio_window(self, start: int, stop: int) -> np.ndarray:
+        """Samples [start, stop) as a fresh (1, stop - start) array."""
+        return self.audio[:, start:stop].copy()
+
+    def frame_rows(self, t: int, top: int, stop: int) -> np.ndarray:
+        """Rows [top, stop) of each channel of frame t: a (3, stop - top, W) u8 view."""
+        return self.frames[t, :, top:stop]
 
 
 @dataclass
@@ -203,6 +218,60 @@ def load_clip(path: str) -> Clip:
     return Clip(audio=np.ascontiguousarray(audio, dtype=np.float32), frames=frames.reshape(T, 3, H, W))
 
 
+@dataclass(frozen=True)
+class ClipFile:
+    """A checked clip container on disk, known by its path and header extents.
+
+    It offers Clip's crop reads (`sample_count`, `frame_shape`,
+    `audio_window`, `frame_rows`) with bitwise-equal results. Each read opens
+    the file, reads only the bytes asked for and closes it again. A file
+    whose size no longer matches the extents, or a short read, raises
+    TruncatedPayloadError, and each audio window is checked as load_clip
+    checks the whole waveform, so a file rewritten after indexing cannot put
+    NaN into a batch.
+    """
+
+    path: str
+    sample_count: int
+    frame_shape: tuple  # (T, 3, H, W)
+
+    def _read(self, offsets, out: np.ndarray) -> np.ndarray:
+        """Fill out[i] with the bytes at offsets[i] of the file."""
+        expected = _HEADER.size + 4 * self.sample_count + math.prod(self.frame_shape)
+        with open(self.path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise TruncatedPayloadError(f"{self.path}: file length {size} != indexed {expected}")
+            for offset, part in zip(offsets, out):
+                fh.seek(offset)
+                if fh.readinto(part) != part.nbytes:
+                    raise TruncatedPayloadError(f"{self.path}: short read at byte {offset}")
+        return out
+
+    def audio_window(self, start: int, stop: int) -> np.ndarray:
+        window = self._read([_HEADER.size + 4 * start], np.empty((1, stop - start), dtype="<f4"))
+        _check_audio(window, self.path)
+        return window.astype(np.float32, copy=False)
+
+    def frame_rows(self, t: int, top: int, stop: int) -> np.ndarray:
+        _, _, H, W = self.frame_shape
+        first = _HEADER.size + 4 * self.sample_count + (t * 3 * H + top) * W
+        return self._read([first + c * H * W for c in range(3)], np.empty((3, stop - top, W), np.uint8))
+
+
+def index_clip(path: str, frame_crop: int) -> ClipFile:
+    """A ClipFile for path, after every check load_clip makes.
+
+    Its frames must also hold a frame_crop square. The loaded clip is
+    dropped on return, so indexing holds one clip in memory at a time.
+    """
+    clip = load_clip(path)
+    _, _, H, W = clip.frame_shape
+    if H < frame_crop or W < frame_crop:
+        raise ValueError(f"{path}: frame {H}x{W} smaller than crop {frame_crop}")
+    return ClipFile(path, clip.sample_count, clip.frame_shape)
+
+
 def unit_frames(pixels: np.ndarray, dtype=np.float32) -> np.ndarray:
     """u8 pixels mapped to [0, 1] by /255 in float32, then cast to dtype."""
     return np.divide(pixels, np.float32(255.0), dtype=np.float32).astype(dtype, copy=False)
@@ -261,29 +330,32 @@ def load_manifest(path: str) -> Manifest:
 # training augmentations
 #
 # Draw order is pinned (audio start; then frame index, crop row, crop col,
-# flip) so a fixed generator state fixes the whole sample stream.
+# flip) so a fixed generator state fixes the whole sample stream. A crop
+# reads from a Clip in memory or from a ClipFile on disk, with the same draws
+# and bitwise-equal results.
 
-def crop_audio(clip: Clip, rng: np.random.Generator, crop: int = 50176) -> np.ndarray:
+def crop_audio(clip: Clip | ClipFile, rng: np.random.Generator, crop: int = 50176) -> np.ndarray:
     """Contiguous random temporal window; short audio is zero-padded at the end."""
     S = clip.sample_count
     if S < crop:
-        out = np.zeros((1, crop), dtype=clip.audio.dtype)
-        out[:, :S] = clip.audio
+        window = clip.audio_window(0, S)
+        out = np.zeros((1, crop), dtype=window.dtype)
+        out[:, :S] = window
         return out
     start = int(rng.integers(0, S - crop + 1))
-    return clip.audio[:, start : start + crop].copy()
+    return clip.audio_window(start, start + crop)
 
 
-def crop_frame(clip: Clip, rng: np.random.Generator, crop: int = 224) -> np.ndarray:
+def crop_frame(clip: Clip | ClipFile, rng: np.random.Generator, crop: int = 224) -> np.ndarray:
     """Random square crop of a random frame, mirrored left/right half the time."""
-    T, _, H, W = clip.frames.shape
+    T, _, H, W = clip.frame_shape
     if H < crop or W < crop:
         raise ValueError(f"frame {H}x{W} smaller than crop {crop}")
     t = int(rng.integers(0, T))
     top = int(rng.integers(0, H - crop + 1))
     left = int(rng.integers(0, W - crop + 1))
     flip = bool(rng.random() < 0.5)
-    out = clip.frames[t, :, top : top + crop, left : left + crop]
+    out = clip.frame_rows(t, top, top + crop)[:, :, left : left + crop]
     if flip:
         out = out[:, :, ::-1]
     return unit_frames(out)  # a fresh C-ordered array, also for a mirrored view

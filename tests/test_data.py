@@ -1,8 +1,9 @@
 import os
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avtrait import data as D
@@ -267,6 +268,51 @@ class TestCropFrame:
         np.testing.assert_array_equal(a[0], b[0])
 
 
+class TestClipFile:
+    def indexed(self, tmp_path, **kw):
+        path = str(tmp_path / "c.clip")
+        D.save_clip(tiny_clip(**kw), path)
+        return D.index_clip(path, 8)
+
+    def test_index_keeps_only_path_and_extents(self, tmp_path):
+        indexed = self.indexed(tmp_path, S=300, T=2, H=10, W=12)
+        assert indexed == D.ClipFile(str(tmp_path / "c.clip"), 300, (2, 3, 10, 12))
+
+    def test_index_makes_load_clip_checks(self, tmp_path):
+        path = str(tmp_path / "c.clip")
+        D.save_clip(tiny_clip(S=50, T=1, H=8, W=8), path)
+        blob = bytearray(_read(path))
+        blob[0] ^= 1
+        _write(path, bytes(blob))
+        with pytest.raises(D.BadMagicError):
+            D.index_clip(path, 8)
+
+    def test_frames_smaller_than_crop_rejected_with_path(self, tmp_path):
+        path = str(tmp_path / "c.clip")
+        D.save_clip(tiny_clip(S=50, T=1, H=20, W=64), path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: frame 20x64 smaller than crop 32")):
+            D.index_clip(path, 32)
+
+    @pytest.mark.parametrize("change", [lambda b: b[:-1], lambda b: b + b"\0", lambda b: b[:30]])
+    def test_file_resized_after_indexing_is_truncation(self, tmp_path, change):
+        indexed = self.indexed(tmp_path, S=300, T=2, H=10, W=12)
+        _write(indexed.path, change(_read(indexed.path)))
+        rng = np.random.Generator(np.random.PCG64(0))
+        with pytest.raises(D.TruncatedPayloadError, match="indexed"):
+            D.crop_audio(indexed, rng, 100)
+        with pytest.raises(D.TruncatedPayloadError, match="indexed"):
+            D.crop_frame(indexed, rng, 8)
+
+    @pytest.mark.parametrize("crop", [300, 400])  # the whole waveform, and zero-padded
+    def test_nan_written_after_indexing_never_reaches_a_crop(self, tmp_path, crop):
+        indexed = self.indexed(tmp_path, S=300, T=2, H=10, W=12)
+        blob = bytearray(_read(indexed.path))
+        blob[20 + 4 * 299 : 20 + 4 * 300] = np.array([np.nan], dtype="<f4").tobytes()  # last sample
+        _write(indexed.path, bytes(blob))
+        with pytest.raises(D.AudioRangeError):
+            D.crop_audio(indexed, np.random.Generator(np.random.PCG64(0)), crop)
+
+
 class TestSynthDataset:
     def test_same_seed_identical_directories(self, tmp_path):
         d1 = str(tmp_path / "one")
@@ -348,6 +394,11 @@ def test_container_roundtrip_property(tmp_path_factory, S, T, H, W):
     np.testing.assert_array_equal(back.frames, clip.frames)
 
 
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _write(path, blob):
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -386,3 +437,25 @@ def test_flipped_byte_loads_or_is_typed(tmp_path_factory, S, T, H, W, data):
     except D.AudioRangeError:
         return
     assert clip.frames.dtype == np.uint8 and clip.frames.shape == (T, 3, H, W)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    S=st.integers(1, 400), T=st.integers(1, 3), H=st.integers(1, 12), W=st.integers(1, 12),
+    audio_crop=st.integers(1, 500), k=st.integers(0, 11), seed=st.integers(0, 2**32 - 1),
+)
+@example(S=100, T=2, H=9, W=7, audio_crop=300, k=6, seed=0)  # zero-padded audio, full-width frame crops
+def test_file_crops_equal_whole_clip_crops(tmp_path_factory, S, T, H, W, audio_crop, k, seed):
+    # eight draws of each crop per example, so mirrored and plain frame
+    # crops both occur (each draw mirrors with probability 1/2)
+    path = str(tmp_path_factory.mktemp("clips") / "c.clip")
+    D.save_clip(tiny_clip(np.random.Generator(np.random.PCG64(seed)), S=S, T=T, H=H, W=W), path)
+    frame_crop = 1 + k % min(H, W)
+    indexed, whole = D.index_clip(path, frame_crop), D.load_clip(path)
+    a, b = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    for _ in range(8):
+        for crop, size in ((D.crop_audio, audio_crop), (D.crop_frame, frame_crop)):
+            got, expect = crop(indexed, a, size), crop(whole, b, size)
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +345,51 @@ class TestTrainLoop:
             R.RnnTrainConfig(epochs=0)
         with pytest.raises(ValueError, match="hidden"):
             R.build_rnn_head(0, input_dim=4, hidden=0)
+
+
+class TestTrainClipIndex:
+    @pytest.fixture
+    def five(self, tmp_path):
+        # five train rows at batch 4: epoch 0 leaves one row undrawn, so in a
+        # one-epoch run only the up-front check reaches that clip
+        manifest = D.synth_dataset(5, seed=21, out_dir=str(tmp_path / "ds"), seconds=0.5, height=40, width=40)
+        cfg = tiny_config(str(tmp_path / "run"), epochs=1)
+        _, data_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+        undrawn = np.random.Generator(np.random.PCG64(data_ss)).permutation(5)[-1]
+        return manifest, cfg, manifest.clip_path(manifest.rows[int(undrawn)])
+
+    def test_truncated_train_clip_fails_before_any_step(self, five):
+        manifest, cfg, bad = five
+        with open(bad, "rb") as fh:
+            blob = fh.read()
+        with open(bad, "wb") as fh:
+            fh.write(blob[:-1])
+        with pytest.raises(D.TruncatedPayloadError, match=re.escape(bad)):
+            T.train(cfg, manifest)
+        assert not os.path.exists(cfg.out_dir)
+
+    def test_too_small_train_clip_fails_before_any_step(self, five):
+        manifest, cfg, bad = five
+        D.save_clip(D.synth_clip(np.random.Generator(np.random.PCG64(0)), seconds=0.5, height=24, width=40), bad)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: frame 24x40 smaller than crop 32")):
+            T.train(cfg, manifest)
+        assert not os.path.exists(cfg.out_dir)
+
+    def test_peak_memory_does_not_grow_with_clip_count(self, tmp_path):
+        # 2 s clips at 96x128 are about 2 MB each; a loop that kept every
+        # clip it drew would peak about 8 clips higher on 12 clips than on 4
+        manifest = D.synth_dataset(12, seed=3, out_dir=str(tmp_path / "ds"), seconds=2.0, height=96, width=128)
+        clip_bytes = os.path.getsize(manifest.clip_path(manifest.rows[0]))
+        peaks = []
+        for n in (4, 12):
+            subset = D.Manifest(rows=manifest.rows[:n], directory=manifest.directory)
+            tracemalloc.start()
+            try:
+                T.train(tiny_config(str(tmp_path / f"run{n}"), epochs=1), subset)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < clip_bytes / 4, (peaks, clip_bytes)
 
 
 class TestMapClips:
