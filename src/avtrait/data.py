@@ -11,12 +11,16 @@ Clip container (little-endian), one preprocessed video sample per file:
     frames  T*3*H*W * u8, planar: frame-major, channels R,G,B, rows
             row-major; pixel values map to [0, 1] by /255
 
-Inference loads a clip whole (`load_clip`). Its frames stay u8, a read-only
-view of the file's bytes, and `unit_frames` maps one frame at a time to
-[0, 1] floats. Training holds no clip: `index_clip` checks a clip once
-through `load_clip` and keeps a `ClipFile`, its path and header extents.
-Each crop then reads only the drawn audio window and the drawn frame's crop
-rows from the file, and maps that one crop to floats.
+Inference never holds a clip's frames whole. `open_clip` checks the header,
+the file size and the whole waveform, reads no frame bytes and keeps a
+`ClipFile`: the path and header extents. Scoring then reads the audio and
+one scored frame at a time from the file, and `unit_frames` maps that frame
+to [0, 1] floats. Training indexes each clip through `index_clip`, which
+loads it whole once (`load_clip`) to check it and keeps only a `ClipFile`;
+each crop then reads only the drawn audio window and the drawn frame's crop
+rows. A `Clip` in memory (`load_clip` keeps its frames u8, a read-only view
+of the file's bytes) and a `ClipFile` offer the same reads with
+bitwise-equal results.
 
 Manifest: UTF-8 CSV with header
     clip_id,path,openness,agreeableness,conscientiousness,neuroticism,extraversion,split
@@ -191,6 +195,24 @@ def save_clip(clip: Clip, path: str) -> None:
     atomic_write_bytes(path, buf.getvalue())
 
 
+def _check_container(head: bytes, size: int, path: str) -> tuple:
+    """(S, T, H, W) of a clip file from its header bytes and its length,
+    after every container check: header length, magic, extents and size."""
+    if len(head) < _HEADER.size:
+        raise TruncatedPayloadError(f"{path}: {size} bytes is shorter than the header")
+    magic, S, T, H, W = _HEADER.unpack_from(head, 0)
+    if magic != CLIP_MAGIC:
+        raise BadMagicError(f"{path}: bad magic {magic!r}")
+    if S < 1 or T < 1 or H < 1 or W < 1:
+        raise ExtentOverflowError(f"{path}: zero extent in header (S={S} T={T} H={H} W={W})")
+    expected = _HEADER.size + 4 * S + T * 3 * H * W
+    if expected > _MAX_PAYLOAD:
+        raise ExtentOverflowError(f"{path}: header implies {expected} bytes")
+    if size != expected:
+        raise TruncatedPayloadError(f"{path}: file length {size} != header-implied {expected}")
+    return S, T, H, W
+
+
 def load_clip(path: str) -> Clip:
     """Parse a clip container; raises distinct errors per defect.
 
@@ -199,22 +221,10 @@ def load_clip(path: str) -> Clip:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise TruncatedPayloadError(f"{path}: {len(blob)} bytes is shorter than the header")
-    magic, S, T, H, W = _HEADER.unpack_from(blob, 0)
-    if magic != CLIP_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if S < 1 or T < 1 or H < 1 or W < 1:
-        raise ExtentOverflowError(f"{path}: zero extent in header (S={S} T={T} H={H} W={W})")
-    n_pixels = T * 3 * H * W
-    expected = _HEADER.size + 4 * S + n_pixels
-    if expected > _MAX_PAYLOAD:
-        raise ExtentOverflowError(f"{path}: header implies {expected} bytes")
-    if len(blob) != expected:
-        raise TruncatedPayloadError(f"{path}: file length {len(blob)} != header-implied {expected}")
+    S, T, H, W = _check_container(blob[: _HEADER.size], len(blob), path)
     audio = np.frombuffer(blob, dtype="<f4", count=S, offset=_HEADER.size).reshape(1, S)
     _check_audio(audio, path)
-    frames = np.frombuffer(blob, dtype=np.uint8, count=n_pixels, offset=_HEADER.size + 4 * S)
+    frames = np.frombuffer(blob, dtype=np.uint8, count=T * 3 * H * W, offset=_HEADER.size + 4 * S)
     return Clip(audio=np.ascontiguousarray(audio, dtype=np.float32), frames=frames.reshape(T, 3, H, W))
 
 
@@ -222,18 +232,23 @@ def load_clip(path: str) -> Clip:
 class ClipFile:
     """A checked clip container on disk, known by its path and header extents.
 
-    It offers Clip's crop reads (`sample_count`, `frame_shape`,
-    `audio_window`, `frame_rows`) with bitwise-equal results. Each read opens
-    the file, reads only the bytes asked for and closes it again. A file
-    whose size no longer matches the extents, or a short read, raises
+    It offers Clip's reads (`sample_count`, `frame_count`, `frame_shape`,
+    `audio_window`, `frame_rows`) with bitwise-equal results, so training
+    crops and inference read either type. Each read opens the file, reads
+    only the bytes asked for and closes it again. A file whose size no
+    longer matches the extents, or a short read, raises
     TruncatedPayloadError, and each audio window is checked as load_clip
-    checks the whole waveform, so a file rewritten after indexing cannot put
-    NaN into a batch.
+    checks the whole waveform, so a file rewritten after it was opened or
+    indexed cannot put NaN into a batch or a score.
     """
 
     path: str
     sample_count: int
     frame_shape: tuple  # (T, 3, H, W)
+
+    @property
+    def frame_count(self) -> int:
+        return self.frame_shape[0]
 
     def _read(self, offsets, out: np.ndarray) -> np.ndarray:
         """Fill out[i] with the bytes at offsets[i] of the file."""
@@ -257,6 +272,19 @@ class ClipFile:
         _, _, H, W = self.frame_shape
         first = _HEADER.size + 4 * self.sample_count + (t * 3 * H + top) * W
         return self._read([first + c * H * W for c in range(3)], np.empty((3, stop - top, W), np.uint8))
+
+
+def open_clip(path: str) -> ClipFile:
+    """A ClipFile for path, after every check load_clip makes.
+
+    It reads the header and the whole waveform, to check every sample, and
+    no frame bytes; the audio is dropped on return.
+    """
+    with open(path, "rb") as fh:
+        S, T, H, W = _check_container(fh.read(_HEADER.size), os.fstat(fh.fileno()).st_size, path)
+    clip = ClipFile(path, S, (T, 3, H, W))
+    clip.audio_window(0, S)
+    return clip
 
 
 def index_clip(path: str, frame_crop: int) -> ClipFile:
@@ -382,7 +410,7 @@ _WOBBLE_AMPLITUDE = 0.005
 def _synth_labels(freq, means, theta):
     u_f = (freq - _FREQ_LO) / (_FREQ_HI - _FREQ_LO)
     m = np.clip((np.asarray(means) - _BASE_LO) / (_BASE_HI - _BASE_LO), 0.0, 1.0)
-    u_theta = 0.5 * (1.0 + math.cos(theta))
+    u_theta = 0.5 * (1.0 + math.sin(theta))  # crop_frame's mirror maps theta to pi - theta
     gray = float(m.mean())
     raw = np.array(
         [u_f, m[0], m[1], m[2], 0.55 * gray + 0.45 * u_theta],

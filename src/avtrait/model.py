@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Clip, unit_frames
+from .data import Clip, ClipFile, unit_frames
 from .layers import (
     BatchNormState,
     ConvSpec,
@@ -452,41 +452,47 @@ def _fsum_mean(rows: list) -> np.ndarray:
     return np.array([math.fsum(stack[:, c]) for c in range(stack.shape[1])]) / stack.shape[0]
 
 
-def clip_features(arch: Architecture, params: dict, clip: Clip, spans) -> np.ndarray:
+def clip_features(arch: Architecture, params: dict, clip: Clip | ClipFile, spans) -> np.ndarray:
     """One fused feature row per span of the clip, stacked as (len(spans), fusion_in).
 
     A span is (first sample, end sample, frame indices). Its row is the
     auditory-stream features of those samples, zero-padded to
     MIN_AUDIO_SAMPLES, then the `_fsum_mean` of the visual-stream features
-    of those frames, each run alone at native resolution. Both streams run
-    in eval mode, each folded once per call; the auditory weights are
-    dropped before the visual stream is folded, so no pass holds both.
+    of those frames, each run alone at native resolution. The clip is read
+    through `audio_window` and `frame_rows` only, one span's audio and one
+    frame at a time, so a ClipFile is never held in memory whole and gives
+    the same rows as its clip loaded whole. Both streams run in eval mode,
+    each folded once per call; the auditory weights are dropped before the
+    visual stream is folded, so no pass holds both.
     """
     dtype = params["fusion.w"].dtype
     folded = fold_stream(arch.auditory, "auditory", params)
     audio_rows = []
     for lo, hi, _ in spans:
-        audio = _pad_audio(clip.audio[:, lo:hi].astype(dtype, copy=False), MIN_AUDIO_SAMPLES)
+        audio = _pad_audio(clip.audio_window(lo, hi).astype(dtype, copy=False), MIN_AUDIO_SAMPLES)
         audio_rows.append(forward_stream(audio[None], arch.auditory, "auditory", folded, "eval")[0][0])
     del folded
     folded = fold_stream(arch.visual, "visual", params)
+    H = clip.frame_shape[2]
     rows = []
     for fa, (_, _, frames) in zip(audio_rows, spans):
-        fv = [
-            forward_stream(unit_frames(clip.frames[t], dtype)[None], arch.visual, "visual", folded, "eval")[0][0]
-            for t in frames
-        ]
+        fv = []
+        for t in frames:
+            x = unit_frames(clip.frame_rows(t, 0, H), dtype)[None]
+            fv.append(forward_stream(x, arch.visual, "visual", folded, "eval")[0][0])
         rows.append(np.concatenate([fa, _fsum_mean(fv).astype(dtype)]))
     return np.stack(rows)
 
 
-def forward_infer(arch: Architecture, params: dict, clip: Clip, frame_stride: int = 1) -> np.ndarray:
+def forward_infer(arch: Architecture, params: dict, clip: Clip | ClipFile, frame_stride: int = 1) -> np.ndarray:
     """Whole-clip prediction per the evaluation protocol.
 
     `clip_features` over one span: the full waveform, pooled over its whole
     temporal extent, and every frame_stride-th frame, whose pooled vectors
-    are averaged. The fusion head maps that row to the prediction. Nothing
-    is mutated, so calls are deterministic and thread-safe.
+    are averaged. The fusion head maps that row to the prediction. A
+    ClipFile is read one scored frame at a time, and each scored frame
+    exactly once; no other frame is read. Nothing is mutated, so calls are
+    deterministic and thread-safe.
     """
     if frame_stride < 1:
         raise ValueError("frame_stride must be >= 1")

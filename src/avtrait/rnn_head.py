@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FPS, SAMPLE_RATE, Clip, ClipTooShortError
+from .data import FPS, SAMPLE_RATE, Clip, ClipFile, ClipTooShortError
 from .layers import (
     dropout_backward,
     dropout_forward,
@@ -100,7 +100,7 @@ def head_dims(params: dict):
 # ---------------------------------------------------------------------------
 # feature extraction
 
-def extract_features(clip: Clip, arch: Architecture, base_params: dict) -> np.ndarray:
+def extract_features(clip: Clip | ClipFile, arch: Architecture, base_params: dict) -> np.ndarray:
     """One 512-d pooled feature row per whole second; base net stays frozen."""
     seconds = min(clip.sample_count // SAMPLE_RATE, clip.frame_count // FPS)
     if seconds < 1:
@@ -253,6 +253,6 @@ def predict_sequence(seq: np.ndarray, params: dict) -> np.ndarray:
     return outputs.astype(np.float64).mean(axis=0).astype(seq.dtype)
 
 
-def predict_rnn(clip: Clip, arch: Architecture, base_params: dict, head_params: dict) -> np.ndarray:
+def predict_rnn(clip: Clip | ClipFile, arch: Architecture, base_params: dict, head_params: dict) -> np.ndarray:
     feats = extract_features(clip, arch, base_params)
     return predict_sequence(feats, head_params)

@@ -43,7 +43,7 @@ from .data import (
     crop_audio,
     crop_frame,
     index_clip,
-    load_clip,
+    open_clip,
 )
 from .model import (
     Architecture,
@@ -470,15 +470,17 @@ def aggregate_accuracies(per_trait) -> float:
 
 
 def map_clips(manifest: Manifest, rows, fn, threads: int = 1) -> list:
-    """[(row, fn(its loaded clip))] in row order, on `threads` workers.
+    """[(row, fn(its opened clip))] in row order, on `threads` workers.
 
-    A clip whose loading or `fn` raises OSError or ClipFormatError is logged
-    and gets None; any other error propagates.
+    Each clip is opened with `open_clip`: checked whole, held as a ClipFile,
+    and read by `fn` only where it reads. A clip whose opening or `fn`
+    raises OSError or ClipFormatError is logged and gets None; any other
+    error propagates.
     """
 
     def one(row):
         try:
-            return row, fn(load_clip(manifest.clip_path(row)))
+            return row, fn(open_clip(manifest.clip_path(row)))
         except (OSError, ClipFormatError) as exc:
             log.warning("skipping clip %s: %s", row.clip_id, exc)
             return row, None

@@ -313,6 +313,60 @@ class TestClipFile:
             D.crop_audio(indexed, np.random.Generator(np.random.PCG64(0)), crop)
 
 
+def _outcome(read, path):
+    """What reading path gives: the error's type and message, or "ok"."""
+    try:
+        read(path)
+    except D.ClipFormatError as exc:
+        return type(exc), str(exc)
+    return "ok"
+
+
+class TestOpenClip:
+    def test_open_keeps_only_path_and_extents(self, tmp_path):
+        path = str(tmp_path / "c.clip")
+        D.save_clip(tiny_clip(S=300, T=2, H=10, W=12), path)
+        assert D.open_clip(path) == D.ClipFile(path, 300, (2, 3, 10, 12))
+        assert D.open_clip(path).frame_count == D.load_clip(path).frame_count == 2
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            lambda b: b[:12],  # shorter than the header
+            lambda b: b"X" + b[1:],  # magic
+            lambda b: b[:12] + (0).to_bytes(4, "little") + b[16:],  # zero frame count
+            lambda b: b[:8] + (2**32 - 1).to_bytes(4, "little") + b"\xff\xff\xff\xff" + b[16:],  # overflow
+            lambda b: b[:-1],  # one byte short
+            lambda b: b + b"\0",  # one byte long
+            lambda b: b[:20] + np.array([np.nan], "<f4").tobytes() + b[24:],  # first sample
+            lambda b: b[:20 + 4 * 299] + np.array([1.5], "<f4").tobytes() + b[20 + 4 * 300 :],  # last sample
+        ],
+    )
+    def test_open_raises_what_load_raises(self, tmp_path, defect):
+        path = str(tmp_path / "c.clip")
+        D.save_clip(tiny_clip(S=300, T=2, H=10, W=12), path)
+        _write(path, defect(_read(path)))
+        expect = _outcome(D.load_clip, path)
+        assert expect != "ok"
+        assert _outcome(D.open_clip, path) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_open_and_load_agree_on_every_corruption(tmp_path_factory, S, T, H, W, data):
+    # a cut anywhere, or a flipped byte anywhere: both accept the file, or
+    # both reject it with the same typed error and message
+    path = str(tmp_path_factory.mktemp("clips") / "c.clip")
+    D.save_clip(tiny_clip(S=S, T=T, H=H, W=W), path)
+    blob = bytearray(_read(path))
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="end") :]
+    else:
+        blob[data.draw(st.integers(0, len(blob) - 1), label="offset")] ^= data.draw(st.integers(1, 255), label="mask")
+    _write(path, bytes(blob))
+    assert _outcome(D.open_clip, path) == _outcome(D.load_clip, path)
+
+
 class TestSynthDataset:
     def test_same_seed_identical_directories(self, tmp_path):
         d1 = str(tmp_path / "one")
@@ -366,6 +420,31 @@ class TestSynthDataset:
         for row in m.rows:
             clip = D.synth_clip(rng, seconds=0.5, height=24, width=24)
             np.testing.assert_allclose(row.traits, clip.label, atol=1e-6)
+
+    @pytest.mark.parametrize("theta", np.linspace(0.0, 2.0 * np.pi, 17))
+    def test_label_is_mirror_invariant(self, theta):
+        # crop_frame's mirror maps the gradient's orientation theta to pi - theta
+        means = [0.3, 0.5, 0.7]
+        mirrored = D._synth_labels(1000.0, means, np.pi - theta)
+        assert D._synth_labels(1000.0, means, theta).tobytes() == mirrored.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mirrored_clip_keeps_its_label(self, seed):
+        # replay synth_clip's frequency and orientation draws
+        replay = np.random.Generator(np.random.PCG64(seed))
+        freq = float(replay.uniform(D._FREQ_LO, D._FREQ_HI))
+        replay.uniform(0.0, 2.0 * np.pi, size=2)  # phases
+        theta = float(replay.uniform(0.0, 2.0 * np.pi))
+        clip = D.synth_clip(np.random.Generator(np.random.PCG64(seed)), seconds=0.5, height=24, width=32)
+        assert D._synth_labels(freq, self.channel_means(clip.frames), theta).tobytes() == clip.label.tobytes()
+        mirrored = clip.frames[:, :, :, ::-1]
+        assert self.channel_means(mirrored) == self.channel_means(clip.frames)
+        assert D._synth_labels(freq, self.channel_means(mirrored), np.pi - theta).tobytes() == clip.label.tobytes()
+
+    @staticmethod
+    def channel_means(frames_u8):
+        frames = D.unit_frames(frames_u8)
+        return [float(frames[:, c].mean(dtype=np.float64)) for c in range(3)]
 
 
 class TestAtomicWrite:

@@ -92,3 +92,34 @@ def test_checker_finds_dead_imports():
 def test_no_unused_imports(path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def readers(source: str, name: str) -> list:
+    """Top-level definitions (or "<module>") whose bodies read `name`, once per read."""
+    found = []
+    for stmt in ast.parse(source).body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "<module>"
+        for n in ast.walk(stmt):
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+                if (n.id if isinstance(n, ast.Name) else n.attr) == name:
+                    found.append(owner)
+    return found
+
+
+def test_checker_finds_readers():
+    source = "import d\nfrom d import f\n\n\ndef a():\n    return f(1) + d.f(2)\n\n\ng = f\n"
+    assert readers(source, "f") == ["a", "a", "<module>"]
+
+
+def test_load_clip_has_one_caller():
+    # Inference opens clips with open_clip and reads only the frames it
+    # scores; a whole-clip load_clip is left to training's index_clip alone.
+    # When index_clip stops loading whole clips too (ROADMAP item 3 unlocks
+    # it), this list becomes empty.
+    package = os.path.join("src", "avtrait")
+    found = []
+    for path in MODULES:
+        if path.startswith(package):
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                found += [(os.path.basename(path), owner) for owner in readers(fh.read(), "load_clip")]
+    assert found == [("data.py", "index_clip")], "load_clip reads a whole clip; see ROADMAP item 3"

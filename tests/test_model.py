@@ -7,6 +7,7 @@ import pytest
 
 from avtrait import data as D
 from avtrait import model as M
+from avtrait import train as T
 from avtrait import layers as L
 from avtrait.layers import linear_forward, scaled_tanh
 from test_layers import composed_eval_block, random_bn, reachable_arrays
@@ -369,6 +370,57 @@ class TestForwardInfer:
         assert pred.dtype == dtype and pred.tobytes() == expect[0].tobytes()
 
 
+class TestOpenedClipInference:
+    """A clip opened with open_clip is read a frame at a time, and scores
+    bitwise equal to the same clip loaded whole."""
+
+    def setup_method(self):
+        self.arch = M.mini_architecture()
+        self.params = M.build_network(self.arch, 13)
+
+    def saved(self, tmp_path, S):
+        rng = rng64(S)
+        clip = D.Clip(
+            audio=(rng.random((1, S), dtype=np.float32) - 0.5).astype(np.float32),
+            frames=rng.integers(0, 256, (7, 3, 40, 48), dtype=np.uint8),
+        )
+        path = str(tmp_path / "c.clip")
+        D.save_clip(clip, path)
+        return path
+
+    @pytest.mark.parametrize("S", [300, 4000])  # shorter than MIN_AUDIO_SAMPLES, and longer
+    @pytest.mark.parametrize("stride", [1, 3, 8])  # 8 scores frame 0 of 7 alone
+    def test_forward_infer_equal_to_loaded_clip(self, tmp_path, S, stride):
+        assert 300 < M.MIN_AUDIO_SAMPLES < 4000
+        path = self.saved(tmp_path, S)
+        got = M.forward_infer(self.arch, self.params, D.open_clip(path), frame_stride=stride)
+        expect = M.forward_infer(self.arch, self.params, D.load_clip(path), frame_stride=stride)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 3, 8])
+    def test_each_scored_frame_read_once(self, tmp_path, monkeypatch, stride):
+        path = self.saved(tmp_path, 4000)
+        reads = []
+        frame_rows = D.ClipFile.frame_rows
+
+        def spy(clip, t, top, stop):
+            reads.append((t, top, stop))
+            return frame_rows(clip, t, top, stop)
+
+        monkeypatch.setattr(D.ClipFile, "frame_rows", spy)
+        M.forward_infer(self.arch, self.params, D.open_clip(path), frame_stride=stride)
+        assert reads == [(t, 0, 40) for t in range(0, 7, stride)]
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_file_resized_after_opening_fails_typed(self, tmp_path, delta):
+        path = self.saved(tmp_path, 4000)
+        opened = D.open_clip(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) + delta)
+        with pytest.raises(D.TruncatedPayloadError):
+            M.forward_infer(self.arch, self.params, opened)
+
+
 def unfolded_stream(x, stream, prefix, params):
     """An eval-mode stream from unfolded layers, batch norm as its own pass."""
     y, _ = L.conv_forward(x, params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], M._stem_spec(stream))
@@ -458,3 +510,25 @@ class TestClipMemory:
             tracemalloc.stop()
         assert np.all(np.isfinite(pred))
         assert peak < 1.5 * size + 4e6, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB clip"
+
+    def test_predict_rows_reads_one_scored_frame_at_a_time(self, tmp_path):
+        # the clip above, scored through predict_rows, which opens it: the
+        # peak is one frame's work and the audio, far below the file's frames
+        rng = rng64(11)
+        frames = rng.integers(0, 256, (1500, 3, 64, 64), dtype=np.uint8)
+        audio = (rng.random((1, D.SAMPLE_RATE), dtype=np.float32) - 0.5).astype(np.float32)
+        D.save_clip(D.Clip(audio=audio, frames=frames), str(tmp_path / "long.clip"))
+        del frames
+        size = os.path.getsize(str(tmp_path / "long.clip"))
+        row = D.ManifestRow("long", "long.clip", np.full(5, 0.5), "test")
+        manifest = D.Manifest(rows=[row], directory=str(tmp_path))
+        arch = M.mini_architecture()
+        params = M.build_network(arch, 3)
+        tracemalloc.start()
+        try:
+            [(_, pred)] = T.predict_rows(arch, params, manifest, [row], frame_stride=D.FPS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pred is not None and np.all(np.isfinite(pred))
+        assert peak < size / 4 + 1e6, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB clip"

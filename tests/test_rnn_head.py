@@ -4,6 +4,7 @@ import pytest
 from avtrait import data as D
 from avtrait import model as M
 from avtrait import rnn_head as R
+from avtrait import train as T
 from avtrait.layers import lstm_step
 from avtrait.optim import mae_loss
 from oracles import central_difference, fd_rel_err, rnn_backward_per_step
@@ -367,3 +368,49 @@ class TestExtractFeatures:
         b = full_audio_feat[0].astype(np.float64)
         corr = float(np.corrcoef(a, b)[0, 1])
         assert corr > 0.97
+
+
+class TestOpenedClipFeatures:
+    """extract_features and predict_rnn read an opened clip a second at a
+    time, bitwise equal to the same clip loaded whole."""
+
+    def saved(self, tmp_path):
+        # 2.5 s: two whole seconds, then a tail that no row reads
+        rng = rng64(41)
+        audio = (rng.random((1, int(2.5 * D.SAMPLE_RATE)), dtype=np.float32) - 0.5).astype(np.float32)
+        frames = rng.integers(0, 256, (int(2.5 * D.FPS), 3, 32, 32), dtype=np.uint8)
+        path = str(tmp_path / "c.clip")
+        D.save_clip(D.Clip(audio=audio, frames=frames), path)
+        return path
+
+    def test_extract_features_equal_to_loaded_clip(self, base, tmp_path):
+        arch, params = base
+        path = self.saved(tmp_path)
+        got = R.extract_features(D.open_clip(path), arch, params)
+        expect = R.extract_features(D.load_clip(path), arch, params)
+        assert got.shape == (2, arch.fusion_in) and got.tobytes() == expect.tobytes()
+
+    def test_predict_rnn_equal_to_loaded_clip(self, base, tmp_path):
+        arch, params = base
+        head = R.build_rnn_head(3, input_dim=arch.fusion_in, hidden=8)
+        path = self.saved(tmp_path)
+        got = R.predict_rnn(D.open_clip(path), arch, params, head)
+        expect = R.predict_rnn(D.load_clip(path), arch, params, head)
+        assert got.tobytes() == expect.tobytes()
+
+    def test_nan_in_the_unread_tail_is_rejected_on_opening(self, base, tmp_path):
+        # the last sample lies after the last whole second, which
+        # extract_features never reads; opening the clip checks it
+        arch, params = base
+        path = self.saved(tmp_path)
+        S = int(2.5 * D.SAMPLE_RATE)
+        with open(path, "r+b") as fh:
+            fh.seek(20 + 4 * (S - 1))
+            fh.write(np.array([np.nan], dtype="<f4").tobytes())
+        unchecked = D.ClipFile(path, S, (int(2.5 * D.FPS), 3, 32, 32))
+        assert np.all(np.isfinite(R.extract_features(unchecked, arch, params)))
+        with pytest.raises(D.AudioRangeError):
+            D.open_clip(path)
+        row = D.ManifestRow("c", "c.clip", np.full(5, 0.5), "test")
+        manifest = D.Manifest(rows=[row], directory=str(tmp_path))
+        assert T.map_clips(manifest, [row], lambda clip: R.extract_features(clip, arch, params)) == [(row, None)]
