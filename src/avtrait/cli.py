@@ -83,10 +83,20 @@ def _threads(settings: Settings) -> int:
     v = settings.get("threads")
     if v is None:
         v = os.environ.get("DI_THREADS", "1")
-    n = int(v)
+    try:
+        n = int(str(v))  # through str, so that a config's 1.5 is refused, not cut to 1
+    except ValueError:
+        raise UsageError(f"--threads must be an integer, got {v!r}") from None
     if n < 1:
         raise UsageError("--threads must be >= 1")
     return n
+
+
+def _frame_stride(settings: Settings) -> int:
+    stride = int(settings.get("frame_stride", 1))
+    if stride < 1:
+        raise ValueError("frame_stride must be >= 1")
+    return stride
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -248,13 +258,13 @@ def _cmd_train(s: Settings) -> int:
 
 
 def _cmd_eval(s: Settings) -> int:
+    stride, threads = _frame_stride(s), _threads(s)
     ckpt = T.load_checkpoint(s.get("checkpoint"))
     manifest = D.load_manifest(s.get("manifest"))
     split = s.get("split", "validation")
-    stride = int(s.get("frame_stride", 1))
     single = ckpt.arch.out_dim == 1
     trait = ckpt.trait if single else None
-    report = T.evaluate(ckpt.arch, ckpt.params, manifest, split, stride, threads=_threads(s), trait=trait)
+    report = T.evaluate(ckpt.arch, ckpt.params, manifest, split, stride, threads=threads, trait=trait)
     if single:
         acc = report.per_trait[0]
         text = f"trait,{D.TRAITS[trait]},accuracy,{acc:.6f},clips,{report.clips},excluded,{report.excluded}\n"
@@ -277,9 +287,9 @@ def _write_predictions(s: Settings, results: list) -> int:
 
 
 def _cmd_predict(s: Settings) -> int:
+    stride, threads = _frame_stride(s), _threads(s)
     ckpt, manifest, rows = _base_and_rows(s, "predict")
-    stride = int(s.get("frame_stride", 1))
-    return _write_predictions(s, T.predict_rows(ckpt.arch, ckpt.params, manifest, rows, stride, threads=_threads(s)))
+    return _write_predictions(s, T.predict_rows(ckpt.arch, ckpt.params, manifest, rows, stride, threads=threads))
 
 
 def _cmd_finetune(s: Settings) -> int:
@@ -299,8 +309,9 @@ def _cmd_finetune(s: Settings) -> int:
 
 
 def _cmd_extract_features(s: Settings) -> int:
+    threads = _threads(s)
     ckpt, manifest, rows = _base_and_rows(s, "extract-features")
-    results = T.map_clips(manifest, rows, lambda clip: R.extract_features(clip, ckpt.arch, ckpt.params), _threads(s))
+    results = T.map_clips(manifest, rows, lambda clip: R.extract_features(clip, ckpt.arch, ckpt.params), threads)
     named = {f"feat.{row.clip_id}": feats for row, feats in T.readable(results, s.get("split", "all"))}
     T.write_tensor_container(s.get("out"), named)
     print(f"wrote {len(named)} feature sequences to {s.get('out')}")
@@ -346,10 +357,11 @@ def _cmd_train_rnn(s: Settings) -> int:
 
 
 def _cmd_predict_rnn(s: Settings) -> int:
+    threads = _threads(s)
     ckpt, manifest, rows = _base_and_rows(s, "predict-rnn")
     _, head, _ = T.read_tensor_container(s.get("rnn_head"))
     R.head_dims(head)
-    results = T.map_clips(manifest, rows, lambda clip: R.predict_rnn(clip, ckpt.arch, ckpt.params, head), _threads(s))
+    results = T.map_clips(manifest, rows, lambda clip: R.predict_rnn(clip, ckpt.arch, ckpt.params, head), threads)
     return _write_predictions(s, results)
 
 

@@ -13,14 +13,15 @@ Clip container (little-endian), one preprocessed video sample per file:
 
 Inference never holds a clip's frames whole. `open_clip` checks the header,
 the file size and the whole waveform, reads no frame bytes and keeps a
-`ClipFile`: the path and header extents. Scoring then reads the audio and
-one scored frame at a time from the file, and `unit_frames` maps that frame
-to [0, 1] floats. Training indexes each clip through `index_clip`, which
-loads it whole once (`load_clip`) to check it and keeps only a `ClipFile`;
-each crop then reads only the drawn audio window and the drawn frame's crop
-rows. A `Clip` in memory (`load_clip` keeps its frames u8, a read-only view
-of the file's bytes) and a `ClipFile` offer the same reads with
-bitwise-equal results.
+`ClipFile`: the path and header extents. Scoring then reads the audio, and
+the scored frames one at a time, from the file; `unit_frames` maps each
+frame to [0, 1] floats, and the visual stream runs them in small batches
+(`model.FRAME_BATCH_BYTES`). Training indexes each clip through
+`index_clip`, which loads it whole once (`load_clip`) to check it and keeps
+only a `ClipFile`; each crop then reads only the drawn audio window and the
+drawn frame's crop rows. A `Clip` in memory (`load_clip` keeps its frames
+u8, a read-only view of the file's bytes) and a `ClipFile` offer the same
+reads with bitwise-equal results.
 
 Manifest: UTF-8 CSV with header
     clip_id,path,openness,agreeableness,conscientiousness,neuroticism,extraversion,split

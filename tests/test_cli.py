@@ -372,6 +372,48 @@ def test_bad_setting_exits_before_reading_data(tmp_path, capsys, command, flags,
     assert message in err and "missing" not in err
 
 
+def _scoring_argv(tmp_path, command):
+    """A multi-clip command whose checkpoint and manifest do not exist."""
+    argv = [command, "--checkpoint", str(tmp_path / "missing.ckpt"), "--manifest", str(tmp_path / "missing.csv")]
+    if command == "extract-features":
+        argv += ["--out", str(tmp_path / "o")]
+    if command == "predict-rnn":
+        argv += ["--rnn-head", str(tmp_path / "missing.head")]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "extract-features", "predict-rnn"])
+@pytest.mark.parametrize("source", ["config", "env"])
+def test_non_integer_threads_is_usage_error_before_reading_data(tmp_path, capsys, monkeypatch, command, source):
+    argv = _scoring_argv(tmp_path, command)
+    if source == "config":
+        cfg = str(tmp_path / "c.cfg")
+        open(cfg, "w").write("threads = two\n")
+        argv += ["--config", cfg]
+    else:
+        monkeypatch.setenv("DI_THREADS", "abc")
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "threads" in err and "missing" not in err
+
+
+def test_fractional_threads_is_refused(tmp_path, capsys):
+    cfg = str(tmp_path / "c.cfg")
+    open(cfg, "w").write("threads = 1.5\n")
+    assert run(_scoring_argv(tmp_path, "predict") + ["--config", cfg]) == 1
+    assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("flags, config", [(["--frame-stride", "0"], ""), ([], "frame_stride = -1\n")])
+def test_bad_frame_stride_exits_before_reading_data(tmp_path, capsys, command, flags, config):
+    cfg = str(tmp_path / "c.cfg")
+    open(cfg, "w").write(config)
+    assert run(_scoring_argv(tmp_path, command) + ["--config", cfg] + flags) == 2
+    err = capsys.readouterr().err
+    assert "frame_stride must be >= 1" in err and "missing" not in err
+
+
 class TestNumericFailureExit:
     def test_training_divergence_maps_to_exit_three(self, workspace, monkeypatch):
         def boom(*a, **kw):

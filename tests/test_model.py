@@ -7,6 +7,7 @@ import pytest
 
 from avtrait import data as D
 from avtrait import model as M
+from avtrait import rnn_head as R
 from avtrait import train as T
 from avtrait import layers as L
 from avtrait.layers import linear_forward, scaled_tanh
@@ -371,8 +372,9 @@ class TestForwardInfer:
 
 
 class TestOpenedClipInference:
-    """A clip opened with open_clip is read a frame at a time, and scores
-    bitwise equal to the same clip loaded whole."""
+    """A clip opened with open_clip is read one scored frame at a time, each
+    into a batch buffer, and scores bitwise equal to the same clip loaded
+    whole."""
 
     def setup_method(self):
         self.arch = M.mini_architecture()
@@ -419,6 +421,106 @@ class TestOpenedClipInference:
             fh.truncate(os.path.getsize(path) + delta)
         with pytest.raises(D.TruncatedPayloadError):
             M.forward_infer(self.arch, self.params, opened)
+
+
+def random_frames(seed, n, h, w):
+    return D.unit_frames(rng64(seed).integers(0, 256, (n, 3, h, w), dtype=np.uint8))
+
+
+class TestFrameBatches:
+    """clip_features runs frames through the visual stream in batches that
+    give bitwise the rows of one frame at a time."""
+
+    def setup_method(self):
+        self.arch = M.mini_architecture()
+        self.params = M.build_network(self.arch, 23)
+
+    def column_bytes(self) -> int:
+        """A 64x64 frame's stem columns."""
+        return M._stem_column_bytes(self.arch.visual, (1, 3, 64, 64), np.float32)
+
+    def clip(self, frames, seconds=1.0):
+        rng = rng64(frames)
+        return D.Clip(
+            audio=(rng.random((1, int(seconds * D.SAMPLE_RATE)), dtype=np.float32) - 0.5).astype(np.float32),
+            frames=rng.integers(0, 256, (frames, 3, 64, 64), dtype=np.uint8),
+        )
+
+    def visual_batches(self, monkeypatch) -> list:
+        """The batch size of each visual-stream call from here on."""
+        batches = []
+        forward_stream = M.forward_stream
+
+        def spy(x, stream, prefix, params, mode):
+            if prefix == "visual":
+                batches.append(x.shape[0])
+            return forward_stream(x, stream, prefix, params, mode)
+
+        monkeypatch.setattr(M, "forward_stream", spy)
+        return batches
+
+    @pytest.mark.parametrize("arch", [M.mini_architecture(), M.full_architecture()], ids=["mini", "full"])
+    @pytest.mark.parametrize("h, w", [(64, 64), (37, 53)])
+    def test_stream_batch_rows_equal_single_frames(self, arch, h, w):
+        params = M.build_network(arch, 21)
+        folded = M.fold_stream(arch.visual, "visual", params)
+        x = random_frames(h * w, 5, h, w)
+        batch, _ = M.forward_stream(x, arch.visual, "visual", folded, "eval")
+        for i in range(5):
+            alone, _ = M.forward_stream(x[i : i + 1], arch.visual, "visual", folded, "eval")
+            assert batch[i].tobytes() == alone[0].tobytes()
+
+    def test_stream_batch_rows_equal_single_frames_at_canonical_size(self):
+        arch = M.mini_architecture()
+        params = M.build_network(arch, 22)
+        x = random_frames(22, 2, D.CANONICAL_HEIGHT, D.CANONICAL_WIDTH)
+        batch, _ = M.forward_stream(x, arch.visual, "visual", params, "eval")
+        for i in range(2):
+            assert batch[i].tobytes() == M.forward_stream(x[i : i + 1], arch.visual, "visual", params, "eval")[0][0].tobytes()
+
+    @pytest.mark.parametrize("times_k, plus", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_forward_infer_equal_to_one_frame_at_a_time(self, monkeypatch, times_k, plus, stride):
+        k = M.FRAME_BATCH_BYTES // self.column_bytes()
+        assert k >= 3
+        n = times_k * k + plus  # scored frames
+        clip = self.clip((n - 1) * stride + 1)
+        got = M.forward_infer(self.arch, self.params, clip, frame_stride=stride)
+        monkeypatch.setattr(M, "FRAME_BATCH_BYTES", 1)
+        expect = M.forward_infer(self.arch, self.params, clip, frame_stride=stride)
+        assert got.tobytes() == expect.tobytes()
+
+    # a second's span holds FPS = 25 frames: k + 1, k, k - 1 and 2k + 1 of
+    # them at these batch sizes k
+    @pytest.mark.parametrize("k", [26, 25, 24, 12])
+    def test_per_second_outputs_equal_to_one_frame_at_a_time(self, monkeypatch, k):
+        clip = self.clip(2 * D.FPS, seconds=2.0)
+        head = R.build_rnn_head(4, input_dim=self.arch.fusion_in, hidden=6, out_dim=5)
+        monkeypatch.setattr(M, "FRAME_BATCH_BYTES", k * self.column_bytes())
+        batches = self.visual_batches(monkeypatch)
+        got = R.extract_features(clip, self.arch, self.params), R.predict_rnn(clip, self.arch, self.params, head)
+        assert max(batches) == min(k, D.FPS) and sum(batches) == 4 * D.FPS
+        monkeypatch.setattr(M, "FRAME_BATCH_BYTES", 1)
+        expect = R.extract_features(clip, self.arch, self.params), R.predict_rnn(clip, self.arch, self.params, head)
+        for g, e in zip(got, expect):
+            assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+    def test_small_frames_run_in_batches(self, monkeypatch):
+        batches = self.visual_batches(monkeypatch)
+        M.forward_infer(self.arch, self.params, self.clip(13))
+        assert sum(batches) == 13 and max(batches) > 1
+
+    def test_canonical_frames_run_alone(self, monkeypatch):
+        # a canonical frame's stem columns exceed the budget, so whole-clip
+        # inference holds one frame's work at a time
+        rng = rng64(24)
+        clip = D.Clip(
+            audio=(rng.random((1, 2000), dtype=np.float32) - 0.5).astype(np.float32),
+            frames=rng.integers(0, 256, (3, 3, D.CANONICAL_HEIGHT, D.CANONICAL_WIDTH), dtype=np.uint8),
+        )
+        batches = self.visual_batches(monkeypatch)
+        M.forward_infer(self.arch, self.params, clip)
+        assert batches == [1, 1, 1]
 
 
 def unfolded_stream(x, stream, prefix, params):
