@@ -79,21 +79,30 @@ class Settings:
         return v
 
 
-def _threads(settings: Settings) -> int:
-    v = settings.get("threads")
+def _int_setting(settings: Settings, key: str, default=None, name: str = "") -> int | None:
+    """The integer setting `key`, or None if it is unset and has no default.
+
+    A value that is not a whole number is a usage error naming the setting
+    (`name`, else `key`).
+    """
+    v = settings.get(key, default)
     if v is None:
-        v = os.environ.get("DI_THREADS", "1")
+        return None
     try:
-        n = int(str(v))  # through str, so that a config's 1.5 is refused, not cut to 1
+        return int(str(v))  # through str, so that a config's 1.5 is refused, not cut to 1
     except ValueError:
-        raise UsageError(f"--threads must be an integer, got {v!r}") from None
+        raise UsageError(f"{name or key} must be an integer, got {v!r}") from None
+
+
+def _threads(settings: Settings) -> int:
+    n = _int_setting(settings, "threads", os.environ.get("DI_THREADS", "1"), "--threads")
     if n < 1:
         raise UsageError("--threads must be >= 1")
     return n
 
 
 def _frame_stride(settings: Settings) -> int:
-    stride = int(settings.get("frame_stride", 1))
+    stride = _int_setting(settings, "frame_stride", 1)
     if stride < 1:
         raise ValueError("frame_stride must be >= 1")
     return stride
@@ -101,7 +110,11 @@ def _frame_stride(settings: Settings) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--threads", type=int, default=None, help="worker cap (env DI_THREADS as fallback)")
+    p.add_argument(
+        "--threads", type=int, default=None,
+        help="clips scored at once by the multi-clip commands (env DI_THREADS as fallback); each "
+        "clip's products already use every BLAS thread, so on few cores 1 is often fastest",
+    )
     p.add_argument("--config", default=None, help="key = value config file; flags override it")
 
 
@@ -215,17 +228,17 @@ def _trait_index(raw: str) -> int:
 
 def _train_config(s: Settings, out_dir: str, mini) -> T.TrainConfig:
     return T.TrainConfig(
-        epochs=int(s.get("epochs", 900)),
-        batch_size=int(s.get("batch_size", 32)),
-        seed=int(s.get("seed", 0)),
-        checkpoint_every=int(s.get("checkpoint_every", 100)),
+        epochs=_int_setting(s, "epochs", 900),
+        batch_size=_int_setting(s, "batch_size", 32),
+        seed=_int_setting(s, "seed", 0),
+        checkpoint_every=_int_setting(s, "checkpoint_every", 100),
         out_dir=out_dir,
         mini=bool(mini),
-        audio_crop=s.get("audio_crop"),
-        frame_crop=s.get("frame_crop"),
+        audio_crop=_int_setting(s, "audio_crop"),
+        frame_crop=_int_setting(s, "frame_crop"),
         initial_alpha=float(s.get("initial_alpha", 2e-4)),
         lr_decay_factor=float(s.get("lr_decay_factor", 10.0)),
-        lr_period=int(s.get("lr_period", 300)),
+        lr_period=_int_setting(s, "lr_period", 300),
         beta1=float(s.get("beta1", 0.5)),
         beta2=float(s.get("beta2", 0.999)),
         epsilon=float(s.get("epsilon", 1e-8)),
@@ -234,14 +247,14 @@ def _train_config(s: Settings, out_dir: str, mini) -> T.TrainConfig:
 
 def _cmd_synth(s: Settings) -> int:
     manifest = D.synth_dataset(
-        n=int(s.get("n")),
-        seed=int(s.get("seed", 0)),
+        n=_int_setting(s, "n"),
+        seed=_int_setting(s, "seed", 0),
         out_dir=s.get("out"),
-        val_count=int(s.get("val_n", 0)),
-        test_count=int(s.get("test_n", 0)),
+        val_count=_int_setting(s, "val_n", 0),
+        test_count=_int_setting(s, "test_n", 0),
         seconds=float(s.get("seconds", 2.0)),
-        height=int(s.get("height", 48)),
-        width=int(s.get("width", 48)),
+        height=_int_setting(s, "height", 48),
+        width=_int_setting(s, "width", 48),
     )
     print(f"wrote {len(manifest.rows)} clips and manifest.csv under {s.get('out')}")
     return 0
@@ -330,12 +343,13 @@ def load_feature_cache(path: str) -> dict:
 
 def _cmd_train_rnn(s: Settings) -> int:
     config = R.RnnTrainConfig(
-        epochs=int(s.get("epochs", 100)),
-        seed=int(s.get("seed", 0)),
-        trunc=int(s.get("trunc", R.TRUNCATION)),
+        epochs=_int_setting(s, "epochs", 100),
+        seed=_int_setting(s, "seed", 0),
+        trunc=_int_setting(s, "trunc", R.TRUNCATION),
         dropout=float(s.get("dropout", R.DROPOUT_RATE)),
         alpha=float(s.get("alpha", 2e-4)),
     )
+    hidden = _int_setting(s, "hidden", R.RNN_HIDDEN)
     feats = load_feature_cache(s.get("features"))
     manifest = D.load_manifest(s.get("manifest"))
     labels = {row.clip_id: row.traits.astype(np.float32) for row in manifest.rows}
@@ -347,7 +361,6 @@ def _cmd_train_rnn(s: Settings) -> int:
     if not sequences:
         raise D.ManifestError("feature cache is empty")
     input_dim = sequences[0][0].shape[1]
-    hidden = int(s.get("hidden", R.RNN_HIDDEN))
     params = R.build_rnn_head(config.seed, input_dim=input_dim, hidden=hidden, out_dim=5)
     losses = R.train_rnn(sequences, params, config)
     T.write_tensor_container(s.get("out"), params)
@@ -366,7 +379,7 @@ def _cmd_predict_rnn(s: Settings) -> int:
 
 
 def _cmd_gradcheck(s: Settings) -> int:
-    rows, ok = run_gradcheck(include_network=bool(s.get("mini", False)), seed=int(s.get("seed", 0)))
+    rows, ok = run_gradcheck(include_network=bool(s.get("mini", False)), seed=_int_setting(s, "seed", 0))
     print(f"{'layer':30s} {'max_rel_err':>12s} {'tolerance':>10s} result")
     for r in rows:
         print(f"{r.name:30s} {r.max_rel_err:12.3e} {r.tolerance:10.0e} {'pass' if r.passed else 'FAIL'}")

@@ -153,14 +153,24 @@ class Manifest:
 # ---------------------------------------------------------------------------
 # atomic file output
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write via temp file + rename so a killed run never leaves a torn file."""
+def atomic_write_bytes(path: str, payload) -> None:
+    """Write via temp file + rename so a killed run never leaves a torn file.
+
+    `payload` is one bytes-like object, or an iterable of them (bytes,
+    memoryviews, C-contiguous arrays) written in order. Each part goes
+    straight to the temp file, so a caller that yields its parts one at a
+    time never holds the whole file in memory. If writing fails, or the
+    iterable raises, the temp file is removed and `path` is left as it was.
+    """
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        payload = (payload,)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for part in payload:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -189,11 +199,7 @@ def save_clip(clip: Clip, path: str) -> None:
     S = clip.sample_count
     if S >= 1 << 32 or T >= 1 << 32 or H >= 1 << 16 or W >= 1 << 16:
         raise ExtentOverflowError(f"extents out of header range: S={S} T={T} H={H} W={W}")
-    buf = io.BytesIO()
-    buf.write(_HEADER.pack(CLIP_MAGIC, S, T, H, W))
-    buf.write(audio.tobytes(order="C"))
-    buf.write(clip.frames.tobytes(order="C"))
-    atomic_write_bytes(path, buf.getvalue())
+    atomic_write_bytes(path, (_HEADER.pack(CLIP_MAGIC, S, T, H, W), audio, np.ascontiguousarray(clip.frames)))
 
 
 def _check_container(head: bytes, size: int, path: str) -> tuple:

@@ -302,7 +302,13 @@ def fold_stream(stream: StreamSpec, prefix: str, params: dict) -> FoldedStream:
 
 
 class EvalTapeError(ValueError):
-    """Backward was asked of an eval-mode tape, which records nothing."""
+    """Backward was asked of a stream tape with nothing left to differentiate:
+    an eval-mode tape, which records nothing, or a train-mode tape that a
+    backward has already consumed."""
+
+
+class ConsumedTapeError(EvalTapeError):
+    """Backward was asked again of a ModelTape that a backward has consumed."""
 
 
 def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict, mode: str):
@@ -340,12 +346,21 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
 
 
 def backward_stream(tape, grad_feat: np.ndarray):
-    """Walk a stream tape in reverse; returns (param grads, input grad)."""
+    """Walk a stream tape in reverse; returns (param grads, input grad).
+
+    The tape is consumed: each entry is popped before its backward runs,
+    so its cache is released once that backward returns and the tape is
+    empty afterwards. A tape can therefore be differentiated once.
+    """
     if not tape:
-        raise EvalTapeError("an eval-mode forward records no tape to differentiate; run it in train mode")
+        raise EvalTapeError(
+            "the stream tape is empty: an eval-mode forward records none, and a backward consumes a "
+            "train-mode one; run the forward again in train mode"
+        )
     grads = {}
     g = grad_feat
-    for kind, name, cache in reversed(tape):
+    while tape:
+        kind, name, cache = tape.pop()
         if kind == "gap":
             g = global_average_pool_backward(cache, g)
         elif kind == "block":
@@ -371,12 +386,21 @@ def backward_stream(tape, grad_feat: np.ndarray):
 
 @dataclass
 class ModelTape:
+    """What forward_train records for `backward`, which consumes it.
+
+    `backward` empties both stream tapes as it walks them and marks the
+    tape consumed, so a ModelTape can be differentiated once; a training
+    step that keeps no other reference to it frees each layer's cache as
+    soon as that layer's backward has run.
+    """
+
     auditory: list
     visual: list
     fusion_cache: tuple
     tanh_cache: np.ndarray
     split: int
     pred_shape: tuple
+    consumed: bool = False
 
 
 def forward_train(
@@ -421,9 +445,18 @@ def forward_train(
 
 
 def backward(tape: ModelTape, grad_out: np.ndarray) -> dict:
-    """Gradients for every trainable tensor given dL/dpred."""
+    """Gradients for every trainable tensor given dL/dpred.
+
+    grad_out is checked before anything is consumed. The tape is then
+    consumed: the auditory stream's caches are released as its backward
+    runs, before the visual stream's backward starts, and a second call on
+    the same tape raises ConsumedTapeError.
+    """
     if grad_out.shape != tape.pred_shape:
         raise ShapeMismatchError("backward grad_out", grad_out.shape, tape.pred_shape)
+    if tape.consumed:
+        raise ConsumedTapeError("this ModelTape was already differentiated, which consumed it; run forward_train again")
+    tape.consumed = True
     dz = scaled_tanh_backward(tape.tanh_cache, grad_out)
     dw, db, dfeats = linear_backward(tape.fusion_cache, dz)
     grads = {"fusion.w": dw, "fusion.b": db}

@@ -226,7 +226,8 @@ def train_rnn(sequences, params: dict, config: RnnTrainConfig):
     """Adam over per-sequence truncated-BPTT gradients.
 
     sequences: list of (features (T, D), target). Returns the per-epoch
-    mean losses; params are updated in place.
+    mean losses; params are updated in place. One sequence's gradients
+    are held at a time.
     """
     if not sequences:
         raise ValueError("no training sequences")
@@ -242,6 +243,7 @@ def train_rnn(sequences, params: dict, config: RnnTrainConfig):
                 params, seq, target, config.trunc, mode="train", rng=rng, dropout=config.dropout
             )
             adam_step(params, grads, adam)
+            del grads  # so the next sequence's gradients are not formed beside these
             total += loss
         losses.append(total / len(sequences))
     return losses

@@ -414,6 +414,52 @@ def test_bad_frame_stride_exits_before_reading_data(tmp_path, capsys, command, f
     assert "frame_stride must be >= 1" in err and "missing" not in err
 
 
+def _argv_without_inputs(tmp_path, command):
+    """`command` with every required flag, naming inputs that do not exist."""
+    if command in ("eval", "predict"):
+        return _scoring_argv(tmp_path, command)
+    if command == "synth":
+        return ["synth", "--n", "2", "--out", str(tmp_path / "o")]
+    if command == "gradcheck":
+        return ["gradcheck"]
+    argv = [command, "--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")]
+    if command == "train-rnn":
+        argv += ["--features", str(tmp_path / "missing.ckpt")]
+    if command == "finetune":
+        argv += ["--checkpoint", str(tmp_path / "missing.ckpt"), "--trait", "0"]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("eval", "frame_stride"),
+        ("predict", "frame_stride"),
+        ("train", "epochs"),
+        ("train", "batch_size"),
+        ("train", "seed"),
+        ("train", "checkpoint_every"),
+        ("train", "lr_period"),
+        ("train", "frame_crop"),
+        ("finetune", "audio_crop"),
+        ("train-rnn", "epochs"),
+        ("train-rnn", "trunc"),
+        ("train-rnn", "hidden"),
+        ("synth", "height"),
+        ("synth", "val_n"),
+        ("gradcheck", "seed"),
+    ],
+)
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+def test_non_integer_setting_is_usage_error_naming_it(tmp_path, capsys, command, key, value):
+    cfg = str(tmp_path / "c.cfg")
+    open(cfg, "w").write(f"{key} = {value}\n")
+    assert run(_argv_without_inputs(tmp_path, command) + ["--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be an integer, got " in err and "missing" not in err
+    assert not os.path.exists(str(tmp_path / "o"))
+
+
 class TestNumericFailureExit:
     def test_training_divergence_maps_to_exit_three(self, workspace, monkeypatch):
         def boom(*a, **kw):

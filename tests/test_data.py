@@ -460,6 +460,25 @@ class TestAtomicWrite:
         D.atomic_write_bytes(path, b"two")
         assert open(path, "rb").read() == b"two"
 
+    def test_parts_are_written_in_order(self, tmp_path):
+        path = str(tmp_path / "x.bin")
+        tail = np.arange(3, dtype="<u2")
+        D.atomic_write_bytes(path, [b"ab", memoryview(b"cd"), tail])
+        assert open(path, "rb").read() == b"abcd" + tail.tobytes()
+
+    def test_failing_parts_leave_the_old_file(self, tmp_path):
+        path = str(tmp_path / "x.bin")
+        D.atomic_write_bytes(path, b"old")
+
+        def parts():
+            yield b"new"
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            D.atomic_write_bytes(path, parts())
+        assert open(path, "rb").read() == b"old"
+        assert os.listdir(str(tmp_path)) == ["x.bin"]
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 500), st.integers(1, 3), st.integers(1, 8), st.integers(1, 8))

@@ -253,6 +253,35 @@ class TestBackward:
         with pytest.raises(M.ShapeMismatchError):
             M.backward(tape, np.zeros((2, 4)))
 
+    def test_backward_consumes_the_tape_once(self):
+        pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
+        g = rng64(5).standard_normal(pred.shape)
+        M.backward(tape, g)
+        assert tape.auditory == [] and tape.visual == []
+        with pytest.raises(M.ConsumedTapeError, match="already differentiated"):
+            M.backward(tape, g)
+
+    def test_rejected_grad_out_consumes_nothing(self):
+        pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
+        with pytest.raises(M.ShapeMismatchError):
+            M.backward(tape, np.zeros((2, 4)))
+        g = rng64(6).standard_normal(pred.shape)
+        got = M.backward(tape, g)
+        # train-mode outputs do not read the running statistics the first
+        # forward moved, so a second forward records the same tape
+        _, fresh = M.forward_train(self.arch, self.params, self.audio, self.frames)
+        want = M.backward(fresh, g)
+        assert set(got) == set(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+
+    def test_consumed_stream_tape_is_rejected_naming_both_causes(self):
+        feats, tape = M.forward_stream(self.audio, self.arch.auditory, "auditory", self.params, "train")
+        M.backward_stream(tape, np.ones_like(feats))
+        assert tape == []
+        with pytest.raises(M.EvalTapeError, match="eval-mode.*consumes"):
+            M.backward_stream(tape, np.ones_like(feats))
+
     def test_sampled_finite_differences_through_whole_network(self):
         rng = rng64(4)
         pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)

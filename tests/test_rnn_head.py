@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,23 @@ class TestTrainRnn:
         p1, p2 = run(), run()
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
+
+    def test_holds_one_sequence_gradients_at_a_time(self):
+        # a 64-unit head on 16-d features: 216 KB of gradients per sequence,
+        # which outweigh a 4-step sequence's tape
+        rng = rng64(8)
+        sequences = [(rng.standard_normal((4, 16)).astype(np.float32), np.full(5, 0.5, np.float32)) for _ in range(2)]
+        grad_bytes = sum(v.nbytes for v in R.build_rnn_head(0, input_dim=16, hidden=64).values())
+        peaks = []
+        for n in (1, 2):
+            params = R.build_rnn_head(0, input_dim=16, hidden=64)
+            tracemalloc.start()
+            try:
+                R.train_rnn(sequences[:n], params, R.RnnTrainConfig(epochs=1, seed=0, trunc=2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < grad_bytes / 2, (peaks, grad_bytes)
 
 
 class TestPredict:

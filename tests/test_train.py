@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,50 @@ class TestTensorContainer:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(T.CheckpointError, match="rank 0"):
             T.read_tensor_container(path)
+
+    def test_layout_matches_the_documented_format(self, tmp_path):
+        # a float64, a transposed and a float32 tensor, written out of name order
+        named = {
+            "b": np.arange(6, dtype=np.float64).reshape(2, 3).T,
+            "a.w": np.array([1.5, -2.0], np.float32),
+            "c": np.linspace(0, 1, 4),
+        }
+        path = str(tmp_path / "t.ckpt")
+        T.write_tensor_container(path, named, epoch=3, trailer=b"tr")
+        want = struct.pack("<8sIII", b"DIChkpt1", 1, 3, 3)
+        for name in sorted(named):
+            arr = np.ascontiguousarray(named[name], dtype="<f4")
+            raw = name.encode("utf-8")
+            want += struct.pack(f"<H{len(raw)}sB", len(raw), raw, arr.ndim)
+            want += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
+        want += struct.pack("<I", 2) + b"tr"
+        assert open(path, "rb").read() == want
+
+    def test_write_holds_no_copy_of_the_payload(self, tmp_path):
+        # 8 MB of float32 tensors; building the container in memory first
+        # would trace about twice that
+        named = {f"t{i}": np.full((256, 1024), i, np.float32) for i in range(8)}
+        payload = sum(arr.nbytes for arr in named.values())
+        path = str(tmp_path / "t.ckpt")
+        tracemalloc.start()
+        try:
+            T.write_tensor_container(path, named)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload / 16, (peak, payload)
+        _, back, _ = T.read_tensor_container(path)
+        for name, arr in named.items():
+            np.testing.assert_array_equal(back[name], arr)
+
+    def test_unserializable_tensor_leaves_the_old_file(self, tmp_path):
+        path = str(tmp_path / "t.ckpt")
+        T.write_tensor_container(path, {"x": np.ones(1, np.float32)})
+        before = open(path, "rb").read()
+        with pytest.raises(T.CheckpointError, match="unserializable"):
+            T.write_tensor_container(path, {"a": np.ones(3, np.float32), "n" * (1 << 16): np.ones(1, np.float32)})
+        assert open(path, "rb").read() == before
+        assert os.listdir(str(tmp_path)) == ["t.ckpt"]
 
 
 def _small_checkpoint(path):
@@ -390,6 +435,38 @@ class TestTrainClipIndex:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < clip_bytes / 4, (peaks, clip_bytes)
+
+
+class TestStepMemory:
+    def test_peak_does_not_grow_with_steps(self, tmp_path):
+        # 1024-sample and 48 px crops at batch 2 make the tape, not the
+        # im2col columns, what sets a step's peak. A loop that kept a step's
+        # tape and gradients into the next step's forward peaks about one
+        # tape higher over 3 steps than over 1.
+        manifest = D.synth_dataset(2, seed=3, out_dir=str(tmp_path / "ds"), seconds=0.5, height=48, width=48)
+        crops = dict(batch_size=2, audio_crop=1024, frame_crop=48, checkpoint_every=1000)
+        arch = M.mini_architecture()
+        params = M.build_network(arch, 0)
+        rng = np.random.Generator(np.random.PCG64(0))
+        audio = rng.standard_normal((2, 1, 1024)).astype(np.float32)
+        frames = rng.random((2, 3, 48, 48), dtype=np.float32)
+        M.forward_train(arch, params, audio, frames)  # one-time allocations are not the tape's
+        tracemalloc.start()
+        try:
+            _, tape = M.forward_train(arch, params, audio, frames)
+            tape_bytes = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del tape
+        peaks = []
+        for epochs in (1, 3):  # one step per epoch
+            tracemalloc.start()
+            try:
+                T.train(tiny_config(str(tmp_path / f"run{epochs}"), epochs=epochs, **crops), manifest)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < tape_bytes / 2, (peaks, tape_bytes)
 
 
 class TestMapClips:
