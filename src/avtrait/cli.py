@@ -94,6 +94,15 @@ def _int_setting(settings: Settings, key: str, default=None, name: str = "") -> 
         raise UsageError(f"{name or key} must be an integer, got {v!r}") from None
 
 
+def _float_setting(settings: Settings, key: str, default: float) -> float:
+    """The number setting `key`; a value that is not a number is a usage error naming it."""
+    v = settings.get(key, default)
+    try:
+        return float(str(v))  # through str, so that a config's `true` is refused, not read as 1.0
+    except ValueError:
+        raise UsageError(f"{key} must be a number, got {v!r}") from None
+
+
 def _threads(settings: Settings) -> int:
     n = _int_setting(settings, "threads", os.environ.get("DI_THREADS", "1"), "--threads")
     if n < 1:
@@ -236,12 +245,12 @@ def _train_config(s: Settings, out_dir: str, mini) -> T.TrainConfig:
         mini=bool(mini),
         audio_crop=_int_setting(s, "audio_crop"),
         frame_crop=_int_setting(s, "frame_crop"),
-        initial_alpha=float(s.get("initial_alpha", 2e-4)),
-        lr_decay_factor=float(s.get("lr_decay_factor", 10.0)),
+        initial_alpha=_float_setting(s, "initial_alpha", 2e-4),
+        lr_decay_factor=_float_setting(s, "lr_decay_factor", 10.0),
         lr_period=_int_setting(s, "lr_period", 300),
-        beta1=float(s.get("beta1", 0.5)),
-        beta2=float(s.get("beta2", 0.999)),
-        epsilon=float(s.get("epsilon", 1e-8)),
+        beta1=_float_setting(s, "beta1", 0.5),
+        beta2=_float_setting(s, "beta2", 0.999),
+        epsilon=_float_setting(s, "epsilon", 1e-8),
     )
 
 
@@ -252,7 +261,7 @@ def _cmd_synth(s: Settings) -> int:
         out_dir=s.get("out"),
         val_count=_int_setting(s, "val_n", 0),
         test_count=_int_setting(s, "test_n", 0),
-        seconds=float(s.get("seconds", 2.0)),
+        seconds=_float_setting(s, "seconds", 2.0),
         height=_int_setting(s, "height", 48),
         width=_int_setting(s, "width", 48),
     )
@@ -346,8 +355,8 @@ def _cmd_train_rnn(s: Settings) -> int:
         epochs=_int_setting(s, "epochs", 100),
         seed=_int_setting(s, "seed", 0),
         trunc=_int_setting(s, "trunc", R.TRUNCATION),
-        dropout=float(s.get("dropout", R.DROPOUT_RATE)),
-        alpha=float(s.get("alpha", 2e-4)),
+        dropout=_float_setting(s, "dropout", R.DROPOUT_RATE),
+        alpha=_float_setting(s, "alpha", 2e-4),
     )
     hidden = _int_setting(s, "hidden", R.RNN_HIDDEN)
     feats = load_feature_cache(s.get("features"))

@@ -14,13 +14,16 @@ columns, ``cols`` of shape ``(B, Cin * prod(kernel), prod(out))``, so one
 product with the flattened weight gives ``(B, Cout, *out)`` directly;
 pooling takes a running maximum over the kernel offsets.
 
-A training tape keeps layer inputs, not columns: the convolution cache is
-``(x, w, spec)``. The backward pass rebuilds x's columns, laid out
-``(Cin * prod(kernel), b * prod(out))``, for one ``dw`` product per slice
-of b batch samples (``COLUMN_BYTES``). Convolution and max pooling form dx
-by adding window gradients into a window view of a zero buffer, one kernel
-offset at a time. Batch norm caches x-hat and forms its input gradient from
-the two parameter gradients.
+Both convolution directions work in slices of b batch samples whose
+columns take at most ``COLUMN_BYTES`` (``_slice_samples``); a batch that
+fits in one slice, such as every eval call, is one product. A training
+tape keeps layer inputs, not columns: the convolution cache is ``(x, w,
+spec)``. The backward pass rebuilds x's columns, laid out ``(Cin *
+prod(kernel), b * prod(out))``, for one ``dw`` product per slice.
+Convolution and max pooling form dx by adding window gradients into a
+window view of a zero buffer, one kernel offset at a time. Batch norm
+caches x-hat and forms its input gradient from the two parameter
+gradients.
 
 Eval mode folds each batch norm into the convolution before it
 (``fold_batchnorm``, ``fold_block``). A folded residual block runs in eval
@@ -138,14 +141,19 @@ def _axes(first: int, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # convolution (cross-correlation, zero padding)
 
-# conv_backward rebuilds columns for a few batch samples at a time: at most
-# this many bytes of them, and at least one sample. glibc serves a buffer of
-# this size from its heap again on the next call, where a whole-batch one
-# (59 MB for the visual stem at batch 8) is mapped afresh and page-faulted
-# every time. On a 2-core x86-64 VM this made the batch-8 stem backward
-# about a quarter faster than whole-batch columns; 4 and 16 MB were no
-# better than 8.
+# conv_forward and conv_backward build columns for a few batch samples at a
+# time: at most this many bytes of them, and at least one sample. glibc
+# serves a buffer of this size from its heap again on the next call, where a
+# whole-batch one (59 MB for the visual stem at batch 8) is mapped afresh and
+# page-faulted every time. On a 2-core x86-64 VM this made the batch-8 stem
+# backward about a quarter faster than whole-batch columns, and its forward
+# as much (32 -> 25 ms); 4 and 16 MB were no better than 8.
 COLUMN_BYTES = 8 << 20
+
+
+def _slice_samples(sample_bytes: int) -> int:
+    """Batch samples per slice when one sample's columns take `sample_bytes`."""
+    return max(1, COLUMN_BYTES // sample_bytes)
 
 
 def _columns(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -160,9 +168,12 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
     """Cross-correlate x with w and add the per-channel bias.
 
     x: (B, Cin, L) for 1-d specs or (B, Cin, H, W) for 2-d specs.
-    w: (Cout, Cin, *kernel). Returns (y, cache). The cache is (x, w, spec):
-    the columns are a transient of this call, and conv_backward rebuilds
-    them from x, which must not change before it runs.
+    w: (Cout, Cin, *kernel). Returns (y, cache). The columns are built and
+    multiplied one batch slice of at most COLUMN_BYTES at a time, each
+    slice's product written into its rows of y; a batch that fits in one
+    slice is one product. The cache is (x, w, spec): the columns are a
+    transient of this call, and conv_backward rebuilds them from x, which
+    must not change before it runs.
     """
     if x.ndim != spec.ndim + 2:
         raise ShapeMismatchError("conv input rank", x.shape, ("B", spec.in_channels) + spec.kernel)
@@ -177,11 +188,21 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
     B = x.shape[0]
     _, win = _windows(x.shape, spec, 0.0, x.dtype, x)
     outs = win.shape[2 : 2 + nd]
-    # Copy kernel-offset-major (B, C, *kernel, *out): that buffer already is
+    wf = w.reshape(spec.out_channels, -1)
+    K, P = wf.shape[1], math.prod(outs)
+    # Copy kernel-offset-major (b, C, *kernel, *out): that buffer already is
     # cols, one row per (channel, *kernel) and one column per window, and
     # the weight product comes out channel-major with no transpose.
-    cols = np.ascontiguousarray(win.transpose((0, 1) + _axes(2 + nd, nd) + _axes(2, nd))).reshape(B, w[0].size, -1)
-    y = np.matmul(w.reshape(spec.out_channels, -1), cols)
+    order = (0, 1) + _axes(2 + nd, nd) + _axes(2, nd)
+    step = _slice_samples(K * P * x.itemsize)
+    if step >= B:
+        y = np.matmul(wf, np.ascontiguousarray(win.transpose(order)).reshape(B, K, P))
+    else:
+        y = np.empty((B, spec.out_channels, P), np.result_type(w, x))
+        for lo in range(0, B, step):
+            cols = np.ascontiguousarray(win[lo : lo + step].transpose(order)).reshape(-1, K, P)
+            np.matmul(wf, cols, out=y[lo : lo + step])
+            del cols  # before the next slice's columns are built
     y += b[:, None]
     return y.reshape((B, spec.out_channels) + outs), (x, w, spec)
 
@@ -206,7 +227,7 @@ def conv_backward(cache, grad_out: np.ndarray):
     wf = w.reshape(Cout, -1)
     dw = np.zeros(wf.shape, np.result_type(grad_out, x))
     dx, dx_win = _windows(x.shape, spec, 0.0, np.result_type(w, grad_out))
-    step = max(1, COLUMN_BYTES // (wf.shape[1] * g.shape[2] * x.itemsize))
+    step = _slice_samples(wf.shape[1] * g.shape[2] * x.itemsize)
     for lo in range(0, B, step):
         sl = slice(lo, lo + step)
         # One product sums over the slice's samples. The columns are freed

@@ -292,6 +292,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm needs real statistics)")
+        for name in ("audio_crop", "frame_crop"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         try:
             self.schedule
         except ValueError as e:  # LrSchedule checks decay_factor and period: name the lr_* settings

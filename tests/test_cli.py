@@ -460,6 +460,43 @@ def test_non_integer_setting_is_usage_error_naming_it(tmp_path, capsys, command,
     assert not os.path.exists(str(tmp_path / "o"))
 
 
+@pytest.mark.parametrize("key, value", [("audio_crop", "0"), ("audio_crop", "-5"), ("frame_crop", "0")])
+def test_crop_below_one_is_refused_before_the_run_directory(workspace, tmp_path, capsys, key, value):
+    crops = {"audio_crop": "2048", "frame_crop": "32", key: value}
+    cfg = str(tmp_path / "c.cfg")
+    open(cfg, "w").write("".join(f"{k} = {v}\n" for k, v in crops.items()))
+    out = str(tmp_path / "run")
+    argv = ["train", "--manifest", workspace["manifest"], "--out", out, "--config", cfg,
+            "--mini", "--epochs", "1", "--batch-size", "4"]
+    assert run(argv) == 2
+    assert f"{key} must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("train", "initial_alpha"),
+        ("train", "lr_decay_factor"),
+        ("train", "beta1"),
+        ("train", "beta2"),
+        ("train", "epsilon"),
+        ("finetune", "initial_alpha"),
+        ("synth", "seconds"),
+        ("train-rnn", "dropout"),
+        ("train-rnn", "alpha"),
+    ],
+)
+@pytest.mark.parametrize("value", ["abc", "true"])
+def test_non_number_setting_is_usage_error_naming_it(tmp_path, capsys, command, key, value):
+    cfg = str(tmp_path / "c.cfg")
+    open(cfg, "w").write(f"{key} = {value}\n")
+    assert run(_argv_without_inputs(tmp_path, command) + ["--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be a number, got " in err and "missing" not in err
+    assert not os.path.exists(str(tmp_path / "o"))
+
+
 class TestNumericFailureExit:
     def test_training_divergence_maps_to_exit_three(self, workspace, monkeypatch):
         def boom(*a, **kw):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avtrait import layers as L
+from avtrait import model as M
 from avtrait.gradcheck import LAYER_CASES
 from oracles import (
     batchnorm_backward_three_term,
@@ -116,6 +118,65 @@ class TestConvForward:
         w = np.zeros((1, 1, 5), dtype=np.float32)
         with pytest.raises(ValueError, match="extent"):
             L.conv_forward(x, w, np.zeros(1, np.float32), L.ConvSpec((5,), (1,), (0,), 1, 1))
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_sample_slices_match_the_whole_batch(self, monkeypatch, ndim, stride, dtype):
+        rng = rng64(8)
+        x = rng.standard_normal((3, 2) + (9,) * ndim).astype(dtype)
+        w = rng.standard_normal((4, 2) + (3,) * ndim).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        spec = L.ConvSpec((3,) * ndim, (stride,) * ndim, (1,) * ndim, 2, 4)
+        y, _ = L.conv_forward(x, w, b, spec)
+        monkeypatch.setattr(L, "COLUMN_BYTES", 1)
+        y1, _ = L.conv_forward(x, w, b, spec)
+        assert y1.dtype == y.dtype == dtype
+        np.testing.assert_array_equal(y1, y)
+
+    def test_peak_stays_below_the_whole_batch_columns(self, monkeypatch):
+        rng = rng64(9)
+        x = rng.standard_normal((8, 4, 32, 32))
+        w = rng.standard_normal((4, 4, 3, 3))
+        spec = L.ConvSpec((3, 3), (1, 1), (1, 1), 4, 4)
+        sample_cols = w[0].size * 32 * 32 * x.itemsize
+        monkeypatch.setattr(L, "COLUMN_BYTES", sample_cols)  # one sample a slice
+        tracemalloc.start()
+        try:
+            L.conv_forward(x, w, np.zeros(4), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # padded input, output and one slice's columns: about a third of
+        # the whole batch's columns
+        assert peak < 8 * sample_cols, (peak, 8 * sample_cols)
+
+    def test_training_step_is_bitwise_equal_after_a_forward_in_one_sample_slices(self, monkeypatch):
+        # Only the forward slices here: conv_backward's dw adds its slices'
+        # products, which equals one whole-batch product up to rounding
+        # (TestConvBackward), so the backward runs at the default in both.
+        arch = M.mini_architecture()
+        params = M.build_network(arch, 7)
+        rng = rng64(10)
+        audio = rng.standard_normal((4, 1, 2048)).astype(np.float32)
+        frames = rng.random((4, 3, 32, 32), dtype=np.float32)
+        g = rng.standard_normal((4, 5)).astype(np.float32)
+        default = L.COLUMN_BYTES
+
+        def step(forward_bytes):
+            own = {name: v.copy() for name, v in params.items()}
+            monkeypatch.setattr(L, "COLUMN_BYTES", forward_bytes)
+            pred, tape = M.forward_train(arch, own, audio, frames)
+            monkeypatch.setattr(L, "COLUMN_BYTES", default)
+            return pred, M.backward(tape, g), own
+
+        want = step(default)
+        got = step(1)
+        np.testing.assert_array_equal(got[0], want[0])
+        for i in (1, 2):  # gradients, then parameters with the running statistics
+            assert set(got[i]) == set(want[i])
+            for name in want[i]:
+                np.testing.assert_array_equal(got[i][name], want[i][name], err_msg=name)
 
 
 class TestConvBackward:
