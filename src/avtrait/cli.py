@@ -79,39 +79,33 @@ class Settings:
         return v
 
 
-def _int_setting(settings: Settings, key: str, default=None, name: str = "") -> int | None:
-    """The integer setting `key`, or None if it is unset and has no default.
+def _setting(settings: Settings, key: str, default=None, name: str = "", cast=int):
+    """The setting `key` read as `cast` (int or float), or None if it is unset and has no default.
 
-    A value that is not a whole number is a usage error naming the setting
+    A value that `cast` refuses is a usage error naming the setting
     (`name`, else `key`).
     """
     v = settings.get(key, default)
     if v is None:
         return None
     try:
-        return int(str(v))  # through str, so that a config's 1.5 is refused, not cut to 1
+        # through str, so that a config's 1.5 is refused as an integer, not
+        # cut to 1, and a config's `true` is refused as a number, not read as 1.0
+        return cast(str(v))
     except ValueError:
-        raise UsageError(f"{name or key} must be an integer, got {v!r}") from None
-
-
-def _float_setting(settings: Settings, key: str, default: float) -> float:
-    """The number setting `key`; a value that is not a number is a usage error naming it."""
-    v = settings.get(key, default)
-    try:
-        return float(str(v))  # through str, so that a config's `true` is refused, not read as 1.0
-    except ValueError:
-        raise UsageError(f"{key} must be a number, got {v!r}") from None
+        kind = "an integer" if cast is int else "a number"
+        raise UsageError(f"{name or key} must be {kind}, got {v!r}") from None
 
 
 def _threads(settings: Settings) -> int:
-    n = _int_setting(settings, "threads", os.environ.get("DI_THREADS", "1"), "--threads")
+    n = _setting(settings, "threads", os.environ.get("DI_THREADS", "1"), "--threads")
     if n < 1:
         raise UsageError("--threads must be >= 1")
     return n
 
 
 def _frame_stride(settings: Settings) -> int:
-    stride = _int_setting(settings, "frame_stride", 1)
+    stride = _setting(settings, "frame_stride", 1)
     if stride < 1:
         raise ValueError("frame_stride must be >= 1")
     return stride
@@ -237,33 +231,33 @@ def _trait_index(raw: str) -> int:
 
 def _train_config(s: Settings, out_dir: str, mini) -> T.TrainConfig:
     return T.TrainConfig(
-        epochs=_int_setting(s, "epochs", 900),
-        batch_size=_int_setting(s, "batch_size", 32),
-        seed=_int_setting(s, "seed", 0),
-        checkpoint_every=_int_setting(s, "checkpoint_every", 100),
+        epochs=_setting(s, "epochs", 900),
+        batch_size=_setting(s, "batch_size", 32),
+        seed=_setting(s, "seed", 0),
+        checkpoint_every=_setting(s, "checkpoint_every", 100),
         out_dir=out_dir,
         mini=bool(mini),
-        audio_crop=_int_setting(s, "audio_crop"),
-        frame_crop=_int_setting(s, "frame_crop"),
-        initial_alpha=_float_setting(s, "initial_alpha", 2e-4),
-        lr_decay_factor=_float_setting(s, "lr_decay_factor", 10.0),
-        lr_period=_int_setting(s, "lr_period", 300),
-        beta1=_float_setting(s, "beta1", 0.5),
-        beta2=_float_setting(s, "beta2", 0.999),
-        epsilon=_float_setting(s, "epsilon", 1e-8),
+        audio_crop=_setting(s, "audio_crop"),
+        frame_crop=_setting(s, "frame_crop"),
+        initial_alpha=_setting(s, "initial_alpha", 2e-4, cast=float),
+        lr_decay_factor=_setting(s, "lr_decay_factor", 10.0, cast=float),
+        lr_period=_setting(s, "lr_period", 300),
+        beta1=_setting(s, "beta1", 0.5, cast=float),
+        beta2=_setting(s, "beta2", 0.999, cast=float),
+        epsilon=_setting(s, "epsilon", 1e-8, cast=float),
     )
 
 
 def _cmd_synth(s: Settings) -> int:
     manifest = D.synth_dataset(
-        n=_int_setting(s, "n"),
-        seed=_int_setting(s, "seed", 0),
+        n=_setting(s, "n"),
+        seed=_setting(s, "seed", 0),
         out_dir=s.get("out"),
-        val_count=_int_setting(s, "val_n", 0),
-        test_count=_int_setting(s, "test_n", 0),
-        seconds=_float_setting(s, "seconds", 2.0),
-        height=_int_setting(s, "height", 48),
-        width=_int_setting(s, "width", 48),
+        val_count=_setting(s, "val_n", 0),
+        test_count=_setting(s, "test_n", 0),
+        seconds=_setting(s, "seconds", 2.0, cast=float),
+        height=_setting(s, "height", 48),
+        width=_setting(s, "width", 48),
     )
     print(f"wrote {len(manifest.rows)} clips and manifest.csv under {s.get('out')}")
     return 0
@@ -352,13 +346,13 @@ def load_feature_cache(path: str) -> dict:
 
 def _cmd_train_rnn(s: Settings) -> int:
     config = R.RnnTrainConfig(
-        epochs=_int_setting(s, "epochs", 100),
-        seed=_int_setting(s, "seed", 0),
-        trunc=_int_setting(s, "trunc", R.TRUNCATION),
-        dropout=_float_setting(s, "dropout", R.DROPOUT_RATE),
-        alpha=_float_setting(s, "alpha", 2e-4),
+        epochs=_setting(s, "epochs", 100),
+        seed=_setting(s, "seed", 0),
+        trunc=_setting(s, "trunc", R.TRUNCATION),
+        dropout=_setting(s, "dropout", R.DROPOUT_RATE, cast=float),
+        alpha=_setting(s, "alpha", 2e-4, cast=float),
     )
-    hidden = _int_setting(s, "hidden", R.RNN_HIDDEN)
+    hidden = _setting(s, "hidden", R.RNN_HIDDEN)
     feats = load_feature_cache(s.get("features"))
     manifest = D.load_manifest(s.get("manifest"))
     labels = {row.clip_id: row.traits.astype(np.float32) for row in manifest.rows}
@@ -388,7 +382,7 @@ def _cmd_predict_rnn(s: Settings) -> int:
 
 
 def _cmd_gradcheck(s: Settings) -> int:
-    rows, ok = run_gradcheck(include_network=bool(s.get("mini", False)), seed=_int_setting(s, "seed", 0))
+    rows, ok = run_gradcheck(include_network=bool(s.get("mini", False)), seed=_setting(s, "seed", 0))
     print(f"{'layer':30s} {'max_rel_err':>12s} {'tolerance':>10s} result")
     for r in rows:
         print(f"{r.name:30s} {r.max_rel_err:12.3e} {r.tolerance:10.0e} {'pass' if r.passed else 'FAIL'}")

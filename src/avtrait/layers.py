@@ -15,11 +15,11 @@ product with the flattened weight gives ``(B, Cout, *out)`` directly;
 pooling takes a running maximum over the kernel offsets.
 
 Both convolution directions work in slices of b batch samples whose
-columns take at most ``COLUMN_BYTES`` (``_slice_samples``); a batch that
-fits in one slice, such as every eval call, is one product. A training
-tape keeps layer inputs, not columns: the convolution cache is ``(x, w,
-spec)``. The backward pass rebuilds x's columns, laid out ``(Cin *
-prod(kernel), b * prod(out))``, for one ``dw`` product per slice.
+columns take at most ``COLUMN_BYTES`` (``_slice_samples``), or of one
+sample; every eval call fits in one slice. A training tape keeps layer
+inputs, not columns: the convolution cache is ``(x, w, spec)``. The
+backward pass rebuilds x's columns, laid out ``(Cin * prod(kernel), b *
+prod(out))``, for one ``dw`` product per slice.
 Convolution and max pooling form dx by adding window gradients into a
 window view of a zero buffer, one kernel offset at a time. Batch norm
 caches x-hat and forms its input gradient from the two parameter
@@ -169,11 +169,11 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
 
     x: (B, Cin, L) for 1-d specs or (B, Cin, H, W) for 2-d specs.
     w: (Cout, Cin, *kernel). Returns (y, cache). The columns are built and
-    multiplied one batch slice of at most COLUMN_BYTES at a time, each
-    slice's product written into its rows of y; a batch that fits in one
-    slice is one product. The cache is (x, w, spec): the columns are a
-    transient of this call, and conv_backward rebuilds them from x, which
-    must not change before it runs.
+    multiplied one batch slice of at most COLUMN_BYTES (or one sample) at a
+    time, each slice's product written into its rows of y. The cache is
+    (x, w, spec): the columns are a transient of this call, and
+    conv_backward rebuilds them from x, which must not change before it
+    runs.
     """
     if x.ndim != spec.ndim + 2:
         raise ShapeMismatchError("conv input rank", x.shape, ("B", spec.in_channels) + spec.kernel)
@@ -195,14 +195,11 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
     # the weight product comes out channel-major with no transpose.
     order = (0, 1) + _axes(2 + nd, nd) + _axes(2, nd)
     step = _slice_samples(K * P * x.itemsize)
-    if step >= B:
-        y = np.matmul(wf, np.ascontiguousarray(win.transpose(order)).reshape(B, K, P))
-    else:
-        y = np.empty((B, spec.out_channels, P), np.result_type(w, x))
-        for lo in range(0, B, step):
-            cols = np.ascontiguousarray(win[lo : lo + step].transpose(order)).reshape(-1, K, P)
-            np.matmul(wf, cols, out=y[lo : lo + step])
-            del cols  # before the next slice's columns are built
+    y = np.empty((B, spec.out_channels, P), np.result_type(w, x))
+    for lo in range(0, B, step):
+        cols = np.ascontiguousarray(win[lo : lo + step].transpose(order)).reshape(-1, K, P)
+        np.matmul(wf, cols, out=y[lo : lo + step])
+        del cols  # before the next slice's columns are built
     y += b[:, None]
     return y.reshape((B, spec.out_channels) + outs), (x, w, spec)
 
