@@ -426,10 +426,22 @@ def _synth_labels(freq, means, theta):
     return np.round(0.05 + 0.9 * raw, 6)
 
 
+def _check_synth_extent(seconds: float, height: int, width: int) -> None:
+    """Reject a synthetic clip size that gives no frame, no sample or an empty frame."""
+    if not math.isfinite(seconds):
+        raise ValueError(f"seconds must be finite, got {seconds}")
+    if not (seconds * FPS > 0.5 and seconds * SAMPLE_RATE > 0.5):  # synth_clip rounds both counts
+        raise ValueError(
+            f"seconds must be long enough for one frame at {FPS} fps and one sample at {SAMPLE_RATE} Hz, got {seconds}"
+        )
+    for name, extent in (("height", height), ("width", width)):
+        if extent < 1:
+            raise ValueError(f"{name} must be >= 1, got {extent}")
+
+
 def synth_clip(rng: np.random.Generator, seconds: float = 2.0, height: int = 48, width: int = 48) -> Clip:
     """One synthetic clip; consumes a fixed number of draws from rng."""
-    if height < 1 or width < 1:
-        raise ValueError(f"frame extent must be >= 1, got {height}x{width}")
+    _check_synth_extent(seconds, height, width)
     freq = float(rng.uniform(_FREQ_LO, _FREQ_HI))
     phase2 = float(rng.uniform(0.0, 2.0 * math.pi))
     phase3 = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -474,12 +486,14 @@ def synth_dataset(
     """Write n clips plus manifest.csv under out_dir; fully seed-determined.
 
     The first n - val_count - test_count clips are tagged train, then
-    validation, then test.
+    validation, then test. Every setting is checked before out_dir is
+    created.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if val_count + test_count > n:
         raise ValueError("val_count + test_count exceeds n")
+    _check_synth_extent(seconds, height, width)
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = []

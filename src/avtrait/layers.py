@@ -17,13 +17,20 @@ pooling takes a running maximum over the kernel offsets.
 Both convolution directions work in slices of b batch samples whose
 columns take at most ``COLUMN_BYTES`` (``_slice_samples``), or of one
 sample; every eval call fits in one slice. A training tape keeps layer
-inputs, not columns: the convolution cache is ``(x, w, spec)``. The
-backward pass rebuilds x's columns, laid out ``(Cin * prod(kernel), b *
+inputs, not columns: the convolution cache is the list ``[x, w, spec]``.
+The backward pass rebuilds x's columns, laid out ``(Cin * prod(kernel), b *
 prod(out))``, for one ``dw`` product per slice.
 Convolution and max pooling form dx by adding window gradients into a
 window view of a zero buffer, one kernel offset at a time. Batch norm
-caches x-hat and forms its input gradient from the two parameter
-gradients.
+caches x-hat, gamma and the batch's inverse deviation, and forms its input
+gradient from the two parameter gradients.
+
+A train-mode tape keeps each activation once. Where a rectifier follows a
+batch norm, its output relu(gamma * x-hat + beta) is not kept: backward
+rebuilds it from the batch norm's cache (``batchnorm_relu``) with the
+products the forward used, so the rebuild is bitwise equal, and takes the
+rectifier's mask from it. gamma and beta must therefore not change between
+a forward and its backward, as a convolution's input must not.
 
 Eval mode folds each batch norm into the convolution before it
 (``fold_batchnorm``, ``fold_block``). A folded residual block runs in eval
@@ -148,6 +155,11 @@ def _axes(first: int, n: int) -> tuple:
 # page-faulted every time. On a 2-core x86-64 VM this made the batch-8 stem
 # backward about a quarter faster than whole-batch columns, and its forward
 # as much (32 -> 25 ms); 4 and 16 MB were no better than 8.
+# conv_forward's slices are bitwise equal to one whole-batch product, but
+# conv_backward sums its slices' dw products, which rounds differently: with
+# one-sample slices, 1336 of the 4608 elements of one mini-network weight
+# gradient moved by up to 4.5e-08. Changing this value or the slice rule
+# therefore moves trained parameters in their last bits.
 COLUMN_BYTES = 8 << 20
 
 
@@ -171,9 +183,10 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
     w: (Cout, Cin, *kernel). Returns (y, cache). The columns are built and
     multiplied one batch slice of at most COLUMN_BYTES (or one sample) at a
     time, each slice's product written into its rows of y. The cache is
-    (x, w, spec): the columns are a transient of this call, and
+    the list [x, w, spec]: the columns are a transient of this call, and
     conv_backward rebuilds them from x, which must not change before it
-    runs.
+    runs. A caller that can rebuild x may drop ``cache[0]`` after this call
+    and put x back before conv_backward, passing the same list.
     """
     if x.ndim != spec.ndim + 2:
         raise ShapeMismatchError("conv input rank", x.shape, ("B", spec.in_channels) + spec.kernel)
@@ -201,7 +214,7 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
         np.matmul(wf, cols, out=y[lo : lo + step])
         del cols  # before the next slice's columns are built
     y += b[:, None]
-    return y.reshape((B, spec.out_channels) + outs), (x, w, spec)
+    return y.reshape((B, spec.out_channels) + outs), [x, w, spec]
 
 
 def conv_backward(cache, grad_out: np.ndarray):
@@ -304,13 +317,30 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str):
     var = y.mean(axis=axes)
     inv_std = 1.0 / np.sqrt(var + state.epsilon)
     xhat *= _bn_bcast(inv_std, x.ndim)
-    np.multiply(xhat, _bn_bcast(state.gamma, x.ndim), out=y)
-    y += _bn_bcast(state.beta, x.ndim)
+    _scale_shift(xhat, state.gamma, state.beta, y)
 
     m = state.momentum
     state.running_mean[...] = m * state.running_mean + (1.0 - m) * mean
     state.running_var[...] = m * state.running_var + (1.0 - m) * var
     return y, (xhat, inv_std, state.gamma, n)
+
+
+def _scale_shift(xhat, gamma, beta, out):
+    """gamma * xhat + beta per channel, written into out (xhat's shape and dtype)."""
+    np.multiply(xhat, _bn_bcast(gamma, xhat.ndim), out=out)
+    out += _bn_bcast(beta, xhat.ndim)
+    return out
+
+
+def batchnorm_relu(cache, beta, out):
+    """relu(gamma * xhat + beta) from a train-mode batchnorm cache, written into out.
+
+    Bitwise equal to relu_forward of the batchnorm_forward output that made
+    the cache, provided gamma (which the cache holds) and beta have not
+    changed since; out has x-hat's shape and dtype and may be a view.
+    """
+    xhat, _, gamma, _ = cache
+    return np.maximum(_scale_shift(xhat, gamma, beta, out), 0, out=out)
 
 
 def fold_batchnorm(w: np.ndarray, b: np.ndarray, state: BatchNormState):
@@ -373,6 +403,20 @@ def maxpool_forward(x: np.ndarray, spec: ConvSpec):
     for k in offsets[1:]:
         np.maximum(y, win[(Ellipsis,) + k], out=y)
     return y, (win, y, x.shape, spec)
+
+
+def relu_pool_cache(bn_cache, beta, y, spec: ConvSpec):
+    """Rebuild the maxpool_forward cache of a pool over relu(gamma * xhat + beta).
+
+    For a tape that kept only the batch norm's cache and the pool output y:
+    the rectifier output is written by batchnorm_relu straight into the
+    interior of a -inf padded buffer, as maxpool_forward pads its input.
+    Returns (that interior, the cache for maxpool_backward).
+    """
+    xhat = bn_cache[0]
+    interior, win = _windows(xhat.shape, spec, -np.inf, xhat.dtype)
+    batchnorm_relu(bn_cache, beta, interior)
+    return interior, (win, y, xhat.shape, spec)
 
 
 def maxpool_backward(cache, grad_out: np.ndarray):
@@ -519,7 +563,11 @@ def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams):
 
     A block from fold_block runs in eval mode: batch norm is already in its
     convolutions, it rectifies in place and returns no cache. Any other
-    block trains on batch statistics and updates its running ones.
+    block trains on batch statistics and updates its running ones. Its
+    cache keeps x, bn1's and bn2's caches (x-hat 1 and x-hat 2) and the
+    output y, which the next layer holds anyway; conv2's input relu(bn1) is
+    dropped from conv2's cache and rebuilt by residual_block_backward, so
+    bn1's gamma and beta must not change before it runs.
     """
     if blk.bn1 is None:
         r1, _ = conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
@@ -530,32 +578,45 @@ def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams):
         else:
             y += x
         return np.maximum(y, 0, out=y), None
-    h1, c_conv1 = conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
-    n1, c_bn1 = batchnorm_forward(h1, blk.bn1, "train")
-    r1, c_relu1 = relu_forward(n1)
-    h2, c_conv2 = conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
-    n2, c_bn2 = batchnorm_forward(h2, blk.bn2, "train")
+    # One name for the main path frees each transient once the next layer
+    # has it: fewer heap holes for backward to grow around.
+    h, c_conv1 = conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
+    h, c_bn1 = batchnorm_forward(h, blk.bn1, "train")
+    h, _ = relu_forward(h)
+    h, c_conv2 = conv_forward(h, blk.conv2_w, blk.conv2_b, blk.spec2)
+    c_conv2[0] = None
+    n2, c_bn2 = batchnorm_forward(h, blk.bn2, "train")
+    del h
     if blk.kind == "projection":
         sc, c_sc = conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)
     else:
         sc, c_sc = x, None
-    y, c_out = relu_forward(n2 + sc)
-    cache = (c_conv1, c_bn1, c_relu1, c_conv2, c_bn2, c_sc, c_out, blk.kind)
-    return y, cache
+    y, _ = relu_forward(n2 + sc)
+    return y, (c_conv1, c_bn1, blk.bn1.beta, c_conv2, c_bn2, c_sc, y)
 
 
 def residual_block_backward(cache, grad_out: np.ndarray):
-    """Returns ({param name -> grad}, dx) for a residual block."""
+    """Returns ({param name -> grad}, dx) for a residual block.
+
+    Both rectifier masks come from outputs: the final one from y > 0, and
+    relu1's from conv2's input, which is rebuilt from bn1's cache into
+    conv2's cache for conv_backward and released after it.
+    """
     if cache is None:
         raise ValueError("no cache: an eval-mode residual block has no backward")
-    c_conv1, c_bn1, c_relu1, c_conv2, c_bn2, c_sc, c_out, kind = cache
-    g = relu_backward(c_out, grad_out)
+    c_conv1, c_bn1, beta1, c_conv2, c_bn2, c_sc, y = cache
+    g = relu_backward(y > 0, grad_out)
     grads = {}
-    dgamma2, dbeta2, dh2 = batchnorm_backward(c_bn2, g)
-    dw2, db2, dr1 = conv_backward(c_conv2, dh2)
-    dn1 = relu_backward(c_relu1, dr1)
-    dgamma1, dbeta1, dh1 = batchnorm_backward(c_bn1, dn1)
-    dw1, db1, dx = conv_backward(c_conv1, dh1)
+    dgamma2, dbeta2, d = batchnorm_backward(c_bn2, g)  # d: the main path's gradient, one name as in forward
+    c_conv2[0] = batchnorm_relu(c_bn1, beta1, np.empty_like(c_bn1[0]))
+    dw2, db2, d = conv_backward(c_conv2, d)
+    mask1 = c_conv2[0] > 0
+    c_conv2[0] = None
+    d = relu_backward(mask1, d)
+    del mask1
+    dgamma1, dbeta1, d = batchnorm_backward(c_bn1, d)
+    dw1, db1, dx = conv_backward(c_conv1, d)
+    del d
     grads.update(
         {
             "conv1.w": dw1,
@@ -568,7 +629,7 @@ def residual_block_backward(cache, grad_out: np.ndarray):
             "bn2.beta": dbeta2,
         }
     )
-    if kind == "projection":
+    if c_sc is not None:  # projection shortcut
         dwsc, dbsc, dsc = conv_backward(c_sc, g)
         grads["shortcut.w"] = dwsc
         grads["shortcut.b"] = dbsc

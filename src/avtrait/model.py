@@ -51,6 +51,7 @@ from .layers import (
     out_extent,
     relu_backward,
     relu_forward,
+    relu_pool_cache,
     residual_block_backward,
     residual_block_forward,
     scaled_tanh,
@@ -318,6 +319,14 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     layer cache and returns an empty tape. Its `params` may be
     fold_stream's result instead of the parameter dict, so that a caller
     running many inputs folds once.
+
+    Train mode's tape is a "stem" entry, one "block" entry per residual
+    block and a "gap" entry, and keeps each activation once. The stem
+    keeps its convolution's input, its batch norm's x-hat and the pool
+    output; not the rectifier's mask nor the pool's padded input, which
+    backward_stream rebuilds from x-hat. A block keeps what
+    residual_block_forward says. Every gamma and beta must stay unchanged
+    until backward_stream has run.
     """
     if mode == "eval":
         folded = params if isinstance(params, FoldedStream) else fold_stream(stream, prefix, params)
@@ -327,15 +336,13 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
         for blk in folded.blocks:
             y, _ = residual_block_forward(y, blk)
         return global_average_pool(y)[0], []
-    tape = []
-    y, cache = conv_forward(x, params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], _stem_spec(stream))
-    tape.append(("conv", f"{prefix}.stem.conv", cache))
-    y, cache = batchnorm_forward(y, _bn_state(params, f"{prefix}.stem.bn"), mode)
-    tape.append(("bn", f"{prefix}.stem.bn", cache))
-    y, cache = relu_forward(y)
-    tape.append(("relu", None, cache))
-    y, cache = maxpool_forward(y, _pool_spec(stream))
-    tape.append(("maxpool", None, cache))
+    y, c_conv = conv_forward(x, params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], _stem_spec(stream))
+    bn = _bn_state(params, f"{prefix}.stem.bn")
+    y, c_bn = batchnorm_forward(y, bn, mode)
+    y, _ = relu_forward(y)
+    pool_spec = _pool_spec(stream)
+    y, _ = maxpool_forward(y, pool_spec)
+    tape = [("stem", f"{prefix}.stem", (c_conv, c_bn, bn.beta, y, pool_spec))]
     for name, in_ch, out_ch, stride, kind in _block_layout(stream):
         blk = _block_params(stream, prefix, name, in_ch, out_ch, stride, kind, params)
         y, cache = residual_block_forward(y, blk)
@@ -350,7 +357,10 @@ def backward_stream(tape, grad_feat: np.ndarray):
 
     The tape is consumed: each entry is popped before its backward runs,
     so its cache is released once that backward returns and the tape is
-    empty afterwards. A tape can therefore be differentiated once.
+    empty afterwards. A tape can therefore be differentiated once. The stem
+    rebuilds relu(gamma * x-hat + beta) into a -inf padded buffer
+    (relu_pool_cache), routes the pool gradient through it, takes the
+    rectifier's mask from it and releases it before batch norm's backward.
     """
     if not tape:
         raise EvalTapeError(
@@ -367,18 +377,16 @@ def backward_stream(tape, grad_feat: np.ndarray):
             bgrads, g = residual_block_backward(cache, g)
             for key, val in bgrads.items():
                 grads[f"{name}.{key}"] = val
-        elif kind == "maxpool":
-            g = maxpool_backward(cache, g)
-        elif kind == "relu":
-            g = relu_backward(cache, g)
-        elif kind == "bn":
-            dgamma, dbeta, g = batchnorm_backward(cache, g)
-            grads[f"{name}.gamma"] = dgamma
-            grads[f"{name}.beta"] = dbeta
-        elif kind == "conv":
-            dw, db, g = conv_backward(cache, g)
-            grads[f"{name}.w"] = dw
-            grads[f"{name}.b"] = db
+        elif kind == "stem":
+            c_conv, c_bn, beta, pooled, pool_spec = cache
+            relu_out, c_pool = relu_pool_cache(c_bn, beta, pooled, pool_spec)
+            g = maxpool_backward(c_pool, g)
+            mask = relu_out > 0
+            del relu_out, c_pool
+            g = relu_backward(mask, g)
+            del mask
+            grads[f"{name}.bn.gamma"], grads[f"{name}.bn.beta"], g = batchnorm_backward(c_bn, g)
+            grads[f"{name}.conv.w"], grads[f"{name}.conv.b"], g = conv_backward(c_conv, g)
         else:
             raise ValueError(f"unknown tape entry {kind!r}")
     return grads, g
@@ -388,7 +396,10 @@ def backward_stream(tape, grad_feat: np.ndarray):
 class ModelTape:
     """What forward_train records for `backward`, which consumes it.
 
-    `backward` empties both stream tapes as it walks them and marks the
+    The stream tapes hold each activation once (forward_stream says what
+    they keep); backward rebuilds each rectifier output that follows a
+    batch norm from that norm's x-hat, gamma and beta, so no parameter may
+    change between forward_train and backward. `backward` empties both stream tapes as it walks them and marks the
     tape consumed, so a ModelTape can be differentiated once; a training
     step that keeps no other reference to it frees each layer's cache as
     soon as that layer's backward has run.

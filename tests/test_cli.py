@@ -67,6 +67,25 @@ class TestSynth:
         for extent in ("--height", "--width"):
             assert run(["synth", "--n", "2", extent, "0", "--out", str(tmp_path / "y")]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [
+            ("--seconds", "inf", "seconds"),
+            ("--seconds", "nan", "seconds"),
+            ("--seconds", "0.01", "seconds"),  # under one frame at 25 fps
+            ("--seconds", "0.02", "seconds"),  # half a frame, which rounds to none
+            ("--seconds", "-1", "seconds"),
+            ("--height", "0", "height"),
+            ("--width", "0", "width"),
+        ],
+    )
+    def test_bad_size_is_data_error_naming_it_before_the_directory(self, tmp_path, capsys, flag, value, key):
+        out = str(tmp_path / "o")
+        assert run(["synth", "--n", "1", "--out", out, f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
 
 class TestTrainCommand:
     def test_artifacts_exist(self, workspace):

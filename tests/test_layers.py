@@ -668,6 +668,98 @@ def composed_eval_block(x, blk):
     return L.relu_forward(n2 + sc)[0]
 
 
+def cast_block(blk, dtype):
+    """blk with every array, its batch-norm states' included, cast to dtype."""
+    def cast(v):
+        if isinstance(v, L.BatchNormState):
+            return dataclasses.replace(v, **{f: getattr(v, f).astype(dtype) for f in ("gamma", "beta", "running_mean", "running_var")})
+        return v.astype(dtype) if isinstance(v, np.ndarray) else v
+
+    return dataclasses.replace(blk, **{f.name: cast(getattr(blk, f.name)) for f in dataclasses.fields(blk)})
+
+
+def keep_all_block_forward(x, blk):
+    """A train-mode residual block from the public layer functions whose
+    cache keeps every activation: conv2's input and both rectifier masks too."""
+    h1, c_conv1 = L.conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
+    n1, c_bn1 = L.batchnorm_forward(h1, blk.bn1, "train")
+    r1, c_relu1 = L.relu_forward(n1)
+    h2, c_conv2 = L.conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
+    n2, c_bn2 = L.batchnorm_forward(h2, blk.bn2, "train")
+    if blk.kind == "projection":
+        sc, c_sc = L.conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)
+    else:
+        sc, c_sc = x, None
+    y, c_out = L.relu_forward(n2 + sc)
+    return y, (c_conv1, c_bn1, c_relu1, c_conv2, c_bn2, c_sc, c_out)
+
+
+def keep_all_block_backward(cache, grad_out):
+    c_conv1, c_bn1, c_relu1, c_conv2, c_bn2, c_sc, c_out = cache
+    g = L.relu_backward(c_out, grad_out)
+    grads = {}
+    grads["bn2.gamma"], grads["bn2.beta"], dh2 = L.batchnorm_backward(c_bn2, g)
+    grads["conv2.w"], grads["conv2.b"], dr1 = L.conv_backward(c_conv2, dh2)
+    grads["bn1.gamma"], grads["bn1.beta"], dh1 = L.batchnorm_backward(c_bn1, L.relu_backward(c_relu1, dr1))
+    grads["conv1.w"], grads["conv1.b"], dx = L.conv_backward(c_conv1, dh1)
+    if c_sc is None:
+        return grads, dx + g
+    grads["shortcut.w"], grads["shortcut.b"], dsc = L.conv_backward(c_sc, g)
+    return grads, dx + dsc
+
+
+def distinct_buffers(cache, params) -> list:
+    """The buffers a cache reaches, each once, that are not one of `params`' arrays."""
+    skip = {id(a) for a in params}
+    found = {id(a): a for a in reachable_arrays(cache) if a.base is None and id(a) not in skip}
+    return list(found.values())
+
+
+def contents(arrays) -> list:
+    return sorted((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+class TestLeanBlockTape:
+    """A train-mode block keeps x, x-hat 1, x-hat 2 and its output y, and
+    backward rebuilds conv2's input and both masks bitwise."""
+
+    @staticmethod
+    def pair(kind, ndim, dtype):
+        """Two equal blocks (their running statistics apart) and an input."""
+        blk, ref = (cast_block(make_block(rng64(34), kind, ndim=ndim, affine=True), dtype) for _ in range(2))
+        return blk, ref, rng64(35).standard_normal((3, 3) + (8,) * ndim).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("kind", ["identity", "projection"])
+    def test_cache_keeps_input_two_xhats_and_output(self, kind, ndim, dtype):
+        blk, ref, x = self.pair(kind, ndim, dtype)
+        y, cache = L.residual_block_forward(x, blk)
+        _, (_, c_bn1, _, _, c_bn2, _, _) = keep_all_block_forward(x, ref)
+        # besides those, only the two per-channel inverse deviations (C values each)
+        want = [x, c_bn1[0], c_bn2[0], y, c_bn1[1], c_bn2[1]]
+        assert contents(distinct_buffers(cache, reachable_arrays(blk))) == contents(want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("kind", ["identity", "projection"])
+    def test_backward_bitwise_equals_the_keep_all_reference(self, kind, ndim, dtype):
+        blk, ref, x = self.pair(kind, ndim, dtype)
+        y, cache = L.residual_block_forward(x, blk)
+        y_ref, ref_cache = keep_all_block_forward(x, ref)
+        assert y.dtype == dtype and y.tobytes() == y_ref.tobytes()
+        g = rng64(36).standard_normal(y.shape).astype(dtype)
+        grads, dx = L.residual_block_backward(cache, g)
+        want, dx_ref = keep_all_block_backward(ref_cache, g)
+        assert set(grads) == set(want)
+        for name in want:
+            assert grads[name].dtype == want[name].dtype and grads[name].tobytes() == want[name].tobytes(), name
+        assert dx.dtype == dx_ref.dtype and dx.tobytes() == dx_ref.tobytes()
+        for bn, bn_ref in ((blk.bn1, ref.bn1), (blk.bn2, ref.bn2)):
+            assert bn.running_mean.tobytes() == bn_ref.running_mean.tobytes()
+            assert bn.running_var.tobytes() == bn_ref.running_var.tobytes()
+
+
 class TestBatchNormFold:
     # float64, so any difference beyond rounding is a folding error
     @pytest.mark.parametrize("ndim", [1, 2])

@@ -11,7 +11,14 @@ from avtrait import rnn_head as R
 from avtrait import train as T
 from avtrait import layers as L
 from avtrait.layers import linear_forward, scaled_tanh
-from test_layers import composed_eval_block, random_bn, reachable_arrays
+from test_layers import (
+    composed_eval_block,
+    distinct_buffers,
+    keep_all_block_backward,
+    keep_all_block_forward,
+    random_bn,
+    reachable_arrays,
+)
 from oracles import fd_rel_err, stride_trace
 
 HERE = os.path.dirname(__file__)
@@ -218,6 +225,115 @@ class TestForwardTrain:
         buffers = {id(a): a.nbytes for a in reachable_arrays(tape) if a.base is None and id(a) not in params}
         bound = self.audio.nbytes + self.frames.nbytes + sum(produced)
         assert sum(buffers.values()) <= bound
+
+
+def keep_all_stream_forward(x, stream, prefix, params):
+    """A train-mode stream from the public layer functions with a tape that
+    keeps every activation: the stem's rectifier mask and the pool's padded
+    input as well, and keep_all_block_forward caches."""
+    tape = []
+    y, c = L.conv_forward(x, params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], M._stem_spec(stream))
+    tape.append(("conv", f"{prefix}.stem.conv", c))
+    y, c = L.batchnorm_forward(y, M._bn_state(params, f"{prefix}.stem.bn"), "train")
+    tape.append(("bn", f"{prefix}.stem.bn", c))
+    y, c = L.relu_forward(y)
+    tape.append(("relu", None, c))
+    y, c = L.maxpool_forward(y, M._pool_spec(stream))
+    tape.append(("maxpool", None, c))
+    for layout in M._block_layout(stream):
+        y, c = keep_all_block_forward(y, M._block_params(stream, prefix, *layout, params))
+        tape.append(("block", f"{prefix}.{layout[0]}", c))
+    y, c = L.global_average_pool(y)
+    tape.append(("gap", None, c))
+    return y, tape
+
+
+def keep_all_stream_backward(tape, g) -> dict:
+    grads = {}
+    for kind, name, cache in reversed(tape):
+        if kind == "gap":
+            g = L.global_average_pool_backward(cache, g)
+        elif kind == "block":
+            bgrads, g = keep_all_block_backward(cache, g)
+            grads.update({f"{name}.{key}": v for key, v in bgrads.items()})
+        elif kind == "maxpool":
+            g = L.maxpool_backward(cache, g)
+        elif kind == "relu":
+            g = L.relu_backward(cache, g)
+        elif kind == "bn":
+            grads[f"{name}.gamma"], grads[f"{name}.beta"], g = L.batchnorm_backward(cache, g)
+        else:
+            grads[f"{name}.w"], grads[f"{name}.b"], g = L.conv_backward(cache, g)
+    return grads
+
+
+def lean_stream_bytes(tape) -> int:
+    """What a lean stream tape should hold, from a keep_all_stream_forward
+    tape of the same forward: the stem's input, x-hat and pool output; each
+    block's x-hat 1, x-hat 2 and output (the next block's input, or for the
+    last one the global pool's input); each batch norm's inverse deviation."""
+    (_, _, c_conv), (_, _, c_bn), _, (_, _, c_pool) = tape[:4]
+    blocks = [cache for kind, _, cache in tape if kind == "block"]
+    gap_shape = tape[-1][2][0]
+    total = c_conv[0].nbytes + c_bn[0].nbytes + c_bn[1].nbytes + c_pool[1].nbytes
+    for k, (_, c_bn1, _, _, c_bn2, _, _) in enumerate(blocks):
+        total += c_bn1[0].nbytes + c_bn1[1].nbytes + c_bn2[0].nbytes + c_bn2[1].nbytes
+        total += blocks[k + 1][0][0].nbytes if k + 1 < len(blocks) else math.prod(gap_shape) * c_bn2[0].itemsize
+    return total
+
+
+class TestLeanModelTape:
+    """forward_train's tape keeps each activation once, and backward from it
+    equals a walk of a tape that keeps them all, bit for bit."""
+
+    def setup_method(self):
+        self.arch = M.mini_architecture()
+
+    def inputs(self, dtype):
+        """Two equal parameter sets with random gamma and beta, and a batch."""
+        params = M.build_network(self.arch, 13, dtype=dtype)
+        rng = rng64(14)
+        for name in params:
+            if name.endswith((".gamma", ".beta")):
+                params[name] = (rng.uniform(0.5, 1.5, params[name].shape) if name.endswith(".gamma") else rng.standard_normal(params[name].shape) * 0.3).astype(dtype)
+        audio = rng.standard_normal((3, 1, 2048)).astype(dtype)
+        frames = rng.random((3, 3, 32, 32)).astype(dtype)
+        return params, {k: v.copy() for k, v in params.items()}, audio, frames
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tape_bytes_are_the_documented_sum(self, dtype):
+        params, ref, audio, frames = self.inputs(dtype)
+        pred, tape = M.forward_train(self.arch, params, audio, frames)
+        fa, tape_a = keep_all_stream_forward(audio, self.arch.auditory, "auditory", ref)
+        fv, tape_v = keep_all_stream_forward(frames, self.arch.visual, "visual", ref)
+        for lean, full in ((tape.auditory, tape_a), (tape.visual, tape_v)):
+            assert sum(a.nbytes for a in distinct_buffers(lean, params.values())) == lean_stream_bytes(full)
+        head = fa.nbytes + fv.nbytes + pred.nbytes  # the fusion input and the prediction
+        kept = sum(a.nbytes for a in distinct_buffers(tape, params.values()))
+        assert kept == lean_stream_bytes(tape_a) + lean_stream_bytes(tape_v) + head
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_bitwise_equals_a_keep_all_walk(self, dtype):
+        params, ref, audio, frames = self.inputs(dtype)
+        pred, tape = M.forward_train(self.arch, params, audio, frames)
+        g = rng64(15).standard_normal(pred.shape).astype(dtype)
+        grads = M.backward(tape, g)
+
+        fa, tape_a = keep_all_stream_forward(audio, self.arch.auditory, "auditory", ref)
+        fv, tape_v = keep_all_stream_forward(frames, self.arch.visual, "visual", ref)
+        z, c_lin = L.linear_forward(np.concatenate([fa, fv], axis=1), ref["fusion.w"], ref["fusion.b"])
+        pred_ref, c_tanh = L.scaled_tanh(z)
+        dw, db, dfeats = L.linear_backward(c_lin, L.scaled_tanh_backward(c_tanh, g))
+        want = {"fusion.w": dw, "fusion.b": db}
+        want.update(keep_all_stream_backward(tape_a, np.ascontiguousarray(dfeats[:, : fa.shape[1]])))
+        want.update(keep_all_stream_backward(tape_v, np.ascontiguousarray(dfeats[:, fa.shape[1] :])))
+
+        assert pred.tobytes() == pred_ref.tobytes()
+        assert set(grads) == set(want) == set(M.trainable_names(self.arch))
+        for name in want:
+            assert grads[name].dtype == want[name].dtype and grads[name].tobytes() == want[name].tobytes(), name
+        for name in params:  # running statistics included
+            assert params[name].tobytes() == ref[name].tobytes(), name
 
 
 class TestBackward:
