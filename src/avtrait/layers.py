@@ -607,7 +607,8 @@ def residual_block_backward(cache, grad_out: np.ndarray):
     c_conv1, c_bn1, beta1, c_conv2, c_bn2, c_sc, y = cache
     g = relu_backward(y > 0, grad_out)
     grads = {}
-    dgamma2, dbeta2, d = batchnorm_backward(c_bn2, g)  # d: the main path's gradient, one name as in forward
+    # one name for the main path's gradient, as for its activations in forward
+    dgamma2, dbeta2, d = batchnorm_backward(c_bn2, g)
     c_conv2[0] = batchnorm_relu(c_bn1, beta1, np.empty_like(c_bn1[0]))
     dw2, db2, d = conv_backward(c_conv2, d)
     mask1 = c_conv2[0] > 0

@@ -382,7 +382,7 @@ def backward_stream(tape, grad_feat: np.ndarray):
             relu_out, c_pool = relu_pool_cache(c_bn, beta, pooled, pool_spec)
             g = maxpool_backward(c_pool, g)
             mask = relu_out > 0
-            del relu_out, c_pool
+            del relu_out, c_pool  # the padded buffer, before the gradients below
             g = relu_backward(mask, g)
             del mask
             grads[f"{name}.bn.gamma"], grads[f"{name}.bn.beta"], g = batchnorm_backward(c_bn, g)
@@ -399,10 +399,11 @@ class ModelTape:
     The stream tapes hold each activation once (forward_stream says what
     they keep); backward rebuilds each rectifier output that follows a
     batch norm from that norm's x-hat, gamma and beta, so no parameter may
-    change between forward_train and backward. `backward` empties both stream tapes as it walks them and marks the
-    tape consumed, so a ModelTape can be differentiated once; a training
-    step that keeps no other reference to it frees each layer's cache as
-    soon as that layer's backward has run.
+    change between forward_train and backward. `backward` empties both
+    stream tapes as it walks them and marks the tape consumed, so a
+    ModelTape can be differentiated once; a training step that keeps no
+    other reference to it frees each layer's cache as soon as that layer's
+    backward has run.
     """
 
     auditory: list
