@@ -428,8 +428,8 @@ def _synth_labels(freq, means, theta):
 
 def _check_synth_extent(seconds: float, height: int, width: int) -> None:
     """Reject a synthetic clip size that gives no frame, no sample or an empty frame."""
-    if not math.isfinite(seconds):
-        raise ValueError(f"seconds must be finite, got {seconds}")
+    if not math.isfinite(seconds * SAMPLE_RATE):
+        raise ValueError(f"seconds must be finite at {SAMPLE_RATE} samples a second, got {seconds}")
     if not (seconds * FPS > 0.5 and seconds * SAMPLE_RATE > 0.5):  # synth_clip rounds both counts
         raise ValueError(
             f"seconds must be long enough for one frame at {FPS} fps and one sample at {SAMPLE_RATE} Hz, got {seconds}"

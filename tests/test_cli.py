@@ -72,6 +72,7 @@ class TestSynth:
         [
             ("--seconds", "inf", "seconds"),
             ("--seconds", "nan", "seconds"),
+            ("--seconds", "1e308", "seconds"),  # finite, but not in samples
             ("--seconds", "0.01", "seconds"),  # under one frame at 25 fps
             ("--seconds", "0.02", "seconds"),  # half a frame, which rounds to none
             ("--seconds", "-1", "seconds"),
