@@ -89,15 +89,10 @@ def _projected(rng, arrays: dict, forward, grads):
     return run, arrays
 
 
-def _conv_case(rng, ndim):
-    if ndim == 1:
-        x = rng.standard_normal((2, 3, 12))
-        spec = L.ConvSpec((5,), (2,), (2,), 3, 4)
-    else:
-        x = rng.standard_normal((2, 3, 7, 6))  # non-square, so swapped extents show
-        spec = L.ConvSpec((3, 3), (2, 2), (1, 1), 3, 4)
-    w = rng.standard_normal((4, 3) + spec.kernel) * 0.5
-    b = rng.standard_normal(4) * 0.1
+def _conv_case(rng, shape, spec):
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((spec.out_channels, spec.in_channels) + spec.kernel) * 0.5
+    b = rng.standard_normal(spec.out_channels) * 0.1
     return _projected(
         rng, {"x": x, "w": w, "b": b},
         lambda: L.conv_forward(x, w, b, spec),
@@ -217,8 +212,14 @@ def _lstm_segment_case(rng):
 
 
 LAYER_CASES = [
-    ("conv1d", lambda rng: _conv_case(rng, 1)),
-    ("conv2d", lambda rng: _conv_case(rng, 2)),
+    # strided convolutions add window gradients one kernel offset at a time
+    ("conv1d", lambda rng: _conv_case(rng, (2, 3, 12), L.ConvSpec((5,), (2,), (2,), 3, 4))),
+    # non-square, so swapped extents show
+    ("conv2d", lambda rng: _conv_case(rng, (2, 3, 7, 6), L.ConvSpec((3, 3), (2, 2), (1, 1), 3, 4))),
+    # unit-stride ones correlate the padded output gradient with the flipped
+    # kernel; even kernels and padding other than (k - 1) / 2 show a wrong flip
+    ("conv1d_unit_stride", lambda rng: _conv_case(rng, (2, 3, 11), L.ConvSpec((4,), (1,), (1,), 3, 4))),
+    ("conv2d_unit_stride", lambda rng: _conv_case(rng, (2, 3, 5, 6), L.ConvSpec((2, 3), (1, 1), (0, 2), 3, 4))),
     ("batchnorm", _batchnorm_case),
     ("maxpool1d", lambda rng: _maxpool_case(rng, 1)),
     ("maxpool2d", lambda rng: _maxpool_case(rng, 2)),

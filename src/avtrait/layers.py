@@ -18,10 +18,15 @@ Both convolution directions work in slices of b batch samples whose
 columns take at most ``COLUMN_BYTES`` (``_slice_samples``), or of one
 sample; every eval call fits in one slice. A training tape keeps layer
 inputs, not columns: the convolution cache is the list ``[x, w, spec]``.
-The backward pass rebuilds x's columns, laid out ``(Cin * prod(kernel), b *
-prod(out))``, for one ``dw`` product per slice.
-Convolution and max pooling form dx by adding window gradients into a
-window view of a zero buffer, one kernel offset at a time. Batch norm
+Convolution backward takes one of two forms. With unit strides and padding
+below the kernel, the transpose is a full correlation with the flipped
+kernel: one build of grad_out's columns, laid out ``(Cout * prod(kernel),
+b * prod(x))``, gives dx as one product per sample and ``dw`` as one
+product with x per slice. Any other convolution rebuilds x's columns, laid
+out ``(Cin * prod(kernel), b * prod(out))``, for one ``dw`` product per
+slice and, like max pooling, forms dx by adding window gradients into a
+window view of a zero buffer, one kernel offset at a time. In both forms
+dx is bitwise equal across slice sizes and ``dw`` is not. Batch norm
 caches x-hat, gamma and the batch's inverse deviation, and forms its input
 gradient from the two parameter gradients.
 
@@ -155,11 +160,13 @@ def _axes(first: int, n: int) -> tuple:
 # page-faulted every time. On a 2-core x86-64 VM this made the batch-8 stem
 # backward about a quarter faster than whole-batch columns, and its forward
 # as much (32 -> 25 ms); 4 and 16 MB were no better than 8.
-# conv_forward's slices are bitwise equal to one whole-batch product, but
-# conv_backward sums its slices' dw products, which rounds differently: with
-# one-sample slices, 1336 of the 4608 elements of one mini-network weight
-# gradient moved by up to 4.5e-08. Changing this value or the slice rule
-# therefore moves trained parameters in their last bits.
+# conv_backward slices by the columns it builds: grad_out's for a unit-stride
+# convolution, x's for any other. conv_forward's slices and both forms of
+# dx are bitwise equal to one whole-batch pass, since each sample has its
+# own product, but conv_backward sums its slices' dw products, which rounds
+# differently: with one-sample slices, 1336 of the 4608 elements of one
+# mini-network weight gradient moved by up to 4.5e-08. Changing this value
+# or the slice rule therefore moves trained parameters in their last bits.
 COLUMN_BYTES = 8 << 20
 
 
@@ -169,7 +176,12 @@ def _slice_samples(sample_bytes: int) -> int:
 
 
 def _columns(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """x's columns as (Cin * prod(kernel), B * prod(out)), for conv_backward's dw."""
+    """x's columns as (C * prod(kernel), B * prod(out)), for conv_backward.
+
+    The strided form multiplies the input's columns by the output gradient
+    for dw; the unit-stride form builds the padded output gradient's, whose
+    windows cover the input's positions, for both dx and dw.
+    """
     nd = spec.ndim
     _, win = _windows(x.shape, spec, 0.0, x.dtype, x)
     # copied in (C, *kernel, B, *out) order, the buffer is the column matrix
@@ -184,9 +196,9 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
     multiplied one batch slice of at most COLUMN_BYTES (or one sample) at a
     time, each slice's product written into its rows of y. The cache is
     the list [x, w, spec]: the columns are a transient of this call, and
-    conv_backward rebuilds them from x, which must not change before it
-    runs. A caller that can rebuild x may drop ``cache[0]`` after this call
-    and put x back before conv_backward, passing the same list.
+    conv_backward reads x again, which must not change before it runs. A
+    caller that can rebuild x may drop ``cache[0]`` after this call and
+    put x back before conv_backward, passing the same list.
     """
     if x.ndim != spec.ndim + 2:
         raise ShapeMismatchError("conv input rank", x.shape, ("B", spec.in_channels) + spec.kernel)
@@ -220,10 +232,14 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
 def conv_backward(cache, grad_out: np.ndarray):
     """Exact adjoint of conv_forward; returns (dw, db, dx).
 
-    Works in batch slices of at most COLUMN_BYTES of columns. Per slice,
-    dw gains the product of the output gradient with x's rebuilt columns,
-    and each kernel offset's window gradients are added into a window view
-    of dx's zero buffer.
+    Works in batch slices of at most COLUMN_BYTES of columns. A convolution
+    whose strides are all 1 and whose padding is below its kernel on every
+    axis takes both gradients from one build of grad_out's columns (see
+    `_unit_stride_grads`). Any other has a slice's dw as the product of
+    the output gradient with x's rebuilt columns, and adds each kernel
+    offset's window gradients into a window view of dx's zero buffer.
+    dx is bitwise equal across slice sizes; dw, a sum of the slices'
+    products, is not.
     """
     x, w, spec = cache
     outs = _check_out_extents(x.shape[2:], spec)
@@ -234,6 +250,9 @@ def conv_backward(cache, grad_out: np.ndarray):
 
     g = grad_out.reshape(B, Cout, -1)
     db = g.sum(axis=(0, 2))
+    if all(s == 1 for s in spec.stride) and all(p < k for p, k in zip(spec.padding, spec.kernel)):
+        dw, dx = _unit_stride_grads(x, w, grad_out, spec)
+        return dw, db, dx
     wf = w.reshape(Cout, -1)
     dw = np.zeros(wf.shape, np.result_type(grad_out, x))
     dx, dx_win = _windows(x.shape, spec, 0.0, np.result_type(w, grad_out))
@@ -252,6 +271,43 @@ def conv_backward(cache, grad_out: np.ndarray):
         for k in np.ndindex(spec.kernel):
             dxw[(Ellipsis,) + k] += dwin[(slice(None), slice(None)) + k]
     return dw.reshape(w.shape), db, dx
+
+
+def _unit_stride_grads(x, w, grad_out, spec: ConvSpec):
+    """(dw, dx) of a stride-1 convolution with padding below its kernel.
+
+    Such a convolution's transpose is a full correlation with the flipped
+    kernel: padded by kernel - 1 - padding on each side, grad_out has
+    windows over exactly x's positions, and its columns at position i,
+    offset m meet x[i] and w[..., kernel - 1 - m]. So one build of those
+    columns per slice, laid out (Cout * prod(kernel), b * prod(x)), gives
+    dx as one product per sample with the flipped, channel-transposed
+    weight, and dw flipped as their product with x.
+    """
+    nd, B, Cin, Cout = spec.ndim, x.shape[0], spec.in_channels, spec.out_channels
+    flip = (slice(None),) + (slice(None, None, -1),) * nd
+    # rows (c), columns (o, *m) holding w[o, c, *(kernel - 1 - m)]
+    wt = np.ascontiguousarray(w[(slice(None),) + flip].swapaxes(0, 1)).reshape(Cin, -1)
+    gspec = replace(spec, padding=tuple(k - 1 - p for k, p in zip(spec.kernel, spec.padding)),
+                    in_channels=Cout, out_channels=Cin)
+    P = math.prod(x.shape[2:])
+    dx = np.empty((B, Cin, P), np.result_type(w, grad_out))
+    dwt = np.zeros((wt.shape[1], Cin), np.result_type(grad_out, x))
+    step = _slice_samples(wt.shape[1] * P * grad_out.itemsize)
+    for lo in range(0, B, step):
+        sl = slice(lo, lo + step)
+        xs = x[sl].reshape(-1, Cin, P)
+        b = xs.shape[0]
+        xs = xs.transpose(1, 0, 2).reshape(Cin, -1)  # (Cin, b * prod(x)), a copy
+        cols = _columns(grad_out[sl], gspec)
+        dwt += cols @ xs.T
+        del xs
+        # one product per sample, so dx does not depend on the slice size
+        np.matmul(wt, cols.reshape(-1, b, P).transpose(1, 0, 2), out=dx[sl])
+        del cols  # before the next slice's columns are built
+    # dwt[(o, *m), c] is dw[o, c, *(kernel - 1 - m)]
+    dw = np.moveaxis(dwt.reshape((Cout,) + spec.kernel + (Cin,))[flip], -1, 1)
+    return np.ascontiguousarray(dw), dx.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ class TestConvBackward:
 
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_cache_holds_nothing_larger_than_input_or_weight(self, ndim):
-        # the columns are 9x the input here; backward rebuilds them from x
+        # the columns are 9x the input here; backward builds grad_out's instead
         rng = rng64(5)
         x = rng.standard_normal((2, 4) + (12,) * ndim).astype(np.float32)
         w = rng.standard_normal((4, 4) + (3,) * ndim).astype(np.float32)
@@ -223,19 +223,41 @@ class TestConvBackward:
 
     @pytest.mark.parametrize("ndim", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_one_sample_slices_match_the_whole_batch(self, monkeypatch, ndim, stride):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_sample_slices_match_the_whole_batch(self, monkeypatch, ndim, stride, dtype):
+        # dx is bitwise equal; dw adds the slices' products, so only close
         rng = rng64(7)
-        x = rng.standard_normal((3, 2) + (9,) * ndim)
-        w = rng.standard_normal((4, 2) + (3,) * ndim)
+        x = rng.standard_normal((3, 2) + (9,) * ndim).astype(dtype)
+        w = rng.standard_normal((4, 2) + (3,) * ndim).astype(dtype)
         spec = L.ConvSpec((3,) * ndim, (stride,) * ndim, (1,) * ndim, 2, 4)
-        y, cache = L.conv_forward(x, w, np.zeros(4), spec)
-        g = rng.standard_normal(y.shape)
+        y, cache = L.conv_forward(x, w, np.zeros(4, dtype), spec)
+        g = rng.standard_normal(y.shape).astype(dtype)
         dw, db, dx = L.conv_backward(cache, g)
         monkeypatch.setattr(L, "COLUMN_BYTES", 1)
         dw1, db1, dx1 = L.conv_backward(cache, g)
-        np.testing.assert_allclose(dw1, dw, rtol=1e-12)
+        assert dw1.dtype == dx1.dtype == dw.dtype == dx.dtype == dtype
+        np.testing.assert_allclose(dw1, dw, rtol=1e-12 if dtype == np.float64 else 1e-5)
         np.testing.assert_array_equal(db1, db)
         np.testing.assert_array_equal(dx1, dx)
+
+    def test_peak_stays_below_the_whole_batch_columns(self, monkeypatch):
+        rng = rng64(11)
+        x = rng.standard_normal((8, 4, 32, 32))
+        w = rng.standard_normal((4, 4, 3, 3))
+        spec = L.ConvSpec((3, 3), (1, 1), (1, 1), 4, 4)
+        y, cache = L.conv_forward(x, w, np.zeros(4), spec)
+        g = rng.standard_normal(y.shape)
+        sample_cols = w[0].size * 32 * 32 * g.itemsize
+        monkeypatch.setattr(L, "COLUMN_BYTES", sample_cols)  # one sample a slice
+        tracemalloc.start()
+        try:
+            L.conv_backward(cache, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # dx, one slice's padded gradient and its columns: about a quarter
+        # of the whole batch's gradient columns
+        assert peak < 8 * sample_cols / 3, (peak, 8 * sample_cols)
 
     def test_padding_beyond_kernel_is_adjoint(self):
         # windows that lie wholly in the padding get gradients but add nothing to dx
@@ -268,6 +290,24 @@ def conv_loops(x, w, b, spec):
     if spec.ndim == 1:
         return conv1d_loops(x, w, b, spec.stride[0], spec.padding[0])
     return conv2d_loops(x, w, b, spec.stride, spec.padding)
+
+
+def unit_stride_grads_einsum(x, w, g, spec):
+    """(dw, dx) of a stride-1 convolution, by einsum over x's padded window view.
+
+    dw contracts the windows with g; dx adds each kernel offset's window
+    gradients into a zero padded buffer and crops its interior.
+    """
+    nd = spec.ndim
+    o, k = "yz"[:nd], "hw"[:nd]
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in spec.padding))
+    win = np.lib.stride_tricks.sliding_window_view(xp, spec.kernel, axis=tuple(range(2, 2 + nd)))
+    dw = np.einsum(f"bc{o}{k},bd{o}->dc{k}", win, g)
+    dwin = np.einsum(f"bd{o},dc{k}->bc{o}{k}", g, w)
+    dxp = np.zeros_like(xp)
+    for off in np.ndindex(spec.kernel):
+        dxp[(Ellipsis,) + tuple(slice(m, m + n) for m, n in zip(off, g.shape[2:]))] += dwin[(Ellipsis,) + off]
+    return dw, dxp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(spec.padding, x.shape[2:]))]
 
 
 def maxpool_windows(x, spec):
@@ -319,6 +359,22 @@ class TestWindowProperties:
         assert abs(float(np.sum(x * dx)) - lhs) <= 1e-12 * scale
         assert abs(float(np.sum(w * dw)) - lhs) <= 1e-12 * scale
         np.testing.assert_allclose(db, g.sum(axis=(0,) + tuple(range(2, 2 + ndim))), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_unit_stride_conv_grads_match_window_einsum(self, ndim, data):
+        # every stride-1 draw has padding below its kernel: the correlation path
+        spec, shape, rng = data.draw(window_geometry(ndim))
+        spec = dataclasses.replace(spec, stride=(1,) * ndim)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((spec.out_channels, spec.in_channels) + spec.kernel)
+        y, cache = L.conv_forward(x, w, np.zeros(spec.out_channels), spec)
+        g = rng.standard_normal(y.shape)
+        dw, _, dx = L.conv_backward(cache, g)
+        want_dw, want_dx = unit_stride_grads_einsum(x, w, g, spec)
+        np.testing.assert_allclose(dw, want_dw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("ndim", [1, 2])
     @settings(max_examples=40, deadline=None)
