@@ -1,12 +1,12 @@
 """Command-line surface tying the modules into reproducible runs.
 
 Subcommands: synth, train, eval, predict, finetune, extract-features,
-train-rnn, predict-rnn, gradcheck. Every command accepts --seed, --threads
-and --config; all stochastic behavior flows from the seed. An optional
-config file holds plain ``key = value`` lines; explicit flags override it.
+train-rnn, predict-rnn, gradcheck. Every command accepts --seed and
+--config; all stochastic behavior flows from the seed. An optional config
+file holds plain ``key = value`` lines; explicit flags override it.
 
-The multi-clip commands eval, predict, extract-features and predict-rnn run
---threads clips at once. Each skips, with a warning, a clip it cannot use
+The multi-clip commands eval, predict, extract-features and predict-rnn
+score one clip at a time. Each skips, with a warning, a clip it cannot use
 (unreadable, corrupt, or for per-second features under one second), and
 exits 2 only when no clip is usable.
 
@@ -97,13 +97,6 @@ def _setting(settings: Settings, key: str, default=None, name: str = "", cast=in
         raise UsageError(f"{name or key} must be {kind}, got {v!r}") from None
 
 
-def _threads(settings: Settings) -> int:
-    n = _setting(settings, "threads", os.environ.get("DI_THREADS", "1"), "--threads")
-    if n < 1:
-        raise UsageError("--threads must be >= 1")
-    return n
-
-
 def _frame_stride(settings: Settings) -> int:
     stride = _setting(settings, "frame_stride", 1)
     if stride < 1:
@@ -113,11 +106,6 @@ def _frame_stride(settings: Settings) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help="clips scored at once by the multi-clip commands (env DI_THREADS as fallback); each "
-        "clip's products already use every BLAS thread, so on few cores 1 is often fastest",
-    )
     p.add_argument("--config", default=None, help="key = value config file; flags override it")
 
 
@@ -224,8 +212,8 @@ def _trait_index(raw: str) -> int:
         idx = int(raw)
     except ValueError:
         raise UsageError(f"--trait must be an index or one of {D.TRAITS}") from None
-    if not 0 <= idx < 5:
-        raise ValueError(f"trait index out of range: {idx}")
+    if not 0 <= idx < len(D.TRAITS):
+        raise UsageError(f"--trait index must be in [0, {len(D.TRAITS)}), got {idx}")
     return idx
 
 
@@ -274,13 +262,13 @@ def _cmd_train(s: Settings) -> int:
 
 
 def _cmd_eval(s: Settings) -> int:
-    stride, threads = _frame_stride(s), _threads(s)
+    stride = _frame_stride(s)
     ckpt = T.load_checkpoint(s.get("checkpoint"))
     manifest = D.load_manifest(s.get("manifest"))
     split = s.get("split", "validation")
     single = ckpt.arch.out_dim == 1
     trait = ckpt.trait if single else None
-    report = T.evaluate(ckpt.arch, ckpt.params, manifest, split, stride, threads=threads, trait=trait)
+    report = T.evaluate(ckpt.arch, ckpt.params, manifest, split, stride, trait=trait)
     if single:
         acc = report.per_trait[0]
         text = f"trait,{D.TRAITS[trait]},accuracy,{acc:.6f},clips,{report.clips},excluded,{report.excluded}\n"
@@ -303,17 +291,17 @@ def _write_predictions(s: Settings, results: list) -> int:
 
 
 def _cmd_predict(s: Settings) -> int:
-    stride, threads = _frame_stride(s), _threads(s)
+    stride = _frame_stride(s)
     ckpt, manifest, rows = _base_and_rows(s, "predict")
-    return _write_predictions(s, T.predict_rows(ckpt.arch, ckpt.params, manifest, rows, stride, threads=threads))
+    return _write_predictions(s, T.predict_rows(ckpt.arch, ckpt.params, manifest, rows, stride))
 
 
 def _cmd_finetune(s: Settings) -> int:
+    trait = _trait_index(str(s.get("trait")))
     # the checks do not look at the crops, so the base's miniature flag can
     # join the config after it is read
     config = _train_config(s, s.get("out"), s.get("mini", False))
     base = T.load_checkpoint(s.get("checkpoint"))
-    trait = _trait_index(str(s.get("trait")))
     manifest = D.load_manifest(s.get("manifest"))
     if base.mini and not config.mini:
         config = replace(config, mini=True)
@@ -325,9 +313,8 @@ def _cmd_finetune(s: Settings) -> int:
 
 
 def _cmd_extract_features(s: Settings) -> int:
-    threads = _threads(s)
     ckpt, manifest, rows = _base_and_rows(s, "extract-features")
-    results = T.map_clips(manifest, rows, lambda clip: R.extract_features(clip, ckpt.arch, ckpt.params), threads)
+    results = T.map_clips(manifest, rows, lambda clip: R.extract_features(clip, ckpt.arch, ckpt.params))
     named = {f"feat.{row.clip_id}": feats for row, feats in T.readable(results, s.get("split", "all"))}
     T.write_tensor_container(s.get("out"), named)
     print(f"wrote {len(named)} feature sequences to {s.get('out')}")
@@ -373,11 +360,10 @@ def _cmd_train_rnn(s: Settings) -> int:
 
 
 def _cmd_predict_rnn(s: Settings) -> int:
-    threads = _threads(s)
     ckpt, manifest, rows = _base_and_rows(s, "predict-rnn")
     _, head, _ = T.read_tensor_container(s.get("rnn_head"))
     R.head_dims(head)
-    results = T.map_clips(manifest, rows, lambda clip: R.predict_rnn(clip, ckpt.arch, ckpt.params, head), threads)
+    results = T.map_clips(manifest, rows, lambda clip: R.predict_rnn(clip, ckpt.arch, ckpt.params, head))
     return _write_predictions(s, results)
 
 

@@ -33,8 +33,8 @@ gradient from the two parameter gradients.
 A train-mode tape keeps each activation once. Where a rectifier follows a
 batch norm, its output relu(gamma * x-hat + beta) is not kept: backward
 rebuilds it from the batch norm's cache (``batchnorm_relu``) with the
-products the forward used, so the rebuild is bitwise equal, and takes the
-rectifier's mask from it. gamma and beta must therefore not change between
+products the forward used, so the rebuild is bitwise equal, and hands it to
+``relu_backward``. gamma and beta must therefore not change between
 a forward and its backward, as a convolution's input must not.
 
 Eval mode folds each batch norm into the convolution before it
@@ -561,11 +561,17 @@ def scaled_tanh_backward(cache, grad_out: np.ndarray):
 
 
 def relu_forward(x: np.ndarray):
-    return np.maximum(x, 0), x > 0
+    y = np.maximum(x, 0)
+    return y, y
 
 
-def relu_backward(cache, grad_out: np.ndarray):
-    return grad_out * cache
+def relu_backward(cache, grad_out: np.ndarray, out: Optional[np.ndarray] = None):
+    """grad_out where the output y (the cache) is positive, else 0.
+
+    y > 0 exactly where x > 0, NaN included. `out` may be grad_out itself,
+    so that a caller still holding y allocates no product next to it.
+    """
+    return np.multiply(grad_out, cache > 0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -654,23 +660,21 @@ def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams):
 def residual_block_backward(cache, grad_out: np.ndarray):
     """Returns ({param name -> grad}, dx) for a residual block.
 
-    Both rectifier masks come from outputs: the final one from y > 0, and
-    relu1's from conv2's input, which is rebuilt from bn1's cache into
+    Both rectifiers' backwards read their outputs: the final one reads y,
+    and relu1 reads conv2's input, which is rebuilt from bn1's cache into
     conv2's cache for conv_backward and released after it.
     """
     if cache is None:
         raise ValueError("no cache: an eval-mode residual block has no backward")
     c_conv1, c_bn1, beta1, c_conv2, c_bn2, c_sc, y = cache
-    g = relu_backward(y > 0, grad_out)
+    g = relu_backward(y, grad_out)
     grads = {}
     # one name for the main path's gradient, as for its activations in forward
     dgamma2, dbeta2, d = batchnorm_backward(c_bn2, g)
     c_conv2[0] = batchnorm_relu(c_bn1, beta1, np.empty_like(c_bn1[0]))
     dw2, db2, d = conv_backward(c_conv2, d)
-    mask1 = c_conv2[0] > 0
+    relu_backward(c_conv2[0], d, out=d)
     c_conv2[0] = None
-    d = relu_backward(mask1, d)
-    del mask1
     dgamma1, dbeta1, d = batchnorm_backward(c_bn1, d)
     dw1, db1, dx = conv_backward(c_conv1, d)
     del d

@@ -323,7 +323,7 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     Train mode's tape is a "stem" entry, one "block" entry per residual
     block and a "gap" entry, and keeps each activation once. The stem
     keeps its convolution's input, its batch norm's x-hat and the pool
-    output; not the rectifier's mask nor the pool's padded input, which
+    output; not the rectifier's output nor the pool's padded input, which
     backward_stream rebuilds from x-hat. A block keeps what
     residual_block_forward says. Every gamma and beta must stay unchanged
     until backward_stream has run.
@@ -359,8 +359,8 @@ def backward_stream(tape, grad_feat: np.ndarray):
     so its cache is released once that backward returns and the tape is
     empty afterwards. A tape can therefore be differentiated once. The stem
     rebuilds relu(gamma * x-hat + beta) into a -inf padded buffer
-    (relu_pool_cache), routes the pool gradient through it, takes the
-    rectifier's mask from it and releases it before batch norm's backward.
+    (relu_pool_cache), routes the pool gradient and then the rectifier's
+    through it, and releases it before batch norm's backward.
     """
     if not tape:
         raise EvalTapeError(
@@ -381,10 +381,12 @@ def backward_stream(tape, grad_feat: np.ndarray):
             c_conv, c_bn, beta, pooled, pool_spec = cache
             relu_out, c_pool = relu_pool_cache(c_bn, beta, pooled, pool_spec)
             g = maxpool_backward(c_pool, g)
-            mask = relu_out > 0
+            relu_backward(relu_out, g, out=g)
             del relu_out, c_pool  # the padded buffer, before the gradients below
-            g = relu_backward(mask, g)
-            del mask
+            # g is the interior of maxpool's padded buffer, and batch norm's
+            # sums round differently on that layout: they get a contiguous
+            # copy, made once the rectifier's buffer is free
+            g = np.ascontiguousarray(g)
             grads[f"{name}.bn.gamma"], grads[f"{name}.bn.beta"], g = batchnorm_backward(c_bn, g)
             grads[f"{name}.conv.w"], grads[f"{name}.conv.b"], g = conv_backward(c_conv, g)
         else:
@@ -566,7 +568,7 @@ def forward_infer(arch: Architecture, params: dict, clip: Clip | ClipFile, frame
     ClipFile is read one scored frame at a time, and each scored frame
     exactly once; no other frame is read. The scored frames run through
     the visual stream in small batches, bitwise equal to one at a time.
-    Nothing is mutated, so calls are deterministic and thread-safe.
+    Nothing is mutated, so calls are deterministic.
     """
     if frame_stride < 1:
         raise ValueError("frame_stride must be >= 1")

@@ -27,7 +27,6 @@ import logging
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -446,6 +445,9 @@ def train(config: TrainConfig, manifest: Manifest, resume: Optional[str] = None)
         raise CheckpointManifestError(f"{resume}: checkpoint architecture does not match the run config")
     if ckpt.adam is None or ckpt.rng_state is None:
         raise CheckpointError(f"{resume}: checkpoint lacks optimizer/rng state, cannot resume")
+    if ckpt.epoch >= config.epochs:
+        # epochs count from 0, so a run of config.epochs ends at epoch config.epochs - 1
+        raise ValueError(f"{resume}: checkpoint epoch {ckpt.epoch} is at or past the run's end (epochs = {config.epochs})")
     adam = ckpt.adam
     adam.beta1, adam.beta2, adam.epsilon = config.beta1, config.beta2, config.epsilon
     rng = np.random.Generator(np.random.PCG64())
@@ -489,17 +491,13 @@ def aggregate_accuracies(per_trait) -> float:
     return float(per_trait.mean())
 
 
-def map_clips(manifest: Manifest, rows, fn, threads: int = 1) -> list:
-    """[(row, fn(its opened clip))] in row order, on `threads` workers.
+def map_clips(manifest: Manifest, rows, fn) -> list:
+    """[(row, fn(its opened clip))] in row order.
 
     Each clip is opened with `open_clip`: checked whole, held as a ClipFile,
     and read by `fn` only where it reads. A clip whose opening or `fn`
     raises OSError or ClipFormatError is logged and gets None; any other
     error propagates.
-
-    Each worker's matrix products already run on every BLAS thread, so
-    workers add little: on a 2-core x86-64 VM with 2-thread BLAS, two
-    workers took 39-46 ms per 256x456 frame against 30-38 ms for one.
     """
 
     def one(row):
@@ -509,9 +507,6 @@ def map_clips(manifest: Manifest, rows, fn, threads: int = 1) -> list:
             log.warning("skipping clip %s: %s", row.clip_id, exc)
             return row, None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, rows))
     return [one(row) for row in rows]
 
 
@@ -524,13 +519,19 @@ def readable(results: list, split) -> list:
 
 
 def predict_rows(arch, params, manifest: Manifest, rows, frame_stride: int = 1, threads: int = 1):
-    """Whole-clip predictions in manifest order; None marks unusable clips."""
-    return map_clips(manifest, rows, lambda clip: forward_infer(arch, params, clip, frame_stride=frame_stride), threads)
+    """Whole-clip predictions in manifest order; None marks unusable clips.
+
+    `threads` accepts only 1 and changes nothing: clips are scored one at a
+    time. It is kept for callers that still pass it, and goes with the next
+    benchmark-only change (ROADMAP item 3).
+    """
+    if threads != 1:
+        raise ValueError(f"clips are scored on one worker; threads must be 1, got {threads!r}")
+    return map_clips(manifest, rows, lambda clip: forward_infer(arch, params, clip, frame_stride=frame_stride))
 
 
 def evaluate(
-    arch, params, manifest: Manifest, split: str = "validation", frame_stride: int = 1, threads: int = 1,
-    trait: Optional[int] = None,
+    arch, params, manifest: Manifest, split: str = "validation", frame_stride: int = 1, trait: Optional[int] = None
 ) -> EvalReport:
     """Full-clip protocol: accuracy_k = 1 - mean |pred_k - target_k|.
 
@@ -547,7 +548,7 @@ def evaluate(
     rows = manifest.split_rows(split)
     if not rows:
         raise ValueError(f"split {split!r} is empty")
-    results = predict_rows(arch, params, manifest, rows, frame_stride, threads)
+    results = predict_rows(arch, params, manifest, rows, frame_stride)
     scored = readable(results, split)
     err = np.zeros(len(cols), dtype=np.float64)
     for row, pred in scored:

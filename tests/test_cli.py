@@ -46,9 +46,11 @@ class TestUsage:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 1
 
-    def test_bad_threads_value(self, workspace):
+    def test_threads_flag_is_unknown(self, workspace, capsys):
+        # clips are scored one at a time; there is no worker count to set
         assert run(["eval", "--checkpoint", workspace["ckpt"], "--manifest", workspace["manifest"],
-                    "--threads", "0"]) == 1
+                    "--threads", "2"]) == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -157,11 +159,6 @@ class TestEvalCommand:
         assert run(["eval", "--checkpoint", bad, "--manifest", workspace["manifest"]]) == 2
         assert "adam.t" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, workspace, monkeypatch):
-        monkeypatch.setenv("DI_THREADS", "2")
-        assert run(["eval", "--checkpoint", workspace["ckpt"], "--manifest", workspace["manifest"],
-                    "--split", "validation"]) == 0
-
 
 class TestPredictCommand:
     def test_line_format_six_decimals(self, workspace, capsys):
@@ -200,7 +197,7 @@ class TestFinetuneCommand:
         ckpt = T.load_checkpoint(os.path.join(out, files[0]))
         assert ckpt.trait == 2 and ckpt.arch.out_dim == 1
 
-    def test_eval_on_finetuned_checkpoint(self, workspace, capsys, monkeypatch):
+    def test_eval_on_finetuned_checkpoint(self, workspace, capsys):
         out = str(workspace["root"] / "ft")
         files = [f for f in os.listdir(out) if f.endswith(".ckpt")]
         argv = ["eval", "--checkpoint", os.path.join(out, files[0]),
@@ -209,19 +206,6 @@ class TestFinetuneCommand:
         single = capsys.readouterr().out
         assert single.strip().startswith("trait,conscientiousness,accuracy,")
         assert open(os.path.join(out, "eval_validation.csv")).read() == single
-
-        # --threads reaches the scoring of a single-trait head too
-        seen = []
-        predict_rows = T.predict_rows
-
-        def spy(arch, params, manifest, rows, frame_stride=1, threads=1):
-            seen.append(threads)
-            return predict_rows(arch, params, manifest, rows, frame_stride, threads)
-
-        monkeypatch.setattr(T, "predict_rows", spy)
-        assert run(argv + ["--threads", "2"]) == 0
-        assert seen == [2]
-        assert capsys.readouterr().out == single
 
     def test_bad_trait_name_is_usage_error(self, workspace):
         assert run(["finetune", "--checkpoint", workspace["ckpt"], "--trait", "charisma",
@@ -278,7 +262,7 @@ def _run_on_rows(command, workspace, mixed_split, rows, tmp_path):
     D.save_manifest(D.Manifest(rows=rows), manifest)
     out = str(tmp_path / "out")
     argv = [command, "--checkpoint", workspace["ckpt"], "--manifest", manifest, "--split", "validation",
-            "--out", out, "--threads", "2"]
+            "--out", out]
     if command == "predict-rnn":
         argv += ["--rnn-head", mixed_split["head"]]
     return run(argv), out
@@ -402,28 +386,6 @@ def _scoring_argv(tmp_path, command):
     return argv
 
 
-@pytest.mark.parametrize("command", ["eval", "predict", "extract-features", "predict-rnn"])
-@pytest.mark.parametrize("source", ["config", "env"])
-def test_non_integer_threads_is_usage_error_before_reading_data(tmp_path, capsys, monkeypatch, command, source):
-    argv = _scoring_argv(tmp_path, command)
-    if source == "config":
-        cfg = str(tmp_path / "c.cfg")
-        open(cfg, "w").write("threads = two\n")
-        argv += ["--config", cfg]
-    else:
-        monkeypatch.setenv("DI_THREADS", "abc")
-    assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert "threads" in err and "missing" not in err
-
-
-def test_fractional_threads_is_refused(tmp_path, capsys):
-    cfg = str(tmp_path / "c.cfg")
-    open(cfg, "w").write("threads = 1.5\n")
-    assert run(_scoring_argv(tmp_path, "predict") + ["--config", cfg]) == 1
-    assert "threads" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command", ["eval", "predict"])
 @pytest.mark.parametrize("flags, config", [(["--frame-stride", "0"], ""), ([], "frame_stride = -1\n")])
 def test_bad_frame_stride_exits_before_reading_data(tmp_path, capsys, command, flags, config):
@@ -477,6 +439,15 @@ def test_non_integer_setting_is_usage_error_naming_it(tmp_path, capsys, command,
     assert run(_argv_without_inputs(tmp_path, command) + ["--config", cfg]) == 1
     err = capsys.readouterr().err
     assert f"{key} must be an integer, got " in err and "missing" not in err
+    assert not os.path.exists(str(tmp_path / "o"))
+
+
+@pytest.mark.parametrize("trait", ["charisma", "7", "-1"])
+def test_bad_trait_is_usage_error_before_reading_data(tmp_path, capsys, trait):
+    argv = _argv_without_inputs(tmp_path, "finetune") + ["--trait", trait]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "--trait" in err and "missing" not in err
     assert not os.path.exists(str(tmp_path / "o"))
 
 

@@ -123,3 +123,32 @@ def test_load_clip_has_one_caller():
             with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
                 found += [(os.path.basename(path), owner) for owner in readers(fh.read(), "load_clip")]
     assert found == [("data.py", "index_clip")], "load_clip reads a whole clip; see ROADMAP item 3"
+
+
+def imported_modules(source: str) -> set:
+    """Dotted names of the modules `source` imports; `from a import b` gives
+    both "a" and "a.b", since b may be a module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+    return found
+
+
+def test_package_imports_no_thread_pool():
+    # Clips are scored one at a time: each clip's products already run on
+    # every BLAS thread, and two clip workers measured slower than one on a
+    # 2-core VM. A worker pool comes back only with a measurement it wins.
+    banned = ("concurrent.futures", "threading")
+    package = os.path.join(ROOT, "src", "avtrait")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                found += [
+                    (name, m) for m in sorted(imported_modules(fh.read()))
+                    if any(m == b or m.startswith(b + ".") for b in banned)
+                ]
+    assert found == []

@@ -664,13 +664,29 @@ class TestScaledTanh:
 
 
 class TestRelu:
-    def test_values_and_mask(self):
+    def test_values_and_cache(self):
         for dtype in (np.float32, np.float64):
-            y, mask = L.relu_forward(np.array([-1.0, 0.0, 2.0], dtype=dtype))
+            y, cache = L.relu_forward(np.array([-1.0, 0.0, 2.0], dtype=dtype))
             assert y.dtype == dtype
             np.testing.assert_array_equal(y, [0.0, 0.0, 2.0])
-            np.testing.assert_array_equal(mask, [False, False, True])
-            np.testing.assert_array_equal(L.relu_backward(mask, np.full(3, 5.0, dtype)), [0.0, 0.0, 5.0])
+            assert cache is y
+            np.testing.assert_array_equal(L.relu_backward(cache, np.full(3, 5.0, dtype)), [0.0, 0.0, 5.0])
+            g = np.full(3, 5.0, dtype)
+            assert L.relu_backward(cache, g, out=g) is g
+            np.testing.assert_array_equal(g, [0.0, 0.0, 5.0])
+
+    def test_backward_from_the_output_passes_where_the_input_is_positive(self):
+        # max(x, 0) > 0 exactly where x > 0, for every float: signed zeros,
+        # subnormals, infinities and NaN (which np.maximum propagates)
+        for dtype in (np.float32, np.float64):
+            tiny = np.finfo(dtype).smallest_subnormal
+            x = np.array([-np.inf, -1.0, -tiny, -0.0, 0.0, tiny, 1.0, np.inf, np.nan, -np.nan], dtype)
+            g = np.arange(1, x.size + 1, dtype=dtype)
+            _, cache = L.relu_forward(x)
+            expect = g * (x > 0)
+            got = L.relu_backward(cache, g)
+            assert got.dtype == dtype
+            assert got.tobytes() == expect.tobytes()
 
 
 def random_bn(rng, c):
@@ -736,7 +752,7 @@ def cast_block(blk, dtype):
 
 def keep_all_block_forward(x, blk):
     """A train-mode residual block from the public layer functions whose
-    cache keeps every activation: conv2's input and both rectifier masks too."""
+    cache keeps every activation: conv2's input and both rectifier outputs too."""
     h1, c_conv1 = L.conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
     n1, c_bn1 = L.batchnorm_forward(h1, blk.bn1, "train")
     r1, c_relu1 = L.relu_forward(n1)

@@ -229,7 +229,7 @@ class TestForwardTrain:
 
 def keep_all_stream_forward(x, stream, prefix, params):
     """A train-mode stream from the public layer functions with a tape that
-    keeps every activation: the stem's rectifier mask and the pool's padded
+    keeps every activation: the stem's rectifier output and the pool's padded
     input as well, and keep_all_block_forward caches."""
     tape = []
     y, c = L.conv_forward(x, params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], M._stem_spec(stream))

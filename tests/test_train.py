@@ -366,6 +366,16 @@ class TestTrainLoop:
         assert [tuple(x) for x in resumed.losses[2:]] == [tuple(x) for x in full.losses[2:]]
         assert open(resumed.checkpoint_path, "rb").read() == open(full.checkpoint_path, "rb").read()
 
+    def test_resume_past_the_last_epoch_is_refused(self, tmp_path, dataset):
+        # epochs count from 0: a 3-epoch run's last checkpoint is epoch 2,
+        # which a run of 2 epochs (0 and 1) or of 1 has already passed
+        part = T.train(tiny_config(str(tmp_path / "part"), epochs=3), dataset)
+        for epochs in (2, 1):
+            out = str(tmp_path / f"to{epochs}")
+            with pytest.raises(ValueError, match=f"epoch 2 .*epochs = {epochs}"):
+                T.train(tiny_config(out, epochs=epochs), dataset, resume=part.checkpoint_path)
+            assert not os.path.exists(out)
+
     def test_insufficient_clips_rejected(self, tmp_path, dataset):
         with pytest.raises(ValueError, match="batch_size"):
             T.train(tiny_config(str(tmp_path / "a"), batch_size=32), dataset)
@@ -470,9 +480,9 @@ class TestStepMemory:
 
 
 class TestMapClips:
-    def test_rows_keep_their_order_on_two_threads(self, dataset):
+    def test_rows_keep_their_order(self, dataset):
         rows = dataset.rows
-        results = T.map_clips(dataset, rows, lambda clip: clip.audio_window(0, 8)[0], threads=2)
+        results = T.map_clips(dataset, rows, lambda clip: clip.audio_window(0, 8)[0])
         assert [row for row, _ in results] == rows
         for row, head in results:
             assert head.tobytes() == D.load_clip(dataset.clip_path(row)).audio[0, :8].tobytes()
@@ -488,7 +498,7 @@ class TestMapClips:
         def fn(clip):
             raise D.ClipTooShortError("under one second")
 
-        results = T.map_clips(dataset, dataset.rows, fn, threads=2)
+        results = T.map_clips(dataset, dataset.rows, fn)
         assert results == [(row, None) for row in dataset.rows]
 
 
@@ -499,7 +509,7 @@ class TestEvaluate:
         rows = dataset.split_rows("validation")
         truth = {r.clip_id: r.traits for r in rows}
 
-        def fake_predict(arch_, params_, manifest_, rows_, stride_=1, threads_=1):
+        def fake_predict(arch_, params_, manifest_, rows_, stride_=1):
             return [(r, truth[r.clip_id].astype(np.float32)) for r in rows_]
 
         monkeypatch.setattr(T, "predict_rows", fake_predict)
@@ -521,7 +531,7 @@ class TestEvaluate:
     def test_constant_half_predictor_cross_checked(self, dataset, monkeypatch):
         rows = dataset.split_rows("validation")
 
-        def fake_predict(arch_, params_, manifest_, rows_, stride_=1, threads_=1):
+        def fake_predict(arch_, params_, manifest_, rows_, stride_=1):
             return [(r, np.full(5, 0.5, np.float32)) for r in rows_]
 
         monkeypatch.setattr(T, "predict_rows", fake_predict)
@@ -603,12 +613,9 @@ class TestEvaluate:
         report = T.evaluate(arch, params, dataset, "validation")
         assert np.all(report.per_trait >= 0.0) and np.all(report.per_trait <= 1.0)
 
-    def test_threads_do_not_change_report(self, dataset):
-        arch = M.mini_architecture()
-        params = M.build_network(arch, 2)
-        r1 = T.evaluate(arch, params, dataset, "validation", threads=1)
-        r2 = T.evaluate(arch, params, dataset, "validation", threads=3)
-        np.testing.assert_array_equal(r1.per_trait, r2.per_trait)
+    def test_predict_rows_refuses_a_second_worker(self, dataset):
+        with pytest.raises(ValueError, match="threads must be 1"):
+            T.predict_rows(M.mini_architecture(), {}, dataset, dataset.rows, threads=2)
 
     def test_csv_shape(self, dataset):
         report = T.EvalReport(per_trait=np.full(5, 0.9), average=0.9, clips=4, excluded=1)
