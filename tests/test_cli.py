@@ -46,10 +46,10 @@ class TestUsage:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 1
 
-    def test_threads_flag_is_unknown(self, workspace, capsys):
+    @pytest.mark.parametrize("command", ["eval", "predict", "extract-features", "predict-rnn"])
+    def test_threads_flag_is_unknown(self, tmp_path, capsys, command):
         # clips are scored one at a time; there is no worker count to set
-        assert run(["eval", "--checkpoint", workspace["ckpt"], "--manifest", workspace["manifest"],
-                    "--threads", "2"]) == 1
+        assert run(_scoring_argv(tmp_path, command) + ["--threads", "2"]) == 1
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
@@ -384,6 +384,23 @@ def _scoring_argv(tmp_path, command):
     if command == "predict-rnn":
         argv += ["--rnn-head", str(tmp_path / "missing.head")]
     return argv
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "extract-features", "predict-rnn"])
+@pytest.mark.parametrize("source", ["config", "env"])
+def test_stale_threads_setting_is_ignored(tmp_path, capsys, monkeypatch, command, source):
+    # a worker count from an old config file or DI_THREADS is no longer read:
+    # the command goes on to its inputs and fails only because they are missing
+    argv = _scoring_argv(tmp_path, command)
+    if source == "config":
+        cfg = str(tmp_path / "c.cfg")
+        open(cfg, "w").write("threads = two\n")
+        argv += ["--config", cfg]
+    else:
+        monkeypatch.setenv("DI_THREADS", "abc")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "missing" in err and "must be" not in err
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
