@@ -79,11 +79,10 @@ class Settings:
         return v
 
 
-def _setting(settings: Settings, key: str, default=None, name: str = "", cast=int):
+def _setting(settings: Settings, key: str, default=None, cast=int):
     """The setting `key` read as `cast` (int or float), or None if it is unset and has no default.
 
-    A value that `cast` refuses is a usage error naming the setting
-    (`name`, else `key`).
+    A value that `cast` refuses is a usage error naming the setting.
     """
     v = settings.get(key, default)
     if v is None:
@@ -94,7 +93,18 @@ def _setting(settings: Settings, key: str, default=None, name: str = "", cast=in
         return cast(str(v))
     except ValueError:
         kind = "an integer" if cast is int else "a number"
-        raise UsageError(f"{name or key} must be {kind}, got {v!r}") from None
+        raise UsageError(f"{key} must be {kind}, got {v!r}") from None
+
+
+def _given(settings: Settings, keys, cast=int) -> dict:
+    """{name: value} for each of `keys` that a flag or the config file sets, read as `cast`.
+
+    `keys` names the settings, or maps each setting to the API parameter it
+    is passed as. An unset setting is left out, so the API's own default
+    applies.
+    """
+    names = keys if isinstance(keys, dict) else {key: key for key in keys}
+    return {name: v for key, name in names.items() if (v := _setting(settings, key, cast=cast)) is not None}
 
 
 def _frame_stride(settings: Settings) -> int:
@@ -157,7 +167,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--mini", action="store_true", default=None)
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
 
     p = sub.add_parser("extract-features", help="per-second pooled features for the recurrent head")
@@ -217,22 +226,12 @@ def _trait_index(raw: str) -> int:
     return idx
 
 
-def _train_config(s: Settings, out_dir: str, mini) -> T.TrainConfig:
+def _train_config(s: Settings, **fixed) -> T.TrainConfig:
+    """The TrainConfig of `fixed` and the training settings given; TrainConfig checks them all."""
     return T.TrainConfig(
-        epochs=_setting(s, "epochs", 900),
-        batch_size=_setting(s, "batch_size", 32),
-        seed=_setting(s, "seed", 0),
-        checkpoint_every=_setting(s, "checkpoint_every", 100),
-        out_dir=out_dir,
-        mini=bool(mini),
-        audio_crop=_setting(s, "audio_crop"),
-        frame_crop=_setting(s, "frame_crop"),
-        initial_alpha=_setting(s, "initial_alpha", 2e-4, cast=float),
-        lr_decay_factor=_setting(s, "lr_decay_factor", 10.0, cast=float),
-        lr_period=_setting(s, "lr_period", 300),
-        beta1=_setting(s, "beta1", 0.5, cast=float),
-        beta2=_setting(s, "beta2", 0.999, cast=float),
-        epsilon=_setting(s, "epsilon", 1e-8, cast=float),
+        **_given(s, ("epochs", "batch_size", "seed", "checkpoint_every", "audio_crop", "frame_crop", "lr_period")),
+        **_given(s, ("initial_alpha", "lr_decay_factor", "beta1", "beta2", "epsilon"), float),
+        **fixed,
     )
 
 
@@ -241,18 +240,18 @@ def _cmd_synth(s: Settings) -> int:
         n=_setting(s, "n"),
         seed=_setting(s, "seed", 0),
         out_dir=s.get("out"),
-        val_count=_setting(s, "val_n", 0),
-        test_count=_setting(s, "test_n", 0),
-        seconds=_setting(s, "seconds", 2.0, cast=float),
-        height=_setting(s, "height", 48),
-        width=_setting(s, "width", 48),
+        **_given(s, {"val_n": "val_count", "test_n": "test_count", "height": "height", "width": "width"}),
+        **_given(s, ("seconds",), float),
     )
     print(f"wrote {len(manifest.rows)} clips and manifest.csv under {s.get('out')}")
     return 0
 
 
 def _cmd_train(s: Settings) -> int:
-    config = _train_config(s, s.get("out"), s.get("mini", False))
+    fixed = {"out_dir": s.get("out")}
+    if s.get("mini") is not None:
+        fixed["mini"] = bool(s.get("mini"))
+    config = _train_config(s, **fixed)
     manifest = D.load_manifest(s.get("manifest"))
     result = T.train(config, manifest, resume=s.get("resume"))
     last_epoch, alpha, mae = result.losses[-1]
@@ -266,14 +265,8 @@ def _cmd_eval(s: Settings) -> int:
     ckpt = T.load_checkpoint(s.get("checkpoint"))
     manifest = D.load_manifest(s.get("manifest"))
     split = s.get("split", "validation")
-    single = ckpt.arch.out_dim == 1
-    trait = ckpt.trait if single else None
-    report = T.evaluate(ckpt.arch, ckpt.params, manifest, split, stride, trait=trait)
-    if single:
-        acc = report.per_trait[0]
-        text = f"trait,{D.TRAITS[trait]},accuracy,{acc:.6f},clips,{report.clips},excluded,{report.excluded}\n"
-    else:
-        text = report.csv()
+    trait = ckpt.trait if ckpt.arch.out_dim == 1 else None
+    text = T.evaluate(ckpt.arch, ckpt.params, manifest, split, stride, trait=trait).csv()
     out = s.get("out") or os.path.join(os.path.dirname(os.path.abspath(s.get("checkpoint"))), f"eval_{split}.csv")
     D.atomic_write_text(out, text)
     sys.stdout.write(text)
@@ -298,13 +291,12 @@ def _cmd_predict(s: Settings) -> int:
 
 def _cmd_finetune(s: Settings) -> int:
     trait = _trait_index(str(s.get("trait")))
-    # the checks do not look at the crops, so the base's miniature flag can
+    # the checks do not look at the crops, so the base's architecture can
     # join the config after it is read
-    config = _train_config(s, s.get("out"), s.get("mini", False))
+    config = _train_config(s, out_dir=s.get("out"))
     base = T.load_checkpoint(s.get("checkpoint"))
     manifest = D.load_manifest(s.get("manifest"))
-    if base.mini and not config.mini:
-        config = replace(config, mini=True)
+    config = replace(config, mini=base.mini)
     result = T.finetune_per_trait(base, trait, config, manifest)
     last_epoch, alpha, mae = result.losses[-1]
     print(f"trait {D.TRAITS[trait]} epoch {last_epoch} train_mae {mae:.6f}")
@@ -332,14 +324,8 @@ def load_feature_cache(path: str) -> dict:
 
 
 def _cmd_train_rnn(s: Settings) -> int:
-    config = R.RnnTrainConfig(
-        epochs=_setting(s, "epochs", 100),
-        seed=_setting(s, "seed", 0),
-        trunc=_setting(s, "trunc", R.TRUNCATION),
-        dropout=_setting(s, "dropout", R.DROPOUT_RATE, cast=float),
-        alpha=_setting(s, "alpha", 2e-4, cast=float),
-    )
-    hidden = _setting(s, "hidden", R.RNN_HIDDEN)
+    config = R.RnnTrainConfig(**_given(s, ("epochs", "seed", "trunc")), **_given(s, ("dropout", "alpha"), float))
+    hidden = _given(s, ("hidden",))
     feats = load_feature_cache(s.get("features"))
     manifest = D.load_manifest(s.get("manifest"))
     labels = {row.clip_id: row.traits.astype(np.float32) for row in manifest.rows}
@@ -351,7 +337,7 @@ def _cmd_train_rnn(s: Settings) -> int:
     if not sequences:
         raise D.ManifestError("feature cache is empty")
     input_dim = sequences[0][0].shape[1]
-    params = R.build_rnn_head(config.seed, input_dim=input_dim, hidden=hidden, out_dim=5)
+    params = R.build_rnn_head(config.seed, input_dim=input_dim, **hidden)
     losses = R.train_rnn(sequences, params, config)
     T.write_tensor_container(s.get("out"), params)
     print(f"epoch {len(losses) - 1} train_mae {losses[-1]:.6f}")
@@ -368,7 +354,7 @@ def _cmd_predict_rnn(s: Settings) -> int:
 
 
 def _cmd_gradcheck(s: Settings) -> int:
-    rows, ok = run_gradcheck(include_network=bool(s.get("mini", False)), seed=_setting(s, "seed", 0))
+    rows, ok = run_gradcheck(include_network=bool(s.get("mini", False)), **_given(s, ("seed",)))
     print(f"{'layer':30s} {'max_rel_err':>12s} {'tolerance':>10s} result")
     for r in rows:
         print(f"{r.name:30s} {r.max_rel_err:12.3e} {r.tolerance:10.0e} {'pass' if r.passed else 'FAIL'}")

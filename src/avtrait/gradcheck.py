@@ -148,9 +148,9 @@ def _scaled_tanh_case(rng):
     return _projected(rng, {"x": x}, lambda: L.scaled_tanh(x), lambda cache, R: {"x": L.scaled_tanh_backward(cache, R)})
 
 
-def _block_case(rng, kind):
-    in_ch, out_ch = (3, 3) if kind == "identity" else (3, 5)
-    stride = (1, 1) if kind == "identity" else (2, 2)
+def _block_case(rng, project: bool):
+    in_ch, out_ch = (3, 5) if project else (3, 3)
+    stride = (2, 2) if project else (1, 1)
     x = rng.standard_normal((2, in_ch, 6, 6))
     spec1 = L.ConvSpec((3, 3), stride, (1, 1), in_ch, out_ch)
     spec2 = L.ConvSpec((3, 3), (1, 1), (1, 1), out_ch, out_ch)
@@ -164,13 +164,12 @@ def _block_case(rng, kind):
         "bn2.gamma": 1.0 + 0.2 * rng.standard_normal(out_ch),
         "bn2.beta": 0.1 * rng.standard_normal(out_ch),
     }
-    if kind == "projection":
+    if project:
         arrays["shortcut.w"] = rng.standard_normal((out_ch, in_ch, 1, 1)) * 0.4
         arrays["shortcut.b"] = rng.standard_normal(out_ch) * 0.1
 
     def forward():
         block = L.ResidualBlockParams(
-            kind=kind,
             conv1_w=arrays["conv1.w"],
             conv1_b=arrays["conv1.b"],
             bn1=L.BatchNormState(arrays["bn1.gamma"], arrays["bn1.beta"], np.zeros(out_ch), np.ones(out_ch)),
@@ -181,7 +180,7 @@ def _block_case(rng, kind):
             spec2=spec2,
             shortcut_w=arrays.get("shortcut.w"),
             shortcut_b=arrays.get("shortcut.b"),
-            shortcut_spec=L.ConvSpec((1, 1), stride, (0, 0), in_ch, out_ch) if kind == "projection" else None,
+            shortcut_spec=L.ConvSpec((1, 1), stride, (0, 0), in_ch, out_ch) if project else None,
         )
         return L.residual_block_forward(x, block)
 
@@ -205,7 +204,7 @@ def _lstm_segment_case(rng):
     mask_seed = int(rng.integers(2**32))
 
     def forward():
-        out, tape, _ = rnn_forward(seq, arrays, "train", np.random.Generator(np.random.PCG64(mask_seed)), 0.5, state)
+        out, tape, _ = rnn_forward(seq, arrays, np.random.Generator(np.random.PCG64(mask_seed)), 0.5, state)
         return out, tape
 
     return _projected(rng, arrays, forward, lambda tape, R: rnn_backward(tape, R, arrays))
@@ -226,8 +225,8 @@ LAYER_CASES = [
     ("global_average_pool", _gap_case),
     ("linear", _linear_case),
     ("scaled_tanh", _scaled_tanh_case),
-    ("residual_block_identity", lambda rng: _block_case(rng, "identity")),
-    ("residual_block_projection", lambda rng: _block_case(rng, "projection")),
+    ("residual_block_identity", lambda rng: _block_case(rng, project=False)),
+    ("residual_block_projection", lambda rng: _block_case(rng, project=True)),
     ("lstm_segment", _lstm_segment_case),
 ]
 

@@ -581,12 +581,14 @@ def relu_backward(cache, grad_out: np.ndarray, out: Optional[np.ndarray] = None)
 class ResidualBlockParams:
     """Parameters for conv-BN-ReLU-conv-BN plus an identity or projection shortcut.
 
-    bn1 and bn2 are None in a block from fold_block, whose convolutions
-    already hold them; residual_block_forward runs such a block in eval
-    mode.
+    The block projects its shortcut exactly when it has `shortcut_w`, which
+    then needs `shortcut_b` and `shortcut_spec`; without it the shortcut is
+    the identity, which needs conv1's input channels equal to conv2's output
+    channels and a unit stride. bn1 and bn2 are None in a block from
+    fold_block, whose convolutions already hold them; residual_block_forward
+    runs such a block in eval mode.
     """
 
-    kind: str  # "identity" | "projection"
     conv1_w: np.ndarray
     conv1_b: np.ndarray
     bn1: Optional[BatchNormState]
@@ -600,16 +602,14 @@ class ResidualBlockParams:
     shortcut_spec: Optional[ConvSpec] = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "projection"):
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.kind == "identity":
+        if self.shortcut_w is None:
             s1 = self.spec1
             if s1.in_channels != self.spec2.out_channels or any(s != 1 for s in s1.stride):
                 raise ValueError(
                     "identity shortcut requires matching channels and unit stride, got "
                     f"in={s1.in_channels} out={self.spec2.out_channels} stride={s1.stride}"
                 )
-        elif self.shortcut_w is None or self.shortcut_spec is None:
+        elif self.shortcut_b is None or self.shortcut_spec is None:
             raise ValueError("projection block needs shortcut conv parameters")
 
 
@@ -635,7 +635,7 @@ def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams):
         r1, _ = conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
         np.maximum(r1, 0, out=r1)
         y, _ = conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
-        if blk.kind == "projection":
+        if blk.shortcut_w is not None:
             y += conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)[0]
         else:
             y += x
@@ -649,7 +649,7 @@ def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams):
     c_conv2[0] = None
     n2, c_bn2 = batchnorm_forward(h, blk.bn2, "train")
     del h
-    if blk.kind == "projection":
+    if blk.shortcut_w is not None:
         sc, c_sc = conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)
     else:
         sc, c_sc = x, None
@@ -758,12 +758,18 @@ def lstm_step_backward(cache, dh, dc):
 # ---------------------------------------------------------------------------
 # dropout (inverted scaling)
 
-def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator):
-    """Zero units independently with probability `rate`, scale survivors by 1/(1-rate)."""
+def dropout_forward(x: np.ndarray, rate: float, rng: Optional[np.random.Generator] = None):
+    """Zero units independently with probability `rate`, scale survivors by 1/(1-rate).
+
+    A rate of 0, as in eval mode, returns x and no mask; a positive rate
+    draws the mask from rng, which it needs.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    if mode != "train" or rate == 0.0:
+    if rate == 0.0:
         return x, None
+    if rng is None:
+        raise ValueError("dropout at a positive rate needs a generator")
     mask = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
     return x * mask, mask
 

@@ -12,8 +12,10 @@ k^2 <-> k x k and s^2 <-> s x s:
     stage 1      3x3 / 1 / 1       9 / 1 / 4       32
     stage 2..4   3x3 / {2,1} / 1   9 / {4,1} / 4   64,128,256
 
-The first block of stages 2-4 downsamples and projects its shortcut with a
-1-extent-kernel convolution at the stage stride; every other block uses an
+Every convolution and pool is "same"-padded: a kernel extent k gets
+(k - 1) // 2 on each side, as the table's p column shows. The first block
+of stages 2-4 downsamples and projects its shortcut with a 1-extent-kernel
+convolution at the stage stride, unpadded; every other block uses an
 identity shortcut. Stream outputs are globally average-pooled, concatenated
 (256 + 256 = 512 in the full model) and fed through one fully-connected
 layer whose outputs are squashed to (0, 1) by a scaled tanh.
@@ -65,20 +67,22 @@ MIN_AUDIO_SAMPLES = 1024  # one valid output after the streams' total stride
 
 @dataclass(frozen=True)
 class StreamSpec:
-    ndim: int
+    """One stream's layer plan; its paddings follow from its kernels (`_same_spec`)."""
+
     in_channels: int
     stem_channels: int
     stem_kernel: tuple
     stem_stride: tuple
-    stem_padding: tuple
     pool_kernel: tuple
     pool_stride: tuple
-    pool_padding: tuple
     stage_channels: tuple
     stage_strides: tuple
     blocks_per_stage: int
     block_kernel: tuple
-    block_padding: tuple
+
+    @property
+    def ndim(self) -> int:
+        return len(self.stem_kernel)
 
 
 @dataclass(frozen=True)
@@ -94,36 +98,28 @@ class Architecture:
 
 def full_architecture(out_dim: int = 5, visual_in_channels: int = 3) -> Architecture:
     auditory = StreamSpec(
-        ndim=1,
         in_channels=1,
         stem_channels=32,
         stem_kernel=(49,),
         stem_stride=(4,),
-        stem_padding=(24,),
         pool_kernel=(9,),
         pool_stride=(4,),
-        pool_padding=(4,),
         stage_channels=(32, 64, 128, 256),
         stage_strides=((1,), (4,), (4,), (4,)),
         blocks_per_stage=2,
         block_kernel=(9,),
-        block_padding=(4,),
     )
     visual = StreamSpec(
-        ndim=2,
         in_channels=visual_in_channels,
         stem_channels=32,
         stem_kernel=(7, 7),
         stem_stride=(2, 2),
-        stem_padding=(3, 3),
         pool_kernel=(3, 3),
         pool_stride=(2, 2),
-        pool_padding=(1, 1),
         stage_channels=(32, 64, 128, 256),
         stage_strides=((1, 1), (2, 2), (2, 2), (2, 2)),
         blocks_per_stage=2,
         block_kernel=(3, 3),
-        block_padding=(1, 1),
     )
     return Architecture(auditory=auditory, visual=visual, out_dim=out_dim)
 
@@ -155,13 +151,12 @@ def _unit_stride(ndim: int) -> tuple:
 
 
 def _block_layout(stream: StreamSpec):
-    """Yield (name, in_channels, out_channels, stride, kind) per residual block."""
+    """Yield (name, in_channels, out_channels, stride) per residual block."""
     in_ch = stream.stem_channels
     for si, (ch, first_stride) in enumerate(zip(stream.stage_channels, stream.stage_strides), start=1):
         for bi in range(1, stream.blocks_per_stage + 1):
             stride = tuple(first_stride) if bi == 1 else _unit_stride(stream.ndim)
-            kind = "identity" if (stride == _unit_stride(stream.ndim) and in_ch == ch) else "projection"
-            yield f"stage{si}.block{bi}", in_ch, ch, stride, kind
+            yield f"stage{si}.block{bi}", in_ch, ch, stride
             in_ch = ch
 
 
@@ -172,7 +167,7 @@ def _stream_manifest(stream: StreamSpec, prefix: str):
     entries.append((f"{prefix}.stem.conv.b", (c,)))
     for suffix in ("gamma", "beta", "running_mean", "running_var"):
         entries.append((f"{prefix}.stem.bn.{suffix}", (c,)))
-    for name, in_ch, out_ch, stride, kind in _block_layout(stream):
+    for name, in_ch, out_ch, stride in _block_layout(stream):
         base = f"{prefix}.{name}"
         entries.append((f"{base}.conv1.w", (out_ch, in_ch) + stream.block_kernel))
         entries.append((f"{base}.conv1.b", (out_ch,)))
@@ -182,7 +177,8 @@ def _stream_manifest(stream: StreamSpec, prefix: str):
         entries.append((f"{base}.conv2.b", (out_ch,)))
         for suffix in ("gamma", "beta", "running_mean", "running_var"):
             entries.append((f"{base}.bn2.{suffix}", (out_ch,)))
-        if kind == "projection":
+        # a block that changes channels or strides projects its shortcut
+        if in_ch != out_ch or stride != _unit_stride(stream.ndim):
             entries.append((f"{base}.shortcut.w", (out_ch, in_ch) + (1,) * stream.ndim))
             entries.append((f"{base}.shortcut.b", (out_ch,)))
     return entries
@@ -246,43 +242,36 @@ def _bn_state(params: dict, prefix: str) -> BatchNormState:
     )
 
 
+def _same_spec(kernel: tuple, stride: tuple, in_channels: int = 1, out_channels: int = 1) -> ConvSpec:
+    """A spec padded by (k - 1) // 2 on each side of each kernel extent k: 0 for a 1-extent kernel."""
+    return ConvSpec(kernel, stride, tuple((k - 1) // 2 for k in kernel), in_channels, out_channels)
+
+
 def _stem_spec(stream: StreamSpec) -> ConvSpec:
-    return ConvSpec(
-        kernel=stream.stem_kernel,
-        stride=stream.stem_stride,
-        padding=stream.stem_padding,
-        in_channels=stream.in_channels,
-        out_channels=stream.stem_channels,
-    )
+    return _same_spec(stream.stem_kernel, stream.stem_stride, stream.in_channels, stream.stem_channels)
 
 
 def _pool_spec(stream: StreamSpec) -> ConvSpec:
-    return ConvSpec(kernel=stream.pool_kernel, stride=stream.pool_stride, padding=stream.pool_padding)
+    return _same_spec(stream.pool_kernel, stream.pool_stride)
 
 
-def _block_params(stream: StreamSpec, prefix: str, name: str, in_ch, out_ch, stride, kind, params) -> ResidualBlockParams:
+def _block_params(stream: StreamSpec, prefix: str, name: str, in_ch, out_ch, stride, params) -> ResidualBlockParams:
+    """The block's parameters; it projects its shortcut when `params` holds a shortcut weight for it."""
     base = f"{prefix}.{name}"
-    spec1 = ConvSpec(stream.block_kernel, stride, stream.block_padding, in_ch, out_ch)
-    spec2 = ConvSpec(stream.block_kernel, _unit_stride(stream.ndim), stream.block_padding, out_ch, out_ch)
-    blk = ResidualBlockParams(
-        kind=kind,
+    shortcut_w = params.get(f"{base}.shortcut.w")
+    return ResidualBlockParams(
         conv1_w=params[f"{base}.conv1.w"],
         conv1_b=params[f"{base}.conv1.b"],
         bn1=_bn_state(params, f"{base}.bn1"),
-        spec1=spec1,
+        spec1=_same_spec(stream.block_kernel, stride, in_ch, out_ch),
         conv2_w=params[f"{base}.conv2.w"],
         conv2_b=params[f"{base}.conv2.b"],
         bn2=_bn_state(params, f"{base}.bn2"),
-        spec2=spec2,
-        shortcut_w=params.get(f"{base}.shortcut.w"),
+        spec2=_same_spec(stream.block_kernel, _unit_stride(stream.ndim), out_ch, out_ch),
+        shortcut_w=shortcut_w,
         shortcut_b=params.get(f"{base}.shortcut.b"),
-        shortcut_spec=(
-            ConvSpec((1,) * stream.ndim, stride, (0,) * stream.ndim, in_ch, out_ch)
-            if kind == "projection"
-            else None
-        ),
+        shortcut_spec=None if shortcut_w is None else _same_spec((1,) * stream.ndim, stride, in_ch, out_ch),
     )
-    return blk
 
 
 @dataclass(frozen=True)
@@ -303,13 +292,9 @@ def fold_stream(stream: StreamSpec, prefix: str, params: dict) -> FoldedStream:
 
 
 class EvalTapeError(ValueError):
-    """Backward was asked of a stream tape with nothing left to differentiate:
-    an eval-mode tape, which records nothing, or a train-mode tape that a
-    backward has already consumed."""
-
-
-class ConsumedTapeError(EvalTapeError):
-    """Backward was asked again of a ModelTape that a backward has consumed."""
+    """Backward was asked of a tape with nothing left to differentiate: an
+    eval-mode stream tape, which records nothing, or a train-mode stream
+    tape or ModelTape that a backward has already consumed."""
 
 
 def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict, mode: str):
@@ -343,8 +328,8 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     pool_spec = _pool_spec(stream)
     y, _ = maxpool_forward(y, pool_spec)
     tape = [("stem", f"{prefix}.stem", (c_conv, c_bn, bn.beta, y, pool_spec))]
-    for name, in_ch, out_ch, stride, kind in _block_layout(stream):
-        blk = _block_params(stream, prefix, name, in_ch, out_ch, stride, kind, params)
+    for name, in_ch, out_ch, stride in _block_layout(stream):
+        blk = _block_params(stream, prefix, name, in_ch, out_ch, stride, params)
         y, cache = residual_block_forward(y, blk)
         tape.append(("block", f"{prefix}.{name}", cache))
     y, cache = global_average_pool(y)
@@ -401,11 +386,13 @@ class ModelTape:
     The stream tapes hold each activation once (forward_stream says what
     they keep); backward rebuilds each rectifier output that follows a
     batch norm from that norm's x-hat, gamma and beta, so no parameter may
-    change between forward_train and backward. `backward` empties both
-    stream tapes as it walks them and marks the tape consumed, so a
-    ModelTape can be differentiated once; a training step that keeps no
-    other reference to it frees each layer's cache as soon as that layer's
-    backward has run.
+    change between forward_train and backward. `tanh_cache` is the
+    prediction itself. `backward` takes both stream tapes out of the
+    ModelTape, leaving them empty, before it forms any gradient, and
+    empties them as it walks them: a ModelTape whose stream tapes are empty
+    is consumed, so it can be differentiated once, and a training step that
+    keeps no other reference to it frees each layer's cache as soon as that
+    layer's backward has run.
     """
 
     auditory: list
@@ -413,8 +400,6 @@ class ModelTape:
     fusion_cache: tuple
     tanh_cache: np.ndarray
     split: int
-    pred_shape: tuple
-    consumed: bool = False
 
 
 def forward_train(
@@ -453,7 +438,6 @@ def forward_train(
         fusion_cache=c_lin,
         tanh_cache=c_tanh,
         split=fa.shape[1],
-        pred_shape=pred.shape,
     )
     return pred, tape
 
@@ -464,18 +448,19 @@ def backward(tape: ModelTape, grad_out: np.ndarray) -> dict:
     grad_out is checked before anything is consumed. The tape is then
     consumed: the auditory stream's caches are released as its backward
     runs, before the visual stream's backward starts, and a second call on
-    the same tape raises ConsumedTapeError.
+    the same tape raises EvalTapeError.
     """
-    if grad_out.shape != tape.pred_shape:
-        raise ShapeMismatchError("backward grad_out", grad_out.shape, tape.pred_shape)
-    if tape.consumed:
-        raise ConsumedTapeError("this ModelTape was already differentiated, which consumed it; run forward_train again")
-    tape.consumed = True
+    if grad_out.shape != tape.tanh_cache.shape:
+        raise ShapeMismatchError("backward grad_out", grad_out.shape, tape.tanh_cache.shape)
+    if not tape.auditory:
+        raise EvalTapeError("this ModelTape was already differentiated, which consumed it; run forward_train again")
+    auditory, visual = tape.auditory, tape.visual
+    tape.auditory, tape.visual = [], []
     dz = scaled_tanh_backward(tape.tanh_cache, grad_out)
     dw, db, dfeats = linear_backward(tape.fusion_cache, dz)
     grads = {"fusion.w": dw, "fusion.b": db}
-    ga, _ = backward_stream(tape.auditory, np.ascontiguousarray(dfeats[:, : tape.split]))
-    gv, _ = backward_stream(tape.visual, np.ascontiguousarray(dfeats[:, tape.split :]))
+    ga, _ = backward_stream(auditory, np.ascontiguousarray(dfeats[:, : tape.split]))
+    gv, _ = backward_stream(visual, np.ascontiguousarray(dfeats[:, tape.split :]))
     grads.update(ga)
     grads.update(gv)
     return grads

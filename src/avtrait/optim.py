@@ -1,7 +1,8 @@
-"""Adam with bias correction, the step-decay learning-rate schedule, and MAE loss.
+"""Adam with bias correction, and MAE loss.
 
-Defaults follow the training recipe: alpha 2e-4, beta1 0.5, beta2 0.999,
-epsilon 1e-8, alpha divided by 10 after every 300 epochs.
+AdamState's defaults are the training recipe's: alpha 2e-4, beta1 0.5,
+beta2 0.999, epsilon 1e-8; every other default of these four is read from
+it. The step-decay schedule of alpha is `train.TrainConfig.alpha_for_epoch`.
 """
 
 from __future__ import annotations
@@ -16,25 +17,6 @@ from .layers import ShapeMismatchError
 
 class NonFiniteGradientError(FloatingPointError):
     """A gradient contained NaN or inf; message names the parameter."""
-
-
-@dataclass
-class LrSchedule:
-    initial_alpha: float = 2e-4
-    decay_factor: float = 10.0
-    period: int = 300
-
-    def __post_init__(self):
-        # below 1 alpha would grow, at 0 divide by zero, below 0 change sign
-        if not (math.isfinite(self.decay_factor) and self.decay_factor >= 1.0):
-            raise ValueError(f"decay_factor must be finite and >= 1, got {self.decay_factor}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-
-    def alpha_for_epoch(self, epoch: int) -> float:
-        if epoch < 0:
-            raise ValueError(f"epoch must be >= 0, got {epoch}")
-        return self.initial_alpha / self.decay_factor ** (epoch // self.period)
 
 
 @dataclass
@@ -58,7 +40,7 @@ class AdamState:
 ADAM_BLOCK = 1 << 15
 
 
-def check_adam_hyperparameters(alpha, beta1=0.5, beta2=0.999, epsilon=1e-8) -> None:
+def check_adam_hyperparameters(alpha, beta1=AdamState.beta1, beta2=AdamState.beta2, epsilon=AdamState.epsilon) -> None:
     """Reject a step size, decay or epsilon that would make Adam's updates meaningless."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
@@ -69,7 +51,9 @@ def check_adam_hyperparameters(alpha, beta1=0.5, beta2=0.999, epsilon=1e-8) -> N
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
-def init_adam(params: dict, trainable, alpha=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8) -> AdamState:
+def init_adam(
+    params: dict, trainable, alpha=AdamState.alpha, beta1=AdamState.beta1, beta2=AdamState.beta2, epsilon=AdamState.epsilon
+) -> AdamState:
     check_adam_hyperparameters(alpha, beta1, beta2, epsilon)
     state = AdamState(alpha=alpha, beta1=beta1, beta2=beta2, epsilon=epsilon)
     for name in trainable:

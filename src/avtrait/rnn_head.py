@@ -31,20 +31,18 @@ from .layers import (
     scaled_tanh_backward,
 )
 from .model import Architecture, clip_features, he_normal
-from .optim import adam_step, check_adam_hyperparameters, init_adam, mae_loss
+from .optim import AdamState, adam_step, check_adam_hyperparameters, init_adam, mae_loss
 
 RNN_HIDDEN = 512
-TRUNCATION = 15
-DROPOUT_RATE = 0.5
 
 
 @dataclass
 class RnnTrainConfig:
     epochs: int = 100
     seed: int = 0
-    trunc: int = TRUNCATION
-    dropout: float = DROPOUT_RATE
-    alpha: float = 2e-4
+    trunc: int = 15
+    dropout: float = 0.5
+    alpha: float = AdamState.alpha
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -117,16 +115,15 @@ def zero_state(hidden: int, dtype=np.float32):
     return (z(), z(), z(), z())
 
 
-def rnn_forward(seq: np.ndarray, params: dict, mode: str, rng=None, dropout: float = DROPOUT_RATE, state=None):
+def rnn_forward(seq: np.ndarray, params: dict, rng=None, dropout: float = 0.0, state=None):
     """Run the head over (T, D) features; returns (outputs (T, K), tape, state).
 
-    `state` is (h1, c1, h2, c2); zeros when omitted. Train mode draws one
-    dropout mask per step and layer from rng; eval mode is deterministic.
+    `state` is (h1, c1, h2, c2); zeros when omitted. A positive `dropout`
+    rate, as in training, draws one mask per step and layer from rng, which
+    it needs; the default rate of 0 is eval mode, deterministic.
     """
     if seq.ndim != 2 or seq.shape[0] < 1:
         raise ValueError(f"feature sequence must be (T>=1, D), got {seq.shape}")
-    if mode == "train" and dropout > 0.0 and rng is None:
-        raise ValueError("train-mode dropout needs a generator")
     _, hidden, _ = head_dims(params)
     h1, c1, h2, c2 = state if state is not None else zero_state(hidden, seq.dtype)
     tape = []
@@ -134,9 +131,9 @@ def rnn_forward(seq: np.ndarray, params: dict, mode: str, rng=None, dropout: flo
     for t in range(seq.shape[0]):
         x = seq[t : t + 1]
         h1, c1, cache1 = lstm_step(x, h1, c1, params["rnn.l1.wx"], params["rnn.l1.wh"], params["rnn.l1.b"])
-        d1, mask1 = dropout_forward(h1, dropout, mode, rng)
+        d1, mask1 = dropout_forward(h1, dropout, rng)
         h2, c2, cache2 = lstm_step(d1, h2, c2, params["rnn.l2.wx"], params["rnn.l2.wh"], params["rnn.l2.b"])
-        d2, mask2 = dropout_forward(h2, dropout, mode, rng)
+        d2, mask2 = dropout_forward(h2, dropout, rng)
         z, c_lin = linear_forward(d2, params["rnn.out.w"], params["rnn.out.b"])
         y, c_tanh = scaled_tanh(z)
         outs.append(y[0])
@@ -144,7 +141,7 @@ def rnn_forward(seq: np.ndarray, params: dict, mode: str, rng=None, dropout: flo
     return np.stack(outs), tape, (h1, c1, h2, c2)
 
 
-_GRAD_KEYS = ("rnn.l1.wx", "rnn.l1.wh", "rnn.l1.b", "rnn.l2.wx", "rnn.l2.wh", "rnn.l2.b", "rnn.out.w", "rnn.out.b")
+_GRAD_KEYS = tuple(head_manifest())
 
 
 def _rows(steps):
@@ -188,13 +185,13 @@ def rnn_backward(tape, grad_out: np.ndarray, params: dict) -> dict:
     return dict(zip(_GRAD_KEYS, (dwx1, dwh1, db1, dwx2, dwh2, db2, dw_out, db_out)))
 
 
-def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, mode: str = "eval", rng=None, dropout: float = 0.0):
+def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, rng=None, dropout: float = 0.0):
     """Loss and truncated-BPTT gradients for one sequence.
 
     target may be (K,) (one label for every step) or (T, K). Per-step
     losses are averaged over all T*K entries; each length-`trunc` segment
     contributes its full-BPTT gradient with state carried in numerically.
-    Returns (loss, grads, outputs).
+    `rng` and `dropout` are rnn_forward's. Returns (loss, grads, outputs).
     """
     if trunc < 1:
         raise ValueError("truncation length must be >= 1")
@@ -208,7 +205,7 @@ def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, mode: 
     outs = []
     for lo in range(0, T, trunc):
         seg = slice(lo, min(lo + trunc, T))
-        out, tape, state = rnn_forward(seq[seg], params, mode, rng, dropout, state=state)
+        out, tape, state = rnn_forward(seq[seg], params, rng, dropout, state=state)
         segments.append((tape, seg))
         outs.append(out)
     outputs = np.concatenate(outs, axis=0)
@@ -239,9 +236,7 @@ def train_rnn(sequences, params: dict, config: RnnTrainConfig):
         total = 0.0
         for j in order:
             seq, target = sequences[int(j)]
-            loss, grads, _ = sequence_gradients(
-                params, seq, target, config.trunc, mode="train", rng=rng, dropout=config.dropout
-            )
+            loss, grads, _ = sequence_gradients(params, seq, target, config.trunc, rng, config.dropout)
             adam_step(params, grads, adam)
             del grads  # so the next sequence's gradients are not formed beside these
             total += loss
@@ -251,7 +246,7 @@ def train_rnn(sequences, params: dict, config: RnnTrainConfig):
 
 def predict_sequence(seq: np.ndarray, params: dict) -> np.ndarray:
     """Eval-mode per-step predictions averaged over the whole sequence."""
-    outputs, _, _ = rnn_forward(seq, params, "eval")
+    outputs, _, _ = rnn_forward(seq, params)
     return outputs.astype(np.float64).mean(axis=0).astype(seq.dtype)
 
 

@@ -55,7 +55,7 @@ from .model import (
     validate_params,
     with_out_dim,
 )
-from .optim import AdamState, LrSchedule, adam_step, check_adam_hyperparameters, init_adam, mae_loss
+from .optim import AdamState, adam_step, check_adam_hyperparameters, init_adam, mae_loss
 
 log = logging.getLogger(__name__)
 
@@ -278,12 +278,12 @@ class TrainConfig:
     mini: bool = False
     audio_crop: Optional[int] = None
     frame_crop: Optional[int] = None
-    initial_alpha: float = 2e-4
+    initial_alpha: float = AdamState.alpha
     lr_decay_factor: float = 10.0
     lr_period: int = 300
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    beta1: float = AdamState.beta1
+    beta2: float = AdamState.beta2
+    epsilon: float = AdamState.epsilon
 
     def __post_init__(self):
         for name in ("epochs", "checkpoint_every"):
@@ -294,10 +294,11 @@ class TrainConfig:
         for name in ("audio_crop", "frame_crop"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        try:
-            self.schedule
-        except ValueError as e:  # LrSchedule checks decay_factor and period: name the lr_* settings
-            raise ValueError(f"lr_{e}") from None
+        # below 1 alpha would grow, at 0 divide by zero, below 0 change sign
+        if not (math.isfinite(self.lr_decay_factor) and self.lr_decay_factor >= 1.0):
+            raise ValueError(f"lr_decay_factor must be finite and >= 1, got {self.lr_decay_factor}")
+        if self.lr_period < 1:
+            raise ValueError(f"lr_period must be >= 1, got {self.lr_period}")
         check_adam_hyperparameters(self.initial_alpha, self.beta1, self.beta2, self.epsilon)
 
     @property
@@ -306,9 +307,11 @@ class TrainConfig:
         frame = self.frame_crop if self.frame_crop is not None else (MINI_FRAME_CROP if self.mini else FULL_FRAME_CROP)
         return audio, frame
 
-    @property
-    def schedule(self) -> LrSchedule:
-        return LrSchedule(self.initial_alpha, self.lr_decay_factor, self.lr_period)
+    def alpha_for_epoch(self, epoch: int) -> float:
+        """Adam's step size in `epoch`: initial_alpha, divided by lr_decay_factor after every lr_period epochs."""
+        if epoch < 0:
+            raise ValueError(f"epoch must be >= 0, got {epoch}")
+        return self.initial_alpha / self.lr_decay_factor ** (epoch // self.lr_period)
 
 
 @dataclass
@@ -316,7 +319,6 @@ class TrainResult:
     arch: Architecture
     params: dict
     adam: AdamState
-    epoch: int
     losses: list  # (epoch, alpha, train_mae)
     checkpoint_path: str
     out_dir: str
@@ -400,20 +402,12 @@ def _run_epochs(
     # kept: a 15 s 256x456 clip is 131 MB even at u8, and each crop reads
     # just its own bytes from the file.
     clips = [index_clip(manifest.clip_path(row), crops[1]) for row in rows]
-    schedule = config.schedule
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "loss_log.csv")
-    ckpt_path = ""
-
-    def checkpoint(epoch: int) -> str:
-        path = os.path.join(out_dir, f"checkpoint_{epoch:05d}.ckpt")
-        save_checkpoint(path, epoch, params, adam, rng, trait=trait)
-        atomic_write_text(log_path, _loss_log_text(losses))
-        return path
 
     for epoch in range(start_epoch, config.epochs):
-        adam.alpha = schedule.alpha_for_epoch(epoch)
+        adam.alpha = config.alpha_for_epoch(epoch)
         order = rng.permutation(len(rows))
         abs_sum = 0.0
         n_seen = 0
@@ -427,10 +421,11 @@ def _run_epochs(
             n_seen += n
         losses.append((epoch, adam.alpha, abs_sum / n_seen))
         if (epoch + 1) % config.checkpoint_every == 0 or epoch == config.epochs - 1:
-            ckpt_path = checkpoint(epoch)
-    if not ckpt_path:
-        ckpt_path = checkpoint(config.epochs - 1)
-    return TrainResult(arch, params, adam, config.epochs - 1, losses, ckpt_path, out_dir)
+            ckpt_path = os.path.join(out_dir, f"checkpoint_{epoch:05d}.ckpt")
+            save_checkpoint(ckpt_path, epoch, params, adam, rng, trait=trait)
+            atomic_write_text(log_path, _loss_log_text(losses))
+    # start_epoch < config.epochs, so the last epoch has written ckpt_path
+    return TrainResult(arch, params, adam, losses, ckpt_path, out_dir)
 
 
 def train(config: TrainConfig, manifest: Manifest, resume: Optional[str] = None) -> TrainResult:
@@ -445,9 +440,12 @@ def train(config: TrainConfig, manifest: Manifest, resume: Optional[str] = None)
         raise CheckpointManifestError(f"{resume}: checkpoint architecture does not match the run config")
     if ckpt.adam is None or ckpt.rng_state is None:
         raise CheckpointError(f"{resume}: checkpoint lacks optimizer/rng state, cannot resume")
-    if ckpt.epoch >= config.epochs:
+    if ckpt.epoch + 1 >= config.epochs:
         # epochs count from 0, so a run of config.epochs ends at epoch config.epochs - 1
-        raise ValueError(f"{resume}: checkpoint epoch {ckpt.epoch} is at or past the run's end (epochs = {config.epochs})")
+        raise ValueError(
+            f"{resume}: checkpoint epoch {ckpt.epoch} leaves no epoch to train (epochs = {config.epochs}, "
+            f"so the last is {config.epochs - 1})"
+        )
     adam = ckpt.adam
     adam.beta1, adam.beta2, adam.epsilon = config.beta1, config.beta2, config.epsilon
     rng = np.random.Generator(np.random.PCG64())
@@ -474,13 +472,14 @@ def finetune_per_trait(base: Checkpoint, trait: int, config: TrainConfig, manife
 
 @dataclass
 class EvalReport:
-    per_trait: np.ndarray  # (5,) accuracies in manifest trait order; (1,) for a single-trait head
+    traits: tuple  # the scored traits' names: all five in manifest order, or a single-trait head's one
+    per_trait: np.ndarray  # their accuracies, in that order
     average: float
     clips: int
     excluded: int
 
     def csv(self) -> str:
-        header = "average," + ",".join(TRAITS) + ",clips,excluded"
+        header = "average," + ",".join(self.traits) + ",clips,excluded"
         vals = [f"{self.average:.6f}"] + [f"{v:.6f}" for v in self.per_trait]
         return header + "\n" + ",".join(vals + [str(self.clips), str(self.excluded)]) + "\n"
 
@@ -536,8 +535,8 @@ def evaluate(
     """Full-clip protocol: accuracy_k = 1 - mean |pred_k - target_k|.
 
     A 5-output head is scored on every trait. A 1-output head, as
-    fine-tuned per trait, is scored on `trait` alone, and its report has
-    that one accuracy in `per_trait`.
+    fine-tuned per trait, is scored on `trait` alone, and its report names
+    that one trait and holds its one accuracy.
     """
     if arch.out_dim == 5 and trait is None:
         cols = list(range(5))
@@ -555,4 +554,10 @@ def evaluate(
         err += np.abs(pred.astype(np.float64) - row.traits[cols])
     n = len(scored)
     per_trait = 1.0 - err / n
-    return EvalReport(per_trait=per_trait, average=aggregate_accuracies(per_trait), clips=n, excluded=len(results) - n)
+    return EvalReport(
+        traits=tuple(TRAITS[c] for c in cols),
+        per_trait=per_trait,
+        average=aggregate_accuracies(per_trait),
+        clips=n,
+        excluded=len(results) - n,
+    )

@@ -117,6 +117,18 @@ class TestTrainCommand:
         assert code == 0
         assert os.path.exists(os.path.join(out, "checkpoint_00002.ckpt"))
 
+    def test_resume_with_no_epoch_left_is_data_error(self, workspace, tmp_path, capsys):
+        # the run's last checkpoint, resumed with the same epochs, trains nothing
+        out = str(tmp_path / "next")
+        code = run(["train", "--manifest", workspace["manifest"], "--out", out,
+                    "--epochs", "2", "--batch-size", "4", "--seed", "5", "--mini",
+                    "--resume", workspace["ckpt"], "--config", str(workspace["root"] / "train.cfg")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "epoch 1 leaves no epoch to train" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_resume_from_bad_rng_trailer_is_data_error(self, workspace, tmp_path, capsys):
         epoch, named, _ = T.read_tensor_container(workspace["ckpt"])
         bad = str(tmp_path / "rng.ckpt")
@@ -204,8 +216,13 @@ class TestFinetuneCommand:
                 "--manifest", workspace["manifest"], "--split", "validation"]
         assert run(argv) == 0
         single = capsys.readouterr().out
-        assert single.strip().startswith("trait,conscientiousness,accuracy,")
+        assert single.splitlines()[0] == "average,conscientiousness,clips,excluded"
         assert open(os.path.join(out, "eval_validation.csv")).read() == single
+
+    def test_mini_flag_is_unknown(self, tmp_path, capsys):
+        # the base checkpoint decides the architecture
+        assert run(_argv_without_inputs(tmp_path, "finetune") + ["--mini"]) == 1
+        assert "unrecognized arguments: --mini" in capsys.readouterr().err
 
     def test_bad_trait_name_is_usage_error(self, workspace):
         assert run(["finetune", "--checkpoint", workspace["ckpt"], "--trait", "charisma",
@@ -512,6 +529,40 @@ class TestNumericFailureExit:
 
         monkeypatch.setattr(cli.T, "train", boom)
         assert run(["train", "--manifest", workspace["manifest"], "--out", "x"]) == 3
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestDefaults:
+    """A command given only its required flags leaves every default to the API."""
+
+    def test_train_config_is_train_configs_defaults(self, workspace, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(config, manifest, resume=None):
+            seen.append(config)
+            raise _Captured
+
+        monkeypatch.setattr(cli.T, "train", capture)
+        out = str(tmp_path / "o")
+        with pytest.raises(_Captured):
+            run(["train", "--manifest", workspace["manifest"], "--out", out])
+        assert seen == [T.TrainConfig(out_dir=out)]
+
+    def test_train_rnn_config_is_rnn_train_configs_defaults(self, workspace, feature_cache, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(sequences, params, config):
+            seen.append((R.head_dims(params), config))
+            raise _Captured
+
+        monkeypatch.setattr(cli.R, "train_rnn", capture)
+        with pytest.raises(_Captured):
+            run(["train-rnn", "--features", feature_cache, "--manifest", workspace["manifest"],
+                 "--out", str(tmp_path / "head")])
+        assert seen == [((4, R.RNN_HIDDEN, 5), R.RnnTrainConfig())]
 
 
 class TestConfigFile:

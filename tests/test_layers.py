@@ -712,7 +712,6 @@ def make_block(rng, kind, ndim=2, in_ch=3, out_ch=None, zero_main=False, affine=
         return rng.standard_normal(c) * 0.2 if affine else np.zeros(c)
 
     return L.ResidualBlockParams(
-        kind=kind,
         conv1_w=rng.standard_normal((out_ch, in_ch) + kernel) * scale,
         conv1_b=bias(out_ch),
         bn1=bn(out_ch),
@@ -736,7 +735,7 @@ def composed_eval_block(x, blk):
     r1, _ = L.relu_forward(L.batchnorm_forward(h1, blk.bn1, "eval")[0])
     h2, _ = L.conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
     n2, _ = L.batchnorm_forward(h2, blk.bn2, "eval")
-    sc = x if blk.kind == "identity" else L.conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)[0]
+    sc = x if blk.shortcut_w is None else L.conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)[0]
     return L.relu_forward(n2 + sc)[0]
 
 
@@ -758,7 +757,7 @@ def keep_all_block_forward(x, blk):
     r1, c_relu1 = L.relu_forward(n1)
     h2, c_conv2 = L.conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
     n2, c_bn2 = L.batchnorm_forward(h2, blk.bn2, "train")
-    if blk.kind == "projection":
+    if blk.shortcut_w is not None:
         sc, c_sc = L.conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)
     else:
         sc, c_sc = x, None
@@ -902,7 +901,6 @@ class TestResidualBlock:
         blk = make_block(rng, "identity")
         with pytest.raises(ValueError, match="identity"):
             L.ResidualBlockParams(
-                kind="identity",
                 conv1_w=blk.conv1_w,
                 conv1_b=blk.conv1_b,
                 bn1=blk.bn1,
@@ -912,6 +910,12 @@ class TestResidualBlock:
                 bn2=blk.bn2,
                 spec2=blk.spec2,
             )
+
+    @pytest.mark.parametrize("missing", ["shortcut_b", "shortcut_spec"])
+    def test_projection_needs_its_shortcut_bias_and_spec(self, missing):
+        blk = make_block(rng64(28), "projection")
+        with pytest.raises(ValueError, match="projection block needs shortcut"):
+            dataclasses.replace(blk, **{missing: None})
 
 
 class TestLstmStep:
@@ -960,14 +964,14 @@ class TestLstmStep:
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = np.ones((4, 5), np.float32)
-        y, mask = L.dropout_forward(x, 0.5, "eval", None)
+        y, mask = L.dropout_forward(x, 0.0)
         assert mask is None
         np.testing.assert_array_equal(y, x)
 
     def test_inverted_scaling(self):
         rng = rng64(35)
         x = np.ones((2000,), np.float64)
-        y, mask = L.dropout_forward(x, 0.25, "train", rng)
+        y, mask = L.dropout_forward(x, 0.25, rng)
         survivors = y[y != 0]
         np.testing.assert_allclose(survivors, 1.0 / 0.75)
         assert abs((y != 0).mean() - 0.75) < 0.05
@@ -975,10 +979,10 @@ class TestDropout:
     def test_backward_applies_same_mask(self):
         rng = rng64(36)
         x = np.ones((3, 4), np.float64)
-        y, mask = L.dropout_forward(x, 0.5, "train", rng)
+        y, mask = L.dropout_forward(x, 0.5, rng)
         g = np.ones_like(x)
         np.testing.assert_array_equal(L.dropout_backward(mask, g), mask)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            L.dropout_forward(np.ones(3), 1.0, "train", rng64(0))
+            L.dropout_forward(np.ones(3), 1.0, rng64(0))

@@ -155,6 +155,43 @@ class TestStrideArithmetic:
         assert tape[-1][2][0] == (2, 32, 1)
 
 
+class TestConvSpecs:
+    # the module docstring's k/s/p table, per stream: (stem, pool) as
+    # (kernel, stride, padding), the blocks' kernel and padding, and the
+    # stage strides
+    TABLE = {
+        "visual": (((7, 7), (2, 2), (3, 3)), ((3, 3), (2, 2), (1, 1)), ((3, 3), (1, 1)), (1, 2, 2, 2)),
+        "auditory": (((49,), (4,), (24,)), ((9,), (4,), (4,)), ((9,), (4,)), (1, 4, 4, 4)),
+    }
+
+    @pytest.mark.parametrize(
+        "architecture, channels, blocks",
+        [(M.full_architecture, (32, 64, 128, 256), 2), (M.mini_architecture, (4, 8, 16, 32), 1)],
+    )
+    @pytest.mark.parametrize("prefix, in_channels", [("auditory", 1), ("visual", 3)])
+    def test_every_spec_follows_the_table(self, architecture, channels, blocks, prefix, in_channels):
+        (stem_k, stem_s, stem_p), pool, (block_k, block_p), strides = self.TABLE[prefix]
+        unit = (1,) * len(stem_k)
+        want = [L.ConvSpec(stem_k, stem_s, stem_p, in_channels, channels[0]), L.ConvSpec(*pool)]
+        c_in = channels[0]
+        for stage, (c, s) in enumerate(zip(channels, strides)):
+            for block in range(blocks):
+                stride = (s,) * len(unit) if block == 0 else unit
+                want.append(L.ConvSpec(block_k, stride, block_p, c_in, c))
+                want.append(L.ConvSpec(block_k, unit, block_p, c, c))
+                # the first block of stages 2-4 projects, unpadded, at the stage stride
+                want.append(L.ConvSpec(unit, stride, (0,) * len(unit), c_in, c) if stage and not block else None)
+                c_in = c
+        arch = architecture()
+        stream = getattr(arch, prefix)
+        params = M.build_network(arch, 0)
+        got = [M._stem_spec(stream), M._pool_spec(stream)]
+        for layout in M._block_layout(stream):
+            blk = M._block_params(stream, prefix, *layout, params)
+            got += [blk.spec1, blk.spec2, blk.shortcut_spec]
+        assert got == want
+
+
 class TestDimensionalCorrespondence:
     def test_stream_element_counts_match_on_squared_inputs(self):
         # auditory on (1, L^2) vs a one-channel visual stream on (1, L, L):
@@ -374,7 +411,21 @@ class TestBackward:
         g = rng64(5).standard_normal(pred.shape)
         M.backward(tape, g)
         assert tape.auditory == [] and tape.visual == []
-        with pytest.raises(M.ConsumedTapeError, match="already differentiated"):
+        with pytest.raises(M.EvalTapeError, match="already differentiated"):
+            M.backward(tape, g)
+
+    def test_backward_that_fails_midway_leaves_the_tape_consumed(self, monkeypatch):
+        pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
+        g = rng64(5).standard_normal(pred.shape)
+
+        def fail(stream_tape, grad_feat):
+            raise MemoryError
+
+        monkeypatch.setattr(M, "backward_stream", fail)
+        with pytest.raises(MemoryError):
+            M.backward(tape, g)
+        monkeypatch.undo()
+        with pytest.raises(M.EvalTapeError, match="already differentiated"):
             M.backward(tape, g)
 
     def test_rejected_grad_out_consumes_nothing(self):

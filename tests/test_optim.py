@@ -52,41 +52,6 @@ class TestMaeLoss:
         np.testing.assert_array_equal(grad, np.sign(pred - target) / pred.size)
 
 
-class TestLrSchedule:
-    def test_paper_constants(self):
-        s = O.LrSchedule()
-        assert s.alpha_for_epoch(0) == pytest.approx(2e-4)
-        assert s.alpha_for_epoch(300) == pytest.approx(2e-5)
-        assert s.alpha_for_epoch(600) == pytest.approx(2e-6)
-        assert s.alpha_for_epoch(899) == pytest.approx(2e-6)
-
-    def test_constant_within_period(self):
-        s = O.LrSchedule()
-        for k in range(3):
-            vals = {s.alpha_for_epoch(e) for e in (300 * k, 300 * k + 150, 300 * k + 299)}
-            assert len(vals) == 1
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 5000), st.integers(0, 5000))
-    def test_non_increasing(self, e1, e2):
-        s = O.LrSchedule()
-        lo, hi = sorted((e1, e2))
-        assert s.alpha_for_epoch(hi) <= s.alpha_for_epoch(lo)
-
-    def test_negative_epoch_rejected(self):
-        with pytest.raises(ValueError):
-            O.LrSchedule().alpha_for_epoch(-1)
-
-    @pytest.mark.parametrize("factor", [0.0, 0.5, -10.0, float("nan"), float("inf")])
-    def test_decay_factor_that_breaks_the_schedule_rejected(self, factor):
-        with pytest.raises(ValueError, match="decay_factor"):
-            O.LrSchedule(decay_factor=factor)
-
-    def test_zero_period_rejected(self):
-        with pytest.raises(ValueError, match="period"):
-            O.LrSchedule(period=0)
-
-
 def one_param(value, dtype=np.float64):
     return {"w": np.array(value, dtype=dtype)}
 

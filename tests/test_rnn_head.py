@@ -55,14 +55,14 @@ class TestRnnForward:
     def test_zero_weights_output_half_everywhere(self):
         params = {k: np.zeros_like(v) for k, v in toy_head().items()}
         seq = rng64(1).standard_normal((9, 6))
-        out, _, _ = R.rnn_forward(seq, params, "eval")
+        out, _, _ = R.rnn_forward(seq, params)
         np.testing.assert_array_equal(out, np.full((9, 3), 0.5))
 
     def test_eval_deterministic(self):
         params = toy_head(2)
         seq = rng64(2).standard_normal((6, 6))
-        a, _, _ = R.rnn_forward(seq, params, "eval")
-        b, _, _ = R.rnn_forward(seq, params, "eval")
+        a, _, _ = R.rnn_forward(seq, params)
+        b, _, _ = R.rnn_forward(seq, params)
         np.testing.assert_array_equal(a, b)
 
     def test_single_step_matches_lstm_composition(self):
@@ -74,20 +74,20 @@ class TestRnnForward:
                               params["rnn.l2.wx"], params["rnn.l2.wh"], params["rnn.l2.b"])
         z = h2 @ params["rnn.out.w"] + params["rnn.out.b"]
         ref = (np.tanh(z) + 1.0) / 2.0
-        out, _, _ = R.rnn_forward(x, params, "eval")
+        out, _, _ = R.rnn_forward(x, params)
         np.testing.assert_allclose(out, ref, rtol=1e-12)
 
     def test_state_carries_between_calls(self):
         params = toy_head(6)
         seq = rng64(7).standard_normal((8, 6))
-        full, _, _ = R.rnn_forward(seq, params, "eval")
-        first, _, state = R.rnn_forward(seq[:3], params, "eval")
-        second, _, _ = R.rnn_forward(seq[3:], params, "eval", state=state)
+        full, _, _ = R.rnn_forward(seq, params)
+        first, _, state = R.rnn_forward(seq[:3], params)
+        second, _, _ = R.rnn_forward(seq[3:], params, state=state)
         np.testing.assert_allclose(np.concatenate([first, second]), full, rtol=1e-12)
 
     def test_train_dropout_needs_rng(self):
         with pytest.raises(ValueError, match="generator"):
-            R.rnn_forward(np.zeros((2, 6)), toy_head(), "train", rng=None, dropout=0.5)
+            R.rnn_forward(np.zeros((2, 6)), toy_head(), rng=None, dropout=0.5)
 
 
 class TestTruncatedBptt:
@@ -113,8 +113,8 @@ class TestTruncatedBptt:
         from avtrait.optim import mae_loss
 
         _, dout = mae_loss(outputs, np.ascontiguousarray(t_full))
-        out1, tape1, state = R.rnn_forward(seq[:15], params, "eval")
-        out2, tape2, _ = R.rnn_forward(seq[15:], params, "eval", state=state)
+        out1, tape1, state = R.rnn_forward(seq[:15], params)
+        out2, tape2, _ = R.rnn_forward(seq[15:], params, state=state)
         g1 = R.rnn_backward(tape1, dout[:15], params)
         g2 = R.rnn_backward(tape2, dout[15:], params)
         for k in grads:
@@ -154,9 +154,9 @@ class TestTruncatedBptt:
 
         def loss():
             t_full = np.broadcast_to(target, (6, 2)).astype(seq.dtype)
-            _, _, state = R.rnn_forward(seq[:3], frozen, "eval")
-            out1, _, _ = R.rnn_forward(seq[:3], params, "eval")
-            out2, _, _ = R.rnn_forward(seq[3:], params, "eval", state=state)
+            _, _, state = R.rnn_forward(seq[:3], frozen)
+            out1, _, _ = R.rnn_forward(seq[:3], params)
+            out2, _, _ = R.rnn_forward(seq[3:], params, state=state)
             out = np.concatenate([out1, out2])
             return float(np.abs(out - t_full).mean())
 
@@ -178,14 +178,14 @@ class TestPerStepOracle:
         params = toy_head(37, input_dim=6, hidden=8, out_dim=3)
         seq = rng64(38).standard_normal((steps, 6))
         target = rng64(39).random(3)
-        _, grads, outputs = R.sequence_gradients(params, seq, target, 15, mode="train", rng=rng64(40), dropout=0.5)
+        _, grads, outputs = R.sequence_gradients(params, seq, target, 15, rng=rng64(40), dropout=0.5)
         _, dout = mae_loss(outputs, np.ascontiguousarray(np.broadcast_to(target, (steps, 3))))
         rng = rng64(40)  # the same seed draws the same masks in the same order
         state = None
         expect = {k: np.zeros_like(v) for k, v in params.items()}
         for lo in range(0, steps, 15):
             seg = slice(lo, lo + 15)
-            out, tape, state = R.rnn_forward(seq[seg], params, "train", rng, 0.5, state=state)
+            out, tape, state = R.rnn_forward(seq[seg], params, rng, 0.5, state=state)
             np.testing.assert_array_equal(out, outputs[seg])
             got = R.rnn_backward(tape, dout[seg], params)
             ref = rnn_backward_per_step(tape, dout[seg], params)
@@ -201,7 +201,7 @@ class TestDropout:
         params = toy_head(23, input_dim=4, hidden=64, out_dim=2)
         seq = rng64(24).standard_normal((2, 4))
         rng = rng64(25)
-        out_t, tape, _ = R.rnn_forward(seq, params, "train", rng=rng, dropout=0.5)
+        out_t, tape, _ = R.rnn_forward(seq, params, rng=rng, dropout=0.5)
         mask1 = tape[0][1]
         vals = np.unique(mask1)
         assert set(vals.tolist()) <= {0.0, 2.0}
@@ -220,7 +220,7 @@ class TestDropout:
         from avtrait.layers import dropout_forward
 
         for _ in range(n):
-            d, _ = dropout_forward(h, 0.5, "train", mrng)
+            d, _ = dropout_forward(h, 0.5, mrng)
             acc += d @ w
         np.testing.assert_allclose(acc / n, eval_z, atol=5e-4)
 
@@ -278,7 +278,7 @@ class TestPredict:
         # hand-built head state: verify the average of per-step outputs
         params = toy_head(33)
         seq = rng64(34).standard_normal((5, 6))
-        outs, _, _ = R.rnn_forward(seq, params, "eval")
+        outs, _, _ = R.rnn_forward(seq, params)
         np.testing.assert_allclose(R.predict_sequence(seq, params), outs.mean(axis=0), rtol=1e-7)
 
     def test_two_step_hand_mean(self):

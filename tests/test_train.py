@@ -376,6 +376,17 @@ class TestTrainLoop:
                 T.train(tiny_config(out, epochs=epochs), dataset, resume=part.checkpoint_path)
             assert not os.path.exists(out)
 
+    def test_resume_at_the_last_epoch_is_refused(self, tmp_path, dataset):
+        # a 2-epoch run's last checkpoint is epoch 1: resuming it with
+        # epochs = 2 leaves nothing to train, in a new directory or its own
+        part = T.train(tiny_config(str(tmp_path / "part"), epochs=2), dataset)
+        before = sorted(os.listdir(part.out_dir))
+        for out in (str(tmp_path / "next"), part.out_dir):
+            with pytest.raises(ValueError, match="epoch 1 leaves no epoch to train .*epochs = 2"):
+                T.train(tiny_config(out, epochs=2), dataset, resume=part.checkpoint_path)
+        assert not os.path.exists(str(tmp_path / "next"))
+        assert sorted(os.listdir(part.out_dir)) == before
+
     def test_insufficient_clips_rejected(self, tmp_path, dataset):
         with pytest.raises(ValueError, match="batch_size"):
             T.train(tiny_config(str(tmp_path / "a"), batch_size=32), dataset)
@@ -400,6 +411,41 @@ class TestTrainLoop:
             R.RnnTrainConfig(epochs=0)
         with pytest.raises(ValueError, match="hidden"):
             R.build_rnn_head(0, input_dim=4, hidden=0)
+
+
+class TestTrainConfigSchedule:
+    def test_paper_constants(self):
+        s = T.TrainConfig()
+        assert s.alpha_for_epoch(0) == pytest.approx(2e-4)
+        assert s.alpha_for_epoch(300) == pytest.approx(2e-5)
+        assert s.alpha_for_epoch(600) == pytest.approx(2e-6)
+        assert s.alpha_for_epoch(899) == pytest.approx(2e-6)
+
+    def test_constant_within_period(self):
+        s = T.TrainConfig()
+        for k in range(3):
+            vals = {s.alpha_for_epoch(e) for e in (300 * k, 300 * k + 150, 300 * k + 299)}
+            assert len(vals) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 5000), st.integers(0, 5000))
+    def test_non_increasing(self, e1, e2):
+        s = T.TrainConfig()
+        lo, hi = sorted((e1, e2))
+        assert s.alpha_for_epoch(hi) <= s.alpha_for_epoch(lo)
+
+    def test_negative_epoch_rejected(self):
+        with pytest.raises(ValueError):
+            T.TrainConfig().alpha_for_epoch(-1)
+
+    @pytest.mark.parametrize("factor", [0.0, 0.5, -10.0, float("nan"), float("inf")])
+    def test_decay_factor_that_breaks_the_schedule_rejected(self, factor):
+        with pytest.raises(ValueError, match="decay_factor"):
+            T.TrainConfig(lr_decay_factor=factor)
+
+    def test_zero_period_rejected(self):
+        with pytest.raises(ValueError, match="period"):
+            T.TrainConfig(lr_period=0)
 
 
 class TestTrainClipIndex:
@@ -524,7 +570,7 @@ class TestEvaluate:
         per_trait = np.array([0.911983, 0.915466, 0.913077, 0.909705, 0.910429])
         avg = T.aggregate_accuracies(per_trait)
         assert abs(avg - 0.912132) <= np.spacing(0.912132)
-        report = T.EvalReport(per_trait=per_trait, average=avg, clips=2000, excluded=0)
+        report = T.EvalReport(traits=D.TRAITS, per_trait=per_trait, average=avg, clips=2000, excluded=0)
         line = report.csv().splitlines()[1]
         assert line.split(",")[0] == "0.912132"
 
@@ -618,10 +664,18 @@ class TestEvaluate:
             T.predict_rows(M.mini_architecture(), {}, dataset, dataset.rows, threads=2)
 
     def test_csv_shape(self, dataset):
-        report = T.EvalReport(per_trait=np.full(5, 0.9), average=0.9, clips=4, excluded=1)
+        report = T.EvalReport(traits=D.TRAITS, per_trait=np.full(5, 0.9), average=0.9, clips=4, excluded=1)
         lines = report.csv().splitlines()
         assert lines[0] == "average,openness,agreeableness,conscientiousness,neuroticism,extraversion,clips,excluded"
         assert lines[1].endswith(",4,1")
+
+    def test_single_trait_csv_names_the_scored_trait(self, dataset):
+        arch = M.mini_architecture(out_dim=1)
+        report = T.evaluate(arch, M.build_network(arch, 0), dataset, "validation", trait=3)
+        assert report.traits == ("neuroticism",)
+        header, row = report.csv().splitlines()
+        assert header == "average,neuroticism,clips,excluded"
+        assert row == f"{report.average:.6f},{report.per_trait[0]:.6f},{report.clips},{report.excluded}"
 
 
 class TestFinetune:
