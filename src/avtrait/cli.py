@@ -326,6 +326,8 @@ def load_feature_cache(path: str) -> dict:
 def _cmd_train_rnn(s: Settings) -> int:
     config = R.RnnTrainConfig(**_given(s, ("epochs", "seed", "trunc")), **_given(s, ("dropout", "alpha"), float))
     hidden = _given(s, ("hidden",))
+    if hidden:  # before any input is read, as RnnTrainConfig checks its settings
+        R.check_hidden(hidden["hidden"])
     feats = load_feature_cache(s.get("features"))
     manifest = D.load_manifest(s.get("manifest"))
     labels = {row.clip_id: row.traits.astype(np.float32) for row in manifest.rows}

@@ -16,7 +16,10 @@ pooling takes a running maximum over the kernel offsets.
 
 Both convolution directions work in slices of b batch samples whose
 columns take at most ``COLUMN_BYTES`` (``_slice_samples``), or of one
-sample; every eval call fits in one slice. A training tape keeps layer
+sample; every eval call fits in one slice. The window view is built with
+the plain ndarray constructor over its padded buffer, which checks that it
+stays inside that buffer, and a zero padding is allocated zero-filled; only
+max pooling fills its padding with -inf. A training tape keeps layer
 inputs, not columns: the convolution cache is the list ``[x, w, spec]``.
 Convolution backward takes one of two forms. With unit strides and padding
 below the kernel, the transpose is a full correlation with the flipped
@@ -26,7 +29,10 @@ product with x per slice. Any other convolution rebuilds x's columns, laid
 out ``(Cin * prod(kernel), b * prod(out))``, for one ``dw`` product per
 slice and, like max pooling, forms dx by adding window gradients into a
 window view of a zero buffer, one kernel offset at a time. In both forms
-dx is bitwise equal across slice sizes and ``dw`` is not. Batch norm
+dx is bitwise equal across slice sizes and ``dw`` is not. Asked for no
+input gradient (``input_grad=False``, as at each stream's stem, whose input
+is the raw waveform or frames), either form forms only ``dw`` and ``db``,
+bitwise equal to the full call's, and returns dx as None. Batch norm
 caches x-hat, gamma and the batch's inverse deviation, and forms its input
 gradient from the two parameter gradients.
 
@@ -50,7 +56,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeMismatchError(ValueError):
@@ -129,18 +134,21 @@ def _windows(shape, spec: ConvSpec, fill, dtype, x=None):
     padded[b, c, *(o * stride + k)]``. Reading `windows` gathers; adding
     into ``windows[..., *k]`` one kernel offset at a time and reading
     `interior` is its adjoint, since one offset never maps two outputs to
-    the same element.
+    the same element. The view is made with the ndarray constructor, which
+    refuses strides that would reach outside the buffer.
     """
     spatial = shape[2:]
     outs = _check_out_extents(spatial, spec)
-    buf = np.full(shape[:2] + tuple(n + 2 * p for n, p in zip(spatial, spec.padding)), fill, dtype=dtype)
+    padded = shape[:2] + tuple(n + 2 * p for n, p in zip(spatial, spec.padding))
+    buf = np.zeros(padded, dtype) if fill == 0 else np.full(padded, fill, dtype)
     interior = buf[(slice(None), slice(None)) + tuple(slice(p, p + n) for n, p in zip(spatial, spec.padding))]
     if x is not None:
         interior[...] = x
     st = buf.strides
-    windows = as_strided(
-        buf,
-        shape=shape[:2] + outs + spec.kernel,
+    windows = np.ndarray(
+        shape[:2] + outs + spec.kernel,
+        buf.dtype,
+        buffer=buf,
         strides=st[:2] + tuple(s * t for s, t in zip(spec.stride, st[2:])) + st[2:],
     )
     return interior, windows
@@ -229,7 +237,7 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
     return y.reshape((B, spec.out_channels) + outs), [x, w, spec]
 
 
-def conv_backward(cache, grad_out: np.ndarray):
+def conv_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     """Exact adjoint of conv_forward; returns (dw, db, dx).
 
     Works in batch slices of at most COLUMN_BYTES of columns. A convolution
@@ -239,7 +247,10 @@ def conv_backward(cache, grad_out: np.ndarray):
     the output gradient with x's rebuilt columns, and adds each kernel
     offset's window gradients into a window view of dx's zero buffer.
     dx is bitwise equal across slice sizes; dw, a sum of the slices'
-    products, is not.
+    products, is not. With `input_grad` False, dx is not formed and is
+    returned as None; dw and db are bitwise those of the full call, for a
+    layer whose input no caller differentiates, such as a stem over raw
+    input.
     """
     x, w, spec = cache
     outs = _check_out_extents(x.shape[2:], spec)
@@ -251,11 +262,13 @@ def conv_backward(cache, grad_out: np.ndarray):
     g = grad_out.reshape(B, Cout, -1)
     db = g.sum(axis=(0, 2))
     if all(s == 1 for s in spec.stride) and all(p < k for p, k in zip(spec.padding, spec.kernel)):
-        dw, dx = _unit_stride_grads(x, w, grad_out, spec)
+        dw, dx = _unit_stride_grads(x, w, grad_out, spec, input_grad)
         return dw, db, dx
     wf = w.reshape(Cout, -1)
     dw = np.zeros(wf.shape, np.result_type(grad_out, x))
-    dx, dx_win = _windows(x.shape, spec, 0.0, np.result_type(w, grad_out))
+    dx = None
+    if input_grad:
+        dx, dx_win = _windows(x.shape, spec, 0.0, np.result_type(w, grad_out))
     step = _slice_samples(wf.shape[1] * g.shape[2] * x.itemsize)
     for lo in range(0, B, step):
         sl = slice(lo, lo + step)
@@ -265,15 +278,16 @@ def conv_backward(cache, grad_out: np.ndarray):
         # it in again on every call, which tripled the miniature audio
         # stem's backward time.
         dw += np.matmul(_columns(x[sl], spec), g[sl].transpose(1, 0, 2).reshape(Cout, -1).T).T
-        # window gradients as (b, Cin, *kernel, *out): one block per offset
-        dwin = np.matmul(wf.T, g[sl]).reshape((-1, Cin) + spec.kernel + outs)
-        dxw = dx_win[sl]
-        for k in np.ndindex(spec.kernel):
-            dxw[(Ellipsis,) + k] += dwin[(slice(None), slice(None)) + k]
+        if input_grad:
+            # window gradients as (b, Cin, *kernel, *out): one block per offset
+            dwin = np.matmul(wf.T, g[sl]).reshape((-1, Cin) + spec.kernel + outs)
+            dxw = dx_win[sl]
+            for k in np.ndindex(spec.kernel):
+                dxw[(Ellipsis,) + k] += dwin[(slice(None), slice(None)) + k]
     return dw.reshape(w.shape), db, dx
 
 
-def _unit_stride_grads(x, w, grad_out, spec: ConvSpec):
+def _unit_stride_grads(x, w, grad_out, spec: ConvSpec, input_grad: bool):
     """(dw, dx) of a stride-1 convolution with padding below its kernel.
 
     Such a convolution's transpose is a full correlation with the flipped
@@ -282,18 +296,22 @@ def _unit_stride_grads(x, w, grad_out, spec: ConvSpec):
     offset m meet x[i] and w[..., kernel - 1 - m]. So one build of those
     columns per slice, laid out (Cout * prod(kernel), b * prod(x)), gives
     dx as one product per sample with the flipped, channel-transposed
-    weight, and dw flipped as their product with x.
+    weight, and dw flipped as their product with x. Without `input_grad`
+    the per-sample products are skipped and dx is None.
     """
     nd, B, Cin, Cout = spec.ndim, x.shape[0], spec.in_channels, spec.out_channels
     flip = (slice(None),) + (slice(None, None, -1),) * nd
-    # rows (c), columns (o, *m) holding w[o, c, *(kernel - 1 - m)]
-    wt = np.ascontiguousarray(w[(slice(None),) + flip].swapaxes(0, 1)).reshape(Cin, -1)
     gspec = replace(spec, padding=tuple(k - 1 - p for k, p in zip(spec.kernel, spec.padding)),
                     in_channels=Cout, out_channels=Cin)
     P = math.prod(x.shape[2:])
-    dx = np.empty((B, Cin, P), np.result_type(w, grad_out))
-    dwt = np.zeros((wt.shape[1], Cin), np.result_type(grad_out, x))
-    step = _slice_samples(wt.shape[1] * P * grad_out.itemsize)
+    K = Cout * math.prod(spec.kernel)
+    dx = None
+    if input_grad:
+        # rows (c), columns (o, *m) holding w[o, c, *(kernel - 1 - m)]
+        wt = np.ascontiguousarray(w[(slice(None),) + flip].swapaxes(0, 1)).reshape(Cin, K)
+        dx = np.empty((B, Cin, P), np.result_type(w, grad_out))
+    dwt = np.zeros((K, Cin), np.result_type(grad_out, x))
+    step = _slice_samples(K * P * grad_out.itemsize)
     for lo in range(0, B, step):
         sl = slice(lo, lo + step)
         xs = x[sl].reshape(-1, Cin, P)
@@ -302,12 +320,13 @@ def _unit_stride_grads(x, w, grad_out, spec: ConvSpec):
         cols = _columns(grad_out[sl], gspec)
         dwt += cols @ xs.T
         del xs
-        # one product per sample, so dx does not depend on the slice size
-        np.matmul(wt, cols.reshape(-1, b, P).transpose(1, 0, 2), out=dx[sl])
+        if input_grad:
+            # one product per sample, so dx does not depend on the slice size
+            np.matmul(wt, cols.reshape(-1, b, P).transpose(1, 0, 2), out=dx[sl])
         del cols  # before the next slice's columns are built
     # dwt[(o, *m), c] is dw[o, c, *(kernel - 1 - m)]
     dw = np.moveaxis(dwt.reshape((Cout,) + spec.kernel + (Cin,))[flip], -1, 1)
-    return np.ascontiguousarray(dw), dx.reshape(x.shape)
+    return np.ascontiguousarray(dw), None if dx is None else dx.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -337,15 +337,18 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     return y, tape
 
 
-def backward_stream(tape, grad_feat: np.ndarray):
-    """Walk a stream tape in reverse; returns (param grads, input grad).
+def backward_stream(tape, grad_feat: np.ndarray) -> dict:
+    """Walk a stream tape in reverse; returns {param name -> grad}.
 
     The tape is consumed: each entry is popped before its backward runs,
     so its cache is released once that backward returns and the tape is
     empty afterwards. A tape can therefore be differentiated once. The stem
     rebuilds relu(gamma * x-hat + beta) into a -inf padded buffer
     (relu_pool_cache), routes the pool gradient and then the rectifier's
-    through it, and releases it before batch norm's backward.
+    through it, and releases it before batch norm's backward. The stream's
+    input is raw waveform or frames, which nothing differentiates, so the
+    stem convolution forms its parameter gradients only (conv_backward
+    with input_grad=False) and no input gradient is returned.
     """
     if not tape:
         raise EvalTapeError(
@@ -373,10 +376,10 @@ def backward_stream(tape, grad_feat: np.ndarray):
             # copy, made once the rectifier's buffer is free
             g = np.ascontiguousarray(g)
             grads[f"{name}.bn.gamma"], grads[f"{name}.bn.beta"], g = batchnorm_backward(c_bn, g)
-            grads[f"{name}.conv.w"], grads[f"{name}.conv.b"], g = conv_backward(c_conv, g)
+            grads[f"{name}.conv.w"], grads[f"{name}.conv.b"], _ = conv_backward(c_conv, g, input_grad=False)
         else:
             raise ValueError(f"unknown tape entry {kind!r}")
-    return grads, g
+    return grads
 
 
 @dataclass
@@ -459,10 +462,8 @@ def backward(tape: ModelTape, grad_out: np.ndarray) -> dict:
     dz = scaled_tanh_backward(tape.tanh_cache, grad_out)
     dw, db, dfeats = linear_backward(tape.fusion_cache, dz)
     grads = {"fusion.w": dw, "fusion.b": db}
-    ga, _ = backward_stream(auditory, np.ascontiguousarray(dfeats[:, : tape.split]))
-    gv, _ = backward_stream(visual, np.ascontiguousarray(dfeats[:, tape.split :]))
-    grads.update(ga)
-    grads.update(gv)
+    grads.update(backward_stream(auditory, np.ascontiguousarray(dfeats[:, : tape.split])))
+    grads.update(backward_stream(visual, np.ascontiguousarray(dfeats[:, tape.split :])))
     return grads
 
 
@@ -485,13 +486,13 @@ def _fsum_mean(rows: list) -> np.ndarray:
     return np.array([math.fsum(stack[:, c]) for c in range(stack.shape[1])]) / stack.shape[0]
 
 
-# clip_features runs a span's frames through the visual stream several at a
-# time: as many as have at most this many bytes of stem columns, the largest
-# transient of a frame's pass, and at least one frame. On a 2-core x86-64 VM
-# a miniature 64x64 frame, whose 17 small convolutions are mostly call
-# overhead, took 0.84 ms alone, 0.38 ms in a batch of 6 (this budget) and
-# 0.31 ms in a batch of 13 (8 MB); 8 MB also doubled the working set of
-# inference on 64x64 frames. A canonical 256x456 frame has 17 MB of stem
+# clip_features runs a clip's scored frames through the visual stream several
+# at a time, across span boundaries: as many as have at most this many bytes
+# of stem columns, the largest transient of a frame's pass, and at least one
+# frame. On a 2-core x86-64 VM a miniature 64x64 frame, whose 17 small
+# convolutions are mostly call overhead, took 0.84 ms alone, 0.38 ms in a
+# batch of 6 (this budget) and 0.31 ms in a batch of 13 (8 MB); 8 MB also
+# doubled the working set of inference on 64x64 frames. A canonical 256x456 frame has 17 MB of stem
 # columns, so it still runs alone and whole-clip inference keeps its
 # one-frame peak.
 FRAME_BATCH_BYTES = 4 << 20
@@ -510,16 +511,18 @@ def clip_features(arch: Architecture, params: dict, clip: Clip | ClipFile, spans
     A span is (first sample, end sample, frame indices). Its row is the
     auditory-stream features of those samples, zero-padded to
     MIN_AUDIO_SAMPLES, then the `_fsum_mean` of the visual-stream features
-    of those frames at native resolution. The frames run in batches of as
-    many as have FRAME_BATCH_BYTES of stem columns, and at least one. Eval
-    mode runs each frame of a batch through the same products, and the mean
-    is exactly rounded, so the rows are bitwise equal to running each frame
-    alone. The clip is read through `audio_window` and `frame_rows` only,
-    one span's audio and one frame at a time into the batch buffer, so a
-    ClipFile is never held in memory whole and gives the same rows as its
-    clip loaded whole. Both streams run in eval mode, each folded once per
-    call; the auditory weights are dropped before the visual stream is
-    folded, so no pass holds both.
+    of those frames at native resolution. All spans' frames run as one
+    sequence, in batches of as many as have FRAME_BATCH_BYTES of stem
+    columns, and at least one, so a batch may cross a span boundary; each
+    span's mean is then taken over its slice of the per-frame features.
+    Eval mode runs each frame of a batch through the same products, and the
+    mean is exactly rounded and order-invariant, so the rows are bitwise
+    equal to running each frame alone. The clip is read through
+    `audio_window` and `frame_rows` only, one span's audio and one frame at
+    a time into the batch buffer, so a ClipFile is never held in memory
+    whole and gives the same rows as its clip loaded whole. Both streams
+    run in eval mode, each folded once per call; the auditory weights are
+    dropped before the visual stream is folded, so no pass holds both.
     """
     dtype = params["fusion.w"].dtype
     folded = fold_stream(arch.auditory, "auditory", params)
@@ -532,15 +535,19 @@ def clip_features(arch: Architecture, params: dict, clip: Clip | ClipFile, spans
     H = clip.frame_shape[2]
     k = max(1, FRAME_BATCH_BYTES // _stem_column_bytes(arch.visual, clip.frame_shape, dtype))
     batch = np.empty((k,) + clip.frame_shape[1:], dtype)
+    frames = [t for _, _, span_frames in spans for t in span_frames]
+    fv = []
+    for lo in range(0, len(frames), k):
+        part = frames[lo : lo + k]
+        for i, t in enumerate(part):
+            batch[i] = unit_frames(clip.frame_rows(t, 0, H), dtype)
+        fv.extend(forward_stream(batch[: len(part)], arch.visual, "visual", folded, "eval")[0])
     rows = []
-    for fa, (_, _, frames) in zip(audio_rows, spans):
-        fv = []
-        for lo in range(0, len(frames), k):
-            part = frames[lo : lo + k]
-            for i, t in enumerate(part):
-                batch[i] = unit_frames(clip.frame_rows(t, 0, H), dtype)
-            fv.extend(forward_stream(batch[: len(part)], arch.visual, "visual", folded, "eval")[0])
-        rows.append(np.concatenate([fa, _fsum_mean(fv).astype(dtype)]))
+    lo = 0
+    for fa, (_, _, span_frames) in zip(audio_rows, spans):
+        hi = lo + len(span_frames)
+        rows.append(np.concatenate([fa, _fsum_mean(fv[lo:hi]).astype(dtype)]))
+        lo = hi
     return np.stack(rows)
 
 

@@ -67,10 +67,15 @@ def head_manifest(input_dim: int = 512, hidden: int = RNN_HIDDEN, out_dim: int =
     }
 
 
-def build_rnn_head(seed, input_dim: int = 512, hidden: int = RNN_HIDDEN, out_dim: int = 5, dtype=np.float32) -> dict:
-    """He-normal weights, zero biases except the forget gate's, set to 1."""
+def check_hidden(hidden: int) -> None:
+    """The one rule for the recurrent width: at least one unit."""
     if hidden < 1:
         raise ValueError(f"hidden must be >= 1, got {hidden}")
+
+
+def build_rnn_head(seed, input_dim: int = 512, hidden: int = RNN_HIDDEN, out_dim: int = 5, dtype=np.float32) -> dict:
+    """He-normal weights, zero biases except the forget gate's, set to 1."""
+    check_hidden(hidden)
     rng = np.random.Generator(np.random.PCG64(seed))
     params = {}
     for name, shape in head_manifest(input_dim, hidden, out_dim).items():

@@ -369,6 +369,8 @@ def test_degenerate_setting_is_data_error(workspace, feature_cache, tmp_path, ca
     "command, flags, config, message",
     [
         ("train-rnn", ["--trunc", "0"], "", "truncation length"),
+        ("train-rnn", ["--hidden", "0"], "", "hidden"),
+        ("train-rnn", [], "hidden = -1\n", "hidden"),
         ("train-rnn", ["--dropout", "1"], "", "dropout rate"),
         ("train-rnn", [], "alpha = nan\n", "alpha"),
         ("train", [], "initial_alpha = nan\n", "alpha"),

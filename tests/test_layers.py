@@ -47,7 +47,7 @@ def reachable_arrays(obj):
         elif dataclasses.is_dataclass(o) and not isinstance(o, type):
             stack.extend(getattr(o, f.name) for f in dataclasses.fields(o))
         elif isinstance(o, np.ndarray):
-            while o is not None:  # an as_strided view's base is a wrapper whose base is the buffer
+            while o is not None:  # a view of a view reaches its buffer through a chain of bases
                 if isinstance(o, np.ndarray):
                     found.append(o)
                 o = getattr(o, "base", None)
@@ -272,6 +272,29 @@ class TestConvBackward:
         assert float(np.sum(x * dx)) == pytest.approx(lhs, rel=1e-12)
         assert float(np.sum(w * dw)) == pytest.approx(lhs, rel=1e-12)
 
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sliced", [False, True], ids=["whole", "one-sample"])
+    def test_weight_only_backward_equals_the_full_call(self, monkeypatch, ndim, stride, dtype, sliced):
+        rng = rng64(12)
+        x = rng.standard_normal((3, 2) + (11,) * ndim).astype(dtype)
+        w = rng.standard_normal((4, 2) + (3,) * ndim).astype(dtype)
+        spec = L.ConvSpec((3,) * ndim, (stride,) * ndim, (1,) * ndim, 2, 4)
+        y, cache = L.conv_forward(x, w, rng.standard_normal(4).astype(dtype), spec)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        if sliced:
+            monkeypatch.setattr(L, "COLUMN_BYTES", 1)
+        forms = []
+        unit_stride_grads = L._unit_stride_grads
+        monkeypatch.setattr(L, "_unit_stride_grads", lambda *a: forms.append(a[-1]) or unit_stride_grads(*a))
+        dw, db, dx = L.conv_backward(cache, g)
+        dw0, db0, dx0 = L.conv_backward(cache, g, input_grad=False)
+        assert forms == ([True, False] if stride == 1 else [])  # both forms are covered
+        assert dx is not None and dx0 is None
+        assert dw0.dtype == dw.dtype == dtype and dw0.tobytes() == dw.tobytes()
+        assert db0.dtype == db.dtype and db0.tobytes() == db.tobytes()
+
 
 @st.composite
 def window_geometry(draw, ndim):
@@ -325,6 +348,25 @@ def window_max_mask(x, y, spec):
             if all(0 <= q < n for q, n in zip(pos, x.shape[2:])) and x[(b, c) + pos] == y[(b, c) + tuple(o)]:
                 mask[(b, c) + pos] = True
     return mask
+
+
+class TestWindows:
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("fill", [0.0, -np.inf])
+    def test_view_is_the_strided_sliding_window_of_its_buffer(self, ndim, stride, fill):
+        rng = rng64(13)
+        x = rng.standard_normal((2, 3) + (13,) * ndim).astype(np.float32)
+        spec = L.ConvSpec((3,) * ndim, (stride,) * ndim, (1,) * ndim)
+        interior, win = L._windows(x.shape, spec, fill, np.float32, x)
+        buf = interior.base
+        padded = np.pad(x, ((0, 0), (0, 0)) + ((1, 1),) * ndim, constant_values=fill)
+        assert buf.tobytes() == padded.tobytes()
+        every = np.lib.stride_tricks.sliding_window_view(buf, spec.kernel, axis=tuple(range(2, 2 + ndim)))
+        np.testing.assert_array_equal(win, every[(slice(None),) * 2 + (slice(None, None, stride),) * ndim])
+        assert win.flags.writeable and np.shares_memory(win, buf)
+        win[(1, 2) + (1,) * ndim + (2,) * ndim] = 7.0
+        assert buf[(1, 2) + (stride + 2,) * ndim] == 7.0
 
 
 class TestWindowProperties:

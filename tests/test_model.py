@@ -449,6 +449,17 @@ class TestBackward:
         with pytest.raises(M.EvalTapeError, match="eval-mode.*consumes"):
             M.backward_stream(tape, np.ones_like(feats))
 
+    @pytest.mark.parametrize("stream", ["auditory", "visual"])
+    def test_stream_backward_returns_parameter_gradients_only(self, stream):
+        # a stream's input is raw waveform or frames: no input gradient
+        x = self.audio if stream == "auditory" else self.frames
+        feats, tape = M.forward_stream(x, getattr(self.arch, stream), stream, self.params, "train")
+        grads = M.backward_stream(tape, np.ones_like(feats))
+        assert type(grads) is dict
+        assert sorted(grads) == sorted(n for n in M.trainable_names(self.arch) if n.startswith(f"{stream}."))
+        for name, g in grads.items():
+            assert g.shape == self.params[name].shape, name
+
     def test_sampled_finite_differences_through_whole_network(self):
         rng = rng64(4)
         pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
@@ -687,7 +698,8 @@ class TestFrameBatches:
         assert got.tobytes() == expect.tobytes()
 
     # a second's span holds FPS = 25 frames: k + 1, k, k - 1 and 2k + 1 of
-    # them at these batch sizes k
+    # them at these batch sizes k, so batches end inside a span, at its end
+    # or past it
     @pytest.mark.parametrize("k", [26, 25, 24, 12])
     def test_per_second_outputs_equal_to_one_frame_at_a_time(self, monkeypatch, k):
         clip = self.clip(2 * D.FPS, seconds=2.0)
@@ -695,11 +707,21 @@ class TestFrameBatches:
         monkeypatch.setattr(M, "FRAME_BATCH_BYTES", k * self.column_bytes())
         batches = self.visual_batches(monkeypatch)
         got = R.extract_features(clip, self.arch, self.params), R.predict_rnn(clip, self.arch, self.params, head)
-        assert max(batches) == min(k, D.FPS) and sum(batches) == 4 * D.FPS
+        assert max(batches) == k and sum(batches) == 4 * D.FPS
         monkeypatch.setattr(M, "FRAME_BATCH_BYTES", 1)
         expect = R.extract_features(clip, self.arch, self.params), R.predict_rnn(clip, self.arch, self.params, head)
         for g, e in zip(got, expect):
             assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+    def test_batches_cross_second_boundaries(self, monkeypatch):
+        k = M.FRAME_BATCH_BYTES // self.column_bytes()
+        seconds = 3
+        assert math.ceil(seconds * D.FPS / k) < seconds * math.ceil(D.FPS / k)  # k does not divide FPS
+        clip = self.clip(seconds * D.FPS, seconds=float(seconds))
+        batches = self.visual_batches(monkeypatch)
+        R.extract_features(clip, self.arch, self.params)
+        assert len(batches) == math.ceil(seconds * D.FPS / k)
+        assert batches[:-1] == [k] * (len(batches) - 1) and sum(batches) == seconds * D.FPS
 
     def test_small_frames_run_in_batches(self, monkeypatch):
         batches = self.visual_batches(monkeypatch)
