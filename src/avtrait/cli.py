@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import replace
@@ -23,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import data as D
+from . import gradcheck as G
 from . import rnn_head as R
 from . import train as T
 from .gradcheck import run_gradcheck
@@ -107,95 +109,132 @@ def _given(settings: Settings, keys, cast=int) -> dict:
     return {name: v for key, name in names.items() if (v := _setting(settings, key, cast=cast)) is not None}
 
 
-def _frame_stride(settings: Settings) -> int:
-    stride = _setting(settings, "frame_stride", 1)
+def _default(func, name: str):
+    """The default of `func`'s parameter `name`: the API owns it, and help text quotes it."""
+    return inspect.signature(func).parameters[name].default
+
+
+# --split value that selects every manifest row: the row commands' default
+ALL_ROWS = "all"
+# synth_dataset takes a seed with no default, so the command gives it this one
+SYNTH_SEED = 0
+
+
+def _frame_stride(settings: Settings, api) -> int:
+    stride = _setting(settings, "frame_stride", _default(api, "frame_stride"))
     if stride < 1:
         raise ValueError("frame_stride must be >= 1")
     return stride
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--config", default=None, help="key = value config file; flags override it")
+def _add_common(p: argparse.ArgumentParser, seed_help: str):
+    p.add_argument("--seed", type=int, default=None, help=seed_help)
+    p.add_argument("--config", default=None, help="file of 'key = value' lines, one setting each; flags override it")
+
+
+def _add_training(p: argparse.ArgumentParser):
+    """The flags `train` and `finetune` share; their defaults are TrainConfig's."""
+    c = T.TrainConfig
+    p.add_argument("--manifest", required=True, help="manifest CSV; its train rows are trained on")
+    p.add_argument("--out", required=True, help="run directory for checkpoints and loss_log.csv")
+    p.add_argument("--epochs", type=int, default=None, help=f"epochs to train, >= 1 (default {c.epochs})")
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
+                   help=f"clips per step, >= 2 (default {c.batch_size})")
+    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None,
+                   help=f"epochs between checkpoints, >= 1; the last epoch is always saved "
+                   f"(default {c.checkpoint_every})")
+
+
+def _add_rows(p: argparse.ArgumentParser, what: str):
+    """--checkpoint, --manifest and --split of a command that scores manifest rows."""
+    p.add_argument("--checkpoint", required=True, help="5-trait base network checkpoint from train")
+    p.add_argument("--manifest", required=True, help="manifest CSV of the clips")
+    p.add_argument("--split", default=None, choices=list(D.SPLITS) + [ALL_ROWS],
+                   help=f"manifest split to {what}, or {ALL_ROWS} rows (default {ALL_ROWS})")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="avtrait", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    training_seed_help = f"master seed of data order, crops and initial weights (default {T.TrainConfig.seed})"
+    scoring_seed_help = "master seed; scoring draws no random numbers, so it changes nothing"
+    stride_help = f"score every n-th frame, >= 1 (default {_default(T.evaluate, 'frame_stride')})"
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--val-n", dest="val_n", type=int, default=None)
-    p.add_argument("--test-n", dest="test_n", type=int, default=None)
-    p.add_argument("--seconds", type=float, default=None)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--width", type=int, default=None)
+    _add_common(p, f"seed of every clip and label (default {SYNTH_SEED})")
+    p.add_argument("--n", type=int, required=True, help="clips to write, >= 1")
+    p.add_argument("--out", required=True, help="directory for the clips and manifest.csv; made if missing")
+    p.add_argument("--val-n", dest="val_n", type=int, default=None,
+                   help=f"clips tagged validation, after the train clips; >= 0, and with --test-n at most --n "
+                   f"(default {_default(D.synth_dataset, 'val_count')})")
+    p.add_argument("--test-n", dest="test_n", type=int, default=None,
+                   help=f"clips tagged test, after the validation clips; >= 0, and with --val-n at most --n "
+                   f"(default {_default(D.synth_dataset, 'test_count')})")
+    p.add_argument("--seconds", type=float, default=None,
+                   help=f"clip length in seconds, at {D.SAMPLE_RATE} Hz audio and {D.FPS} fps; "
+                   f"at least one frame (default {_default(D.synth_dataset, 'seconds')})")
+    for extent in ("height", "width"):
+        p.add_argument(f"--{extent}", type=int, default=None,
+                       help=f"frame {extent} in pixels, 1 to {D.EXTENT_LIMIT - 1} "
+                       f"(default {_default(D.synth_dataset, extent)})")
 
     p = sub.add_parser("train", help="train the challenge model")
-    _add_common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--mini", action="store_true", default=None)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
-    p.add_argument("--resume", default=None)
+    _add_common(p, training_seed_help)
+    _add_training(p)
+    p.add_argument("--mini", action="store_true", default=None,
+                   help=f"miniature network (channels / 8, one block per stage) at {T.MINI_AUDIO_CROP}-sample "
+                   f"and {T.MINI_FRAME_CROP} px crops; the full one crops {T.FULL_AUDIO_CROP} samples "
+                   f"and {T.FULL_FRAME_CROP} px")
+    p.add_argument("--resume", default=None,
+                   help="checkpoint to continue training from, with its optimizer and generator state")
 
     p = sub.add_parser("eval", help="full-clip evaluation of a checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default=None, choices=list(D.SPLITS))
-    p.add_argument("--frame-stride", dest="frame_stride", type=int, default=None)
-    p.add_argument("--out", default=None, help="report CSV (default: next to the checkpoint)")
+    _add_common(p, scoring_seed_help)
+    p.add_argument("--checkpoint", required=True, help="checkpoint from train or finetune")
+    p.add_argument("--manifest", required=True, help="manifest CSV of the clips")
+    p.add_argument("--split", default=None, choices=list(D.SPLITS),
+                   help=f"manifest split to score (default {_default(T.evaluate, 'split')})")
+    p.add_argument("--frame-stride", dest="frame_stride", type=int, default=None, help=stride_help)
+    p.add_argument("--out", default=None, help="report CSV (default: eval_<split>.csv next to the checkpoint)")
 
     p = sub.add_parser("predict", help="one trait line per clip")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default=None, choices=list(D.SPLITS) + ["all"])
-    p.add_argument("--frame-stride", dest="frame_stride", type=int, default=None)
-    p.add_argument("--out", default=None)
+    _add_common(p, scoring_seed_help)
+    _add_rows(p, "predict")
+    p.add_argument("--frame-stride", dest="frame_stride", type=int, default=None, help=stride_help)
+    p.add_argument("--out", default=None, help="predictions CSV, also printed (default: printed only)")
 
     p = sub.add_parser("finetune", help="per-trait fine-tuning from a base checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--trait", required=True, help="index 0-4 or trait name")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
+    _add_common(p, training_seed_help)
+    p.add_argument("--checkpoint", required=True, help="5-trait base network checkpoint from train")
+    p.add_argument("--trait", required=True, help=f"trait index 0-{len(D.TRAITS) - 1} or name: {', '.join(D.TRAITS)}")
+    _add_training(p)
 
     p = sub.add_parser("extract-features", help="per-second pooled features for the recurrent head")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default=None, choices=list(D.SPLITS) + ["all"])
+    _add_common(p, scoring_seed_help)
+    _add_rows(p, "extract")
     p.add_argument("--out", required=True, help="feature cache file")
 
+    r = R.RnnTrainConfig
     p = sub.add_parser("train-rnn", help="train the recurrent head on cached features")
-    _add_common(p)
-    p.add_argument("--features", required=True)
-    p.add_argument("--manifest", required=True)
+    _add_common(p, f"seed of the head's weights, dropout masks and clip order (default {r.seed})")
+    p.add_argument("--features", required=True, help="feature cache file from extract-features")
+    p.add_argument("--manifest", required=True, help="manifest CSV holding each cached clip's labels")
     p.add_argument("--out", required=True, help="head checkpoint file")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--trunc", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--hidden", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=None, help=f"epochs to train, >= 1 (default {r.epochs})")
+    p.add_argument("--trunc", type=int, default=None,
+                   help=f"truncated backpropagation length in seconds of features, >= 1 (default {r.trunc})")
+    p.add_argument("--dropout", type=float, default=None, help=f"dropout rate, in [0, 1) (default {r.dropout})")
+    p.add_argument("--hidden", type=int, default=None,
+                   help=f"units in each LSTM layer, >= 1 (default {_default(R.build_rnn_head, 'hidden')})")
 
     p = sub.add_parser("predict-rnn", help="recurrent-head predictions, one line per clip")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True, help="base network checkpoint")
-    p.add_argument("--rnn-head", dest="rnn_head", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default=None, choices=list(D.SPLITS) + ["all"])
-    p.add_argument("--out", default=None)
+    _add_common(p, scoring_seed_help)
+    _add_rows(p, "predict")
+    p.add_argument("--rnn-head", dest="rnn_head", required=True, help="head checkpoint file from train-rnn")
+    p.add_argument("--out", default=None, help="predictions CSV, also printed (default: printed only)")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer")
-    _add_common(p)
+    _add_common(p, f"seed of the checked inputs and weights (default {_default(G.run_gradcheck, 'seed')})")
     p.add_argument("--mini", action="store_true", default=None, help="include the full miniature-network check")
 
     return parser
@@ -210,8 +249,8 @@ def _base_and_rows(s: Settings, command: str):
     if ckpt.arch.out_dim != 5:
         raise ValueError(f"{command} uses the 5-trait base network")
     manifest = D.load_manifest(s.get("manifest"))
-    split = s.get("split", "all")
-    return ckpt, manifest, manifest.rows if split == "all" else manifest.split_rows(split)
+    split = s.get("split", ALL_ROWS)
+    return ckpt, manifest, manifest.rows if split == ALL_ROWS else manifest.split_rows(split)
 
 
 def _trait_index(raw: str) -> int:
@@ -238,7 +277,7 @@ def _train_config(s: Settings, **fixed) -> T.TrainConfig:
 def _cmd_synth(s: Settings) -> int:
     manifest = D.synth_dataset(
         n=_setting(s, "n"),
-        seed=_setting(s, "seed", 0),
+        seed=_setting(s, "seed", SYNTH_SEED),
         out_dir=s.get("out"),
         **_given(s, {"val_n": "val_count", "test_n": "test_count", "height": "height", "width": "width"}),
         **_given(s, ("seconds",), float),
@@ -261,10 +300,10 @@ def _cmd_train(s: Settings) -> int:
 
 
 def _cmd_eval(s: Settings) -> int:
-    stride = _frame_stride(s)
+    stride = _frame_stride(s, T.evaluate)
     ckpt = T.load_checkpoint(s.get("checkpoint"))
     manifest = D.load_manifest(s.get("manifest"))
-    split = s.get("split", "validation")
+    split = s.get("split", _default(T.evaluate, "split"))
     trait = ckpt.trait if ckpt.arch.out_dim == 1 else None
     text = T.evaluate(ckpt.arch, ckpt.params, manifest, split, stride, trait=trait).csv()
     out = s.get("out") or os.path.join(os.path.dirname(os.path.abspath(s.get("checkpoint"))), f"eval_{split}.csv")
@@ -275,7 +314,7 @@ def _cmd_eval(s: Settings) -> int:
 
 def _write_predictions(s: Settings, results: list) -> int:
     """One `clip_id,trait,...` line per usable clip, to stdout and --out."""
-    usable = T.readable(results, s.get("split", "all"))
+    usable = T.readable(results, s.get("split", ALL_ROWS))
     text = "".join(row.clip_id + "," + ",".join(f"{float(v):.6f}" for v in pred) + "\n" for row, pred in usable)
     if s.get("out"):
         D.atomic_write_text(s.get("out"), text)
@@ -284,7 +323,7 @@ def _write_predictions(s: Settings, results: list) -> int:
 
 
 def _cmd_predict(s: Settings) -> int:
-    stride = _frame_stride(s)
+    stride = _frame_stride(s, T.predict_rows)
     ckpt, manifest, rows = _base_and_rows(s, "predict")
     return _write_predictions(s, T.predict_rows(ckpt.arch, ckpt.params, manifest, rows, stride))
 
@@ -307,7 +346,7 @@ def _cmd_finetune(s: Settings) -> int:
 def _cmd_extract_features(s: Settings) -> int:
     ckpt, manifest, rows = _base_and_rows(s, "extract-features")
     results = T.map_clips(manifest, rows, lambda clip: R.extract_features(clip, ckpt.arch, ckpt.params))
-    named = {f"feat.{row.clip_id}": feats for row, feats in T.readable(results, s.get("split", "all"))}
+    named = {f"feat.{row.clip_id}": feats for row, feats in T.readable(results, s.get("split", ALL_ROWS))}
     T.write_tensor_container(s.get("out"), named)
     print(f"wrote {len(named)} feature sequences to {s.get('out')}")
     return 0

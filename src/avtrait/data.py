@@ -56,6 +56,9 @@ SPLITS = ("train", "validation", "test")
 
 CLIP_MAGIC = b"DIClip1\x00"
 _HEADER = struct.Struct("<8sIIHH")
+# the header's field widths: S and T are u32, H and W u16
+COUNT_LIMIT = 1 << 32
+EXTENT_LIMIT = 1 << 16
 _MAX_PAYLOAD = 1 << 40
 
 
@@ -197,7 +200,7 @@ def save_clip(clip: Clip, path: str) -> None:
     _check_audio(audio, path)
     T, _, H, W = clip.frames.shape
     S = clip.sample_count
-    if S >= 1 << 32 or T >= 1 << 32 or H >= 1 << 16 or W >= 1 << 16:
+    if S >= COUNT_LIMIT or T >= COUNT_LIMIT or H >= EXTENT_LIMIT or W >= EXTENT_LIMIT:
         raise ExtentOverflowError(f"extents out of header range: S={S} T={T} H={H} W={W}")
     atomic_write_bytes(path, (_HEADER.pack(CLIP_MAGIC, S, T, H, W), audio, np.ascontiguousarray(clip.frames)))
 
@@ -426,22 +429,47 @@ def _synth_labels(freq, means, theta):
     return np.round(0.05 + 0.9 * raw, 6)
 
 
-def _check_synth_extent(seconds: float, height: int, width: int) -> None:
-    """Reject a synthetic clip size that gives no frame, no sample or an empty frame."""
+def _synth_counts(seconds: float, height: int, width: int) -> tuple:
+    """(S, T), the sample and frame counts of a synthetic clip, after every check of its size.
+
+    A size is rejected if it gives no sample, no frame or an empty frame, or
+    if the clip container's header cannot hold it.
+    """
     if not math.isfinite(seconds * SAMPLE_RATE):
         raise ValueError(f"seconds must be finite at {SAMPLE_RATE} samples a second, got {seconds}")
-    if not (seconds * FPS > 0.5 and seconds * SAMPLE_RATE > 0.5):  # synth_clip rounds both counts
+    S, T = int(round(seconds * SAMPLE_RATE)), int(round(seconds * FPS))
+    if S < 1 or T < 1:
         raise ValueError(
             f"seconds must be long enough for one frame at {FPS} fps and one sample at {SAMPLE_RATE} Hz, got {seconds}"
         )
+    if S >= COUNT_LIMIT or T >= COUNT_LIMIT:
+        raise ValueError(f"seconds must be short enough for fewer than {COUNT_LIMIT} samples and frames, got {seconds}")
     for name, extent in (("height", height), ("width", width)):
-        if extent < 1:
-            raise ValueError(f"{name} must be >= 1, got {extent}")
+        if not 1 <= extent < EXTENT_LIMIT:
+            raise ValueError(f"{name} must be >= 1 and < {EXTENT_LIMIT}, got {extent}")
+    return S, T
+
+
+# synth_clip forms its frames in blocks of whole frames: as many as have at
+# most this many bytes of float64 pixels, and at least one. On a 2-core
+# x86-64 VM a 3 s 64x64 clip (ten frames a block) took 3.10 ms against
+# 3.63 ms one frame at a time (medians of 200 alternating calls; blocks won
+# 198). A 256x456 frame holds 2.8 MB, so it runs alone.
+_SYNTH_BLOCK_BYTES = 1 << 20
 
 
 def synth_clip(rng: np.random.Generator, seconds: float = 2.0, height: int = 48, width: int = 48) -> Clip:
-    """One synthetic clip; consumes a fixed number of draws from rng."""
-    _check_synth_extent(seconds, height, width)
+    """One synthetic clip; consumes a fixed number of draws from rng.
+
+    The frames are formed one block of frames at a time, straight into the
+    clip's u8 frames, so no float64 grid of the whole clip is ever held.
+    Each channel's label mean is the exactly rounded mean of the unit_frames
+    values of all its pixels: every value is a multiple of 2^-31 in [0, 1],
+    so a block's float64 sum of at most 2^22 of them per channel (any block
+    of frames up to 2048x2048) is exact, and math.fsum adds the blocks' sums
+    exactly.
+    """
+    S, T = _synth_counts(seconds, height, width)
     freq = float(rng.uniform(_FREQ_LO, _FREQ_HI))
     phase2 = float(rng.uniform(0.0, 2.0 * math.pi))
     phase3 = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -449,7 +477,6 @@ def synth_clip(rng: np.random.Generator, seconds: float = 2.0, height: int = 48,
     base = rng.uniform(_BASE_LO, _BASE_HI, size=3)
     wobble_phase = float(rng.uniform(0.0, 2.0 * math.pi))
 
-    S = int(round(seconds * SAMPLE_RATE))
     t = np.arange(S, dtype=np.float64) / SAMPLE_RATE
     wave = (
         0.55 * np.sin(2.0 * math.pi * freq * t)
@@ -458,19 +485,27 @@ def synth_clip(rng: np.random.Generator, seconds: float = 2.0, height: int = 48,
     )
     audio = wave.astype(np.float32).reshape(1, S)
 
-    T = int(round(seconds * FPS))
     gy = (np.arange(height, dtype=np.float64) + 0.5) / height - 0.5
     gx = (np.arange(width, dtype=np.float64) + 0.5) / width - 0.5
     proj = math.cos(theta) * gx[None, :] + math.sin(theta) * gy[:, None]
+    still = base[:, None, None] + _GRADIENT_AMPLITUDE * proj  # (3, H, W), every frame before its wobble
     ts = np.arange(T, dtype=np.float64)
-    wobble = _WOBBLE_AMPLITUDE * np.sin(2.0 * math.pi * ts / max(T, 1) + wobble_phase)
-    pix = base[None, :, None, None] + _GRADIENT_AMPLITUDE * proj[None, None, :, :] + wobble[:, None, None, None]
-    frames_u8 = np.clip(np.round(pix * 255.0), 0, 255).astype(np.uint8)
-    frames = unit_frames(frames_u8)
-
-    means = [float(frames[:, c].mean(dtype=np.float64)) for c in range(3)]
+    wobble = _WOBBLE_AMPLITUDE * np.sin(2.0 * math.pi * ts / T + wobble_phase)
+    frames = np.empty((T, 3, height, width), np.uint8)
+    step = max(1, _SYNTH_BLOCK_BYTES // still.nbytes)
+    pix = np.empty((min(step, T),) + still.shape)
+    sums = []
+    for lo in range(0, T, step):
+        block = pix[: min(step, T - lo)]
+        np.add(still, wobble[lo : lo + step, None, None, None], out=block)
+        block *= 255.0
+        np.round(block, out=block)
+        np.clip(block, 0, 255, out=block)
+        frames[lo : lo + step] = block
+        sums.append(unit_frames(frames[lo : lo + step]).sum(axis=(0, 2, 3), dtype=np.float64))
+    means = [math.fsum(part[c] for part in sums) / (T * height * width) for c in range(3)]
     label = _synth_labels(freq, means, theta)
-    return Clip(audio=audio, frames=frames_u8, label=label)
+    return Clip(audio=audio, frames=frames, label=label)
 
 
 def synth_dataset(
@@ -491,9 +526,12 @@ def synth_dataset(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    for name, count in (("val_count", val_count), ("test_count", test_count)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     if val_count + test_count > n:
         raise ValueError("val_count + test_count exceeds n")
-    _check_synth_extent(seconds, height, width)
+    _synth_counts(seconds, height, width)
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = []

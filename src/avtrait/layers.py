@@ -51,6 +51,7 @@ other block trains. Every shape check raises ``ShapeMismatchError``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -287,6 +288,16 @@ def conv_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     return dw.reshape(w.shape), db, dx
 
 
+@functools.cache
+def _full_correlation_spec(spec: ConvSpec) -> ConvSpec:
+    """The spec whose windows over a stride-1 convolution's grad_out meet exactly its input's positions.
+
+    Cached, as specs are frozen: each geometry is built and checked once.
+    """
+    padding = tuple(k - 1 - p for k, p in zip(spec.kernel, spec.padding))
+    return replace(spec, padding=padding, in_channels=spec.out_channels, out_channels=spec.in_channels)
+
+
 def _unit_stride_grads(x, w, grad_out, spec: ConvSpec, input_grad: bool):
     """(dw, dx) of a stride-1 convolution with padding below its kernel.
 
@@ -301,8 +312,7 @@ def _unit_stride_grads(x, w, grad_out, spec: ConvSpec, input_grad: bool):
     """
     nd, B, Cin, Cout = spec.ndim, x.shape[0], spec.in_channels, spec.out_channels
     flip = (slice(None),) + (slice(None, None, -1),) * nd
-    gspec = replace(spec, padding=tuple(k - 1 - p for k, p in zip(spec.kernel, spec.padding)),
-                    in_channels=Cout, out_channels=Cin)
+    gspec = _full_correlation_spec(spec)
     P = math.prod(x.shape[2:])
     K = Cout * math.prod(spec.kernel)
     dx = None

@@ -26,6 +26,7 @@ block per stage; it exists for desk-scale runs and shares every code path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -242,8 +243,13 @@ def _bn_state(params: dict, prefix: str) -> BatchNormState:
     )
 
 
+@functools.cache
 def _same_spec(kernel: tuple, stride: tuple, in_channels: int = 1, out_channels: int = 1) -> ConvSpec:
-    """A spec padded by (k - 1) // 2 on each side of each kernel extent k: 0 for a 1-extent kernel."""
+    """A spec padded by (k - 1) // 2 on each side of each kernel extent k: 0 for a 1-extent kernel.
+
+    Cached: a spec is frozen and its arguments are ints and tuples, so each
+    geometry is built and checked once, not at every forward pass.
+    """
     return ConvSpec(kernel, stride, tuple((k - 1) // 2 for k in kernel), in_channels, out_channels)
 
 

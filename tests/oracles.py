@@ -248,3 +248,33 @@ def stride_trace(length, layers):
     for k, s, p in layers:
         length = (length + 2 * p - k) // s + 1
     return length
+
+
+def synth_audio(freq, phase2, phase3, sample_count, sample_rate):
+    """The synthetic clip's three-sine waveform, as (1, S) float32."""
+    t = np.arange(sample_count, dtype=np.float64) / sample_rate
+    wave = (
+        0.55 * np.sin(2.0 * math.pi * freq * t)
+        + 0.30 * np.sin(2.0 * math.pi * 1.5 * freq * t + phase2)
+        + 0.10 * np.sin(2.0 * math.pi * 2.3 * freq * t + phase3)
+    )
+    return wave.astype(np.float32).reshape(1, sample_count)
+
+
+def synth_frames_whole_grid(
+    base, theta, wobble_phase, frame_count, height, width, gradient_amplitude, wobble_amplitude
+):
+    """Every synthetic frame from one float64 pixel grid of the whole clip, cast to u8."""
+    gy = (np.arange(height, dtype=np.float64) + 0.5) / height - 0.5
+    gx = (np.arange(width, dtype=np.float64) + 0.5) / width - 0.5
+    proj = math.cos(theta) * gx[None, :] + math.sin(theta) * gy[:, None]
+    ts = np.arange(frame_count, dtype=np.float64)
+    wobble = wobble_amplitude * np.sin(2.0 * math.pi * ts / max(frame_count, 1) + wobble_phase)
+    pix = base[None, :, None, None] + gradient_amplitude * proj[None, None, :, :] + wobble[:, None, None, None]
+    return np.clip(np.round(pix * 255.0), 0, 255).astype(np.uint8)
+
+
+def channel_means_whole_grid(frames_u8):
+    """Each channel's float64 mean over the float32 /255 values of every frame."""
+    frames = np.divide(frames_u8, np.float32(255.0), dtype=np.float32)
+    return [float(frames[:, c].mean(dtype=np.float64)) for c in range(3)]

@@ -1,3 +1,4 @@
+import argparse
 import os
 
 import numpy as np
@@ -46,6 +47,13 @@ class TestUsage:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 1
 
+    def test_every_option_of_every_command_has_help(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert sorted(commands) == sorted(cli._COMMANDS)
+        silent = [(name, a.option_strings[0]) for name, sub in commands.items() for a in sub._actions if not a.help]
+        assert silent == []
+
     @pytest.mark.parametrize("command", ["eval", "predict", "extract-features", "predict-rnn"])
     def test_threads_flag_is_unknown(self, tmp_path, capsys, command):
         # clips are scored one at a time; there is no worker count to set
@@ -87,6 +95,36 @@ class TestSynth:
         assert run(["synth", "--n", "1", "--out", out, f"{flag}={value}"]) == 2
         err = capsys.readouterr().err
         assert f"{key} must be" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--height", "65536", "--width", "1"], "height"),
+            (["--width", "65536", "--height", "1"], "width"),
+            (["--seconds", "268435.456", "--height", "1", "--width", "1"], "seconds"),  # 2^32 samples
+        ],
+    )
+    def test_size_the_container_cannot_hold_is_refused_before_the_directory(self, tmp_path, capsys, flags, key):
+        out = str(tmp_path / "o")
+        assert run(["synth", "--n", "1", "--out", out, "--seconds", "0.04"] + flags) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--val-n", "-1"], "val_count"),
+            (["--val-n", "-2", "--test-n", "3"], "val_count"),
+            (["--test-n", "-1"], "test_count"),
+        ],
+    )
+    def test_negative_split_count_is_refused_before_the_directory(self, tmp_path, capsys, flags, key):
+        out = str(tmp_path / "o")
+        tiny = ["--seconds", "0.04", "--height", "2", "--width", "2"]
+        assert run(["synth", "--n", "3", "--out", out] + tiny + flags) == 2
+        assert f"{key} must be >= 0, got " in capsys.readouterr().err
         assert not os.path.exists(out)
 
 

@@ -1,5 +1,9 @@
+import hashlib
+import math
 import os
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avtrait import data as D
+from oracles import channel_means_whole_grid, synth_audio, synth_frames_whole_grid
 
 
 def tiny_clip(rng=None, S=2000, T=3, H=40, W=52, label=None):
@@ -436,15 +441,141 @@ class TestSynthDataset:
         replay.uniform(0.0, 2.0 * np.pi, size=2)  # phases
         theta = float(replay.uniform(0.0, 2.0 * np.pi))
         clip = D.synth_clip(np.random.Generator(np.random.PCG64(seed)), seconds=0.5, height=24, width=32)
-        assert D._synth_labels(freq, self.channel_means(clip.frames), theta).tobytes() == clip.label.tobytes()
+        means = channel_means_whole_grid(clip.frames)
+        assert D._synth_labels(freq, means, theta).tobytes() == clip.label.tobytes()
         mirrored = clip.frames[:, :, :, ::-1]
-        assert self.channel_means(mirrored) == self.channel_means(clip.frames)
-        assert D._synth_labels(freq, self.channel_means(mirrored), np.pi - theta).tobytes() == clip.label.tobytes()
+        assert channel_means_whole_grid(mirrored) == means
+        mirrored_label = D._synth_labels(freq, channel_means_whole_grid(mirrored), np.pi - theta)
+        assert mirrored_label.tobytes() == clip.label.tobytes()
+
+    @pytest.mark.parametrize("counts", [{"val_count": -1}, {"val_count": -2, "test_count": 3}])
+    def test_negative_split_count_is_refused_before_the_directory(self, tmp_path, counts):
+        out = str(tmp_path / "d")
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            D.synth_dataset(3, seed=0, out_dir=out, seconds=0.04, height=2, width=2, **counts)
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "seconds, height, width, key",
+        [
+            (0.04, D.EXTENT_LIMIT, 1, "height"),
+            (0.04, 1, D.EXTENT_LIMIT, "width"),
+            (D.COUNT_LIMIT / D.SAMPLE_RATE, 1, 1, "seconds"),  # 2^32 samples
+        ],
+    )
+    def test_size_the_container_cannot_hold_is_refused_before_the_directory(
+        self, tmp_path, seconds, height, width, key
+    ):
+        out = str(tmp_path / "d")
+        with pytest.raises(ValueError, match=f"{key} must "):
+            D.synth_dataset(1, seed=0, out_dir=out, seconds=seconds, height=height, width=width)
+        assert not os.path.exists(out)
+
+    def test_dataset_bytes_are_pinned(self, tmp_path):
+        # SHA-256 over each file's name and bytes in name order, as the
+        # whole-grid synthesis wrote them; 11 frames of 64x64 cross a block
+        d = str(tmp_path / "d")
+        D.synth_dataset(4, seed=20, out_dir=d, val_count=1, test_count=1, seconds=0.44, height=64, width=64)
+        digest = hashlib.sha256()
+        for name in sorted(os.listdir(d)):
+            digest.update(name.encode() + b"\0")
+            with open(os.path.join(d, name), "rb") as fh:
+                digest.update(fh.read())
+        assert digest.hexdigest() == "8483936bbe656cc236637b9491c3dbfe53b9ecdc496ca26bb53682fcfda93d9f"
+
+
+def _replay_synth_clip(seed, seconds, height, width):
+    """(audio, frames, label, generator state after) of synth_clip on PCG64(seed), from the oracles.
+
+    The draws are replayed in synth_clip's order: frequency, two phases,
+    orientation, the three base colours, the wobble phase.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    freq = float(rng.uniform(D._FREQ_LO, D._FREQ_HI))
+    phase2 = float(rng.uniform(0.0, 2.0 * math.pi))
+    phase3 = float(rng.uniform(0.0, 2.0 * math.pi))
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    base = rng.uniform(D._BASE_LO, D._BASE_HI, size=3)
+    wobble_phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    audio = synth_audio(freq, phase2, phase3, int(round(seconds * D.SAMPLE_RATE)), D.SAMPLE_RATE)
+    frame_count = int(round(seconds * D.FPS))
+    frames = synth_frames_whole_grid(
+        base, theta, wobble_phase, frame_count, height, width, D._GRADIENT_AMPLITUDE, D._WOBBLE_AMPLITUDE
+    )
+    label = D._synth_labels(freq, channel_means_whole_grid(frames), theta)
+    return audio, frames, label, rng.bit_generator.state
+
+
+def _frame_block_bytes(frames, height, width):
+    """A _SYNTH_BLOCK_BYTES that makes blocks of `frames` frames of height x width."""
+    return frames * 3 * height * width * 8
+
+
+class TestSynthClipBlocks:
+    """synth_clip forms its frames a block at a time; the whole-grid oracle is the arbiter."""
 
     @staticmethod
-    def channel_means(frames_u8):
-        frames = D.unit_frames(frames_u8)
-        return [float(frames[:, c].mean(dtype=np.float64)) for c in range(3)]
+    def assert_equals_oracle(seed, seconds, height, width):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        clip = D.synth_clip(rng, seconds, height, width)
+        audio, frames, label, state = _replay_synth_clip(seed, seconds, height, width)
+        assert clip.audio.shape == audio.shape and clip.audio.tobytes() == audio.tobytes()
+        assert clip.frames.shape == frames.shape and clip.frames.tobytes() == frames.tobytes()
+        assert clip.label.tobytes() == label.tobytes()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "seed, seconds, height, width",
+        [
+            (0, 0.04, 1, 1),  # one frame of one pixel
+            (1, 0.4, 13, 17),  # odd height and width
+            (2, 3.0, 64, 64),  # 75 frames in blocks of 10
+            (3, 1.0, D.CANONICAL_HEIGHT, D.CANONICAL_WIDTH),  # one 2.8 MB frame a block
+        ],
+    )
+    def test_bitwise_equal_to_the_whole_grid(self, seed, seconds, height, width):
+        self.assert_equals_oracle(seed, seconds, height, width)
+
+    @pytest.mark.parametrize("block_frames", [1, 2, 5, 12, 13])
+    def test_bitwise_equal_across_block_sizes(self, monkeypatch, block_frames):
+        # 12 frames of 24x32: blocks that divide them, leave a remainder, or hold them all
+        monkeypatch.setattr(D, "_SYNTH_BLOCK_BYTES", _frame_block_bytes(block_frames, 24, 32))
+        self.assert_equals_oracle(4, 0.5, 24, 32)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 30),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(1, 7),
+    )
+    def test_label_mean_is_the_exact_mean_of_every_unit_pixel(self, seed, frame_count, height, width, block_frames):
+        seen = []
+        labels = D._synth_labels
+
+        def capture(freq, means, theta):
+            seen.append(means)
+            return labels(freq, means, theta)
+
+        with (
+            mock.patch.object(D, "_synth_labels", capture),
+            mock.patch.object(D, "_SYNTH_BLOCK_BYTES", _frame_block_bytes(block_frames, height, width)),
+        ):
+            clip = D.synth_clip(np.random.Generator(np.random.PCG64(seed)), frame_count / D.FPS, height, width)
+        unit = D.unit_frames(clip.frames)
+        assert clip.frame_count == frame_count
+        assert seen == [[math.fsum(unit[:, c].ravel().tolist()) / unit[:, c].size for c in range(3)]]
+
+    def test_peak_memory_is_bounded_by_the_frames(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        tracemalloc.start()
+        try:
+            clip = D.synth_clip(rng, 2.0, D.CANONICAL_HEIGHT, D.CANONICAL_WIDTH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * clip.frames.nbytes
 
 
 class TestAtomicWrite:

@@ -191,6 +191,30 @@ class TestConvSpecs:
             got += [blk.spec1, blk.spec2, blk.shortcut_spec]
         assert got == want
 
+    def test_a_repeated_pass_builds_no_spec(self, monkeypatch):
+        built = []
+        check = L.ConvSpec.__post_init__
+
+        def counting(spec):
+            built.append(spec)
+            check(spec)
+
+        monkeypatch.setattr(L.ConvSpec, "__post_init__", counting)
+        arch = M.mini_architecture()
+        params = M.build_network(arch, 0)
+        audio = rng64(1).uniform(-1, 1, (2, 1, 2048)).astype(np.float32)
+        frames = rng64(2).random((2, 3, 40, 40)).astype(np.float32)
+        passes = []
+        for _ in range(2):
+            M.forward_stream(frames[:1], arch.visual, "visual", params, "eval")
+            M.forward_stream(audio[:1], arch.auditory, "auditory", params, "eval")
+            eval_specs = len(built)
+            pred, tape = M.forward_train(arch, params, audio, frames)
+            M.backward(tape, np.ones_like(pred))
+            passes.append((eval_specs, len(built)))
+            built.clear()
+        assert passes[1] == (0, 0)
+
 
 class TestDimensionalCorrespondence:
     def test_stream_element_counts_match_on_squared_inputs(self):
