@@ -1,9 +1,11 @@
 """Command-line surface tying the modules into reproducible runs.
 
 Subcommands: synth, train, eval, predict, finetune, extract-features,
-train-rnn, predict-rnn, gradcheck. Every command accepts --seed and
---config; all stochastic behavior flows from the seed. An optional config
-file holds plain ``key = value`` lines; explicit flags override it.
+train-rnn, predict-rnn, gradcheck. Every command accepts --config, an
+optional file of plain ``key = value`` lines; explicit flags override it.
+The commands that draw random numbers (synth, train, finetune, train-rnn,
+gradcheck) also accept --seed, and all their stochastic behavior flows
+from it; the scoring commands draw none and take no seed.
 
 The multi-clip commands eval, predict, extract-features and predict-rnn
 score one clip at a time. Each skips, with a warning, a clip it cannot use
@@ -127,8 +129,10 @@ def _frame_stride(settings: Settings, api) -> int:
     return stride
 
 
-def _add_common(p: argparse.ArgumentParser, seed_help: str):
-    p.add_argument("--seed", type=int, default=None, help=seed_help)
+def _add_common(p: argparse.ArgumentParser, seed_help: str | None = None):
+    """--config, and --seed when the command draws random numbers."""
+    if seed_help is not None:
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
     p.add_argument("--config", default=None, help="file of 'key = value' lines, one setting each; flags override it")
 
 
@@ -157,7 +161,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="avtrait", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     training_seed_help = f"master seed of data order, crops and initial weights (default {T.TrainConfig.seed})"
-    scoring_seed_help = "master seed; scoring draws no random numbers, so it changes nothing"
     stride_help = f"score every n-th frame, >= 1 (default {_default(T.evaluate, 'frame_stride')})"
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -189,7 +192,7 @@ def build_parser() -> _Parser:
                    help="checkpoint to continue training from, with its optimizer and generator state")
 
     p = sub.add_parser("eval", help="full-clip evaluation of a checkpoint")
-    _add_common(p, scoring_seed_help)
+    _add_common(p)
     p.add_argument("--checkpoint", required=True, help="checkpoint from train or finetune")
     p.add_argument("--manifest", required=True, help="manifest CSV of the clips")
     p.add_argument("--split", default=None, choices=list(D.SPLITS),
@@ -198,7 +201,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="report CSV (default: eval_<split>.csv next to the checkpoint)")
 
     p = sub.add_parser("predict", help="one trait line per clip")
-    _add_common(p, scoring_seed_help)
+    _add_common(p)
     _add_rows(p, "predict")
     p.add_argument("--frame-stride", dest="frame_stride", type=int, default=None, help=stride_help)
     p.add_argument("--out", default=None, help="predictions CSV, also printed (default: printed only)")
@@ -210,7 +213,7 @@ def build_parser() -> _Parser:
     _add_training(p)
 
     p = sub.add_parser("extract-features", help="per-second pooled features for the recurrent head")
-    _add_common(p, scoring_seed_help)
+    _add_common(p)
     _add_rows(p, "extract")
     p.add_argument("--out", required=True, help="feature cache file")
 
@@ -224,11 +227,14 @@ def build_parser() -> _Parser:
     p.add_argument("--trunc", type=int, default=None,
                    help=f"truncated backpropagation length in seconds of features, >= 1 (default {r.trunc})")
     p.add_argument("--dropout", type=float, default=None, help=f"dropout rate, in [0, 1) (default {r.dropout})")
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
+                   help=f"equal-length sequences per Adam step, >= 1; scale the alpha config key with it "
+                   f"(default {r.batch_size}, at alpha {r.alpha:g})")
     p.add_argument("--hidden", type=int, default=None,
                    help=f"units in each LSTM layer, >= 1 (default {_default(R.build_rnn_head, 'hidden')})")
 
     p = sub.add_parser("predict-rnn", help="recurrent-head predictions, one line per clip")
-    _add_common(p, scoring_seed_help)
+    _add_common(p)
     _add_rows(p, "predict")
     p.add_argument("--rnn-head", dest="rnn_head", required=True, help="head checkpoint file from train-rnn")
     p.add_argument("--out", default=None, help="predictions CSV, also printed (default: printed only)")
@@ -363,7 +369,9 @@ def load_feature_cache(path: str) -> dict:
 
 
 def _cmd_train_rnn(s: Settings) -> int:
-    config = R.RnnTrainConfig(**_given(s, ("epochs", "seed", "trunc")), **_given(s, ("dropout", "alpha"), float))
+    config = R.RnnTrainConfig(
+        **_given(s, ("epochs", "seed", "trunc", "batch_size")), **_given(s, ("dropout", "alpha"), float)
+    )
     hidden = _given(s, ("hidden",))
     if hidden:  # before any input is read, as RnnTrainConfig checks its settings
         R.check_hidden(hidden["hidden"])

@@ -522,7 +522,9 @@ def synth_dataset(
 
     The first n - val_count - test_count clips are tagged train, then
     validation, then test. Every setting is checked before out_dir is
-    created.
+    created. An out_dir that already holds files is refused with
+    FileExistsError before anything is written, so no earlier run's clip is
+    left beside the new manifest.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -532,6 +534,8 @@ def synth_dataset(
     if val_count + test_count > n:
         raise ValueError("val_count + test_count exceeds n")
     _synth_counts(seconds, height, width)
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        raise FileExistsError(f"{out_dir} is not empty; synth writes into a new or empty directory")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = []

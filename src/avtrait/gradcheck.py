@@ -192,15 +192,15 @@ def _block_case(rng, project: bool):
 
 
 def _lstm_segment_case(rng):
-    """Both LSTM layers and the readout over a T=4 segment from a nonzero state.
+    """Both LSTM layers and the readout over a batch of two T=4 segments from a nonzero state.
 
-    Every forward reseeds its generator, so the dropout masks stay fixed
-    while the weights are perturbed.
+    Every forward reseeds its generator, so the dropout masks, one per row,
+    stay fixed while the weights are perturbed.
     """
-    T, D, Hn, K = 4, 3, 3, 2
+    B, T, D, Hn, K = 2, 4, 3, 3, 2
     arrays = {name: rng.standard_normal(shape) * 0.5 for name, shape in head_manifest(D, Hn, K).items()}
-    seq = rng.standard_normal((T, D))
-    state = tuple(rng.standard_normal((1, Hn)) for _ in range(4))
+    seq = rng.standard_normal((B, T, D))
+    state = tuple(rng.standard_normal((B, Hn)) for _ in range(4))
     mask_seed = int(rng.integers(2**32))
 
     def forward():

@@ -471,6 +471,19 @@ class TestSynthDataset:
             D.synth_dataset(1, seed=0, out_dir=out, seconds=seconds, height=height, width=width)
         assert not os.path.exists(out)
 
+    def test_non_empty_directory_is_refused_before_writing(self, tmp_path):
+        d = str(tmp_path / "d")
+        D.synth_dataset(4, seed=9, out_dir=d, seconds=0.5, height=24, width=24)
+        before = {name: open(os.path.join(d, name), "rb").read() for name in os.listdir(d)}
+        with pytest.raises(FileExistsError, match="not empty"):
+            D.synth_dataset(2, seed=9, out_dir=d, seconds=0.5, height=24, width=24)
+        assert {name: open(os.path.join(d, name), "rb").read() for name in os.listdir(d)} == before
+
+    def test_empty_directory_is_written(self, tmp_path):
+        d = tmp_path / "d"
+        d.mkdir()
+        assert len(D.synth_dataset(2, seed=9, out_dir=str(d), seconds=0.5, height=24, width=24).rows) == 2
+
     def test_dataset_bytes_are_pinned(self, tmp_path):
         # SHA-256 over each file's name and bytes in name order, as the
         # whole-grid synthesis wrote them; 11 frames of 64x64 cross a block
