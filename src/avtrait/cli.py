@@ -227,9 +227,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trunc", type=int, default=None,
                    help=f"truncated backpropagation length in seconds of features, >= 1 (default {r.trunc})")
     p.add_argument("--dropout", type=float, default=None, help=f"dropout rate, in [0, 1) (default {r.dropout})")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                   help=f"equal-length sequences per Adam step, >= 1; scale the alpha config key with it "
-                   f"(default {r.batch_size}, at alpha {r.alpha:g})")
     p.add_argument("--hidden", type=int, default=None,
                    help=f"units in each LSTM layer, >= 1 (default {_default(R.build_rnn_head, 'hidden')})")
 
@@ -369,9 +366,7 @@ def load_feature_cache(path: str) -> dict:
 
 
 def _cmd_train_rnn(s: Settings) -> int:
-    config = R.RnnTrainConfig(
-        **_given(s, ("epochs", "seed", "trunc", "batch_size")), **_given(s, ("dropout", "alpha"), float)
-    )
+    config = R.RnnTrainConfig(**_given(s, ("epochs", "seed", "trunc")), **_given(s, ("dropout", "alpha"), float))
     hidden = _given(s, ("hidden",))
     if hidden:  # before any input is read, as RnnTrainConfig checks its settings
         R.check_hidden(hidden["hidden"])

@@ -42,9 +42,10 @@ from .optim import AdamState, adam_step, check_adam_hyperparameters, init_adam, 
 
 RNN_HIDDEN = 512
 
-# Sequences per Adam step. The default step size is scaled with it (the
-# linear scaling rule of Goyal et al., arXiv 1706.02677), since a batch
-# learns less per epoch at the unscaled step. On the learning gate's
+# Sequences per Adam step. The default step size is scaled with the batch
+# size, batch_size x AdamState.alpha (the linear scaling rule of Goyal et
+# al., arXiv 1706.02677), since a batch learns less per epoch at the
+# unscaled step. On the learning gate's
 # synthetic split (tests/test_rnn_head.py: T = 3, D = 64, 128 units, 20
 # epochs), validation accuracy at seeds 0/1/2 was 0.880/0.884/0.875 at batch
 # 8 and 8 x 2e-4, 0.863/0.871/0.855 one sequence a step at 2e-4, and
@@ -64,13 +65,15 @@ class RnnTrainConfig:
     trunc: int = 15
     dropout: float = 0.5
     batch_size: int = RNN_BATCH
-    alpha: float = RNN_BATCH * AdamState.alpha
+    alpha: float | None = None  # batch_size x AdamState.alpha when not given
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.alpha is None:
+            self.alpha = self.batch_size * AdamState.alpha
         if self.trunc < 1:
             raise ValueError(f"truncation length must be >= 1, got {self.trunc}")
         if not 0.0 <= self.dropout < 1.0:
@@ -222,20 +225,16 @@ def rnn_backward(tape, grad_out: np.ndarray, params: dict) -> dict:
 def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, rng=None, dropout: float = 0.0):
     """Loss and truncated-BPTT gradients for a batch of equal-length sequences.
 
-    seq is (B, T, D). target may be (B, K) (one label for every step of a
-    sequence) or (B, T, K). Per-step losses are averaged over all B*T*K
-    entries, so the gradients are the mean of the sequences' own; each
-    length-`trunc` segment contributes its full-BPTT gradient with state
-    carried in numerically. `rng` and `dropout` are rnn_forward's.
+    seq is (B, T, D) and target (B, T, K), a label for every step. Per-step
+    losses are averaged over all B*T*K entries, so the gradients are the
+    mean of the sequences' own; each length-`trunc` segment contributes its
+    full-BPTT gradient with state carried in numerically. `rng` and `dropout` are rnn_forward's.
     Returns (loss, grads, outputs (B, T, K)).
     """
     if trunc < 1:
         raise ValueError("truncation length must be >= 1")
     _, hidden, _ = head_dims(params)
     B, T = seq.shape[:2]
-    target = np.asarray(target, dtype=seq.dtype)
-    if target.ndim == 2:
-        target = np.broadcast_to(target[:, None], (B, T, target.shape[1]))
     state = zero_state(B, hidden, seq.dtype)
     segments = []
     outs = []
@@ -245,7 +244,7 @@ def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, rng=No
         segments.append((tape, seg))
         outs.append(out)
     outputs = np.concatenate(outs, axis=1)
-    loss, dout = mae_loss(outputs, np.ascontiguousarray(target))
+    loss, dout = mae_loss(outputs, np.asarray(target, dtype=seq.dtype))
     (tape, seg), *rest = segments
     grads = rnn_backward(tape, dout[:, seg], params)
     for tape, seg in rest:

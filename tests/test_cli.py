@@ -133,7 +133,6 @@ class TestSynth:
         assert f"{key} must be >= 0, got " in capsys.readouterr().err
         assert not os.path.exists(out)
 
-
     def test_second_run_into_the_same_directory_is_data_error(self, tmp_path, capsys):
         out = str(tmp_path / "d")
         argv = ["synth", "--seconds", "0.5", "--height", "24", "--width", "24", "--out", out]
@@ -422,8 +421,6 @@ def test_degenerate_setting_is_data_error(workspace, feature_cache, tmp_path, ca
     "command, flags, config, message",
     [
         ("train-rnn", ["--trunc", "0"], "", "truncation length"),
-        ("train-rnn", ["--batch-size", "0"], "", "batch_size"),
-        ("train-rnn", [], "batch_size = -1\n", "batch_size"),
         ("train-rnn", ["--hidden", "0"], "", "hidden"),
         ("train-rnn", [], "hidden = -1\n", "hidden"),
         ("train-rnn", ["--dropout", "1"], "", "dropout rate"),
@@ -517,7 +514,6 @@ def _argv_without_inputs(tmp_path, command):
         ("finetune", "audio_crop"),
         ("train-rnn", "epochs"),
         ("train-rnn", "trunc"),
-        ("train-rnn", "batch_size"),
         ("train-rnn", "hidden"),
         ("synth", "height"),
         ("synth", "val_n"),
@@ -621,24 +617,6 @@ class TestDefaults:
             run(["train-rnn", "--features", feature_cache, "--manifest", workspace["manifest"],
                  "--out", str(tmp_path / "head")])
         assert seen == [((4, R.RNN_HIDDEN, 5), R.RnnTrainConfig())]
-
-    @pytest.mark.parametrize("flags, config", [(["--batch-size", "3"], ""), ([], "batch_size = 3\n")])
-    def test_train_rnn_passes_a_given_batch_size_alone(self, workspace, feature_cache, tmp_path, monkeypatch,
-                                                       flags, config):
-        # the step size stays RnnTrainConfig's own default
-        seen = []
-
-        def capture(sequences, params, config):
-            seen.append(config)
-            raise _Captured
-
-        monkeypatch.setattr(cli.R, "train_rnn", capture)
-        cfg = str(tmp_path / "c.cfg")
-        open(cfg, "w").write(config)
-        with pytest.raises(_Captured):
-            run(["train-rnn", "--features", feature_cache, "--manifest", workspace["manifest"],
-                 "--out", str(tmp_path / "head"), "--config", cfg] + flags)
-        assert seen == [R.RnnTrainConfig(batch_size=3)]
 
 
 class TestConfigFile:

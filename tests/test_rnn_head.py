@@ -17,6 +17,11 @@ def rng64(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def per_step(target, T):
+    """(B, K) labels, one per sequence, repeated over T steps as (B, T, K)."""
+    return np.broadcast_to(target[:, None], (target.shape[0], T, target.shape[1]))
+
+
 def toy_head(seed=0, input_dim=6, hidden=5, out_dim=3, dtype=np.float64):
     params = R.build_rnn_head(seed, input_dim=input_dim, hidden=hidden, out_dim=out_dim, dtype=dtype)
     return params
@@ -95,7 +100,7 @@ class TestTruncatedBptt:
     def test_fifteen_step_clip_truncation_is_noop(self):
         params = toy_head(8)
         seq = rng64(9).standard_normal((1, 15, 6))
-        target = rng64(10).random((1, 3))
+        target = per_step(rng64(10).random((1, 3)), 15)
         loss_t, grads_t, _ = R.sequence_gradients(params, seq, target, trunc=15)
         loss_f, grads_f, _ = R.sequence_gradients(params, seq, target, trunc=10**9)
         assert loss_t == loss_f
@@ -105,13 +110,12 @@ class TestTruncatedBptt:
     def test_thirty_step_gradient_equals_two_segment_composition(self):
         params = toy_head(11)
         seq = rng64(12).standard_normal((1, 30, 6))
-        target = rng64(13).random((1, 3))
+        target = per_step(rng64(13).random((1, 3)), 30)
         _, grads, outputs = R.sequence_gradients(params, seq, target, trunc=15)
 
         # manual composition: full BPTT on each 15-step half, state carried
         # across the boundary without gradient
-        t_full = np.broadcast_to(target[:, None], (1, 30, 3)).astype(seq.dtype)
-        _, dout = mae_loss(outputs, np.ascontiguousarray(t_full))
+        _, dout = mae_loss(outputs, target)
         out1, tape1, state = R.rnn_forward(seq[:, :15], params)
         out2, tape2, _ = R.rnn_forward(seq[:, 15:], params, state=state)
         g1 = R.rnn_backward(tape1, dout[:, :15], params)
@@ -122,7 +126,7 @@ class TestTruncatedBptt:
     def test_truncation_changes_long_range_gradients(self):
         params = toy_head(14)
         seq = rng64(15).standard_normal((1, 30, 6))
-        target = rng64(16).random((1, 3))
+        target = per_step(rng64(16).random((1, 3)), 30)
         _, g_trunc, _ = R.sequence_gradients(params, seq, target, trunc=15)
         _, g_full, _ = R.sequence_gradients(params, seq, target, trunc=10**9)
         assert any(not np.array_equal(g_trunc[k], g_full[k]) for k in g_trunc)
@@ -130,7 +134,7 @@ class TestTruncatedBptt:
     def test_four_step_gradients_match_finite_differences(self):
         params = toy_head(17, input_dim=4, hidden=3, out_dim=2)
         seq = rng64(18).standard_normal((1, 4, 4))
-        target = rng64(19).random((1, 2))
+        target = per_step(rng64(19).random((1, 2)), 4)
 
         def loss():
             l, _, _ = R.sequence_gradients(params, seq, target, trunc=10**9)
@@ -147,17 +151,16 @@ class TestTruncatedBptt:
         # is differentiated
         params = toy_head(20, input_dim=4, hidden=3, out_dim=2)
         seq = rng64(21).standard_normal((1, 6, 4))
-        target = rng64(22).random((1, 2))
+        target = per_step(rng64(22).random((1, 2)), 6)
         _, grads, _ = R.sequence_gradients(params, seq, target, trunc=3)
         frozen = {k: v.copy() for k, v in params.items()}
 
         def loss():
-            t_full = np.broadcast_to(target[:, None], (1, 6, 2)).astype(seq.dtype)
             _, _, state = R.rnn_forward(seq[:, :3], frozen)
             out1, _, _ = R.rnn_forward(seq[:, :3], params)
             out2, _, _ = R.rnn_forward(seq[:, 3:], params, state=state)
             out = np.concatenate([out1, out2], axis=1)
-            return float(np.abs(out - t_full).mean())
+            return float(np.abs(out - target).mean())
 
         for name, arr in params.items():
             numeric = central_difference(loss, arr)
@@ -176,9 +179,9 @@ class TestPerStepOracle:
 
         params = toy_head(37, input_dim=6, hidden=8, out_dim=3)
         seq = rng64(38).standard_normal((1, steps, 6))
-        target = rng64(39).random((1, 3))
+        target = per_step(rng64(39).random((1, 3)), steps)
         _, grads, outputs = R.sequence_gradients(params, seq, target, 15, rng=rng64(40), dropout=0.5)
-        _, dout = mae_loss(outputs, np.ascontiguousarray(np.broadcast_to(target[:, None], (1, steps, 3))))
+        _, dout = mae_loss(outputs, target)
         rng = rng64(40)  # the same seed draws the same masks in the same order
         state = None
         expect = {k: np.zeros_like(v) for k, v in params.items()}
@@ -269,16 +272,23 @@ class TestTrainRnn:
         with pytest.raises(ValueError, match="batch_size"):
             R.RnnTrainConfig(batch_size=0)
 
+    def test_step_size_follows_the_batch_size_unless_given(self):
+        assert R.RnnTrainConfig().alpha == R.RNN_BATCH * AdamState.alpha
+        assert R.RnnTrainConfig(batch_size=1).alpha == AdamState.alpha
+        assert R.RnnTrainConfig(batch_size=16).alpha == 16 * AdamState.alpha
+        assert R.RnnTrainConfig(batch_size=16, alpha=1e-3).alpha == 1e-3
+
 
 class TestBatchedTraining:
     def test_batch_of_one_is_the_per_sequence_recipe(self):
         # SHA-256 of the parameters and losses that per-sequence training,
-        # one Adam step per sequence at alpha 2e-4, gave before batching
+        # one Adam step per sequence at alpha 2e-4, gave before batching; a
+        # batch of one takes that step size by default
         rng = rng64(7)
         sequences = [(rng.standard_normal((T, 8)).astype(np.float32), rng.random(5).astype(np.float32))
                      for T in (3, 4, 3, 2, 4, 3)]
         params = R.build_rnn_head(4, input_dim=8, hidden=16)
-        config = R.RnnTrainConfig(epochs=3, seed=4, trunc=2, dropout=0.5, alpha=2e-4, batch_size=1)
+        config = R.RnnTrainConfig(epochs=3, seed=4, trunc=2, dropout=0.5, batch_size=1)
         losses = R.train_rnn(sequences, params, config)
         digest = hashlib.sha256()
         for k in sorted(params):
@@ -290,7 +300,7 @@ class TestBatchedTraining:
     def test_batch_gradients_are_the_mean_of_sequence_gradients(self, trunc):
         params = toy_head(50, input_dim=6, hidden=5, out_dim=3)
         seq = rng64(51).standard_normal((3, 5, 6))
-        target = rng64(52).random((3, 3))
+        target = per_step(rng64(52).random((3, 3)), 5)
         loss, grads, outputs = R.sequence_gradients(params, seq, target, trunc)
         alone = [R.sequence_gradients(params, seq[b : b + 1], target[b : b + 1], trunc) for b in range(3)]
         assert loss == pytest.approx(np.mean([a[0] for a in alone]), rel=1e-12)
@@ -359,19 +369,20 @@ def gate_split(seed, train=64, validation=32, T=3, D=64, K=5):
 
 
 class TestLearningGate:
-    """The head learns: on a fixed synthetic split, both the per-sequence
-    recipe and the default batched one beat the train-mean predictor, and at
-    equal epochs the batched one is no worse.
+    """The head learns: on a fixed synthetic split, the default batched
+    recipe beats the train-mean predictor by MARGIN, and at equal epochs it
+    is no worse than one sequence a step, within TOLERANCE.
 
-    Over seeds 0-5, per-sequence steps at 2e-4 beat the train mean by
-    0.016-0.036 in accuracy after 20 epochs, and the default by 0.025-0.057;
-    the default was ahead of per-sequence steps on every seed.
+    Over seeds 0-5, after 20 epochs, the default beat the train mean by
+    0.025-0.057 in accuracy and was ahead of per-sequence steps on every
+    seed. Per-sequence steps (at 2e-4) beat it by 0.016-0.036; they are the
+    reference for TOLERANCE and are not held to MARGIN.
     """
 
     SEEDS = (0, 1, 2)
     EPOCHS = 20
     HIDDEN = 128
-    MARGIN = 0.01  # accuracy over the train-mean predictor's, on every seed
+    MARGIN = 0.02  # accuracy of the default over the train-mean predictor's
     TOLERANCE = 0.01  # accuracy the default may give up to per-sequence steps
 
     @staticmethod
@@ -385,14 +396,13 @@ class TestLearningGate:
         return self.accuracy([R.predict_sequence(seq, params) for seq, _ in validation], validation)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_default_and_per_sequence_recipes_beat_the_train_mean(self, seed):
+    def test_default_recipe_beats_the_train_mean_and_keeps_up_with_per_sequence_steps(self, seed):
         train, validation = gate_split(seed)
         mean = np.mean([label for _, label in train], axis=0)
         baseline = self.accuracy([mean] * len(validation), validation)
-        per_sequence = self.trained(train, validation, seed, batch_size=1, alpha=AdamState.alpha)
+        per_sequence = self.trained(train, validation, seed, batch_size=1)
         default = self.trained(train, validation, seed)
         figures = f"train mean {baseline:.4f}, per-sequence {per_sequence:.4f}, default {default:.4f}"
-        assert per_sequence >= baseline + self.MARGIN, figures
         assert default >= baseline + self.MARGIN, figures
         assert default >= per_sequence - self.TOLERANCE, figures
 
