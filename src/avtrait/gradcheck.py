@@ -39,10 +39,10 @@ class GradCheckRow:
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Worst elementwise |a - n| / max(|a| + |n|, 1e-4).
 
-    The denominator floor keeps exact-zero gradients comparable: a bias
-    that feeds batch norm has a true gradient of 0 (mean subtraction
-    absorbs it), and dividing finite-difference noise by ~0 would report
-    a spurious failure.
+    The denominator floor keeps exact-zero gradients comparable: a weight
+    behind a rectifier that never fires, or behind a pool offset that never
+    wins its window, has a true gradient of 0, and dividing
+    finite-difference noise by ~0 would report a spurious failure.
     """
     a = np.asarray(analytic, dtype=np.float64).ravel()
     n = np.asarray(numeric, dtype=np.float64).ravel()
@@ -92,11 +92,10 @@ def _projected(rng, arrays: dict, forward, grads):
 def _conv_case(rng, shape, spec):
     x = rng.standard_normal(shape)
     w = rng.standard_normal((spec.out_channels, spec.in_channels) + spec.kernel) * 0.5
-    b = rng.standard_normal(spec.out_channels) * 0.1
     return _projected(
-        rng, {"x": x, "w": w, "b": b},
-        lambda: L.conv_forward(x, w, b, spec),
-        lambda cache, R: dict(zip(("w", "b", "x"), L.conv_backward(cache, R))),
+        rng, {"x": x, "w": w},
+        lambda: L.conv_forward(x, w, spec),
+        lambda cache, R: dict(zip(("w", "x"), L.conv_backward(cache, R))),
     )
 
 
@@ -156,30 +155,24 @@ def _block_case(rng, project: bool):
     spec2 = L.ConvSpec((3, 3), (1, 1), (1, 1), out_ch, out_ch)
     arrays = {
         "conv1.w": rng.standard_normal((out_ch, in_ch, 3, 3)) * 0.4,
-        "conv1.b": rng.standard_normal(out_ch) * 0.1,
         "bn1.gamma": 1.0 + 0.2 * rng.standard_normal(out_ch),
         "bn1.beta": 0.1 * rng.standard_normal(out_ch),
         "conv2.w": rng.standard_normal((out_ch, out_ch, 3, 3)) * 0.4,
-        "conv2.b": rng.standard_normal(out_ch) * 0.1,
         "bn2.gamma": 1.0 + 0.2 * rng.standard_normal(out_ch),
         "bn2.beta": 0.1 * rng.standard_normal(out_ch),
     }
     if project:
         arrays["shortcut.w"] = rng.standard_normal((out_ch, in_ch, 1, 1)) * 0.4
-        arrays["shortcut.b"] = rng.standard_normal(out_ch) * 0.1
 
     def forward():
         block = L.ResidualBlockParams(
             conv1_w=arrays["conv1.w"],
-            conv1_b=arrays["conv1.b"],
             bn1=L.BatchNormState(arrays["bn1.gamma"], arrays["bn1.beta"], np.zeros(out_ch), np.ones(out_ch)),
             spec1=spec1,
             conv2_w=arrays["conv2.w"],
-            conv2_b=arrays["conv2.b"],
             bn2=L.BatchNormState(arrays["bn2.gamma"], arrays["bn2.beta"], np.zeros(out_ch), np.ones(out_ch)),
             spec2=spec2,
             shortcut_w=arrays.get("shortcut.w"),
-            shortcut_b=arrays.get("shortcut.b"),
             shortcut_spec=L.ConvSpec((1, 1), stride, (0, 0), in_ch, out_ch) if project else None,
         )
         return L.residual_block_forward(x, block)

@@ -31,8 +31,13 @@ slice and, like max pooling, forms dx by adding window gradients into a
 window view of a zero buffer, one kernel offset at a time. In both forms
 dx is bitwise equal across slice sizes and ``dw`` is not. Asked for no
 input gradient (``input_grad=False``, as at each stream's stem, whose input
-is the raw waveform or frames), either form forms only ``dw`` and ``db``,
-bitwise equal to the full call's, and returns dx as None. Batch norm
+is the raw waveform or frames), either form forms only ``dw``, bitwise
+equal to the full call's, and returns dx as None. ``conv_backward``
+returns ``(dw, dx)``: a training convolution carries no bias, since each
+one feeds a batch norm, whose mean subtraction cancels a bias, or is a
+projection shortcut added to a batch norm's output, whose beta already
+shifts the sum. Only a folded eval convolution adds a bias, the folded
+batch-norm shift. Batch norm
 caches x-hat, gamma and the batch's inverse deviation, and forms its input
 gradient from the two parameter gradients.
 
@@ -197,11 +202,12 @@ def _columns(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return np.ascontiguousarray(win.transpose((1,) + _axes(2 + nd, nd) + (0,) + _axes(2, nd))).reshape(x.shape[1] * math.prod(spec.kernel), -1)
 
 
-def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
-    """Cross-correlate x with w and add the per-channel bias.
+def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, b: Optional[np.ndarray] = None):
+    """Cross-correlate x with w and add the per-channel bias b, if given.
 
     x: (B, Cin, L) for 1-d specs or (B, Cin, H, W) for 2-d specs.
-    w: (Cout, Cin, *kernel). Returns (y, cache). The columns are built and
+    w: (Cout, Cin, *kernel). b is a folded eval convolution's batch-norm
+    shift (fold_batchnorm). Returns (y, cache). The columns are built and
     multiplied one batch slice of at most COLUMN_BYTES (or one sample) at a
     time, each slice's product written into its rows of y. The cache is
     the list [x, w, spec]: the columns are a transient of this call, and
@@ -215,7 +221,7 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
         raise ShapeMismatchError("conv input channels", x.shape, (x.shape[0], spec.in_channels) + x.shape[2:])
     if w.shape != (spec.out_channels, spec.in_channels) + spec.kernel:
         raise ShapeMismatchError("conv weight", w.shape, (spec.out_channels, spec.in_channels) + spec.kernel)
-    if b.shape != (spec.out_channels,):
+    if b is not None and b.shape != (spec.out_channels,):
         raise ShapeMismatchError("conv bias", b.shape, (spec.out_channels,))
 
     nd = spec.ndim
@@ -234,12 +240,13 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec):
         cols = np.ascontiguousarray(win[lo : lo + step].transpose(order)).reshape(-1, K, P)
         np.matmul(wf, cols, out=y[lo : lo + step])
         del cols  # before the next slice's columns are built
-    y += b[:, None]
+    if b is not None:
+        y += b[:, None]
     return y.reshape((B, spec.out_channels) + outs), [x, w, spec]
 
 
 def conv_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
-    """Exact adjoint of conv_forward; returns (dw, db, dx).
+    """Exact adjoint of conv_forward in x and w; returns (dw, dx).
 
     Works in batch slices of at most COLUMN_BYTES of columns. A convolution
     whose strides are all 1 and whose padding is below its kernel on every
@@ -249,7 +256,7 @@ def conv_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     offset's window gradients into a window view of dx's zero buffer.
     dx is bitwise equal across slice sizes; dw, a sum of the slices'
     products, is not. With `input_grad` False, dx is not formed and is
-    returned as None; dw and db are bitwise those of the full call, for a
+    returned as None; dw is bitwise that of the full call, for a
     layer whose input no caller differentiates, such as a stem over raw
     input.
     """
@@ -260,11 +267,9 @@ def conv_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     if grad_out.shape != expect:
         raise ShapeMismatchError("conv grad_out", grad_out.shape, expect)
 
-    g = grad_out.reshape(B, Cout, -1)
-    db = g.sum(axis=(0, 2))
     if all(s == 1 for s in spec.stride) and all(p < k for p, k in zip(spec.padding, spec.kernel)):
-        dw, dx = _unit_stride_grads(x, w, grad_out, spec, input_grad)
-        return dw, db, dx
+        return _unit_stride_grads(x, w, grad_out, spec, input_grad)
+    g = grad_out.reshape(B, Cout, -1)
     wf = w.reshape(Cout, -1)
     dw = np.zeros(wf.shape, np.result_type(grad_out, x))
     dx = None
@@ -285,7 +290,7 @@ def conv_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
             dxw = dx_win[sl]
             for k in np.ndindex(spec.kernel):
                 dxw[(Ellipsis,) + k] += dwin[(slice(None), slice(None)) + k]
-    return dw.reshape(w.shape), db, dx
+    return dw.reshape(w.shape), dx
 
 
 @functools.cache
@@ -428,18 +433,18 @@ def batchnorm_relu(cache, beta, out):
     return np.maximum(_scale_shift(xhat, gamma, beta, out), 0, out=out)
 
 
-def fold_batchnorm(w: np.ndarray, b: np.ndarray, state: BatchNormState):
-    """Fold eval-mode batch norm into the convolution before it.
+def fold_batchnorm(w: np.ndarray, state: BatchNormState):
+    """Fold eval-mode batch norm into the bias-free convolution before it.
 
-    Returns (w * s, (b - running_mean) * s + beta) with s = gamma /
+    Returns (w * s, beta - running_mean * s) with s = gamma /
     sqrt(running_var + epsilon) per output channel, so conv_forward with
-    the folded pair equals conv_forward then batchnorm_forward(..., "eval")
-    up to rounding.
+    the folded weight and bias equals conv_forward then
+    batchnorm_forward(..., "eval") up to rounding.
     """
     if state.gamma.shape != (w.shape[0],):
         raise ShapeMismatchError("folded batchnorm channels", state.gamma.shape, (w.shape[0],))
     s = state.gamma / np.sqrt(state.running_var + state.epsilon)
-    return w * s.reshape((-1,) + (1,) * (w.ndim - 1)), (b - state.running_mean) * s + state.beta
+    return w * s.reshape((-1,) + (1,) * (w.ndim - 1)), state.beta - state.running_mean * s
 
 
 def batchnorm_backward(cache, grad_out: np.ndarray):
@@ -611,26 +616,29 @@ class ResidualBlockParams:
     """Parameters for conv-BN-ReLU-conv-BN plus an identity or projection shortcut.
 
     The block projects its shortcut exactly when it has `shortcut_w`, which
-    then needs `shortcut_b` and `shortcut_spec`; without it the shortcut is
-    the identity, which needs conv1's input channels equal to conv2's output
-    channels and a unit stride. bn1 and bn2 are None in a block from
-    fold_block, whose convolutions already hold them; residual_block_forward
-    runs such a block in eval mode.
+    then needs `shortcut_spec`; without it the shortcut is the identity,
+    which needs conv1's input channels equal to conv2's output channels and
+    a unit stride. No convolution of a training block has a bias. bn1 and
+    bn2 are None in a block from fold_block, whose convolutions hold them
+    instead, as weights and the biases `conv1_b` and `conv2_b`;
+    residual_block_forward runs such a block in eval mode.
     """
 
     conv1_w: np.ndarray
-    conv1_b: np.ndarray
     bn1: Optional[BatchNormState]
     spec1: ConvSpec
     conv2_w: np.ndarray
-    conv2_b: np.ndarray
     bn2: Optional[BatchNormState]
     spec2: ConvSpec
     shortcut_w: Optional[np.ndarray] = None
-    shortcut_b: Optional[np.ndarray] = None
     shortcut_spec: Optional[ConvSpec] = None
+    conv1_b: Optional[np.ndarray] = None
+    conv2_b: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        # conv_backward forms no bias gradient, so such a bias would never train
+        if (self.bn1 is not None and self.conv1_b is not None) or (self.bn2 is not None and self.conv2_b is not None):
+            raise ValueError("a convolution followed by a batch norm carries no bias; fold_block sets the biases")
         if self.shortcut_w is None:
             s1 = self.spec1
             if s1.in_channels != self.spec2.out_channels or any(s != 1 for s in s1.stride):
@@ -638,14 +646,14 @@ class ResidualBlockParams:
                     "identity shortcut requires matching channels and unit stride, got "
                     f"in={s1.in_channels} out={self.spec2.out_channels} stride={s1.stride}"
                 )
-        elif self.shortcut_b is None or self.shortcut_spec is None:
+        elif self.shortcut_spec is None:
             raise ValueError("projection block needs shortcut conv parameters")
 
 
 def fold_block(blk: ResidualBlockParams) -> ResidualBlockParams:
     """The block with eval-mode bn1 and bn2 folded into conv1 and conv2."""
-    w1, b1 = fold_batchnorm(blk.conv1_w, blk.conv1_b, blk.bn1)
-    w2, b2 = fold_batchnorm(blk.conv2_w, blk.conv2_b, blk.bn2)
+    w1, b1 = fold_batchnorm(blk.conv1_w, blk.bn1)
+    w2, b2 = fold_batchnorm(blk.conv2_w, blk.bn2)
     return replace(blk, conv1_w=w1, conv1_b=b1, bn1=None, conv2_w=w2, conv2_b=b2, bn2=None)
 
 
@@ -661,25 +669,25 @@ def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams):
     bn1's gamma and beta must not change before it runs.
     """
     if blk.bn1 is None:
-        r1, _ = conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
+        r1, _ = conv_forward(x, blk.conv1_w, blk.spec1, blk.conv1_b)
         np.maximum(r1, 0, out=r1)
-        y, _ = conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
+        y, _ = conv_forward(r1, blk.conv2_w, blk.spec2, blk.conv2_b)
         if blk.shortcut_w is not None:
-            y += conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)[0]
+            y += conv_forward(x, blk.shortcut_w, blk.shortcut_spec)[0]
         else:
             y += x
         return np.maximum(y, 0, out=y), None
     # One name for the main path frees each transient once the next layer
     # has it: fewer heap holes for backward to grow around.
-    h, c_conv1 = conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
+    h, c_conv1 = conv_forward(x, blk.conv1_w, blk.spec1)
     h, c_bn1 = batchnorm_forward(h, blk.bn1, "train")
     h, _ = relu_forward(h)
-    h, c_conv2 = conv_forward(h, blk.conv2_w, blk.conv2_b, blk.spec2)
+    h, c_conv2 = conv_forward(h, blk.conv2_w, blk.spec2)
     c_conv2[0] = None
     n2, c_bn2 = batchnorm_forward(h, blk.bn2, "train")
     del h
     if blk.shortcut_w is not None:
-        sc, c_sc = conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)
+        sc, c_sc = conv_forward(x, blk.shortcut_w, blk.shortcut_spec)
     else:
         sc, c_sc = x, None
     y, _ = relu_forward(n2 + sc)
@@ -699,30 +707,16 @@ def residual_block_backward(cache, grad_out: np.ndarray):
     g = relu_backward(y, grad_out)
     grads = {}
     # one name for the main path's gradient, as for its activations in forward
-    dgamma2, dbeta2, d = batchnorm_backward(c_bn2, g)
+    grads["bn2.gamma"], grads["bn2.beta"], d = batchnorm_backward(c_bn2, g)
     c_conv2[0] = batchnorm_relu(c_bn1, beta1, np.empty_like(c_bn1[0]))
-    dw2, db2, d = conv_backward(c_conv2, d)
+    grads["conv2.w"], d = conv_backward(c_conv2, d)
     relu_backward(c_conv2[0], d, out=d)
     c_conv2[0] = None
-    dgamma1, dbeta1, d = batchnorm_backward(c_bn1, d)
-    dw1, db1, dx = conv_backward(c_conv1, d)
+    grads["bn1.gamma"], grads["bn1.beta"], d = batchnorm_backward(c_bn1, d)
+    grads["conv1.w"], dx = conv_backward(c_conv1, d)
     del d
-    grads.update(
-        {
-            "conv1.w": dw1,
-            "conv1.b": db1,
-            "bn1.gamma": dgamma1,
-            "bn1.beta": dbeta1,
-            "conv2.w": dw2,
-            "conv2.b": db2,
-            "bn2.gamma": dgamma2,
-            "bn2.beta": dbeta2,
-        }
-    )
     if c_sc is not None:  # projection shortcut
-        dwsc, dbsc, dsc = conv_backward(c_sc, g)
-        grads["shortcut.w"] = dwsc
-        grads["shortcut.b"] = dbsc
+        grads["shortcut.w"], dsc = conv_backward(c_sc, g)
         dx = dx + dsc
     else:
         dx = dx + g

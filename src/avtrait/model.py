@@ -18,7 +18,10 @@ of stages 2-4 downsamples and projects its shortcut with a 1-extent-kernel
 convolution at the stage stride, unpadded; every other block uses an
 identity shortcut. Stream outputs are globally average-pooled, concatenated
 (256 + 256 = 512 in the full model) and fed through one fully-connected
-layer whose outputs are squashed to (0, 1) by a scaled tanh.
+layer whose outputs are squashed to (0, 1) by a scaled tanh. No
+convolution has a bias: each feeds a batch norm, whose mean subtraction
+would cancel it, or, as a projection shortcut, a sum that bn2's beta
+already shifts; only the fusion layer has one.
 
 The miniature configuration divides all channel counts by 8 and keeps one
 block per stage; it exists for desk-scale runs and shares every code path.
@@ -165,23 +168,19 @@ def _stream_manifest(stream: StreamSpec, prefix: str):
     entries = []
     c = stream.stem_channels
     entries.append((f"{prefix}.stem.conv.w", (c, stream.in_channels) + stream.stem_kernel))
-    entries.append((f"{prefix}.stem.conv.b", (c,)))
     for suffix in ("gamma", "beta", "running_mean", "running_var"):
         entries.append((f"{prefix}.stem.bn.{suffix}", (c,)))
     for name, in_ch, out_ch, stride in _block_layout(stream):
         base = f"{prefix}.{name}"
         entries.append((f"{base}.conv1.w", (out_ch, in_ch) + stream.block_kernel))
-        entries.append((f"{base}.conv1.b", (out_ch,)))
         for suffix in ("gamma", "beta", "running_mean", "running_var"):
             entries.append((f"{base}.bn1.{suffix}", (out_ch,)))
         entries.append((f"{base}.conv2.w", (out_ch, out_ch) + stream.block_kernel))
-        entries.append((f"{base}.conv2.b", (out_ch,)))
         for suffix in ("gamma", "beta", "running_mean", "running_var"):
             entries.append((f"{base}.bn2.{suffix}", (out_ch,)))
         # a block that changes channels or strides projects its shortcut
         if in_ch != out_ch or stride != _unit_stride(stream.ndim):
             entries.append((f"{base}.shortcut.w", (out_ch, in_ch) + (1,) * stream.ndim))
-            entries.append((f"{base}.shortcut.b", (out_ch,)))
     return entries
 
 
@@ -204,7 +203,7 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray
 
 
 def build_network(arch: Architecture, seed, dtype=np.float32) -> dict:
-    """Fresh parameters: He-normal weights, zero biases, unit batch norm."""
+    """Fresh parameters: He-normal weights, a zero fusion bias, unit batch norm."""
     rng = np.random.Generator(np.random.PCG64(seed))
     params = {}
     for name, shape in param_manifest(arch).items():
@@ -213,7 +212,7 @@ def build_network(arch: Architecture, seed, dtype=np.float32) -> dict:
             params[name] = he_normal(rng, shape, fan_in, dtype)
         elif name.endswith((".gamma", ".running_var")):
             params[name] = np.ones(shape, dtype=dtype)
-        else:  # biases, beta, running_mean
+        else:  # fusion.b, beta, running_mean
             params[name] = np.zeros(shape, dtype=dtype)
     return params
 
@@ -267,22 +266,23 @@ def _block_params(stream: StreamSpec, prefix: str, name: str, in_ch, out_ch, str
     shortcut_w = params.get(f"{base}.shortcut.w")
     return ResidualBlockParams(
         conv1_w=params[f"{base}.conv1.w"],
-        conv1_b=params[f"{base}.conv1.b"],
         bn1=_bn_state(params, f"{base}.bn1"),
         spec1=_same_spec(stream.block_kernel, stride, in_ch, out_ch),
         conv2_w=params[f"{base}.conv2.w"],
-        conv2_b=params[f"{base}.conv2.b"],
         bn2=_bn_state(params, f"{base}.bn2"),
         spec2=_same_spec(stream.block_kernel, _unit_stride(stream.ndim), out_ch, out_ch),
         shortcut_w=shortcut_w,
-        shortcut_b=params.get(f"{base}.shortcut.b"),
         shortcut_spec=None if shortcut_w is None else _same_spec((1,) * stream.ndim, stride, in_ch, out_ch),
     )
 
 
 @dataclass(frozen=True)
 class FoldedStream:
-    """One stream's eval-mode weights, every batch norm folded into its conv."""
+    """One stream's eval-mode weights, every batch norm folded into its conv.
+
+    `stem_b` and each block's conv1_b and conv2_b are the folded batch-norm
+    shifts, beta - running_mean * s (fold_batchnorm).
+    """
 
     stem_w: np.ndarray
     stem_b: np.ndarray
@@ -291,8 +291,7 @@ class FoldedStream:
 
 def fold_stream(stream: StreamSpec, prefix: str, params: dict) -> FoldedStream:
     """The stream's eval-mode weights, for forward_stream's `params`."""
-    stem_bn = _bn_state(params, f"{prefix}.stem.bn")
-    w, b = fold_batchnorm(params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], stem_bn)
+    w, b = fold_batchnorm(params[f"{prefix}.stem.conv.w"], _bn_state(params, f"{prefix}.stem.bn"))
     blocks = tuple(fold_block(_block_params(stream, prefix, *layout, params)) for layout in _block_layout(stream))
     return FoldedStream(stem_w=w, stem_b=b, blocks=blocks)
 
@@ -321,13 +320,13 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     """
     if mode == "eval":
         folded = params if isinstance(params, FoldedStream) else fold_stream(stream, prefix, params)
-        y, _ = conv_forward(x, folded.stem_w, folded.stem_b, _stem_spec(stream))
+        y, _ = conv_forward(x, folded.stem_w, _stem_spec(stream), folded.stem_b)
         np.maximum(y, 0, out=y)
         y, _ = maxpool_forward(y, _pool_spec(stream))
         for blk in folded.blocks:
             y, _ = residual_block_forward(y, blk)
         return global_average_pool(y)[0], []
-    y, c_conv = conv_forward(x, params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], _stem_spec(stream))
+    y, c_conv = conv_forward(x, params[f"{prefix}.stem.conv.w"], _stem_spec(stream))
     bn = _bn_state(params, f"{prefix}.stem.bn")
     y, c_bn = batchnorm_forward(y, bn, mode)
     y, _ = relu_forward(y)
@@ -353,8 +352,8 @@ def backward_stream(tape, grad_feat: np.ndarray) -> dict:
     (relu_pool_cache), routes the pool gradient and then the rectifier's
     through it, and releases it before batch norm's backward. The stream's
     input is raw waveform or frames, which nothing differentiates, so the
-    stem convolution forms its parameter gradients only (conv_backward
-    with input_grad=False) and no input gradient is returned.
+    stem convolution forms its weight gradient only (conv_backward with
+    input_grad=False) and no input gradient is returned.
     """
     if not tape:
         raise EvalTapeError(
@@ -382,7 +381,7 @@ def backward_stream(tape, grad_feat: np.ndarray) -> dict:
             # copy, made once the rectifier's buffer is free
             g = np.ascontiguousarray(g)
             grads[f"{name}.bn.gamma"], grads[f"{name}.bn.beta"], g = batchnorm_backward(c_bn, g)
-            grads[f"{name}.conv.w"], grads[f"{name}.conv.b"], _ = conv_backward(c_conv, g, input_grad=False)
+            grads[f"{name}.conv.w"], _ = conv_backward(c_conv, g, input_grad=False)
         else:
             raise ValueError(f"unknown tape entry {kind!r}")
     return grads

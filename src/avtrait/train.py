@@ -51,6 +51,7 @@ from .model import (
     forward_train,
     full_architecture,
     mini_architecture,
+    param_manifest,
     trainable_names,
     validate_params,
     with_out_dim,
@@ -201,16 +202,21 @@ def save_checkpoint(
     write_tensor_container(path, named, epoch=epoch, trailer=trailer)
 
 
-def _infer_architecture(params: dict):
+def _infer_architecture(path: str, params: dict):
+    """The known architecture the tensors fit; if none, the error names the
+    mismatch against the one whose tensor names differ least."""
+    mismatches = []
     for mini in (False, True):
         for out_dim in (5, 1):
             arch = (mini_architecture if mini else full_architecture)(out_dim=out_dim)
             try:
                 validate_params(arch, params)
-            except ValueError:
+            except ValueError as exc:
+                mismatches.append((len(set(params) ^ set(param_manifest(arch))), str(exc)))
                 continue
             return arch, mini
-    raise CheckpointManifestError("tensor names/shapes match no known architecture")
+    nearest = min(mismatches, key=lambda m: m[0])[1]
+    raise CheckpointManifestError(f"{path}: tensor names/shapes match no known architecture; nearest: {nearest}")
 
 
 def _counter(path: str, name: str, arr: np.ndarray, end: float = math.inf) -> int:
@@ -239,7 +245,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             trait = _counter(path, name, arr, len(TRAITS))
         else:
             params[name] = arr
-    arch, mini = _infer_architecture(params)
+    arch, mini = _infer_architecture(path, params)
     adam = None
     if moments_m:
         trainable = set(trainable_names(arch))

@@ -8,6 +8,7 @@ from avtrait import cli
 from avtrait import data as D
 from avtrait import rnn_head as R
 from avtrait import train as T
+from test_train import with_conv_biases
 
 
 def run(argv):
@@ -222,6 +223,13 @@ class TestEvalCommand:
         T.write_tensor_container(bad, named, epoch, trailer)
         assert run(["eval", "--checkpoint", bad, "--manifest", workspace["manifest"]]) == 2
         assert "adam.t" in capsys.readouterr().err
+
+    def test_checkpoint_with_convolution_biases_is_data_error(self, workspace, tmp_path, capsys):
+        epoch, named, trailer = T.read_tensor_container(workspace["ckpt"])
+        old = str(tmp_path / "old.ckpt")
+        T.write_tensor_container(old, with_conv_biases(named), epoch, trailer)
+        assert run(["eval", "--checkpoint", old, "--manifest", workspace["manifest"]]) == 2
+        assert "auditory.stage1.block1.conv1.b" in capsys.readouterr().err
 
 
 class TestPredictCommand:

@@ -72,15 +72,14 @@ class TestConvForward:
     def test_1d_delta_kernel_is_identity(self):
         x = np.array([[[1.5, -2.0, 3.25]]], dtype=np.float32)
         w = np.array([[[0.0, 1.0, 0.0]]], dtype=np.float32)
-        b = np.zeros(1, dtype=np.float32)
-        y, _ = L.conv_forward(x, w, b, L.ConvSpec((3,), (1,), (1,), 1, 1))
+        y, _ = L.conv_forward(x, w, L.ConvSpec((3,), (1,), (1,), 1, 1))
         np.testing.assert_array_equal(y, x)
 
     def test_zero_input_gives_constant_bias_map(self):
         x = np.zeros((1, 2, 6), dtype=np.float32)
         w = np.ones((3, 2, 3), dtype=np.float32)
         b = np.array([0.5, -1.0, 2.0], dtype=np.float32)
-        y, _ = L.conv_forward(x, w, b, L.ConvSpec((3,), (1,), (1,), 2, 3))
+        y, _ = L.conv_forward(x, w, L.ConvSpec((3,), (1,), (1,), 2, 3), b)
         for o in range(3):
             np.testing.assert_array_equal(y[0, o], np.full(6, b[o]))
 
@@ -89,7 +88,7 @@ class TestConvForward:
         x = rng.standard_normal((1, 3, 8, 8))
         w = rng.standard_normal((2, 3, 3, 3))
         b = rng.standard_normal(2)
-        y, _ = L.conv_forward(x, w, b, L.ConvSpec((3, 3), (2, 2), (1, 1), 3, 2))
+        y, _ = L.conv_forward(x, w, L.ConvSpec((3, 3), (2, 2), (1, 1), 3, 2), b)
         np.testing.assert_allclose(y, conv2d_loops(x, w, b, (2, 2), (1, 1)), rtol=1e-12)
 
     def test_1d_random_matches_loop_oracle(self):
@@ -97,27 +96,27 @@ class TestConvForward:
         x = rng.standard_normal((2, 2, 15))
         w = rng.standard_normal((4, 2, 5))
         b = rng.standard_normal(4)
-        y, _ = L.conv_forward(x, w, b, L.ConvSpec((5,), (3,), (2,), 2, 4))
+        y, _ = L.conv_forward(x, w, L.ConvSpec((5,), (3,), (2,), 2, 4), b)
         np.testing.assert_allclose(y, conv1d_loops(x, w, b, 3, 2), rtol=1e-12)
 
     def test_channel_mismatch_rejected(self):
         x = np.zeros((1, 2, 8), dtype=np.float32)
         w = np.zeros((1, 3, 3), dtype=np.float32)
         with pytest.raises(L.ShapeMismatchError):
-            L.conv_forward(x, w, np.zeros(1, np.float32), L.ConvSpec((3,), (1,), (1,), 3, 1))
+            L.conv_forward(x, w, L.ConvSpec((3,), (1,), (1,), 3, 1))
 
     def test_weight_mismatch_reports_both_shapes(self):
         x = np.zeros((1, 2, 8), dtype=np.float32)
         w = np.zeros((1, 2, 5), dtype=np.float32)
         with pytest.raises(L.ShapeMismatchError) as exc:
-            L.conv_forward(x, w, np.zeros(1, np.float32), L.ConvSpec((3,), (1,), (1,), 2, 1))
+            L.conv_forward(x, w, L.ConvSpec((3,), (1,), (1,), 2, 1))
         assert "(1, 2, 5)" in str(exc.value) and "(1, 2, 3)" in str(exc.value)
 
     def test_too_small_output_rejected(self):
         x = np.zeros((1, 1, 2), dtype=np.float32)
         w = np.zeros((1, 1, 5), dtype=np.float32)
         with pytest.raises(ValueError, match="extent"):
-            L.conv_forward(x, w, np.zeros(1, np.float32), L.ConvSpec((5,), (1,), (0,), 1, 1))
+            L.conv_forward(x, w, L.ConvSpec((5,), (1,), (0,), 1, 1))
 
     @pytest.mark.parametrize("ndim", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -128,9 +127,9 @@ class TestConvForward:
         w = rng.standard_normal((4, 2) + (3,) * ndim).astype(dtype)
         b = rng.standard_normal(4).astype(dtype)
         spec = L.ConvSpec((3,) * ndim, (stride,) * ndim, (1,) * ndim, 2, 4)
-        y, _ = L.conv_forward(x, w, b, spec)
+        y, _ = L.conv_forward(x, w, spec, b)
         monkeypatch.setattr(L, "COLUMN_BYTES", 1)
-        y1, _ = L.conv_forward(x, w, b, spec)
+        y1, _ = L.conv_forward(x, w, spec, b)
         assert y1.dtype == y.dtype == dtype
         np.testing.assert_array_equal(y1, y)
 
@@ -143,7 +142,7 @@ class TestConvForward:
         monkeypatch.setattr(L, "COLUMN_BYTES", sample_cols)  # one sample a slice
         tracemalloc.start()
         try:
-            L.conv_forward(x, w, np.zeros(4), spec)
+            L.conv_forward(x, w, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -185,9 +184,9 @@ class TestConvBackward:
         x = rng.standard_normal((2, 2, 6, 6))
         w = rng.standard_normal((3, 2, 3, 3))
         spec = L.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
-        y, cache = L.conv_forward(x, w, np.zeros(3), spec)
-        dw, db, dx = L.conv_backward(cache, np.zeros_like(y))
-        assert not dw.any() and not db.any() and not dx.any()
+        y, cache = L.conv_forward(x, w, spec)
+        dw, dx = L.conv_backward(cache, np.zeros_like(y))
+        assert not dw.any() and not dx.any()
 
     def test_1x1_conv_input_grad_matches_matmul_oracle(self):
         # a 1-extent kernel at stride 1 is a per-position channel mix, so
@@ -196,9 +195,9 @@ class TestConvBackward:
         x = rng.standard_normal((1, 3, 4, 4))
         w = rng.standard_normal((5, 3, 1, 1))
         spec = L.ConvSpec((1, 1), (1, 1), (0, 0), 3, 5)
-        y, cache = L.conv_forward(x, w, np.zeros(5), spec)
+        y, cache = L.conv_forward(x, w, spec)
         g = rng.standard_normal(y.shape)
-        _, _, dx = L.conv_backward(cache, g)
+        _, dx = L.conv_backward(cache, g)
         wm = w.reshape(5, 3)
         ref = np.einsum("bohw,oc->bchw", g, wm)
         np.testing.assert_allclose(dx, ref, rtol=1e-12)
@@ -206,7 +205,7 @@ class TestConvBackward:
     def test_grad_shape_mismatch_rejected(self):
         x = np.zeros((1, 1, 8), dtype=np.float32)
         w = np.zeros((1, 1, 3), dtype=np.float32)
-        _, cache = L.conv_forward(x, w, np.zeros(1, np.float32), L.ConvSpec((3,), (1,), (1,), 1, 1))
+        _, cache = L.conv_forward(x, w, L.ConvSpec((3,), (1,), (1,), 1, 1))
         with pytest.raises(L.ShapeMismatchError):
             L.conv_backward(cache, np.zeros((1, 1, 5), dtype=np.float32))
 
@@ -217,7 +216,7 @@ class TestConvBackward:
         x = rng.standard_normal((2, 4) + (12,) * ndim).astype(np.float32)
         w = rng.standard_normal((4, 4) + (3,) * ndim).astype(np.float32)
         spec = L.ConvSpec((3,) * ndim, (1,) * ndim, (1,) * ndim, 4, 4)
-        _, cache = L.conv_forward(x, w, np.zeros(4, np.float32), spec)
+        _, cache = L.conv_forward(x, w, spec)
         largest = max(a.nbytes for a in reachable_arrays(cache))
         assert largest <= max(x.nbytes, w.nbytes)
 
@@ -230,14 +229,13 @@ class TestConvBackward:
         x = rng.standard_normal((3, 2) + (9,) * ndim).astype(dtype)
         w = rng.standard_normal((4, 2) + (3,) * ndim).astype(dtype)
         spec = L.ConvSpec((3,) * ndim, (stride,) * ndim, (1,) * ndim, 2, 4)
-        y, cache = L.conv_forward(x, w, np.zeros(4, dtype), spec)
+        y, cache = L.conv_forward(x, w, spec)
         g = rng.standard_normal(y.shape).astype(dtype)
-        dw, db, dx = L.conv_backward(cache, g)
+        dw, dx = L.conv_backward(cache, g)
         monkeypatch.setattr(L, "COLUMN_BYTES", 1)
-        dw1, db1, dx1 = L.conv_backward(cache, g)
+        dw1, dx1 = L.conv_backward(cache, g)
         assert dw1.dtype == dx1.dtype == dw.dtype == dx.dtype == dtype
         np.testing.assert_allclose(dw1, dw, rtol=1e-12 if dtype == np.float64 else 1e-5)
-        np.testing.assert_array_equal(db1, db)
         np.testing.assert_array_equal(dx1, dx)
 
     def test_peak_stays_below_the_whole_batch_columns(self, monkeypatch):
@@ -245,7 +243,7 @@ class TestConvBackward:
         x = rng.standard_normal((8, 4, 32, 32))
         w = rng.standard_normal((4, 4, 3, 3))
         spec = L.ConvSpec((3, 3), (1, 1), (1, 1), 4, 4)
-        y, cache = L.conv_forward(x, w, np.zeros(4), spec)
+        y, cache = L.conv_forward(x, w, spec)
         g = rng.standard_normal(y.shape)
         sample_cols = w[0].size * 32 * 32 * g.itemsize
         monkeypatch.setattr(L, "COLUMN_BYTES", sample_cols)  # one sample a slice
@@ -265,9 +263,9 @@ class TestConvBackward:
         x = rng.standard_normal((2, 2, 5, 4))
         w = rng.standard_normal((3, 2, 2, 3))
         spec = L.ConvSpec((2, 3), (1, 1), (2, 1), 2, 3)
-        y, cache = L.conv_forward(x, w, np.zeros(3), spec)
+        y, cache = L.conv_forward(x, w, spec)
         g = rng.standard_normal(y.shape)
-        dw, _, dx = L.conv_backward(cache, g)
+        dw, dx = L.conv_backward(cache, g)
         lhs = float(np.sum(y * g))
         assert float(np.sum(x * dx)) == pytest.approx(lhs, rel=1e-12)
         assert float(np.sum(w * dw)) == pytest.approx(lhs, rel=1e-12)
@@ -281,19 +279,18 @@ class TestConvBackward:
         x = rng.standard_normal((3, 2) + (11,) * ndim).astype(dtype)
         w = rng.standard_normal((4, 2) + (3,) * ndim).astype(dtype)
         spec = L.ConvSpec((3,) * ndim, (stride,) * ndim, (1,) * ndim, 2, 4)
-        y, cache = L.conv_forward(x, w, rng.standard_normal(4).astype(dtype), spec)
+        y, cache = L.conv_forward(x, w, spec)
         g = rng.standard_normal(y.shape).astype(dtype)
         if sliced:
             monkeypatch.setattr(L, "COLUMN_BYTES", 1)
         forms = []
         unit_stride_grads = L._unit_stride_grads
         monkeypatch.setattr(L, "_unit_stride_grads", lambda *a: forms.append(a[-1]) or unit_stride_grads(*a))
-        dw, db, dx = L.conv_backward(cache, g)
-        dw0, db0, dx0 = L.conv_backward(cache, g, input_grad=False)
+        dw, dx = L.conv_backward(cache, g)
+        dw0, dx0 = L.conv_backward(cache, g, input_grad=False)
         assert forms == ([True, False] if stride == 1 else [])  # both forms are covered
         assert dx is not None and dx0 is None
         assert dw0.dtype == dw.dtype == dtype and dw0.tobytes() == dw.tobytes()
-        assert db0.dtype == db.dtype and db0.tobytes() == db.tobytes()
 
 
 @st.composite
@@ -380,7 +377,7 @@ class TestWindowProperties:
         x = rng.standard_normal(shape)
         w = rng.standard_normal((spec.out_channels, spec.in_channels) + spec.kernel)
         b = rng.standard_normal(spec.out_channels)
-        y, _ = L.conv_forward(x, w, b, spec)
+        y, _ = L.conv_forward(x, w, spec, b)
         np.testing.assert_allclose(y, conv_loops(x, w, b, spec), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("ndim", [1, 2])
@@ -392,15 +389,14 @@ class TestWindowProperties:
         x = rng.standard_normal(shape)
         w = rng.standard_normal((spec.out_channels, spec.in_channels) + spec.kernel)
         b = rng.standard_normal(spec.out_channels)
-        y, cache = L.conv_forward(x, w, b, spec)
+        y, cache = L.conv_forward(x, w, spec, b)
         g = rng.standard_normal(y.shape)
-        dw, db, dx = L.conv_backward(cache, g)
+        dw, dx = L.conv_backward(cache, g)
         assert dx.shape == x.shape and dw.shape == w.shape
         lhs = float(np.sum((y - b.reshape((1, -1) + (1,) * ndim)) * g))
         scale = float(np.sum(np.abs(y) * np.abs(g))) + 1.0
         assert abs(float(np.sum(x * dx)) - lhs) <= 1e-12 * scale
         assert abs(float(np.sum(w * dw)) - lhs) <= 1e-12 * scale
-        np.testing.assert_allclose(db, g.sum(axis=(0,) + tuple(range(2, 2 + ndim))), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("ndim", [1, 2])
     @settings(max_examples=40, deadline=None)
@@ -411,9 +407,9 @@ class TestWindowProperties:
         spec = dataclasses.replace(spec, stride=(1,) * ndim)
         x = rng.standard_normal(shape)
         w = rng.standard_normal((spec.out_channels, spec.in_channels) + spec.kernel)
-        y, cache = L.conv_forward(x, w, np.zeros(spec.out_channels), spec)
+        y, cache = L.conv_forward(x, w, spec)
         g = rng.standard_normal(y.shape)
-        dw, _, dx = L.conv_backward(cache, g)
+        dw, dx = L.conv_backward(cache, g)
         want_dw, want_dx = unit_stride_grads_einsum(x, w, g, spec)
         np.testing.assert_allclose(dw, want_dw, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
@@ -440,8 +436,8 @@ class TestDimensionalCorrespondence:
         x = rng.standard_normal((2, 3, 17)).astype(np.float32)
         w = rng.standard_normal((4, 3, 5)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        y1, _ = L.conv_forward(x, w, b, L.ConvSpec((5,), (2,), (2,), 3, 4))
-        y2, _ = L.conv_forward(x[..., None], w[..., None], b, L.ConvSpec((5, 1), (2, 1), (2, 0), 3, 4))
+        y1, _ = L.conv_forward(x, w, L.ConvSpec((5,), (2,), (2,), 3, 4), b)
+        y2, _ = L.conv_forward(x[..., None], w[..., None], L.ConvSpec((5, 1), (2, 1), (2, 0), 3, 4), b)
         np.testing.assert_array_equal(y1, y2[..., 0])
 
     def test_k_squared_kernel_tiling_equality(self):
@@ -453,10 +449,10 @@ class TestDimensionalCorrespondence:
         img = rng.standard_normal((1, C, m * n, n)).astype(np.float32)
         w2 = rng.standard_normal((O, C, n, n)).astype(np.float32)
         b = rng.standard_normal(O).astype(np.float32)
-        y2, _ = L.conv_forward(img, w2, b, L.ConvSpec((n, n), (n, n), (0, 0), C, O))
+        y2, _ = L.conv_forward(img, w2, L.ConvSpec((n, n), (n, n), (0, 0), C, O), b)
         flat = img.reshape(1, C, m * n * n)
         w1 = w2.reshape(O, C, n * n)
-        y1, _ = L.conv_forward(flat, w1, b, L.ConvSpec((n * n,), (n * n,), (0,), C, O))
+        y1, _ = L.conv_forward(flat, w1, L.ConvSpec((n * n,), (n * n,), (0,), C, O), b)
         np.testing.assert_array_equal(y1.reshape(-1), y2.reshape(-1))
 
 
@@ -739,8 +735,7 @@ def random_bn(rng, c):
 
 
 def make_block(rng, kind, ndim=2, in_ch=3, out_ch=None, zero_main=False, affine=False):
-    """A block with unit batch norm and zero biases, or with `affine` random
-    batch-norm states and conv biases."""
+    """A block with unit batch norm, or with `affine` random batch-norm states."""
     out_ch = out_ch or (in_ch if kind == "identity" else in_ch + 2)
     stride = (1,) * ndim if kind == "identity" else (2,) * ndim
     kernel = (3,) * ndim
@@ -750,20 +745,14 @@ def make_block(rng, kind, ndim=2, in_ch=3, out_ch=None, zero_main=False, affine=
     def bn(c):
         return random_bn(rng, c) if affine else L.BatchNormState(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
 
-    def bias(c):
-        return rng.standard_normal(c) * 0.2 if affine else np.zeros(c)
-
     return L.ResidualBlockParams(
         conv1_w=rng.standard_normal((out_ch, in_ch) + kernel) * scale,
-        conv1_b=bias(out_ch),
         bn1=bn(out_ch),
         spec1=L.ConvSpec(kernel, stride, pad, in_ch, out_ch),
         conv2_w=rng.standard_normal((out_ch, out_ch) + kernel) * scale,
-        conv2_b=bias(out_ch),
         bn2=bn(out_ch),
         spec2=L.ConvSpec(kernel, (1,) * ndim, pad, out_ch, out_ch),
         shortcut_w=(rng.standard_normal((out_ch, in_ch) + (1,) * ndim) * 0.5 if kind == "projection" else None),
-        shortcut_b=(bias(out_ch) if kind == "projection" else None),
         shortcut_spec=(
             L.ConvSpec((1,) * ndim, stride, (0,) * ndim, in_ch, out_ch) if kind == "projection" else None
         ),
@@ -773,11 +762,11 @@ def make_block(rng, kind, ndim=2, in_ch=3, out_ch=None, zero_main=False, affine=
 def composed_eval_block(x, blk):
     """An eval-mode residual block from unfolded layers: conv_forward ->
     batchnorm_forward(..., "eval") -> relu_forward, twice, plus the shortcut."""
-    h1, _ = L.conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
+    h1, _ = L.conv_forward(x, blk.conv1_w, blk.spec1)
     r1, _ = L.relu_forward(L.batchnorm_forward(h1, blk.bn1, "eval")[0])
-    h2, _ = L.conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
+    h2, _ = L.conv_forward(r1, blk.conv2_w, blk.spec2)
     n2, _ = L.batchnorm_forward(h2, blk.bn2, "eval")
-    sc = x if blk.shortcut_w is None else L.conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)[0]
+    sc = x if blk.shortcut_w is None else L.conv_forward(x, blk.shortcut_w, blk.shortcut_spec)[0]
     return L.relu_forward(n2 + sc)[0]
 
 
@@ -794,13 +783,13 @@ def cast_block(blk, dtype):
 def keep_all_block_forward(x, blk):
     """A train-mode residual block from the public layer functions whose
     cache keeps every activation: conv2's input and both rectifier outputs too."""
-    h1, c_conv1 = L.conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
+    h1, c_conv1 = L.conv_forward(x, blk.conv1_w, blk.spec1)
     n1, c_bn1 = L.batchnorm_forward(h1, blk.bn1, "train")
     r1, c_relu1 = L.relu_forward(n1)
-    h2, c_conv2 = L.conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
+    h2, c_conv2 = L.conv_forward(r1, blk.conv2_w, blk.spec2)
     n2, c_bn2 = L.batchnorm_forward(h2, blk.bn2, "train")
     if blk.shortcut_w is not None:
-        sc, c_sc = L.conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)
+        sc, c_sc = L.conv_forward(x, blk.shortcut_w, blk.shortcut_spec)
     else:
         sc, c_sc = x, None
     y, c_out = L.relu_forward(n2 + sc)
@@ -812,12 +801,12 @@ def keep_all_block_backward(cache, grad_out):
     g = L.relu_backward(c_out, grad_out)
     grads = {}
     grads["bn2.gamma"], grads["bn2.beta"], dh2 = L.batchnorm_backward(c_bn2, g)
-    grads["conv2.w"], grads["conv2.b"], dr1 = L.conv_backward(c_conv2, dh2)
+    grads["conv2.w"], dr1 = L.conv_backward(c_conv2, dh2)
     grads["bn1.gamma"], grads["bn1.beta"], dh1 = L.batchnorm_backward(c_bn1, L.relu_backward(c_relu1, dr1))
-    grads["conv1.w"], grads["conv1.b"], dx = L.conv_backward(c_conv1, dh1)
+    grads["conv1.w"], dx = L.conv_backward(c_conv1, dh1)
     if c_sc is None:
         return grads, dx + g
-    grads["shortcut.w"], grads["shortcut.b"], dsc = L.conv_backward(c_sc, g)
+    grads["shortcut.w"], dsc = L.conv_backward(c_sc, g)
     return grads, dx + dsc
 
 
@@ -892,10 +881,10 @@ class TestBatchNormFold:
         spec = L.ConvSpec((7,) * ndim, (2,) * ndim, (3,) * ndim, 3, 4)
         x = rng.standard_normal((2, 3) + (15,) * ndim)
         w = rng.standard_normal((4, 3) + spec.kernel) * 0.2
-        b = rng.standard_normal(4) * 0.2
         state = random_bn(rng, 4)
-        y, _ = L.conv_forward(x, *L.fold_batchnorm(w, b, state), spec)
-        h, _ = L.conv_forward(x, w, b, spec)
+        wf, bf = L.fold_batchnorm(w, state)
+        y, _ = L.conv_forward(x, wf, spec, bf)
+        h, _ = L.conv_forward(x, w, spec)
         ref, _ = L.relu_forward(L.batchnorm_forward(h, state, "eval")[0])
         np.testing.assert_allclose(np.maximum(y, 0.0), ref, rtol=1e-10)
 
@@ -929,12 +918,12 @@ class TestResidualBlock:
         blk = make_block(rng, "projection")
         y, _ = L.residual_block_forward(x, blk)
 
-        h1, _ = L.conv_forward(x, blk.conv1_w, blk.conv1_b, blk.spec1)
+        h1, _ = L.conv_forward(x, blk.conv1_w, blk.spec1)
         n1, _ = L.batchnorm_forward(h1, make_block(rng64(27), "projection").bn1, "train")
         r1 = np.maximum(n1, 0.0)
-        h2, _ = L.conv_forward(r1, blk.conv2_w, blk.conv2_b, blk.spec2)
+        h2, _ = L.conv_forward(r1, blk.conv2_w, blk.spec2)
         n2, _ = L.batchnorm_forward(h2, make_block(rng64(27), "projection").bn2, "train")
-        sc, _ = L.conv_forward(x, blk.shortcut_w, blk.shortcut_b, blk.shortcut_spec)
+        sc, _ = L.conv_forward(x, blk.shortcut_w, blk.shortcut_spec)
         ref = np.maximum(n2 + sc, 0.0)
         np.testing.assert_allclose(y, ref, rtol=1e-10)
 
@@ -944,20 +933,24 @@ class TestResidualBlock:
         with pytest.raises(ValueError, match="identity"):
             L.ResidualBlockParams(
                 conv1_w=blk.conv1_w,
-                conv1_b=blk.conv1_b,
                 bn1=blk.bn1,
                 spec1=L.ConvSpec((3, 3), (2, 2), (1, 1), 3, 3),
                 conv2_w=blk.conv2_w,
-                conv2_b=blk.conv2_b,
                 bn2=blk.bn2,
                 spec2=blk.spec2,
             )
 
-    @pytest.mark.parametrize("missing", ["shortcut_b", "shortcut_spec"])
-    def test_projection_needs_its_shortcut_bias_and_spec(self, missing):
+    def test_projection_needs_its_shortcut_spec(self):
         blk = make_block(rng64(28), "projection")
         with pytest.raises(ValueError, match="projection block needs shortcut"):
-            dataclasses.replace(blk, **{missing: None})
+            dataclasses.replace(blk, shortcut_spec=None)
+
+    @pytest.mark.parametrize("bias", ["conv1_b", "conv2_b"])
+    def test_a_convolution_before_a_batch_norm_refuses_a_bias(self, bias):
+        # conv_backward forms no bias gradient, so the bias would never train
+        blk = make_block(rng64(28), "identity")
+        with pytest.raises(ValueError, match="carries no bias"):
+            dataclasses.replace(blk, **{bias: np.zeros(blk.spec1.out_channels)})
 
 
 class TestLstmStep:

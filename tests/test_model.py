@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import tracemalloc
@@ -11,6 +12,7 @@ from avtrait import rnn_head as R
 from avtrait import train as T
 from avtrait import layers as L
 from avtrait.layers import linear_forward, scaled_tanh
+from avtrait.optim import mae_loss
 from test_layers import (
     composed_eval_block,
     distinct_buffers,
@@ -59,7 +61,7 @@ class TestBuildNetwork:
         arch = M.mini_architecture()
         params = M.build_network(arch, 5)
         assert not params["fusion.b"].any()
-        assert not params["auditory.stem.conv.b"].any()
+        assert [n for n in params if n.endswith(".b")] == ["fusion.b"]  # no convolution has a bias
         assert (params["visual.stem.bn.gamma"] == 1).all()
         assert not params["visual.stem.bn.beta"].any()
         assert not params["visual.stem.bn.running_mean"].any()
@@ -80,6 +82,11 @@ class TestArchitectureManifest:
                 name, shape = line.split()
                 golden[name] = tuple(int(s) for s in shape.split(","))
         assert param_dict(builder()) == golden
+
+    @pytest.mark.parametrize("builder,tensors,trainable", [(M.full_architecture, 178, 110), (M.mini_architecture, 98, 62)])
+    def test_tensor_counts(self, builder, tensors, trainable):
+        assert len(param_dict(builder())) == tensors
+        assert len(M.trainable_names(builder())) == trainable
 
     def test_seventeen_conv_layers_per_stream(self):
         m = param_dict(M.full_architecture())
@@ -293,7 +300,7 @@ def keep_all_stream_forward(x, stream, prefix, params):
     keeps every activation: the stem's rectifier output and the pool's padded
     input as well, and keep_all_block_forward caches."""
     tape = []
-    y, c = L.conv_forward(x, params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], M._stem_spec(stream))
+    y, c = L.conv_forward(x, params[f"{prefix}.stem.conv.w"], M._stem_spec(stream))
     tape.append(("conv", f"{prefix}.stem.conv", c))
     y, c = L.batchnorm_forward(y, M._bn_state(params, f"{prefix}.stem.bn"), "train")
     tape.append(("bn", f"{prefix}.stem.bn", c))
@@ -324,7 +331,7 @@ def keep_all_stream_backward(tape, g) -> dict:
         elif kind == "bn":
             grads[f"{name}.gamma"], grads[f"{name}.beta"], g = L.batchnorm_backward(cache, g)
         else:
-            grads[f"{name}.w"], grads[f"{name}.b"], g = L.conv_backward(cache, g)
+            grads[f"{name}.w"], g = L.conv_backward(cache, g)
     return grads
 
 
@@ -510,6 +517,32 @@ class TestBackward:
                 numeric = (fp - fm) / 2e-5
                 worst = max(worst, fd_rel_err(grads[name].reshape(-1)[i], numeric))
         assert worst <= 1e-4
+
+
+class TestFirstStepDigest:
+    # Computed at commit 57f593a, whose convolutions still carried biases,
+    # hashing only the gradients of the tensors that remain. Those biases
+    # started at zero and drew no random numbers, so dropping them leaves
+    # the first step bitwise unchanged.
+    DIGEST = "2d0bf227428c106b593bf101cac922b74ee27b78bb7cedcd8240dc5e873a0236"
+
+    def test_predictions_loss_and_gradients_match_the_pinned_digest(self):
+        arch = M.mini_architecture()
+        params = M.build_network(arch, 21)
+        rng = rng64(22)
+        audio = rng.standard_normal((4, 1, 1024)).astype(np.float32)
+        frames = rng.random((4, 3, 32, 32), dtype=np.float32)
+        target = rng.random((4, 5), dtype=np.float32)
+        pred, tape = M.forward_train(arch, params, audio, frames)
+        loss, dpred = mae_loss(pred, target)
+        grads = M.backward(tape, dpred)
+        assert set(grads) == set(M.trainable_names(arch))
+        h = hashlib.sha256(pred.tobytes())
+        h.update(np.float64(loss).tobytes())
+        for name in sorted(grads):
+            h.update(name.encode())
+            h.update(grads[name].tobytes())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestForwardInfer:
@@ -767,7 +800,7 @@ class TestFrameBatches:
 
 def unfolded_stream(x, stream, prefix, params):
     """An eval-mode stream from unfolded layers, batch norm as its own pass."""
-    y, _ = L.conv_forward(x, params[f"{prefix}.stem.conv.w"], params[f"{prefix}.stem.conv.b"], M._stem_spec(stream))
+    y, _ = L.conv_forward(x, params[f"{prefix}.stem.conv.w"], M._stem_spec(stream))
     y, _ = L.relu_forward(L.batchnorm_forward(y, M._bn_state(params, f"{prefix}.stem.bn"), "eval")[0])
     y, _ = L.maxpool_forward(y, M._pool_spec(stream))
     for layout in M._block_layout(stream):

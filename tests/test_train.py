@@ -141,6 +141,16 @@ class TestTensorContainer:
         assert os.listdir(str(tmp_path)) == ["t.ckpt"]
 
 
+def with_conv_biases(named: dict) -> dict:
+    """`named` plus a zero bias beside every convolution weight, as the
+    manifest once had: each stem, conv1, conv2 and shortcut bias."""
+    out = dict(named)
+    for name, w in named.items():
+        if name.endswith(".w") and "fusion" not in name:
+            out[name[:-1] + "b"] = np.zeros(w.shape[0], np.float32)
+    return out
+
+
 def _small_checkpoint(path):
     arch = M.mini_architecture()
     params = M.build_network(arch, 0)
@@ -182,6 +192,12 @@ class TestCheckpoint:
         path = str(tmp_path / "c.ckpt")
         T.write_tensor_container(path, params)
         with pytest.raises(T.CheckpointManifestError):
+            T.load_checkpoint(path)
+
+    def test_convolution_biases_are_named(self, tmp_path):
+        path = str(tmp_path / "c.ckpt")
+        T.save_checkpoint(path, 4, with_conv_biases(self.make_state()[1]))
+        with pytest.raises(T.CheckpointManifestError, match=r"extra=\['auditory\.stage1\.block1\.conv1\.b'"):
             T.load_checkpoint(path)
 
     def test_full_architecture_detected(self, tmp_path):
