@@ -500,7 +500,6 @@ def synth_clip(rng: np.random.Generator, seconds: float = 2.0, height: int = 48,
         np.add(still, wobble[lo : lo + step, None, None, None], out=block)
         block *= 255.0
         np.round(block, out=block)
-        np.clip(block, 0, 255, out=block)
         frames[lo : lo + step] = block
         sums.append(unit_frames(frames[lo : lo + step]).sum(axis=(0, 2, 3), dtype=np.float64))
     means = [math.fsum(part[c] for part in sums) / (T * height * width) for c in range(3)]

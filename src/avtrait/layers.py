@@ -11,16 +11,22 @@ training loop).
 ``_windows``: it pads the input once and views it as ``(B, C, *out,
 *kernel)`` sliding windows. Convolution copies that view into channel-major
 columns, ``cols`` of shape ``(B, Cin * prod(kernel), prod(out))``, so one
-product with the flattened weight gives ``(B, Cout, *out)`` directly;
-pooling takes a running maximum over the kernel offsets.
+product with the flattened weight gives ``(B, Cout, *out)`` directly.
+``maxpool_forward`` takes a running maximum over the kernel offsets of a
+-inf padded copy, which its cache keeps for ``maxpool_backward``;
+``maxpool``, for a forward that keeps no pool cache, takes it one axis at a
+time on the unpadded input.
 
 Both convolution directions work in slices of b batch samples whose
 columns take at most ``COLUMN_BYTES`` (``_slice_samples``), or of one
-sample; every eval call fits in one slice. The window view is built with
-the plain ndarray constructor over its padded buffer, which checks that it
-stays inside that buffer, and a zero padding is allocated zero-filled; only
-max pooling fills its padding with -inf. A training tape keeps layer
-inputs, not columns: the convolution cache is the list ``[x, w, spec]``.
+sample. A forward sample whose own columns exceed ``COLUMN_BYTES``, as in
+an eval pass over a whole canonical frame or a 15 s waveform, is built and
+multiplied in bands of output rows of at most ``BAND_BYTES``. The window
+view is built with the plain ndarray constructor over its padded buffer,
+which checks that it stays inside that buffer, and a zero padding is
+allocated zero-filled; only the pool caches fill theirs with -inf. A
+training tape keeps layer inputs, not columns: the convolution cache is
+the list ``[x, w, spec]``.
 Convolution backward takes one of two forms. With unit strides and padding
 below the kernel, the transpose is a full correlation with the flipped
 kernel: one build of grad_out's columns, laid out ``(Cout * prod(kernel),
@@ -168,7 +174,8 @@ def _axes(first: int, n: int) -> tuple:
 # convolution (cross-correlation, zero padding)
 
 # conv_forward and conv_backward build columns for a few batch samples at a
-# time: at most this many bytes of them, and at least one sample. glibc
+# time: at most this many bytes of them, and at least one sample, which
+# conv_forward builds in bands when it alone exceeds them (BAND_BYTES). glibc
 # serves a buffer of this size from its heap again on the next call, where a
 # whole-batch one (59 MB for the visual stem at batch 8) is mapped afresh and
 # page-faulted every time. On a 2-core x86-64 VM this made the batch-8 stem
@@ -182,6 +189,29 @@ def _axes(first: int, n: int) -> tuple:
 # mini-network weight gradient moved by up to 4.5e-08. Changing this value
 # or the slice rule therefore moves trained parameters in their last bits.
 COLUMN_BYTES = 8 << 20
+
+# A sample whose own columns exceed COLUMN_BYTES (an eval pass at real sizes:
+# 17.2 MB for a canonical 256x456 frame's visual stem, 8.4 MB for each of its
+# stage-1 convolutions, 11.8 MB for a 15 s waveform's stem) is built and
+# multiplied in bands of whole output rows (positions, in 1-d) of at most
+# this many bytes of columns: as few bands as fit, of equal rows but the
+# last. With the stems' pool taken before their shift and rectifier, this
+# took the eval tracemalloc peak of a canonical frame from 22.4 to 6.6 MB
+# and of a 15 s waveform from 32.6 to 9.6 MB. Bands cost time in a loop on
+# one input (on a 2-core x86-64 VM the canonical stem took 6.35 ms at this
+# size, 5.72 ms whole and 7.73 ms at 256 KB); 2 MB bands were 3-5% faster
+# than these but level end to end (clip_infer pass_norm_s 2.94 vs 2.84 s,
+# lower in 4 of 6 pairs) for 1 MB more at every peak.
+# A band changes only its product's N, and OpenBLAS does not promise the
+# same bits across N: bands of 1-100 positions of the 15 s stem differed
+# from one product by up to 1.4e-6, and full bands with a short last one
+# did at 4 of 61 waveform lengths. Equal bands were bitwise one product at
+# all 64 waveform lengths of 10.7-33 s tried and at every frame of even
+# width, canonical included; rows of odd width were not (301x333 and
+# 470x393 frames' stems, a 100x101 stage-1 map: up to 1.2e-6, with
+# OpenBLAS 0.3.31). It is its own constant, not COLUMN_BYTES, so that a
+# one-byte COLUMN_BYTES still multiplies each small sample whole.
+BAND_BYTES = 1 << 20
 
 
 def _slice_samples(sample_bytes: int) -> int:
@@ -208,12 +238,15 @@ def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, b: Optional[np.nd
     x: (B, Cin, L) for 1-d specs or (B, Cin, H, W) for 2-d specs.
     w: (Cout, Cin, *kernel). b is a folded eval convolution's batch-norm
     shift (fold_batchnorm). Returns (y, cache). The columns are built and
-    multiplied one batch slice of at most COLUMN_BYTES (or one sample) at a
-    time, each slice's product written into its rows of y. The cache is
-    the list [x, w, spec]: the columns are a transient of this call, and
-    conv_backward reads x again, which must not change before it runs. A
-    caller that can rebuild x may drop ``cache[0]`` after this call and
-    put x back before conv_backward, passing the same list.
+    multiplied one batch slice of at most COLUMN_BYTES at a time, each
+    slice's product written into its rows of y. A sample whose own columns
+    exceed COLUMN_BYTES runs alone, in bands of whole output rows
+    (positions, in 1-d) of at most BAND_BYTES of columns, each band's
+    product written into its columns of y. The cache is the list [x, w,
+    spec]: the columns are a transient of this call, and conv_backward
+    reads x again, which must not change before it runs. A caller that can
+    rebuild x may drop ``cache[0]`` after this call and put x back before
+    conv_backward, passing the same list.
     """
     if x.ndim != spec.ndim + 2:
         raise ShapeMismatchError("conv input rank", x.shape, ("B", spec.in_channels) + spec.kernel)
@@ -234,12 +267,19 @@ def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, b: Optional[np.nd
     # cols, one row per (channel, *kernel) and one column per window, and
     # the weight product comes out channel-major with no transpose.
     order = (0, 1) + _axes(2 + nd, nd) + _axes(2, nd)
-    step = _slice_samples(K * P * x.itemsize)
+    sample_bytes = K * P * x.itemsize
+    row = P // outs[0]  # windows per output row
+    step, rows = _slice_samples(sample_bytes), outs[0]
+    if sample_bytes > COLUMN_BYTES:
+        # as few bands as BAND_BYTES allows, of equal rows but the last
+        cap = max(1, BAND_BYTES // (K * row * x.itemsize))
+        rows = -(-outs[0] // -(-outs[0] // cap))
     y = np.empty((B, spec.out_channels, P), np.result_type(w, x))
     for lo in range(0, B, step):
-        cols = np.ascontiguousarray(win[lo : lo + step].transpose(order)).reshape(-1, K, P)
-        np.matmul(wf, cols, out=y[lo : lo + step])
-        del cols  # before the next slice's columns are built
+        for r in range(0, outs[0], rows):
+            cols = np.ascontiguousarray(win[lo : lo + step, :, r : r + rows].transpose(order))
+            np.matmul(wf, cols.reshape(len(cols), K, -1), out=y[lo : lo + step, :, r * row : (r + rows) * row])
+            del cols  # before the next band's columns are built
     if b is not None:
         y += b[:, None]
     return y.reshape((B, spec.out_channels) + outs), [x, w, spec]
@@ -475,6 +515,13 @@ def batchnorm_backward(cache, grad_out: np.ndarray):
 # ---------------------------------------------------------------------------
 # pooling
 
+def _check_pool(x: np.ndarray, spec: ConvSpec):
+    if x.ndim != spec.ndim + 2:
+        raise ShapeMismatchError("maxpool input rank", x.shape, spec.kernel)
+    if any(p >= k for p, k in zip(spec.padding, spec.kernel)):
+        raise ValueError("maxpool padding must be < kernel so every window sees data")
+
+
 def maxpool_forward(x: np.ndarray, spec: ConvSpec):
     """Per-window maximum with -inf padding semantics.
 
@@ -482,17 +529,67 @@ def maxpool_forward(x: np.ndarray, spec: ConvSpec):
     window view of x's -inf padded copy, about x's size, and y itself, so
     the backward pass can find each window's maximum again.
     """
-    if x.ndim != spec.ndim + 2:
-        raise ShapeMismatchError("maxpool input rank", x.shape, spec.kernel)
-    if any(p >= k for p, k in zip(spec.padding, spec.kernel)):
-        raise ValueError("maxpool padding must be < kernel so every window sees data")
-
+    _check_pool(x, spec)
     _, win = _windows(x.shape, spec, -np.inf, x.dtype, x)
     offsets = list(np.ndindex(spec.kernel))
     y = win[(Ellipsis,) + offsets[0]].copy()
     for k in offsets[1:]:
         np.maximum(y, win[(Ellipsis,) + k], out=y)
     return y, (win, y, x.shape, spec)
+
+
+def maxpool(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """maxpool_forward's output, bitwise, with no cache and no padded copy.
+
+    Takes a running maximum along one spatial axis at a time, on the
+    unpadded input: each kernel offset is one strided slice of it, met by
+    the outputs whose window holds that offset inside the input
+    (`_pool_plan`). A maximum is exact, so neither the order of the offsets
+    nor that of the axes changes a value. For a forward that nothing
+    differentiates through the pool, or whose backward rebuilds the cache
+    (relu_pool_cache).
+    """
+    _check_pool(x, spec)
+    _check_out_extents(x.shape[2:], spec)
+    y = x
+    for axis, geometry in enumerate(zip(spec.kernel, spec.stride, spec.padding), start=2):
+        m, first, rest = _pool_plan(y.shape[axis], *geometry, y.ndim - 1 - axis)
+        if first is None:
+            out = np.full(y.shape[:axis] + (m,) + y.shape[axis + 1 :], -np.inf, y.dtype)
+        else:
+            out = y[first].copy()
+        for o, i in rest:
+            np.maximum(out[o], y[i], out=out[o])
+        y = out
+    return y
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_plan(n: int, k: int, s: int, p: int, trailing: int):
+    """Max pooling along one axis of extent n that has `trailing` axes after it.
+
+    Returns (m, first, rest), m being the pooled extent. Kernel offset j
+    meets input o * s - p + j of output o, which lies inside the axis for
+    the outputs lo..hi-1; that is one pair of index tuples, (those outputs,
+    their inputs as one strided slice). `first` is the input index of the
+    first offset that lies inside for every output, None if none does (only
+    where 2p >= k); `rest` pairs every other offset that meets an input.
+    The last 64 geometries are cached: an audio stream's extent follows its
+    clip's length, so a bounded cache keeps a long scoring run bounded.
+    """
+    m = out_extent(n, k, s, p)
+    tail = (slice(None),) * trailing
+    first, rest = None, []
+    for j in range(k):
+        lo, hi = max(0, -((j - p) // s)), min(m, (n - 1 + p - j) // s + 1)
+        if lo >= hi:
+            continue
+        into = (Ellipsis, slice(lo * s - p + j, (hi - 1) * s - p + j + 1, s)) + tail
+        if first is None and (lo, hi) == (0, m):
+            first = into
+        else:
+            rest.append(((Ellipsis, slice(lo, hi)) + tail, into))
+    return m, first, tuple(rest)
 
 
 def relu_pool_cache(bn_cache, beta, y, spec: ConvSpec):

@@ -52,8 +52,8 @@ from .layers import (
     global_average_pool_backward,
     linear_backward,
     linear_forward,
+    maxpool,
     maxpool_backward,
-    maxpool_forward,
     out_extent,
     relu_backward,
     relu_forward,
@@ -306,23 +306,28 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     """Run one stream to its pooled feature vector; returns ((B, C), tape).
 
     Eval mode runs the convolutions with batch norm folded in, keeps no
-    layer cache and returns an empty tape. Its `params` may be
-    fold_stream's result instead of the parameter dict, so that a caller
-    running many inputs folds once.
+    layer cache and returns an empty tape. Its stem pools the convolution's
+    product before adding the folded shift and rectifying, with the bits of
+    the other order. Its `params` may be fold_stream's result instead of
+    the parameter dict, so that a caller running many inputs folds once.
 
-    Train mode's tape is a "stem" entry, one "block" entry per residual
-    block and a "gap" entry, and keeps each activation once. The stem
-    keeps its convolution's input, its batch norm's x-hat and the pool
-    output; not the rectifier's output nor the pool's padded input, which
-    backward_stream rebuilds from x-hat. A block keeps what
+    Both modes pool with the cache-free `maxpool`. Train mode's tape is a
+    "stem" entry, one "block" entry per residual block and a "gap" entry,
+    and keeps each activation once. The stem keeps its convolution's input,
+    its batch norm's x-hat and the pool output; not the rectifier's output,
+    which backward_stream rebuilds from x-hat. A block keeps what
     residual_block_forward says. Every gamma and beta must stay unchanged
     until backward_stream has run.
     """
     if mode == "eval":
         folded = params if isinstance(params, FoldedStream) else fold_stream(stream, prefix, params)
-        y, _ = conv_forward(x, folded.stem_w, _stem_spec(stream), folded.stem_b)
+        y, _ = conv_forward(x, folded.stem_w, _stem_spec(stream))
+        # x + b rounds monotonically in x, and max(x, 0) is monotone, so
+        # both commute with the pool's maximum: pooled first, they touch a
+        # quarter of the elements and give the same bits
+        y = maxpool(y, _pool_spec(stream))
+        y += folded.stem_b.reshape((-1,) + (1,) * stream.ndim)
         np.maximum(y, 0, out=y)
-        y, _ = maxpool_forward(y, _pool_spec(stream))
         for blk in folded.blocks:
             y, _ = residual_block_forward(y, blk)
         return global_average_pool(y)[0], []
@@ -331,7 +336,7 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     y, c_bn = batchnorm_forward(y, bn, mode)
     y, _ = relu_forward(y)
     pool_spec = _pool_spec(stream)
-    y, _ = maxpool_forward(y, pool_spec)
+    y = maxpool(y, pool_spec)
     tape = [("stem", f"{prefix}.stem", (c_conv, c_bn, bn.beta, y, pool_spec))]
     for name, in_ch, out_ch, stride in _block_layout(stream):
         blk = _block_params(stream, prefix, name, in_ch, out_ch, stride, params)
@@ -497,9 +502,10 @@ def _fsum_mean(rows: list) -> np.ndarray:
 # frame. On a 2-core x86-64 VM a miniature 64x64 frame, whose 17 small
 # convolutions are mostly call overhead, took 0.84 ms alone, 0.38 ms in a
 # batch of 6 (this budget) and 0.31 ms in a batch of 13 (8 MB); 8 MB also
-# doubled the working set of inference on 64x64 frames. A canonical 256x456 frame has 17 MB of stem
-# columns, so it still runs alone and whole-clip inference keeps its
-# one-frame peak.
+# doubled the working set of inference on 64x64 frames. A canonical 256x456
+# frame has 17 MB of stem columns, so it still runs alone. conv_forward
+# builds those in bands of at most layers.BAND_BYTES, so the frame's eval
+# pass peaks at 6.6 MB (tracemalloc) while its stem output is pooled.
 FRAME_BATCH_BYTES = 4 << 20
 
 

@@ -580,6 +580,19 @@ class TestSynthClipBlocks:
         assert clip.frame_count == frame_count
         assert seen == [[math.fsum(unit[:, c].ravel().tolist()) / unit[:, c].size for c in range(3)]]
 
+    def test_pixels_lie_inside_the_u8_range_by_the_constants(self):
+        # A pixel is base + gradient * proj + wobble, times 255: base lies in
+        # [_BASE_LO, _BASE_HI], |proj| <= sqrt(2) / 2 as |gx|, |gy| < 1/2,
+        # and |wobble| <= its amplitude. So no pixel needs clipping to u8.
+        reach = D._GRADIENT_AMPLITUDE * math.sqrt(0.5) + D._WOBBLE_AMPLITUDE
+        lo, hi = 255.0 * (D._BASE_LO - reach), 255.0 * (D._BASE_HI + reach)
+        assert 0.0 <= lo and hi <= 255.0
+        assert (round(lo, 1), round(hi, 1)) == (35.3, 219.7)
+        rng = np.random.Generator(np.random.PCG64(6))
+        for _ in range(40):
+            frames = D.synth_clip(rng, 0.2, 9, 11).frames
+            assert math.floor(lo) <= frames.min() and frames.max() <= math.ceil(hi)
+
     def test_peak_memory_is_bounded_by_the_frames(self):
         rng = np.random.Generator(np.random.PCG64(5))
         tracemalloc.start()

@@ -150,6 +150,48 @@ class TestConvForward:
         # the whole batch's columns
         assert peak < 8 * sample_cols, (peak, 8 * sample_cols)
 
+    # the eval convolutions whose one sample's columns exceed COLUMN_BYTES:
+    # a canonical 256x456 frame's visual stem and a stage-1 conv after its
+    # pool, and a 15 s waveform's auditory stem
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, spec",
+        [
+            ((1, 3, 256, 456), (32, 3, 7, 7), L.ConvSpec((7, 7), (2, 2), (3, 3), 3, 32)),
+            ((1, 32, 64, 114), (32, 32, 3, 3), L.ConvSpec((3, 3), (1, 1), (1, 1), 32, 32)),
+            ((1, 1, 240000), (32, 1, 49), L.ConvSpec((49,), (4,), (24,), 1, 32)),
+            # 80399 positions: bands of as many as fit would leave a last one of 164
+            ((1, 1, 321595), (32, 1, 49), L.ConvSpec((49,), (4,), (24,), 1, 32)),
+        ],
+        ids=["visual-stem", "visual-stage1", "auditory-stem", "auditory-stem-20s"],
+    )
+    def test_row_bands_match_the_whole_sample_product_at_real_sizes(self, monkeypatch, x_shape, w_shape, spec):
+        rng = rng64(11)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        w = (rng.standard_normal(w_shape) * 0.1).astype(np.float32)
+        b = rng.standard_normal(32).astype(np.float32)
+        y, _ = L.conv_forward(x, w, spec, b)
+        assert w[0].size * y[0, 0].size * x.itemsize > L.COLUMN_BYTES  # one sample, in bands
+        monkeypatch.setattr(L, "BAND_BYTES", 1 << 40)
+        whole, _ = L.conv_forward(x, w, spec, b)
+        assert y.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forced_row_bands_match_the_whole_sample_product(self, monkeypatch, ndim, dtype):
+        # 2 samples of 10 rows of 16 windows (2-d) or of 100 positions
+        # (1-d), each alone, in 4 bands of at most 3 rows or 32 positions
+        rng = rng64(12)
+        extent = (20, 32) if ndim == 2 else (200,)
+        x = rng.standard_normal((2, 2) + extent).astype(dtype)
+        w = rng.standard_normal((4, 2) + (3,) * ndim).astype(dtype)
+        spec = L.ConvSpec((3,) * ndim, (2,) * ndim, (1,) * ndim, 2, 4)
+        monkeypatch.setattr(L, "COLUMN_BYTES", 1)
+        whole, _ = L.conv_forward(x, w, spec)
+        band_windows = 3 * 16 if ndim == 2 else 32
+        monkeypatch.setattr(L, "BAND_BYTES", band_windows * w[0].size * x.itemsize)
+        y, _ = L.conv_forward(x, w, spec)
+        assert y.tobytes() == whole.tobytes()
+
     def test_training_step_is_bitwise_equal_after_a_forward_in_one_sample_slices(self, monkeypatch):
         # Only the forward slices here: conv_backward's dw adds its slices'
         # products, which equals one whole-batch product up to rounding
@@ -423,6 +465,8 @@ class TestWindowProperties:
         x = rng.integers(0, 3, shape).astype(np.float64) if ties else rng.standard_normal(shape)
         y, cache = L.maxpool_forward(x, spec)
         np.testing.assert_array_equal(y, maxpool_windows(x, spec))
+        # the cache-free pool gives the same bits, from no padded copy
+        assert L.maxpool(x, spec).tobytes() == y.tobytes()
         g = rng.standard_normal(y.shape)
         dx = L.maxpool_backward(cache, g)
         assert dx.shape == x.shape

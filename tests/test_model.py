@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -276,15 +277,15 @@ class TestForwardTrain:
             M.forward_train(self.arch, self.params, self.audio[:2], self.frames)
 
     def test_tape_holds_less_than_the_activations(self, monkeypatch):
-        # The tape keeps layer inputs, x-hats, masks and the pool's padded
-        # copy. Convolution columns (9 times a 3x3 conv's input) would put
-        # it several times over the bytes every layer outputs.
+        # The tape keeps layer inputs, x-hats and pool outputs. Convolution
+        # columns (9 times a 3x3 conv's input) would put it several times
+        # over the bytes every layer outputs.
         produced = []
-        for name in ("conv_forward", "batchnorm_forward", "relu_forward", "maxpool_forward"):
+        for name in ("conv_forward", "batchnorm_forward", "relu_forward", "maxpool"):
             def counted(*args, _fn=getattr(L, name)):
-                y, cache = _fn(*args)
-                produced.append(y.nbytes)
-                return y, cache
+                out = _fn(*args)
+                produced.append((out[0] if isinstance(out, tuple) else out).nbytes)
+                return out
 
             monkeypatch.setattr(L, name, counted)
             monkeypatch.setattr(M, name, counted)
@@ -855,6 +856,51 @@ class TestBatchNormFold:
         np.testing.assert_allclose(pred, ref, rtol=0, atol=2e-6)
 
 
+def stem_only(stream):
+    """The stream's stem alone: no stage, so forward_stream pools the stem output globally."""
+    return dataclasses.replace(stream, stage_channels=(), stage_strides=())
+
+
+class TestEvalStem:
+    """The eval stem pools the convolution's product before its shift and rectifier."""
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("shift", ["folded", "zero"])
+    def test_bitwise_equal_to_shift_rectifier_then_pool(self, monkeypatch, ndim, shift):
+        full = M.full_architecture()
+        stream = stem_only(full.auditory if ndim == 1 else full.visual)
+        rng = rng64(41)
+        C = stream.stem_channels
+        w = rng.standard_normal((C, stream.in_channels) + stream.stem_kernel).astype(np.float32)
+        w[0] = -np.abs(w[0])  # channel 0 is negative wherever the input is positive
+        bn = random_bn(rng, C)
+        if shift == "zero":
+            bn.beta[...] = 0.0
+            bn.running_mean[...] = 0.0
+        params = {"s.stem.conv.w": w}
+        params.update({f"s.stem.bn.{f}": getattr(bn, f).astype(np.float32) for f in ("gamma", "beta", "running_mean", "running_var")})
+        # Odd extents of piecewise-constant input: equal windows give exact
+        # ties, and a positive block gives channel 0 all-negative windows.
+        if ndim == 1:
+            x = np.repeat(rng.integers(-2, 3, (1, 1, 64)), 64, axis=2)[..., :4001]
+            x[..., :400] = 1.0
+        else:
+            x = np.repeat(np.repeat(rng.integers(-2, 3, (1, 3, 6, 8)), 8, axis=2), 8, axis=3)[..., :37, :53]
+            x[..., :20, :20] = 1.0
+        x = x.astype(np.float32)
+        folded = M.fold_stream(stream, "s", params)
+        if shift == "zero":
+            assert not folded.stem_b.any()
+        y, _ = L.conv_forward(x, folded.stem_w, M._stem_spec(stream), folded.stem_b)
+        pre, _ = L.maxpool_forward(y, M._pool_spec(stream))
+        assert (pre[:, 0] < 0).any()  # windows with no positive element
+        assert all(np.unique(pre[0, c]).size < pre[0, c].size for c in range(C))  # tied maxima
+        want, _ = L.maxpool_forward(L.relu_forward(y)[0], M._pool_spec(stream))
+        monkeypatch.setattr(M, "global_average_pool", lambda y: (y, None))  # the pooled stem itself
+        got, _ = M.forward_stream(x, stream, "s", params, "eval")
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestEvalTape:
     def test_backward_through_eval_tape_is_rejected(self):
         arch = M.mini_architecture()
@@ -866,6 +912,27 @@ class TestEvalTape:
 
 
 class TestClipMemory:
+    # Bounds fixed before the stems' columns came in row bands and their pool
+    # before the shift and rectifier: whole-sample columns and a pool after
+    # the rectifier read 22.4 and 32.6 MB, 17.2 and 11.8 MB of it one stem's
+    # columns.
+    @pytest.mark.parametrize(
+        "name, shape, bound_mb",
+        [("visual", (1, 3, D.CANONICAL_HEIGHT, D.CANONICAL_WIDTH), 10), ("auditory", (1, 1, 15 * D.SAMPLE_RATE), 12)],
+    )
+    def test_eval_pass_at_real_size_stays_bounded(self, name, shape, bound_mb):
+        arch = M.full_architecture()
+        stream = getattr(arch, name)
+        folded = M.fold_stream(stream, name, M.build_network(arch, 4))
+        x = rng64(12).random(shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            M.forward_stream(x, stream, name, folded, "eval")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_long_clip_peak_stays_near_file_size(self, tmp_path):
         # 1500 frames of 64x64 (18.4 MB of pixels) and 1 s of audio, so the
         # frames dominate the file; a float32 copy of them alone is 4x that.
