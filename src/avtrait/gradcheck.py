@@ -110,13 +110,8 @@ def _batchnorm_case(rng):
     )
 
 
-def _maxpool_case(rng, ndim):
-    if ndim == 1:
-        x = rng.standard_normal((2, 2, 10))
-        spec = L.ConvSpec((9,), (4,), (4,))
-    else:
-        x = rng.standard_normal((2, 2, 6, 6))
-        spec = L.ConvSpec((3, 3), (2, 2), (1, 1))
+def _maxpool_case(rng, shape, spec):
+    x = rng.standard_normal(shape)
     return _projected(
         rng, {"x": x}, lambda: L.maxpool_forward(x, spec), lambda cache, R: {"x": L.maxpool_backward(cache, R)}
     )
@@ -208,13 +203,19 @@ LAYER_CASES = [
     ("conv1d", lambda rng: _conv_case(rng, (2, 3, 12), L.ConvSpec((5,), (2,), (2,), 3, 4))),
     # non-square, so swapped extents show
     ("conv2d", lambda rng: _conv_case(rng, (2, 3, 7, 6), L.ConvSpec((3, 3), (2, 2), (1, 1), 3, 4))),
+    # padding at or above the stride and a kernel no multiple of it: kernel
+    # row 2 meets no input and no kernel column meets it for every output
+    ("conv2d_wide_padding", lambda rng: _conv_case(rng, (2, 3, 2, 5), L.ConvSpec((4, 3), (3, 2), (3, 2), 3, 4))),
     # unit-stride ones correlate the padded output gradient with the flipped
     # kernel; even kernels and padding other than (k - 1) / 2 show a wrong flip
     ("conv1d_unit_stride", lambda rng: _conv_case(rng, (2, 3, 11), L.ConvSpec((4,), (1,), (1,), 3, 4))),
     ("conv2d_unit_stride", lambda rng: _conv_case(rng, (2, 3, 5, 6), L.ConvSpec((2, 3), (1, 1), (0, 2), 3, 4))),
     ("batchnorm", _batchnorm_case),
-    ("maxpool1d", lambda rng: _maxpool_case(rng, 1)),
-    ("maxpool2d", lambda rng: _maxpool_case(rng, 2)),
+    ("maxpool1d", lambda rng: _maxpool_case(rng, (2, 2, 10), L.ConvSpec((9,), (4,), (4,)))),
+    ("maxpool2d", lambda rng: _maxpool_case(rng, (2, 2, 6, 6), L.ConvSpec((3, 3), (2, 2), (1, 1)))),
+    # 2 * padding >= kernel on both axes: no kernel offset meets the input
+    # for every output, so the running maximum starts from -inf
+    ("maxpool2d_wide_padding", lambda rng: _maxpool_case(rng, (2, 2, 4, 7), L.ConvSpec((2, 3), (2, 2), (1, 2)))),
     ("global_average_pool", _gap_case),
     ("linear", _linear_case),
     ("scaled_tanh", _scaled_tanh_case),

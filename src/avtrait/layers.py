@@ -7,15 +7,20 @@ explicit state arguments, except ``batchnorm_forward`` in train mode,
 which updates the running statistics in place (single writer: the
 training loop).
 
-1-d layers (audio) and 2-d layers (images) share one N-d windowing core,
-``_windows``: it pads the input once and views it as ``(B, C, *out,
-*kernel)`` sliding windows. Convolution copies that view into channel-major
-columns, ``cols`` of shape ``(B, Cin * prod(kernel), prod(out))``, so one
-product with the flattened weight gives ``(B, Cout, *out)`` directly.
-``maxpool_forward`` takes a running maximum over the kernel offsets of a
--inf padded copy, which its cache keeps for ``maxpool_backward``;
-``maxpool``, for a forward that keeps no pool cache, takes it one axis at a
-time on the unpadded input.
+1-d layers (audio) and 2-d layers (images) share two pieces of window
+geometry. Gathers read ``_windows``: it copies the input into a zero
+padded buffer and views it as ``(B, C, *out, *kernel)`` sliding windows.
+Convolution copies that view into channel-major columns, ``cols`` of shape
+``(B, Cin * prod(kernel), prod(out))``, so one product with the flattened
+weight gives ``(B, Cout, *out)`` directly. Scatters, and the pool's running
+maximum, go through the offset plan (``_axis_plan``, ``_offset_plan``): for
+each kernel offset that meets the unpadded input, the outputs whose window
+holds it there, paired with their inputs as one strided slice per axis.
+``maxpool_forward`` takes its maximum one axis at a time on the unpadded
+input and keeps no copy. ``maxpool_backward`` and a strided
+``conv_backward``'s dx add into an unpadded zero buffer one kernel offset
+at a time, in row-major offset order, so each element receives its
+contributions in kernel-offset order.
 
 Both convolution directions work in slices of b batch samples whose
 columns take at most ``COLUMN_BYTES`` (``_slice_samples``), or of one
@@ -23,29 +28,26 @@ sample. A forward sample whose own columns exceed ``COLUMN_BYTES``, as in
 an eval pass over a whole canonical frame or a 15 s waveform, is built and
 multiplied in bands of output rows of at most ``BAND_BYTES``. The window
 view is built with the plain ndarray constructor over its padded buffer,
-which checks that it stays inside that buffer, and a zero padding is
-allocated zero-filled; only the pool caches fill theirs with -inf. A
-training tape keeps layer inputs, not columns: the convolution cache is
-the list ``[x, w, spec]``.
+which checks that it stays inside that buffer. A training tape keeps layer
+inputs, not columns: the convolution cache is the list ``[x, w, spec]``.
 Convolution backward takes one of two forms. With unit strides and padding
 below the kernel, the transpose is a full correlation with the flipped
 kernel: one build of grad_out's columns, laid out ``(Cout * prod(kernel),
 b * prod(x))``, gives dx as one product per sample and ``dw`` as one
 product with x per slice. Any other convolution rebuilds x's columns, laid
 out ``(Cin * prod(kernel), b * prod(out))``, for one ``dw`` product per
-slice and, like max pooling, forms dx by adding window gradients into a
-window view of a zero buffer, one kernel offset at a time. In both forms
-dx is bitwise equal across slice sizes and ``dw`` is not. Asked for no
-input gradient (``input_grad=False``, as at each stream's stem, whose input
-is the raw waveform or frames), either form forms only ``dw``, bitwise
-equal to the full call's, and returns dx as None. ``conv_backward``
-returns ``(dw, dx)``: a training convolution carries no bias, since each
-one feeds a batch norm, whose mean subtraction cancels a bias, or is a
-projection shortcut added to a batch norm's output, whose beta already
-shifts the sum. Only a folded eval convolution adds a bias, the folded
-batch-norm shift. Batch norm
-caches x-hat, gamma and the batch's inverse deviation, and forms its input
-gradient from the two parameter gradients.
+slice and scatters each kernel offset's window gradients into dx through
+the offset plan. In both forms dx is bitwise equal across slice sizes and
+``dw`` is not. Asked for no input gradient (``input_grad=False``, as at
+each stream's stem, whose input is the raw waveform or frames), either
+form forms only ``dw``, bitwise equal to the full call's, and returns dx
+as None. ``conv_backward`` returns ``(dw, dx)``: a training convolution
+carries no bias, since each one feeds a batch norm, whose mean subtraction
+cancels a bias, or is a projection shortcut added to a batch norm's
+output, whose beta already shifts the sum. Only a folded eval convolution
+adds a bias, the folded batch-norm shift. Batch norm caches x-hat, gamma
+and the batch's inverse deviation, and forms its input gradient from the
+two parameter gradients.
 
 A train-mode tape keeps each activation once. Where a rectifier follows a
 batch norm, its output relu(gamma * x-hat + beta) is not kept: backward
@@ -63,6 +65,7 @@ other block trains. Every shape check raises ``ShapeMismatchError``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -135,35 +138,66 @@ def _check_out_extents(spatial, spec: ConvSpec):
     return outs
 
 
-def _windows(shape, spec: ConvSpec, fill, dtype, x=None):
-    """Pad once and view the padded buffer as sliding windows.
+def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """x's sliding windows for a gather, as a view of a zero padded copy of x.
 
-    Allocates the input `shape` grown by `spec.padding` on both sides,
-    filled with `fill`, and copies `x` into its interior when given.
-    Returns (interior, windows), two writeable views of that one buffer:
-    `interior` is the unpadded region and `windows` has shape
-    (B, C, *out, *kernel) with ``windows[b, c, *o, *k] ==
-    padded[b, c, *(o * stride + k)]``. Reading `windows` gathers; adding
-    into ``windows[..., *k]`` one kernel offset at a time and reading
-    `interior` is its adjoint, since one offset never maps two outputs to
-    the same element. The view is made with the ndarray constructor, which
-    refuses strides that would reach outside the buffer.
+    Copies x into the interior of a zero buffer grown by `spec.padding` on
+    both sides and returns a view of shape (B, C, *out, *kernel) with
+    ``windows[b, c, *o, *k] == padded[b, c, *(o * stride + k)]``. The view
+    is made with the ndarray constructor, which refuses strides that would
+    reach outside the buffer. Scatters do not pad: they add into unpadded
+    buffers through the offset plan (_offset_plan).
     """
-    spatial = shape[2:]
+    spatial = x.shape[2:]
     outs = _check_out_extents(spatial, spec)
-    padded = shape[:2] + tuple(n + 2 * p for n, p in zip(spatial, spec.padding))
-    buf = np.zeros(padded, dtype) if fill == 0 else np.full(padded, fill, dtype)
-    interior = buf[(slice(None), slice(None)) + tuple(slice(p, p + n) for n, p in zip(spatial, spec.padding))]
-    if x is not None:
-        interior[...] = x
+    buf = np.zeros(x.shape[:2] + tuple(n + 2 * p for n, p in zip(spatial, spec.padding)), x.dtype)
+    buf[(Ellipsis,) + tuple(slice(p, p + n) for n, p in zip(spatial, spec.padding))] = x
     st = buf.strides
-    windows = np.ndarray(
-        shape[:2] + outs + spec.kernel,
+    return np.ndarray(
+        x.shape[:2] + outs + spec.kernel,
         buf.dtype,
         buffer=buf,
         strides=st[:2] + tuple(s * t for s, t in zip(spec.stride, st[2:])) + st[2:],
     )
-    return interior, windows
+
+
+@functools.lru_cache(maxsize=64)
+def _axis_plan(n: int, k: int, s: int, p: int):
+    """The kernel offsets that meet one axis of extent n, and where.
+
+    Returns (m, plan), m being the output extent. Offset j meets input
+    o * s - p + j of output o, which lies inside the axis for the outputs
+    lo..hi-1. `plan` holds, in increasing j, one triple per offset that
+    meets some input: (j, those outputs as a slice, their inputs as one
+    strided slice). The last 64 geometries are cached: an audio stream's
+    extent follows its clip's length, so a bounded cache keeps a long
+    scoring run bounded.
+    """
+    m = out_extent(n, k, s, p)
+    plan = []
+    for j in range(k):
+        lo, hi = max(0, -((j - p) // s)), min(m, (n - 1 + p - j) // s + 1)
+        if lo < hi:
+            plan.append((j, slice(lo, hi), slice(lo * s - p + j, (hi - 1) * s - p + j + 1, s)))
+    return m, tuple(plan)
+
+
+def _offset_plan(spatial, spec: ConvSpec) -> list:
+    """(k, out, into) for each kernel offset k that meets an input of extents `spatial`.
+
+    The row-major product of the per-axis plans (_axis_plan), so the
+    offsets come in np.ndindex(spec.kernel) order, less those that meet no
+    input. `out` indexes the outputs whose window holds offset k inside the
+    input and `into` their inputs, as index tuples. One offset never maps
+    two outputs to one input, so adding values at `out` into `into` for
+    each offset in turn is the adjoint of the gather, with each input's
+    contributions in kernel-offset order.
+    """
+    axes = [_axis_plan(*g)[1] for g in zip(spatial, spec.kernel, spec.stride, spec.padding)]
+    return [
+        (tuple(j for j, _, _ in e), (Ellipsis,) + tuple(o for _, o, _ in e), (Ellipsis,) + tuple(i for _, _, i in e))
+        for e in itertools.product(*axes)
+    ]
 
 
 def _axes(first: int, n: int) -> tuple:
@@ -227,7 +261,7 @@ def _columns(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     windows cover the input's positions, for both dx and dw.
     """
     nd = spec.ndim
-    _, win = _windows(x.shape, spec, 0.0, x.dtype, x)
+    win = _windows(x, spec)
     # copied in (C, *kernel, B, *out) order, the buffer is the column matrix
     return np.ascontiguousarray(win.transpose((1,) + _axes(2 + nd, nd) + (0,) + _axes(2, nd))).reshape(x.shape[1] * math.prod(spec.kernel), -1)
 
@@ -259,7 +293,7 @@ def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, b: Optional[np.nd
 
     nd = spec.ndim
     B = x.shape[0]
-    _, win = _windows(x.shape, spec, 0.0, x.dtype, x)
+    win = _windows(x, spec)
     outs = win.shape[2 : 2 + nd]
     wf = w.reshape(spec.out_channels, -1)
     K, P = wf.shape[1], math.prod(outs)
@@ -292,13 +326,13 @@ def conv_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     whose strides are all 1 and whose padding is below its kernel on every
     axis takes both gradients from one build of grad_out's columns (see
     `_unit_stride_grads`). Any other has a slice's dw as the product of
-    the output gradient with x's rebuilt columns, and adds each kernel
-    offset's window gradients into a window view of dx's zero buffer.
-    dx is bitwise equal across slice sizes; dw, a sum of the slices'
-    products, is not. With `input_grad` False, dx is not formed and is
-    returned as None; dw is bitwise that of the full call, for a
-    layer whose input no caller differentiates, such as a stem over raw
-    input.
+    the output gradient with x's rebuilt columns (a gather, `_windows`),
+    and scatters each kernel offset's window gradients into an unpadded
+    zero dx through the offset plan (`_offset_plan`). dx is bitwise equal
+    across slice sizes; dw, a sum of the slices' products, is not. With
+    `input_grad` False, dx is not formed and is returned as None; dw is
+    bitwise that of the full call, for a layer whose input no caller
+    differentiates, such as a stem over raw input.
     """
     x, w, spec = cache
     outs = _check_out_extents(x.shape[2:], spec)
@@ -314,7 +348,8 @@ def conv_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
     dw = np.zeros(wf.shape, np.result_type(grad_out, x))
     dx = None
     if input_grad:
-        dx, dx_win = _windows(x.shape, spec, 0.0, np.result_type(w, grad_out))
+        dx = np.zeros(x.shape, np.result_type(w, grad_out))
+        plan = _offset_plan(x.shape[2:], spec)
     step = _slice_samples(wf.shape[1] * g.shape[2] * x.itemsize)
     for lo in range(0, B, step):
         sl = slice(lo, lo + step)
@@ -327,9 +362,9 @@ def conv_backward(cache, grad_out: np.ndarray, input_grad: bool = True):
         if input_grad:
             # window gradients as (b, Cin, *kernel, *out): one block per offset
             dwin = np.matmul(wf.T, g[sl]).reshape((-1, Cin) + spec.kernel + outs)
-            dxw = dx_win[sl]
-            for k in np.ndindex(spec.kernel):
-                dxw[(Ellipsis,) + k] += dwin[(slice(None), slice(None)) + k]
+            dxs = dx[sl]
+            for k, out, into in plan:
+                dxs[into] += dwin[(slice(None), slice(None)) + k][out]
     return dw.reshape(w.shape), dx
 
 
@@ -520,109 +555,61 @@ def _check_pool(x: np.ndarray, spec: ConvSpec):
         raise ShapeMismatchError("maxpool input rank", x.shape, spec.kernel)
     if any(p >= k for p, k in zip(spec.padding, spec.kernel)):
         raise ValueError("maxpool padding must be < kernel so every window sees data")
+    _check_out_extents(x.shape[2:], spec)
 
 
 def maxpool_forward(x: np.ndarray, spec: ConvSpec):
-    """Per-window maximum with -inf padding semantics.
-
-    Returns (y, cache). The cache is (windows, y, x.shape, spec): the
-    window view of x's -inf padded copy, about x's size, and y itself, so
-    the backward pass can find each window's maximum again.
-    """
-    _check_pool(x, spec)
-    _, win = _windows(x.shape, spec, -np.inf, x.dtype, x)
-    offsets = list(np.ndindex(spec.kernel))
-    y = win[(Ellipsis,) + offsets[0]].copy()
-    for k in offsets[1:]:
-        np.maximum(y, win[(Ellipsis,) + k], out=y)
-    return y, (win, y, x.shape, spec)
-
-
-def maxpool(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """maxpool_forward's output, bitwise, with no cache and no padded copy.
+    """Per-window maximum with -inf padding semantics; returns (y, cache).
 
     Takes a running maximum along one spatial axis at a time, on the
-    unpadded input: each kernel offset is one strided slice of it, met by
-    the outputs whose window holds that offset inside the input
-    (`_pool_plan`). A maximum is exact, so neither the order of the offsets
-    nor that of the axes changes a value. For a forward that nothing
-    differentiates through the pool, or whose backward rebuilds the cache
-    (relu_pool_cache).
+    unpadded input, through that axis's offset plan (`_axis_plan`): it
+    copies the inputs of the first kernel offset that meets the axis for
+    every output, or starts from -inf where none does (only where 2p >= k),
+    and takes the maximum with each other offset's strided slice. A maximum
+    is exact, so neither the order of the offsets nor that of the axes
+    changes a value. The cache is (x, y, spec), with no copy:
+    maxpool_backward finds each window's maximum again in x, which must not
+    change before it runs. A caller that differentiates nothing through the
+    pool drops the cache at once.
     """
     _check_pool(x, spec)
-    _check_out_extents(x.shape[2:], spec)
     y = x
-    for axis, geometry in enumerate(zip(spec.kernel, spec.stride, spec.padding), start=2):
-        m, first, rest = _pool_plan(y.shape[axis], *geometry, y.ndim - 1 - axis)
-        if first is None:
-            out = np.full(y.shape[:axis] + (m,) + y.shape[axis + 1 :], -np.inf, y.dtype)
+    for axis, geometry in enumerate(zip(x.shape[2:], spec.kernel, spec.stride, spec.padding), start=2):
+        m, plan = _axis_plan(*geometry)
+        tail = (slice(None),) * (x.ndim - 1 - axis)
+        full = next((into for _, out, into in plan if out == slice(0, m)), None)
+        if full is None:
+            pooled = np.full(y.shape[:axis] + (m,) + y.shape[axis + 1 :], -np.inf, y.dtype)
         else:
-            out = y[first].copy()
-        for o, i in rest:
-            np.maximum(out[o], y[i], out=out[o])
-        y = out
-    return y
-
-
-@functools.lru_cache(maxsize=64)
-def _pool_plan(n: int, k: int, s: int, p: int, trailing: int):
-    """Max pooling along one axis of extent n that has `trailing` axes after it.
-
-    Returns (m, first, rest), m being the pooled extent. Kernel offset j
-    meets input o * s - p + j of output o, which lies inside the axis for
-    the outputs lo..hi-1; that is one pair of index tuples, (those outputs,
-    their inputs as one strided slice). `first` is the input index of the
-    first offset that lies inside for every output, None if none does (only
-    where 2p >= k); `rest` pairs every other offset that meets an input.
-    The last 64 geometries are cached: an audio stream's extent follows its
-    clip's length, so a bounded cache keeps a long scoring run bounded.
-    """
-    m = out_extent(n, k, s, p)
-    tail = (slice(None),) * trailing
-    first, rest = None, []
-    for j in range(k):
-        lo, hi = max(0, -((j - p) // s)), min(m, (n - 1 + p - j) // s + 1)
-        if lo >= hi:
-            continue
-        into = (Ellipsis, slice(lo * s - p + j, (hi - 1) * s - p + j + 1, s)) + tail
-        if first is None and (lo, hi) == (0, m):
-            first = into
-        else:
-            rest.append(((Ellipsis, slice(lo, hi)) + tail, into))
-    return m, first, tuple(rest)
-
-
-def relu_pool_cache(bn_cache, beta, y, spec: ConvSpec):
-    """Rebuild the maxpool_forward cache of a pool over relu(gamma * xhat + beta).
-
-    For a tape that kept only the batch norm's cache and the pool output y:
-    the rectifier output is written by batchnorm_relu straight into the
-    interior of a -inf padded buffer, as maxpool_forward pads its input.
-    Returns (that interior, the cache for maxpool_backward).
-    """
-    xhat = bn_cache[0]
-    interior, win = _windows(xhat.shape, spec, -np.inf, xhat.dtype)
-    batchnorm_relu(bn_cache, beta, interior)
-    return interior, (win, y, xhat.shape, spec)
+            pooled = y[(Ellipsis, full) + tail].copy()
+        for _, out, into in plan:
+            if into != full:
+                out = (Ellipsis, out) + tail
+                np.maximum(pooled[out], y[(Ellipsis, into) + tail], out=pooled[out])
+        y = pooled
+    return y, (x, y, spec)
 
 
 def maxpool_backward(cache, grad_out: np.ndarray):
-    """Route each output gradient to one input element that holds its window's maximum.
+    """Route each output gradient to the first element of its window, row-major, that holds the maximum.
 
-    Ties break toward the first kernel offset, i.e. the lowest linear
-    index within the window.
+    Walks the offset plan (`_offset_plan`) over the unpadded x in row-major
+    kernel-offset order. An output's gradient goes to the first offset
+    whose input equals its maximum and is added into an unpadded zero dx,
+    so ties break toward the lowest linear index within the window and each
+    element receives its contributions in kernel-offset order.
     """
-    win, y, x_shape, spec = cache
+    x, y, spec = cache
     if grad_out.shape != y.shape:
         raise ShapeMismatchError("maxpool grad_out", grad_out.shape, y.shape)
-    dx, dx_win = _windows(x_shape, spec, 0.0, grad_out.dtype)
+    dx = np.zeros(x.shape, grad_out.dtype)
     pending = np.ones(y.shape, dtype=bool)  # outputs whose gradient is not routed yet
-    for k in np.ndindex(spec.kernel):
-        hit = win[(Ellipsis,) + k] == y
-        hit &= pending
-        pending ^= hit
+    for _, out, into in _offset_plan(x.shape[2:], spec):
+        hit = x[into] == y[out]
+        hit &= pending[out]
+        pending[out] ^= hit
         # a multiply beats add(where=): the mask is too irregular to branch on
-        dx_win[(Ellipsis,) + k] += grad_out * hit
+        dx[into] += grad_out[out] * hit
     return dx
 
 

@@ -44,6 +44,7 @@ from .layers import (
     ShapeMismatchError,
     batchnorm_backward,
     batchnorm_forward,
+    batchnorm_relu,
     conv_backward,
     conv_forward,
     fold_batchnorm,
@@ -52,12 +53,11 @@ from .layers import (
     global_average_pool_backward,
     linear_backward,
     linear_forward,
-    maxpool,
     maxpool_backward,
+    maxpool_forward,
     out_extent,
     relu_backward,
     relu_forward,
-    relu_pool_cache,
     residual_block_backward,
     residual_block_forward,
     scaled_tanh,
@@ -311,13 +311,15 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     the other order. Its `params` may be fold_stream's result instead of
     the parameter dict, so that a caller running many inputs folds once.
 
-    Both modes pool with the cache-free `maxpool`. Train mode's tape is a
+    Both modes pool with `maxpool_forward`, a running maximum through the
+    offset plan on the unpadded input, and drop its cache at once, so the
+    pool's input is freed as soon as it is pooled. Train mode's tape is a
     "stem" entry, one "block" entry per residual block and a "gap" entry,
     and keeps each activation once. The stem keeps its convolution's input,
     its batch norm's x-hat and the pool output; not the rectifier's output,
-    which backward_stream rebuilds from x-hat. A block keeps what
-    residual_block_forward says. Every gamma and beta must stay unchanged
-    until backward_stream has run.
+    the pool's input, which backward_stream rebuilds from x-hat. A block
+    keeps what residual_block_forward says. Every gamma and beta must stay
+    unchanged until backward_stream has run.
     """
     if mode == "eval":
         folded = params if isinstance(params, FoldedStream) else fold_stream(stream, prefix, params)
@@ -325,7 +327,7 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
         # x + b rounds monotonically in x, and max(x, 0) is monotone, so
         # both commute with the pool's maximum: pooled first, they touch a
         # quarter of the elements and give the same bits
-        y = maxpool(y, _pool_spec(stream))
+        y = maxpool_forward(y, _pool_spec(stream))[0]
         y += folded.stem_b.reshape((-1,) + (1,) * stream.ndim)
         np.maximum(y, 0, out=y)
         for blk in folded.blocks:
@@ -336,7 +338,7 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     y, c_bn = batchnorm_forward(y, bn, mode)
     y, _ = relu_forward(y)
     pool_spec = _pool_spec(stream)
-    y = maxpool(y, pool_spec)
+    y = maxpool_forward(y, pool_spec)[0]
     tape = [("stem", f"{prefix}.stem", (c_conv, c_bn, bn.beta, y, pool_spec))]
     for name, in_ch, out_ch, stride in _block_layout(stream):
         blk = _block_params(stream, prefix, name, in_ch, out_ch, stride, params)
@@ -353,12 +355,13 @@ def backward_stream(tape, grad_feat: np.ndarray) -> dict:
     The tape is consumed: each entry is popped before its backward runs,
     so its cache is released once that backward returns and the tape is
     empty afterwards. A tape can therefore be differentiated once. The stem
-    rebuilds relu(gamma * x-hat + beta) into a -inf padded buffer
-    (relu_pool_cache), routes the pool gradient and then the rectifier's
-    through it, and releases it before batch norm's backward. The stream's
-    input is raw waveform or frames, which nothing differentiates, so the
-    stem convolution forms its weight gradient only (conv_backward with
-    input_grad=False) and no input gradient is returned.
+    rebuilds relu(gamma * x-hat + beta), unpadded (batchnorm_relu), as the
+    pool's input; maxpool_backward scatters the pool gradient through the
+    offset plan into an unpadded dx, the rectifier's gradient is taken in
+    place, and the rebuilt output is released before batch norm's backward.
+    The stream's input is raw waveform or frames, which nothing
+    differentiates, so the stem convolution forms its weight gradient only
+    (conv_backward with input_grad=False) and no input gradient is returned.
     """
     if not tape:
         raise EvalTapeError(
@@ -377,14 +380,10 @@ def backward_stream(tape, grad_feat: np.ndarray) -> dict:
                 grads[f"{name}.{key}"] = val
         elif kind == "stem":
             c_conv, c_bn, beta, pooled, pool_spec = cache
-            relu_out, c_pool = relu_pool_cache(c_bn, beta, pooled, pool_spec)
-            g = maxpool_backward(c_pool, g)
+            relu_out = batchnorm_relu(c_bn, beta, np.empty_like(c_bn[0]))
+            g = maxpool_backward((relu_out, pooled, pool_spec), g)
             relu_backward(relu_out, g, out=g)
-            del relu_out, c_pool  # the padded buffer, before the gradients below
-            # g is the interior of maxpool's padded buffer, and batch norm's
-            # sums round differently on that layout: they get a contiguous
-            # copy, made once the rectifier's buffer is free
-            g = np.ascontiguousarray(g)
+            del relu_out  # before the gradients below
             grads[f"{name}.bn.gamma"], grads[f"{name}.bn.beta"], g = batchnorm_backward(c_bn, g)
             grads[f"{name}.conv.w"], _ = conv_backward(c_conv, g, input_grad=False)
         else:

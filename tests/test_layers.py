@@ -389,23 +389,84 @@ def window_max_mask(x, y, spec):
     return mask
 
 
+def maxpool_backward_loops(x, y, g, spec):
+    """maxpool_backward by loops: each window's gradient goes to its first
+    element inside x, in row-major kernel-offset order, equal to its
+    maximum, and each element adds its contributions in kernel-offset order."""
+    routed = {}  # output index -> (winning kernel offset, its input index)
+    for b, c, *o in np.ndindex(*y.shape):
+        for k in np.ndindex(*spec.kernel):
+            pos = tuple(oi * s - p + ki for oi, s, p, ki in zip(o, spec.stride, spec.padding, k))
+            if all(0 <= q < n for q, n in zip(pos, x.shape[2:])) and x[(b, c) + pos] == y[(b, c) + tuple(o)]:
+                routed[(b, c) + tuple(o)] = k, (b, c) + pos
+                break
+    dx = np.zeros(x.shape, g.dtype)
+    for k in np.ndindex(*spec.kernel):
+        for out, (won, at) in routed.items():
+            if won == k:
+                dx[at] += g[out]
+    return dx
+
+
 class TestWindows:
     @pytest.mark.parametrize("ndim", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2, 4])
-    @pytest.mark.parametrize("fill", [0.0, -np.inf])
-    def test_view_is_the_strided_sliding_window_of_its_buffer(self, ndim, stride, fill):
+    def test_view_is_the_strided_sliding_window_of_its_buffer(self, ndim, stride):
         rng = rng64(13)
         x = rng.standard_normal((2, 3) + (13,) * ndim).astype(np.float32)
         spec = L.ConvSpec((3,) * ndim, (stride,) * ndim, (1,) * ndim)
-        interior, win = L._windows(x.shape, spec, fill, np.float32, x)
-        buf = interior.base
-        padded = np.pad(x, ((0, 0), (0, 0)) + ((1, 1),) * ndim, constant_values=fill)
+        win = L._windows(x, spec)
+        buf = win.base
+        padded = np.pad(x, ((0, 0), (0, 0)) + ((1, 1),) * ndim)
         assert buf.tobytes() == padded.tobytes()
         every = np.lib.stride_tricks.sliding_window_view(buf, spec.kernel, axis=tuple(range(2, 2 + ndim)))
         np.testing.assert_array_equal(win, every[(slice(None),) * 2 + (slice(None, None, stride),) * ndim])
-        assert win.flags.writeable and np.shares_memory(win, buf)
+        assert win.flags.writeable and np.shares_memory(win, buf) and not np.shares_memory(win, x)
         win[(1, 2) + (1,) * ndim + (2,) * ndim] = 7.0
         assert buf[(1, 2) + (stride + 2,) * ndim] == 7.0
+
+    @pytest.mark.parametrize("layer", ["maxpool", "strided-conv"])
+    @pytest.mark.parametrize(
+        "x_shape, geometry",
+        [((2, 16, 32, 32), ((3, 3), (2, 2), (1, 1))), ((32, 16, 128), ((9,), (4,), (4,)))],
+        ids=["2d", "1d"],
+    )
+    def test_scatters_allocate_no_padded_buffer(self, layer, x_shape, geometry):
+        # A padded dx would take 33792 bytes (2-d) or 32768 bytes (1-d) more
+        # than the unpadded one, over twice the slack below, which covers the
+        # offset plan's index tuples and numpy's iterators.
+        rng = rng64(19)
+        x = rng.standard_normal(x_shape)
+        C = x.shape[1]
+        spec = L.ConvSpec(*geometry, C, C)
+        if layer == "maxpool":
+            y, cache = L.maxpool_forward(x, spec)
+        else:
+            y, cache = L.conv_forward(x, rng.standard_normal((C, C) + spec.kernel), spec)
+        g = rng.standard_normal(y.shape)
+        # numpy buffers each strided operand of a ufunc, 64 KB of float64 at
+        # its default size; at 16 elements its buffers fit in the slack
+        bufsize = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            if layer == "maxpool":
+                # the pending mask, and per offset a hit mask and the routed
+                # product
+                temporaries = 2 * y.size + g.nbytes
+                dx = L.maxpool_backward(cache, g)
+            else:
+                # the per-slice padded copy, columns and window gradients,
+                # which the weight gradient alone builds too
+                L.conv_backward(cache, g, input_grad=False)
+                temporaries = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                dx = L.conv_backward(cache, g)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert dx.shape == x.shape
+        assert peak <= x.nbytes + temporaries + 12288, (peak, x.nbytes + temporaries)
 
 
 class TestWindowProperties:
@@ -465,13 +526,13 @@ class TestWindowProperties:
         x = rng.integers(0, 3, shape).astype(np.float64) if ties else rng.standard_normal(shape)
         y, cache = L.maxpool_forward(x, spec)
         np.testing.assert_array_equal(y, maxpool_windows(x, spec))
-        # the cache-free pool gives the same bits, from no padded copy
-        assert L.maxpool(x, spec).tobytes() == y.tobytes()
         g = rng.standard_normal(y.shape)
         dx = L.maxpool_backward(cache, g)
         assert dx.shape == x.shape
         assert float(dx.sum()) == pytest.approx(float(g.sum()), rel=1e-12, abs=1e-12)
         assert not dx[~window_max_mask(x, y, spec)].any()
+        # padded edges and ties route exactly as the loop does, to the bit
+        assert dx.tobytes() == maxpool_backward_loops(x, y, g, spec).tobytes()
 
 
 class TestDimensionalCorrespondence:

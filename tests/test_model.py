@@ -281,7 +281,7 @@ class TestForwardTrain:
         # columns (9 times a 3x3 conv's input) would put it several times
         # over the bytes every layer outputs.
         produced = []
-        for name in ("conv_forward", "batchnorm_forward", "relu_forward", "maxpool"):
+        for name in ("conv_forward", "batchnorm_forward", "relu_forward", "maxpool_forward"):
             def counted(*args, _fn=getattr(L, name)):
                 out = _fn(*args)
                 produced.append((out[0] if isinstance(out, tuple) else out).nbytes)
@@ -298,8 +298,8 @@ class TestForwardTrain:
 
 def keep_all_stream_forward(x, stream, prefix, params):
     """A train-mode stream from the public layer functions with a tape that
-    keeps every activation: the stem's rectifier output and the pool's padded
-    input as well, and keep_all_block_forward caches."""
+    keeps every activation: the stem's rectifier output, which the pool's
+    cache holds as its input, and keep_all_block_forward caches."""
     tape = []
     y, c = L.conv_forward(x, params[f"{prefix}.stem.conv.w"], M._stem_spec(stream))
     tape.append(("conv", f"{prefix}.stem.conv", c))
