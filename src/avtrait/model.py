@@ -319,7 +319,7 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     its batch norm's x-hat and the pool output; not the rectifier's output,
     the pool's input, which backward_stream rebuilds from x-hat. A block
     keeps what residual_block_forward says. Every gamma and beta must stay
-    unchanged until backward_stream has run.
+    unchanged until its own entry's backward has run.
     """
     if mode == "eval":
         folded = params if isinstance(params, FoldedStream) else fold_stream(stream, prefix, params)
@@ -349,8 +349,12 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     return y, tape
 
 
-def backward_stream(tape, grad_feat: np.ndarray) -> dict:
-    """Walk a stream tape in reverse; returns {param name -> grad}.
+def backward_stream(tape, grad_feat: np.ndarray, consume=None):
+    """Walk a stream tape in reverse, handing each (name, gradient) to
+    consume(name, gradient) once its entry's backward has returned (a
+    block's residual_block_backward, the stem's conv_backward), and keeping
+    none. No later entry reads a tensor already handed over, so a consumer
+    may update it in place. With no `consume`, returns {name: gradient}.
 
     The tape is consumed: each entry is popped before its backward runs,
     so its cache is released once that backward returns and the tape is
@@ -369,6 +373,7 @@ def backward_stream(tape, grad_feat: np.ndarray) -> dict:
             "train-mode one; run the forward again in train mode"
         )
     grads = {}
+    emit = grads.__setitem__ if consume is None else consume
     g = grad_feat
     while tape:
         kind, name, cache = tape.pop()
@@ -376,19 +381,22 @@ def backward_stream(tape, grad_feat: np.ndarray) -> dict:
             g = global_average_pool_backward(cache, g)
         elif kind == "block":
             bgrads, g = residual_block_backward(cache, g)
-            for key, val in bgrads.items():
-                grads[f"{name}.{key}"] = val
+            for key in list(bgrads):
+                emit(f"{name}.{key}", bgrads.pop(key))
         elif kind == "stem":
             c_conv, c_bn, beta, pooled, pool_spec = cache
             relu_out = batchnorm_relu(c_bn, beta, np.empty_like(c_bn[0]))
             g = maxpool_backward((relu_out, pooled, pool_spec), g)
             relu_backward(relu_out, g, out=g)
             del relu_out  # before the gradients below
-            grads[f"{name}.bn.gamma"], grads[f"{name}.bn.beta"], g = batchnorm_backward(c_bn, g)
-            grads[f"{name}.conv.w"], _ = conv_backward(c_conv, g, input_grad=False)
+            dgamma, dbeta, g = batchnorm_backward(c_bn, g)
+            dw, _ = conv_backward(c_conv, g, input_grad=False)
+            emit(f"{name}.bn.gamma", dgamma)
+            emit(f"{name}.bn.beta", dbeta)
+            emit(f"{name}.conv.w", dw)
         else:
             raise ValueError(f"unknown tape entry {kind!r}")
-    return grads
+    return grads if consume is None else None
 
 
 @dataclass
@@ -398,7 +406,8 @@ class ModelTape:
     The stream tapes hold each activation once (forward_stream says what
     they keep); backward rebuilds each rectifier output that follows a
     batch norm from that norm's x-hat, gamma and beta, so no parameter may
-    change between forward_train and backward. `tanh_cache` is the
+    change between forward_train and its own entry's backward (backward's
+    consumer may change it after that). `tanh_cache` is the
     prediction itself. `backward` takes both stream tapes out of the
     ModelTape, leaving them empty, before it forms any gradient, and
     empties them as it walks them: a ModelTape whose stream tapes are empty
@@ -454,8 +463,15 @@ def forward_train(
     return pred, tape
 
 
-def backward(tape: ModelTape, grad_out: np.ndarray) -> dict:
+def backward(tape: ModelTape, grad_out: np.ndarray, consume=None):
     """Gradients for every trainable tensor given dL/dpred.
+
+    Each (name, gradient) goes to consume(name, gradient) as it is formed,
+    in tape order: fusion.w and fusion.b once linear_backward has formed
+    the features' gradient, then each stream's (backward_stream), auditory
+    first. Nothing else keeps a gradient, so a consumer that applies and
+    drops it (optim.adam_step's update) holds one at a time. With no
+    `consume`, returns {name: gradient} from the same walk.
 
     grad_out is checked before anything is consumed. The tape is then
     consumed: the auditory stream's caches are released as its backward
@@ -466,14 +482,17 @@ def backward(tape: ModelTape, grad_out: np.ndarray) -> dict:
         raise ShapeMismatchError("backward grad_out", grad_out.shape, tape.tanh_cache.shape)
     if not tape.auditory:
         raise EvalTapeError("this ModelTape was already differentiated, which consumed it; run forward_train again")
+    grads = {}
+    emit = grads.__setitem__ if consume is None else consume
     auditory, visual = tape.auditory, tape.visual
     tape.auditory, tape.visual = [], []
     dz = scaled_tanh_backward(tape.tanh_cache, grad_out)
     dw, db, dfeats = linear_backward(tape.fusion_cache, dz)
-    grads = {"fusion.w": dw, "fusion.b": db}
-    grads.update(backward_stream(auditory, np.ascontiguousarray(dfeats[:, : tape.split])))
-    grads.update(backward_stream(visual, np.ascontiguousarray(dfeats[:, tape.split :])))
-    return grads
+    emit("fusion.w", dw)
+    emit("fusion.b", db)
+    backward_stream(auditory, np.ascontiguousarray(dfeats[:, : tape.split]), emit)
+    backward_stream(visual, np.ascontiguousarray(dfeats[:, tape.split :]), emit)
+    return grads if consume is None else None
 
 
 # ---------------------------------------------------------------------------

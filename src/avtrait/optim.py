@@ -3,6 +3,11 @@
 AdamState's defaults are the training recipe's: alpha 2e-4, beta1 0.5,
 beta2 0.999, epsilon 1e-8; every other default of these four is read from
 it. The step-decay schedule of alpha is `train.TrainConfig.alpha_for_epoch`.
+
+`adam_step` updates one tensor at a time, so it can take each gradient as
+a walk such as `model.backward` hands it over and drop it before the next
+is formed. The update's scratch lives in the AdamState, so after the first
+step an update allocates nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ class NonFiniteGradientError(FloatingPointError):
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter plus the shared step count."""
+    """First/second moment estimates per parameter plus the shared step count.
+
+    `scratch` holds the update's buffers (`_scratch`); no checkpoint keeps it.
+    """
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -30,13 +38,14 @@ class AdamState:
     beta1: float = 0.5
     beta2: float = 0.999
     epsilon: float = 1e-8
+    scratch: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-# Elements per block in adam_step. One block of each operand it touches
-# (gradient, both moments, the update and two temporaries: 768 KB at float32)
-# stays in a core's L2 cache through the block's 15 elementwise passes. On
-# x86 cores with 2 MB of L2, 2**15 was the fastest power of two from 2**12
-# to 2**17 over the 4.2M-parameter recurrent head.
+# Elements per block of an update. One block of each operand it touches
+# (gradient, both moments, the update and the two scratch temporaries: 768 KB
+# at float32) stays in a core's L2 cache through the block's 15 elementwise
+# passes. On x86 cores with 2 MB of L2, 2**15 was the fastest power of two
+# from 2**12 to 2**17 over the 4.2M-parameter recurrent head.
 ADAM_BLOCK = 1 << 15
 
 
@@ -79,16 +88,28 @@ def _flat(moment: np.ndarray, name: str) -> np.ndarray:
     return moment.reshape(-1)
 
 
-def _checked_update(name: str, g: np.ndarray, state: AdamState, bc1: float, bc2: float, bound: float) -> np.ndarray:
-    """Advance one tensor's moments in place and return its checked update."""
+def _scratch(state: AdamState, g_dtype, u_dtype, size: int):
+    """(update buffer, gradient block, update block), sized for the largest
+    tracked tensor and made once per (gradient, moment) dtype pair."""
+    key = (g_dtype, u_dtype)
+    bufs = state.scratch.get(key)
+    if bufs is None or bufs[0].size < size:
+        n = max(m.size for m in state.m.values())
+        block = min(n, ADAM_BLOCK)
+        bufs = state.scratch[key] = (np.empty(n, u_dtype), np.empty(block, g_dtype), np.empty(block, u_dtype))
+    return bufs
+
+
+def _checked_update(name: str, p: np.ndarray, g: np.ndarray, state: AdamState, bc1: float, bc2: float, bound: float) -> None:
+    """Advance one tensor's moments in place, then subtract its update,
+    written block by block into the scratch, from p once every block has
+    passed the bound check."""
     beta1, beta2, alpha, epsilon = state.beta1, state.beta2, state.alpha, state.epsilon
     m = _flat(state.m[name], name)
     v = _flat(state.v[name], name)
     g = g.reshape(-1)
-    update = np.empty(state.m[name].shape, np.result_type(m, v))
-    u = update.reshape(-1)
-    tg = np.empty(min(g.size, ADAM_BLOCK), np.result_type(g, 1.0))
-    tu = np.empty(tg.size, u.dtype)
+    u, tg, tu = _scratch(state, np.result_type(g, 1.0), np.result_type(m, v), m.size)
+    u = u[: m.size]
     for lo in range(0, g.size, ADAM_BLOCK):
         blk = slice(lo, lo + ADAM_BLOCK)
         gb, mb, vb, ub = g[blk], m[blk], v[blk], u[blk]
@@ -106,36 +127,54 @@ def _checked_update(name: str, g: np.ndarray, state: AdamState, bc1: float, bc2:
             if not np.all(np.isfinite(gb)):
                 raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
             raise FloatingPointError(f"update for {name!r} exceeded its bound ({peak:g} > {bound:g})")
-    return update
+    p -= u.reshape(p.shape)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place, over every tracked parameter.
+def adam_step(params: dict, grads, state: AdamState) -> None:
+    """One bias-corrected Adam step, in place, over every tracked parameter.
 
-    Each tensor goes in blocks of ADAM_BLOCK elements: the moments are
-    updated in place and the update is written into one scratch buffer,
-    which is subtracted from the parameter only once every block has passed
-    the bound check. Every elementwise operation has the operands, order
-    and dtypes of the one-expression form
+    `grads` is a mapping {name: gradient}, taken in sorted name order, or a
+    walk: a function that calls the `update(name, gradient)` it is given
+    once per tracked tensor, such as functools.partial(model.backward, tape,
+    dpred). Each tensor is updated when its gradient is handed over. A
+    mapping's untracked names are ignored; a walk's untracked or repeated
+    name raises KeyError, as does a tracked tensor that got no gradient by
+    the end of the step. The step count advances once.
+
+    Each tensor goes in blocks of ADAM_BLOCK elements. Every elementwise
+    operation has the operands, order and dtypes of the one-expression form
         m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g^2,
         p -= alpha (m / bc1) / (sqrt(v / bc2) + epsilon),
-    so the result is bitwise that form's. A tensor whose gradient is not
-    finite, or whose update is NaN or beyond the bound, raises and keeps its
-    parameter unchanged; its moments and the step count are not restored.
+    so the result is bitwise that form's, whatever the order of tensors.
+
+    Failures are per tensor. A tensor whose gradient is not finite, or
+    whose update is NaN or beyond the bound, raises an error that names it
+    and keeps its parameter unchanged; its moments are not restored.
+    Tensors already updated in the step, and the step count, stay advanced.
     """
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
     bound = update_bound(state) * (1.0 + 1e-6)
-    # inf / inf is how a non-finite gradient shows in its update
-    with np.errstate(invalid="ignore"):
-        for name in sorted(state.m):
-            if name not in grads:
-                raise KeyError(f"gradient missing for parameter {name!r}")
-            g = grads[name]
-            if g.shape != params[name].shape:
-                raise ShapeMismatchError(f"gradient for {name}", g.shape, params[name].shape)
-            params[name] -= _checked_update(name, g, state, bc1, bc2, bound)
+    pending = set(state.m)
+
+    def update(name: str, g: np.ndarray) -> None:
+        if name not in pending:
+            raise KeyError(f"gradient for {name!r} is untracked or was already handed over in this step")
+        if g.shape != params[name].shape:
+            raise ShapeMismatchError(f"gradient for {name}", g.shape, params[name].shape)
+        pending.remove(name)
+        # inf / inf is how a non-finite gradient shows in its update
+        with np.errstate(invalid="ignore"):
+            _checked_update(name, params[name], g, state, bc1, bc2, bound)
+
+    if callable(grads):
+        grads(update)
+    else:
+        for name in sorted(grads.keys() & pending):
+            update(name, grads[name])
+    if pending:
+        raise KeyError(f"gradient missing for parameter {', '.join(map(repr, sorted(pending)))}")
 
 
 def mae_loss(pred: np.ndarray, target: np.ndarray):

@@ -22,6 +22,7 @@ data-order generator state is part of the checkpoint).
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -377,14 +378,15 @@ def _crop_batch(clips, rng, audio_crop: int, frame_crop: int):
 def _train_step(arch, params, adam, rng, batch, crops, trait) -> float:
     """One Adam step on a batch of (row, ClipFile); returns the batch's mean absolute error.
 
-    The stacked crops are held only by the tape, and the tape and the
-    gradients are local, so nothing of the step outlives it; `backward`
-    frees each layer's cache as it goes.
+    The stacked crops are held only by the local tape, and `backward`
+    frees each layer's cache as it goes. adam_step runs `backward` as its
+    walk, so each tensor is updated, and its gradient dropped, before the
+    next tape entry's backward runs. Only `params` and `adam` outlive it.
     """
     pred, tape = forward_train(arch, params, *_crop_batch([clip for _, clip in batch], rng, *crops), *crops)
     target = np.stack([row.traits if trait is None else row.traits[[trait]] for row, _ in batch]).astype(np.float32)
     loss, dpred = mae_loss(pred, target)
-    adam_step(params, backward(tape, dpred), adam)
+    adam_step(params, functools.partial(backward, tape, dpred), adam)
     return loss
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,20 @@ class TestAdam:
             return params["w"]
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_second_step_allocates_no_tensor_sized_buffer(self):
+        # a fresh update buffer for this tensor would be 4 MB
+        params = one_param(np.zeros(1 << 20), np.float32)
+        state = O.init_adam(params, ["w"])
+        g = {"w": np.full(1 << 20, 0.5, np.float32)}
+        O.adam_step(params, g, state)
+        tracemalloc.start()
+        try:
+            O.adam_step(params, g, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_moments_mirror_parameter_shapes(self):
         params = {"a": np.zeros((3, 4)), "b": np.zeros(7)}
