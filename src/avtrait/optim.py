@@ -6,8 +6,8 @@ it. The step-decay schedule of alpha is `train.TrainConfig.alpha_for_epoch`.
 
 `adam_step` updates one tensor at a time, so it can take each gradient as
 a walk such as `model.backward` hands it over and drop it before the next
-is formed. The update's scratch lives in the AdamState, so after the first
-step an update allocates nothing.
+is formed. The update's scratch lives in the AdamState beside the moments
+and is made with them by `init_adam`, so an update allocates nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ class NonFiniteGradientError(FloatingPointError):
 class AdamState:
     """First/second moment estimates per parameter plus the shared step count.
 
-    `scratch` holds the update's buffers (`_scratch`); no checkpoint keeps it.
+    `scratch` holds the update's buffers (`_scratch`), made by init_adam, or
+    at the first update for a state built from saved moments; no checkpoint
+    keeps it.
     """
 
     m: dict = field(default_factory=dict)
@@ -38,7 +40,7 @@ class AdamState:
     beta1: float = 0.5
     beta2: float = 0.999
     epsilon: float = 1e-8
-    scratch: dict = field(default_factory=dict, repr=False, compare=False)
+    scratch: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
 # Elements per block of an update. One block of each operand it touches
@@ -69,6 +71,9 @@ def init_adam(
         p = params[name]
         state.m[name] = np.zeros(p.shape, p.dtype)
         state.v[name] = np.zeros(p.shape, p.dtype)
+    # made here, before any step's backward, so that no step's peak is the
+    # first to hold it
+    _scratch(state)
     return state
 
 
@@ -88,16 +93,15 @@ def _flat(moment: np.ndarray, name: str) -> np.ndarray:
     return moment.reshape(-1)
 
 
-def _scratch(state: AdamState, g_dtype, u_dtype, size: int):
-    """(update buffer, gradient block, update block), sized for the largest
-    tracked tensor and made once per (gradient, moment) dtype pair."""
-    key = (g_dtype, u_dtype)
-    bufs = state.scratch.get(key)
-    if bufs is None or bufs[0].size < size:
-        n = max(m.size for m in state.m.values())
+def _scratch(state: AdamState):
+    """(update buffer, gradient block, update block) in the moments' dtype,
+    sized for the largest tracked tensor and made once."""
+    if not state.scratch:
+        n = max((m.size for m in state.m.values()), default=0)
+        dtype = np.result_type(*{m.dtype for m in state.m.values()}) if state.m else np.float64
         block = min(n, ADAM_BLOCK)
-        bufs = state.scratch[key] = (np.empty(n, u_dtype), np.empty(block, g_dtype), np.empty(block, u_dtype))
-    return bufs
+        state.scratch = (np.empty(n, dtype), np.empty(block, dtype), np.empty(block, dtype))
+    return state.scratch
 
 
 def _checked_update(name: str, p: np.ndarray, g: np.ndarray, state: AdamState, bc1: float, bc2: float, bound: float) -> None:
@@ -108,7 +112,12 @@ def _checked_update(name: str, p: np.ndarray, g: np.ndarray, state: AdamState, b
     m = _flat(state.m[name], name)
     v = _flat(state.v[name], name)
     g = g.reshape(-1)
-    u, tg, tu = _scratch(state, np.result_type(g, 1.0), np.result_type(m, v), m.size)
+    u, tg, tu = _scratch(state)
+    g_dtype, u_dtype = np.result_type(g, 1.0), np.result_type(m, v)
+    if (tg.dtype, u.dtype) != (g_dtype, u_dtype):
+        # a tensor unlike the rest computes in its own dtypes, as it would alone
+        block = min(m.size, ADAM_BLOCK)
+        u, tg, tu = np.empty(m.size, u_dtype), np.empty(block, g_dtype), np.empty(block, u_dtype)
     u = u[: m.size]
     for lo in range(0, g.size, ADAM_BLOCK):
         blk = slice(lo, lo + ADAM_BLOCK)
@@ -137,9 +146,10 @@ def adam_step(params: dict, grads, state: AdamState) -> None:
     walk: a function that calls the `update(name, gradient)` it is given
     once per tracked tensor, such as functools.partial(model.backward, tape,
     dpred). Each tensor is updated when its gradient is handed over. A
-    mapping's untracked names are ignored; a walk's untracked or repeated
-    name raises KeyError, as does a tracked tensor that got no gradient by
-    the end of the step. The step count advances once.
+    mapping's untracked names are ignored, and one that lacks a tracked
+    name raises KeyError before anything changes. A walk's untracked or
+    repeated name raises KeyError, as does a tracked tensor that got no
+    gradient by the end of the walk. The step count advances once.
 
     Each tensor goes in blocks of ADAM_BLOCK elements. Every elementwise
     operation has the operands, order and dtypes of the one-expression form
@@ -152,11 +162,13 @@ def adam_step(params: dict, grads, state: AdamState) -> None:
     and keeps its parameter unchanged; its moments are not restored.
     Tensors already updated in the step, and the step count, stay advanced.
     """
+    pending = set(state.m)
+    if not callable(grads) and pending - grads.keys():
+        raise _missing(pending - grads.keys())
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
     bound = update_bound(state) * (1.0 + 1e-6)
-    pending = set(state.m)
 
     def update(name: str, g: np.ndarray) -> None:
         if name not in pending:
@@ -171,10 +183,14 @@ def adam_step(params: dict, grads, state: AdamState) -> None:
     if callable(grads):
         grads(update)
     else:
-        for name in sorted(grads.keys() & pending):
+        for name in sorted(pending):
             update(name, grads[name])
     if pending:
-        raise KeyError(f"gradient missing for parameter {', '.join(map(repr, sorted(pending)))}")
+        raise _missing(pending)
+
+
+def _missing(names) -> KeyError:
+    return KeyError(f"gradient missing for parameter {', '.join(map(repr, sorted(names)))}")
 
 
 def mae_loss(pred: np.ndarray, target: np.ndarray):

@@ -640,7 +640,7 @@ class TestFusedUpdate:
     # above its start. Bound fixed between the figures measured before and
     # after the update moved into backward's walk: 124.9 MB when every
     # gradient was held until adam_step, 123.1 MB fused (forward's peak;
-    # backward and update read 122.2 MB in a first step).
+    # backward and update read 119.6 MB).
     STEP_BOUND_MB = 124.0
 
     def test_full_architecture_training_step_stays_bounded(self):

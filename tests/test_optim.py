@@ -122,7 +122,23 @@ class TestAdam:
         params = {"w": np.ones(2), "b": np.ones(1)}
         state = O.init_adam(params, ["w", "b"])
         with pytest.raises(KeyError, match="'b'"):
-            O.adam_step(params, {"w": np.zeros(2)}, state)
+            O.adam_step(params, {"w": np.full(2, 0.5)}, state)
+        # a mapping is checked whole before any tensor is updated
+        np.testing.assert_array_equal(params["w"], np.ones(2))
+        assert state.t == 0 and not state.m["w"].any()
+
+    def test_tensors_of_other_dtypes_update_as_they_would_alone(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        params = {"a": rng.standard_normal(5).astype(np.float32), "b": rng.standard_normal(7)}
+        grads = {"a": rng.standard_normal(5).astype(np.float32), "b": rng.standard_normal(7)}
+        alone = {}
+        for name in params:
+            one = {name: params[name].copy()}
+            O.adam_step(one, {name: grads[name]}, O.init_adam(one, [name]))
+            alone[name] = one[name]
+        O.adam_step(params, grads, O.init_adam(params, ["a", "b"]))
+        for name in params:
+            assert params[name].dtype == alone[name].dtype and params[name].tobytes() == alone[name].tobytes()
 
     def test_deterministic(self):
         def run():

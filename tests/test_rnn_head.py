@@ -9,7 +9,7 @@ from avtrait import model as M
 from avtrait import rnn_head as R
 from avtrait import train as T
 from avtrait.layers import lstm_step
-from avtrait.optim import ADAM_BLOCK, AdamState, mae_loss
+from avtrait.optim import AdamState, mae_loss
 from oracles import central_difference, fd_rel_err, rnn_backward_per_step
 
 
@@ -266,11 +266,7 @@ class TestTrainRnn:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # the update's scratch, one buffer of the largest tensor's size and
-        # two block temporaries, is made in the first step and then kept
-        largest = max(v.size for v in params.values())
-        scratch_bytes = 4 * (largest + 2 * min(largest, ADAM_BLOCK))
-        assert peaks[1] - peaks[0] < scratch_bytes + grad_bytes / 2, (peaks, grad_bytes, scratch_bytes)
+        assert peaks[1] - peaks[0] < grad_bytes / 2, (peaks, grad_bytes)
 
     def test_batch_size_below_one_is_refused(self):
         with pytest.raises(ValueError, match="batch_size"):
