@@ -199,7 +199,9 @@ def trainable_names(arch: Architecture) -> list:
 
 
 def he_normal(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    return (rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)).astype(dtype)
+    z = rng.standard_normal(shape)
+    z *= math.sqrt(2.0 / fan_in)  # in place: no second float64 draw-sized array
+    return z.astype(dtype)
 
 
 def build_network(arch: Architecture, seed, dtype=np.float32) -> dict:

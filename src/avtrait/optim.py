@@ -5,9 +5,11 @@ beta2 0.999, epsilon 1e-8; every other default of these four is read from
 it. The step-decay schedule of alpha is `train.TrainConfig.alpha_for_epoch`.
 
 `adam_step` updates one tensor at a time, so it can take each gradient as
-a walk such as `model.backward` hands it over and drop it before the next
-is formed. The update's scratch lives in the AdamState beside the moments
-and is made with them by `init_adam`, so an update allocates nothing.
+a walk such as `model.backward` or `rnn_head.rnn_backward` hands it over
+and drop it before the next is formed. Each update is written over its
+gradient, so the only scratch is two blocks, which live in the AdamState
+beside the moments and are made with them by `init_adam`: an update
+allocates nothing.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ class NonFiniteGradientError(FloatingPointError):
 class AdamState:
     """First/second moment estimates per parameter plus the shared step count.
 
-    `scratch` holds the update's buffers (`_scratch`), made by init_adam, or
-    at the first update for a state built from saved moments; no checkpoint
-    keeps it.
+    `scratch` holds the update's two block temporaries (`_scratch`), made by
+    init_adam, or at the first update for a state built from saved moments;
+    no checkpoint keeps it.
     """
 
     m: dict = field(default_factory=dict)
@@ -44,8 +46,8 @@ class AdamState:
 
 
 # Elements per block of an update. One block of each operand it touches
-# (gradient, both moments, the update and the two scratch temporaries: 768 KB
-# at float32) stays in a core's L2 cache through the block's 15 elementwise
+# (gradient, both moments and the two scratch temporaries: 640 KB at
+# float32) stays in a core's L2 cache through the block's 16 elementwise
 # passes. On x86 cores with 2 MB of L2, 2**15 was the fastest power of two
 # from 2**12 to 2**17 over the 4.2M-parameter recurrent head.
 ADAM_BLOCK = 1 << 15
@@ -94,52 +96,63 @@ def _flat(moment: np.ndarray, name: str) -> np.ndarray:
 
 
 def _scratch(state: AdamState):
-    """(update buffer, gradient block, update block) in the moments' dtype,
-    sized for the largest tracked tensor and made once."""
+    """Two block temporaries in the moments' dtype, as long as the largest
+    tracked tensor up to ADAM_BLOCK, made once."""
     if not state.scratch:
         n = max((m.size for m in state.m.values()), default=0)
         dtype = np.result_type(*{m.dtype for m in state.m.values()}) if state.m else np.float64
         block = min(n, ADAM_BLOCK)
-        state.scratch = (np.empty(n, dtype), np.empty(block, dtype), np.empty(block, dtype))
+        state.scratch = (np.empty(block, dtype), np.empty(block, dtype))
     return state.scratch
 
 
 def _checked_update(name: str, p: np.ndarray, g: np.ndarray, state: AdamState, bc1: float, bc2: float, bound: float) -> None:
-    """Advance one tensor's moments in place, then subtract its update,
-    written block by block into the scratch, from p once every block has
-    passed the bound check."""
+    """Advance one tensor's moments in place, then subtract its update from
+    p once every block has passed the bound check.
+
+    Each block's update is formed in the two block temporaries, checked
+    while the gradient block is still intact, and then copied over it, so
+    the gradient ends as the update. A gradient that cannot hold it (of
+    another dtype than the moments, or read-only) gets an update buffer of
+    its own, as does a non-contiguous one through its flattened copy.
+    """
     beta1, beta2, alpha, epsilon = state.beta1, state.beta2, state.alpha, state.epsilon
     m = _flat(state.m[name], name)
     v = _flat(state.v[name], name)
     g = g.reshape(-1)
-    u, tg, tu = _scratch(state)
-    g_dtype, u_dtype = np.result_type(g, 1.0), np.result_type(m, v)
-    if (tg.dtype, u.dtype) != (g_dtype, u_dtype):
+    tg, tu = _scratch(state)
+    u_dtype = np.result_type(m, v)
+    if (tg.dtype, tu.dtype) == (g.dtype, u_dtype) and g.flags.writeable:
+        u = g
+    else:
         # a tensor unlike the rest computes in its own dtypes, as it would alone
         block = min(m.size, ADAM_BLOCK)
-        u, tg, tu = np.empty(m.size, u_dtype), np.empty(block, g_dtype), np.empty(block, u_dtype)
-    u = u[: m.size]
+        u, tg, tu = np.empty(m.size, u_dtype), np.empty(block, np.result_type(g, 1.0)), np.empty(block, u_dtype)
     for lo in range(0, g.size, ADAM_BLOCK):
         blk = slice(lo, lo + ADAM_BLOCK)
-        gb, mb, vb, ub = g[blk], m[blk], v[blk], u[blk]
+        gb, mb, vb = g[blk], m[blk], v[blk]
         t_g, t_u = tg[: gb.size], tu[: gb.size]
         mb *= beta1
         mb += np.multiply(1.0 - beta1, gb, out=t_g)
         vb *= beta2
         vb += np.multiply(1.0 - beta2, np.multiply(gb, gb, out=t_g), out=t_g)
+        # the update goes to t_u over the gradient, or straight to its own buffer
+        ub, t_d = (t_u, t_g) if u is g else (u[blk], t_u)
         np.multiply(alpha, np.divide(mb, bc1, out=ub), out=ub)
-        np.divide(ub, np.add(np.sqrt(np.divide(vb, bc2, out=t_u), out=t_u), epsilon, out=t_u), out=ub)
-        peak = float(np.abs(ub, out=t_u).max())
+        np.divide(ub, np.add(np.sqrt(np.divide(vb, bc2, out=t_d), out=t_d), epsilon, out=t_d), out=ub)
+        peak = float(np.abs(ub, out=t_d).max())
         # a NaN or infinite gradient entry makes its update NaN, so only a
         # block that fails the bound can hold one
         if not peak <= bound:
             if not np.all(np.isfinite(gb)):
                 raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
             raise FloatingPointError(f"update for {name!r} exceeded its bound ({peak:g} > {bound:g})")
+        if u is g:
+            gb[...] = ub
     p -= u.reshape(p.shape)
 
 
-def adam_step(params: dict, grads, state: AdamState) -> None:
+def adam_step(params: dict, grads, state: AdamState):
     """One bias-corrected Adam step, in place, over every tracked parameter.
 
     `grads` is a mapping {name: gradient}, taken in sorted name order, or a
@@ -149,7 +162,13 @@ def adam_step(params: dict, grads, state: AdamState) -> None:
     mapping's untracked names are ignored, and one that lacks a tracked
     name raises KeyError before anything changes. A walk's untracked or
     repeated name raises KeyError, as does a tracked tensor that got no
-    gradient by the end of the walk. The step count advances once.
+    gradient by the end of the walk. The step count advances once. Returns
+    what the walk returns, and None for a mapping.
+
+    The gradients are consumed: each one handed over, from a mapping or a
+    walk, is overwritten with its tensor's update where it is a writeable
+    C-contiguous array of the moments' dtype, whether or not the step
+    succeeds. A caller that reads a gradient afterwards passes a copy.
 
     Each tensor goes in blocks of ADAM_BLOCK elements. Every elementwise
     operation has the operands, order and dtypes of the one-expression form
@@ -180,13 +199,15 @@ def adam_step(params: dict, grads, state: AdamState) -> None:
         with np.errstate(invalid="ignore"):
             _checked_update(name, params[name], g, state, bc1, bc2, bound)
 
+    result = None
     if callable(grads):
-        grads(update)
+        result = grads(update)
     else:
         for name in sorted(pending):
             update(name, grads[name])
     if pending:
         raise _missing(pending)
+    return result
 
 
 def _missing(names) -> KeyError:

@@ -18,10 +18,19 @@ learning rate is independent of sequence length, and the step size is
 paired with the batch size (see RnnTrainConfig). Backpropagation is
 truncated every `trunc` steps; hidden state crosses truncation boundaries
 numerically but carries no gradient.
+
+Training updates each tensor as soon as its gradient exists, as the base
+network's step does (LOMO's fused update, Lv et al., arXiv 2306.09782).
+rnn_backward runs every segment's recurrences first, which are its only
+reads of the weights, and then forms the eight weight gradients one at a
+time (readout, layer 2, layer 1), handing each to Adam, which writes the
+update over it. So one head gradient is alive at a time.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +39,6 @@ from .data import FPS, SAMPLE_RATE, Clip, ClipFile, ClipTooShortError
 from .layers import (
     dropout_backward,
     dropout_forward,
-    linear_backward,
     linear_forward,
     lstm_step,
     lstm_step_backward,
@@ -176,19 +184,34 @@ def rnn_forward(seq: np.ndarray, params: dict, rng=None, dropout: float = 0.0, s
 
 _GRAD_KEYS = tuple(head_manifest())
 
+# The order rnn_backward hands the weight gradients out: readout, layer 2,
+# layer 1. Each is (name, layer, part): the product of the layer's stacked
+# step inputs (part 0 of its per-step caches) or previous hidden states
+# (part 1) with its pre-activation gradients, or for a bias (None) their sum.
+_WALK = (
+    ("rnn.out.w", "out", 0),
+    ("rnn.out.b", "out", None),
+    ("rnn.l2.wx", "l2", 0),
+    ("rnn.l2.wh", "l2", 1),
+    ("rnn.l2.b", "l2", None),
+    ("rnn.l1.wx", "l1", 0),
+    ("rnn.l1.wh", "l1", 1),
+    ("rnn.l1.b", "l1", None),
+)
+
 
 def _rows(steps):
     """Stack per-step (B, n) arrays into step-major (T*B, n); None when the steps hold None."""
     return None if steps[0] is None else np.concatenate(steps)
 
 
-def _layer_backward(caches, dh_in):
-    """BPTT through one LSTM layer over a segment.
+def _recurrence(caches, dh_in):
+    """BPTT through one LSTM layer's state over a segment.
 
     dh_in (T*B, H), step-major, is the gradient reaching each step's output
-    from above. Only the dh/dc recurrence runs per step, on (B, H) rows;
-    the weight gradients are one product each over the segment's stacked
-    gate gradients dZ (T*B, 4H). Returns (dZ, dwx, dwh, db).
+    from above. Only the dh/dc recurrence runs, per step on (B, H) rows.
+    Returns the stacked gate gradients dZ (T*B, 4H), from which the weight
+    gradients are one product each over the segment's steps.
     """
     B = caches[0][1].shape[0]
     dh = np.zeros_like(dh_in[:B])
@@ -196,39 +219,66 @@ def _layer_backward(caches, dh_in):
     dz_steps = [None] * len(caches)
     for t in range(len(caches) - 1, -1, -1):
         dz_steps[t], dh, dc = lstm_step_backward(caches[t], dh + dh_in[t * B : (t + 1) * B], dc)
-    dZ = np.concatenate(dz_steps)
-    x = np.concatenate([cache[0] for cache in caches])
-    h_prev = np.concatenate([cache[1] for cache in caches])
-    return dZ, x.T @ dZ, h_prev.T @ dZ, dZ.sum(axis=0)
+    return np.concatenate(dz_steps)
 
 
-def rnn_backward(tape, grad_out: np.ndarray, params: dict) -> dict:
-    """Full backpropagation through the steps covered by `tape`.
-
-    grad_out (B, T, K) is the gradient at rnn_forward's outputs. Gradients
-    do not flow out of the segment's initial state, which is what
-    truncation means. The readout and each layer's weight gradients are
-    formed once per segment over all B*T steps; layer 2's recurrence runs
-    first, and one product with its input weights gives layer 1 its
-    per-step gradients.
-    """
+def _segment_recurrences(tape, grad_out, params) -> dict:
+    """One segment's recurrences, layer 2's first, then layer 1's fed by one
+    dZ2 @ Wx2ᵀ: {layer: (per-step caches, stacked pre-activation gradients)}."""
     caches1, masks1, caches2, masks2, lins, outs = zip(*tape)
     grad_rows = grad_out.transpose(1, 0, 2).reshape(-1, grad_out.shape[2])  # step-major, as the tape
     dz = scaled_tanh_backward(np.concatenate(outs), grad_rows)
-    dw_out, db_out, dd2 = linear_backward((np.concatenate([lin[0] for lin in lins]), params["rnn.out.w"]), dz)
-    dZ2, dwx2, dwh2, db2 = _layer_backward(caches2, dropout_backward(_rows(masks2), dd2))
-    dd1 = dZ2 @ params["rnn.l2.wx"].T
-    _, dwx1, dwh1, db1 = _layer_backward(caches1, dropout_backward(_rows(masks1), dd1))
-    return dict(zip(_GRAD_KEYS, (dwx1, dwh1, db1, dwx2, dwh2, db2, dw_out, db_out)))
+    dZ2 = _recurrence(caches2, dropout_backward(_rows(masks2), dz @ params["rnn.out.w"].T))
+    dZ1 = _recurrence(caches1, dropout_backward(_rows(masks1), dZ2 @ params["rnn.l2.wx"].T))
+    return {"out": (lins, dz), "l2": (caches2, dZ2), "l1": (caches1, dZ1)}
 
 
-def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, rng=None, dropout: float = 0.0):
+def _product(segment: dict, layer: str, part) -> np.ndarray:
+    caches, dZ = segment[layer]
+    if part is None:
+        return dZ.sum(axis=0)
+    return np.concatenate([cache[part] for cache in caches]).T @ dZ
+
+
+def rnn_backward(tape, grad_out: np.ndarray, params: dict, trunc=None, consume=None):
+    """Truncated backpropagation through the steps covered by `tape`.
+
+    grad_out (B, T, K) is the gradient at rnn_forward's outputs over the
+    tape's T steps, which are taken in segments of `trunc` steps (one
+    segment when None). Gradients do not flow out of a segment's initial
+    state, which is what truncation means.
+
+    Every segment's recurrences run first; they read rnn.out.w, both wh and
+    rnn.l2.wx, and nothing after them reads a weight. Then each weight
+    gradient is formed in turn, readout, layer 2, layer 1 (_WALK), as one
+    product per segment over its B*T' steps: the first segment's plus each
+    later one's, in order. Each (name, gradient) goes to consume(name,
+    gradient) as soon as it exists and is not kept, so a consumer may update
+    the tensor in place. With no `consume`, returns {name: gradient}.
+    """
+    if grad_out.ndim != 3 or grad_out.shape[1] != len(tape):
+        raise ValueError(f"grad_out must be (B, T={len(tape)}, K), got {grad_out.shape}")
+    trunc = len(tape) if trunc is None else trunc
+    segments = [
+        _segment_recurrences(tape[lo : lo + trunc], grad_out[:, lo : lo + trunc], params)
+        for lo in range(0, len(tape), trunc)
+    ]
+    grads = {}
+    emit = grads.__setitem__ if consume is None else consume
+    for name, layer, part in _WALK:
+        emit(name, functools.reduce(operator.iadd, (_product(segment, layer, part) for segment in segments)))
+    return grads if consume is None else None
+
+
+def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, rng=None, dropout: float = 0.0, consume=None):
     """Loss and truncated-BPTT gradients for a batch of equal-length sequences.
 
     seq is (B, T, D) and target (B, T, K), a label for every step. Per-step
     losses are averaged over all B*T*K entries, so the gradients are the
     mean of the sequences' own; each length-`trunc` segment contributes its
-    full-BPTT gradient with state carried in numerically. `rng` and `dropout` are rnn_forward's.
+    full-BPTT gradient with state carried in numerically. `rng` and
+    `dropout` are rnn_forward's, and `consume` is rnn_backward's: with it,
+    each gradient goes to consume(name, gradient) and grads is None.
     Returns (loss, grads, outputs (B, T, K)).
     """
     if trunc < 1:
@@ -236,22 +286,15 @@ def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, rng=No
     _, hidden, _ = head_dims(params)
     B, T = seq.shape[:2]
     state = zero_state(B, hidden, seq.dtype)
-    segments = []
+    tape = []
     outs = []
     for lo in range(0, T, trunc):
-        seg = slice(lo, min(lo + trunc, T))
-        out, tape, state = rnn_forward(seq[:, seg], params, rng, dropout, state=state)
-        segments.append((tape, seg))
+        out, seg_tape, state = rnn_forward(seq[:, lo : lo + trunc], params, rng, dropout, state=state)
+        tape += seg_tape
         outs.append(out)
     outputs = np.concatenate(outs, axis=1)
     loss, dout = mae_loss(outputs, np.asarray(target, dtype=seq.dtype))
-    (tape, seg), *rest = segments
-    grads = rnn_backward(tape, dout[:, seg], params)
-    for tape, seg in rest:
-        seg_grads = rnn_backward(tape, dout[:, seg], params)
-        for k in _GRAD_KEYS:
-            grads[k] += seg_grads[k]
-    return loss, grads, outputs
+    return loss, rnn_backward(tape, dout, params, trunc, consume), outputs
 
 
 def _length_batches(lengths, order, size: int):
@@ -277,7 +320,9 @@ def train_rnn(sequences, params: dict, config: RnnTrainConfig):
     draws a permutation and cuts it into batches of up to
     `config.batch_size` equal-length sequences (_length_batches), stacked
     as (B, T, D). Returns the per-epoch mean losses; params are updated in
-    place. One batch's gradients are held at a time.
+    place. Each step is adam_step over the batch's backward walk
+    (sequence_gradients with a consumer), so one weight gradient is held at
+    a time.
     """
     if not sequences:
         raise ValueError("no training sequences")
@@ -291,9 +336,11 @@ def train_rnn(sequences, params: dict, config: RnnTrainConfig):
         for batch in _length_batches(lengths, rng.permutation(len(sequences)), config.batch_size):
             seq = np.stack([sequences[j][0] for j in batch])
             target = np.stack([np.broadcast_to(sequences[j][1], (seq.shape[1], out_dim)) for j in batch])
-            loss, grads, _ = sequence_gradients(params, seq, target, config.trunc, rng, config.dropout)
-            adam_step(params, grads, adam)
-            del grads  # so the next batch's gradients are not formed beside these
+            loss, _, _ = adam_step(
+                params,
+                lambda update: sequence_gradients(params, seq, target, config.trunc, rng, config.dropout, consume=update),
+                adam,
+            )
             total += loss * len(batch)
         losses.append(total / len(sequences))
     return losses

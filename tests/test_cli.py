@@ -1,5 +1,6 @@
 import argparse
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ class TestSynth:
         names1 = sorted(os.listdir(d1))
         assert names1 == sorted(os.listdir(d2))
         for name in names1:
-            assert open(os.path.join(d1, name), "rb").read() == open(os.path.join(d2, name), "rb").read()
+            assert Path(os.path.join(d1, name)).read_bytes() == Path(os.path.join(d2, name)).read_bytes()
 
     def test_invalid_counts_are_data_error(self, tmp_path):
         assert run(["synth", "--n", "2", "--val-n", "3", "--out", str(tmp_path / "x")]) == 2
@@ -150,7 +151,7 @@ class TestTrainCommand:
         assert any(f.endswith(".ckpt") for f in files)
 
     def test_loss_log_format(self, workspace):
-        lines = open(os.path.join(workspace["run"], "loss_log.csv")).read().splitlines()
+        lines = Path(os.path.join(workspace["run"], "loss_log.csv")).read_text().splitlines()
         assert lines[0] == "epoch,alpha,train_mae"
         assert len(lines) == 3
 
@@ -203,7 +204,7 @@ class TestEvalCommand:
         assert code == 0
         printed = capsys.readouterr().out
         assert printed.splitlines()[0].startswith("average,openness")
-        assert open(out_csv).read() == printed
+        assert Path(out_csv).read_text() == printed
 
     def test_default_report_path_next_to_checkpoint(self, workspace):
         code = run(["eval", "--checkpoint", workspace["ckpt"], "--manifest", workspace["manifest"],
@@ -213,7 +214,7 @@ class TestEvalCommand:
 
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path):
         bad = str(tmp_path / "bad.ckpt")
-        open(bad, "wb").write(b"garbage")
+        Path(bad).write_bytes(b"garbage")
         assert run(["eval", "--checkpoint", bad, "--manifest", workspace["manifest"]]) == 2
 
     def test_infinite_step_count_is_data_error(self, workspace, tmp_path, capsys):
@@ -253,7 +254,7 @@ class TestPredictCommand:
         assert run(["predict", "--checkpoint", workspace["ckpt"], "--manifest", workspace["manifest"],
                     "--out", out]) == 0
         printed = capsys.readouterr().out
-        assert open(out).read() == printed
+        assert Path(out).read_text() == printed
         assert len(printed.splitlines()) == 6
 
 
@@ -277,7 +278,7 @@ class TestFinetuneCommand:
         assert run(argv) == 0
         single = capsys.readouterr().out
         assert single.splitlines()[0] == "average,conscientiousness,clips,excluded"
-        assert open(os.path.join(out, "eval_validation.csv")).read() == single
+        assert Path(os.path.join(out, "eval_validation.csv")).read_text() == single
 
     def test_mini_flag_is_unknown(self, tmp_path, capsys):
         # the base checkpoint decides the architecture
@@ -321,8 +322,8 @@ def mixed_split(workspace, tmp_path_factory):
     with a recurrent head for the base checkpoint."""
     root = tmp_path_factory.mktemp("mixed")
     good = D.load_manifest(workspace["manifest"]).split_rows("validation")[0]
-    blob = open(os.path.join(workspace["data"], good.path), "rb").read()
-    open(root / "truncated.clip", "wb").write(blob[:-100])
+    blob = Path(os.path.join(workspace["data"], good.path)).read_bytes()
+    (root / "truncated.clip").write_bytes(blob[:-100])
     D.save_clip(D.synth_clip(np.random.default_rng(0), seconds=0.5, height=40, width=40), str(root / "short.clip"))
     rows = [
         D.ManifestRow(good.clip_id, os.path.join(workspace["data"], good.path), good.traits, "validation"),
@@ -367,7 +368,7 @@ def test_multi_clip_command_skips_unusable_clips(command, workspace, mixed_split
         assert sorted(cli.load_feature_cache(out)) == USABLE[command]
     else:
         assert [line.split(",")[0] for line in printed.splitlines()] == USABLE[command]
-        assert open(out).read() == printed
+        assert Path(out).read_text() == printed
 
 
 @pytest.mark.parametrize("command", list(USABLE))
@@ -415,7 +416,7 @@ def feature_cache(workspace, tmp_path):
 def test_degenerate_setting_is_data_error(workspace, feature_cache, tmp_path, capsys, command, flags, config, message):
     # every other setting is one that runs, so only the degenerate one can fail
     cfg = str(tmp_path / "c.cfg")
-    open(cfg, "w").write("audio_crop = 2048\nframe_crop = 32\n" + config)
+    Path(cfg).write_text("audio_crop = 2048\nframe_crop = 32\n" + config)
     if command == "train":
         inputs = ["--mini", "--epochs", "1", "--batch-size", "4"]
     else:
@@ -444,7 +445,7 @@ def test_bad_setting_exits_before_reading_data(tmp_path, capsys, command, flags,
     # no input exists, so only a check made before reading them can name
     # the setting
     cfg = str(tmp_path / "c.cfg")
-    open(cfg, "w").write(config)
+    Path(cfg).write_text(config)
     argv = [command, "--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o"), "--config", cfg]
     if command == "train-rnn":
         argv += ["--features", str(tmp_path / "missing.ckpt")]
@@ -473,7 +474,7 @@ def test_stale_threads_setting_is_ignored(tmp_path, capsys, monkeypatch, command
     argv = _scoring_argv(tmp_path, command)
     if source == "config":
         cfg = str(tmp_path / "c.cfg")
-        open(cfg, "w").write("threads = two\n")
+        Path(cfg).write_text("threads = two\n")
         argv += ["--config", cfg]
     else:
         monkeypatch.setenv("DI_THREADS", "abc")
@@ -486,7 +487,7 @@ def test_stale_threads_setting_is_ignored(tmp_path, capsys, monkeypatch, command
 @pytest.mark.parametrize("flags, config", [(["--frame-stride", "0"], ""), ([], "frame_stride = -1\n")])
 def test_bad_frame_stride_exits_before_reading_data(tmp_path, capsys, command, flags, config):
     cfg = str(tmp_path / "c.cfg")
-    open(cfg, "w").write(config)
+    Path(cfg).write_text(config)
     assert run(_scoring_argv(tmp_path, command) + ["--config", cfg] + flags) == 2
     err = capsys.readouterr().err
     assert "frame_stride must be >= 1" in err and "missing" not in err
@@ -531,7 +532,7 @@ def _argv_without_inputs(tmp_path, command):
 @pytest.mark.parametrize("value", ["abc", "2.5"])
 def test_non_integer_setting_is_usage_error_naming_it(tmp_path, capsys, command, key, value):
     cfg = str(tmp_path / "c.cfg")
-    open(cfg, "w").write(f"{key} = {value}\n")
+    Path(cfg).write_text(f"{key} = {value}\n")
     assert run(_argv_without_inputs(tmp_path, command) + ["--config", cfg]) == 1
     err = capsys.readouterr().err
     assert f"{key} must be an integer, got " in err and "missing" not in err
@@ -551,7 +552,7 @@ def test_bad_trait_is_usage_error_before_reading_data(tmp_path, capsys, trait):
 def test_crop_below_one_is_refused_before_the_run_directory(workspace, tmp_path, capsys, key, value):
     crops = {"audio_crop": "2048", "frame_crop": "32", key: value}
     cfg = str(tmp_path / "c.cfg")
-    open(cfg, "w").write("".join(f"{k} = {v}\n" for k, v in crops.items()))
+    Path(cfg).write_text("".join(f"{k} = {v}\n" for k, v in crops.items()))
     out = str(tmp_path / "run")
     argv = ["train", "--manifest", workspace["manifest"], "--out", out, "--config", cfg,
             "--mini", "--epochs", "1", "--batch-size", "4"]
@@ -577,7 +578,7 @@ def test_crop_below_one_is_refused_before_the_run_directory(workspace, tmp_path,
 @pytest.mark.parametrize("value", ["abc", "true"])
 def test_non_number_setting_is_usage_error_naming_it(tmp_path, capsys, command, key, value):
     cfg = str(tmp_path / "c.cfg")
-    open(cfg, "w").write(f"{key} = {value}\n")
+    Path(cfg).write_text(f"{key} = {value}\n")
     assert run(_argv_without_inputs(tmp_path, command) + ["--config", cfg]) == 1
     err = capsys.readouterr().err
     assert f"{key} must be a number, got " in err and "missing" not in err
@@ -641,10 +642,10 @@ class TestConfigFile:
 
     def test_malformed_config_is_data_error(self, tmp_path):
         cfg = str(tmp_path / "c.cfg")
-        open(cfg, "w").write("just some words\n")
+        Path(cfg).write_text("just some words\n")
         assert run(["synth", "--n", "1", "--out", str(tmp_path / "o"), "--config", cfg]) == 2
 
     def test_boolean_values(self, tmp_path):
         cfg = str(tmp_path / "c.cfg")
-        open(cfg, "w").write("mini = true\n")
+        Path(cfg).write_text("mini = true\n")
         assert cli.read_config_file(cfg) == {"mini": True}

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -40,7 +41,7 @@ class TestClipContainer:
         clip = tiny_clip(S=5, T=1, H=2, W=3)
         path = str(tmp_path / "a.clip")
         D.save_clip(clip, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert blob[:8] == b"DIClip1\x00"
         assert len(blob) == 20 + 4 * 5 + 1 * 3 * 2 * 3
         S = int.from_bytes(blob[8:12], "little")
@@ -52,17 +53,17 @@ class TestClipContainer:
     def test_corrupt_magic(self, tmp_path):
         path = str(tmp_path / "a.clip")
         D.save_clip(tiny_clip(), path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[0] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(D.BadMagicError):
             D.load_clip(path)
 
     def test_truncated_payload(self, tmp_path):
         path = str(tmp_path / "a.clip")
         D.save_clip(tiny_clip(), path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-3])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-3])
         with pytest.raises(D.TruncatedPayloadError):
             D.load_clip(path)
 
@@ -77,9 +78,9 @@ class TestClipContainer:
     def test_zero_extent_rejected(self, tmp_path):
         path = str(tmp_path / "a.clip")
         D.save_clip(tiny_clip(S=4, T=1, H=2, W=2), path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[12:16] = (0).to_bytes(4, "little")  # frame count 0
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(D.ExtentOverflowError):
             D.load_clip(path)
 
@@ -94,9 +95,9 @@ class TestClipContainer:
     def test_bad_audio_rejected_on_load(self, tmp_path, bad):
         path = str(tmp_path / "a.clip")
         D.save_clip(tiny_clip(S=8), path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[20 + 4 * 3 : 20 + 4 * 4] = np.array([bad], dtype="<f4").tobytes()
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(D.AudioRangeError):
             D.load_clip(path)
 
@@ -107,7 +108,7 @@ class TestClipContainer:
         clip = D.Clip(audio=np.zeros((1, 4), np.float32), frames=frames)
         path = str(tmp_path / "a.clip")
         D.save_clip(clip, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         pixels = np.frombuffer(blob[20 + 16 :], dtype=np.uint8).reshape(1, 3, 2, 2)
         np.testing.assert_array_equal(pixels, frames)
         unit = D.unit_frames(D.load_clip(path).frames)
@@ -161,7 +162,7 @@ class TestManifest:
 
     def test_bad_header_rejected(self, tmp_path):
         path = str(tmp_path / "m.csv")
-        open(path, "w").write("id,file\n")
+        Path(path).write_text("id,file\n")
         with pytest.raises(D.ManifestError, match="header"):
             D.load_manifest(path)
 
@@ -379,8 +380,8 @@ class TestSynthDataset:
         D.synth_dataset(4, seed=9, out_dir=d1, seconds=0.5, height=24, width=24)
         D.synth_dataset(4, seed=9, out_dir=d2, seconds=0.5, height=24, width=24)
         for name in sorted(os.listdir(d1)):
-            b1 = open(os.path.join(d1, name), "rb").read()
-            b2 = open(os.path.join(d2, name), "rb").read()
+            b1 = Path(os.path.join(d1, name)).read_bytes()
+            b2 = Path(os.path.join(d2, name)).read_bytes()
             assert b1 == b2, name
 
     def test_labels_inside_band(self, tmp_path):
@@ -474,10 +475,10 @@ class TestSynthDataset:
     def test_non_empty_directory_is_refused_before_writing(self, tmp_path):
         d = str(tmp_path / "d")
         D.synth_dataset(4, seed=9, out_dir=d, seconds=0.5, height=24, width=24)
-        before = {name: open(os.path.join(d, name), "rb").read() for name in os.listdir(d)}
+        before = {name: Path(os.path.join(d, name)).read_bytes() for name in os.listdir(d)}
         with pytest.raises(FileExistsError, match="not empty"):
             D.synth_dataset(2, seed=9, out_dir=d, seconds=0.5, height=24, width=24)
-        assert {name: open(os.path.join(d, name), "rb").read() for name in os.listdir(d)} == before
+        assert {name: Path(os.path.join(d, name)).read_bytes() for name in os.listdir(d)} == before
 
     def test_empty_directory_is_written(self, tmp_path):
         d = tmp_path / "d"
@@ -608,20 +609,20 @@ class TestAtomicWrite:
     def test_no_temp_files_left(self, tmp_path):
         path = str(tmp_path / "x.bin")
         D.atomic_write_bytes(path, b"hello")
-        assert open(path, "rb").read() == b"hello"
+        assert Path(path).read_bytes() == b"hello"
         assert os.listdir(str(tmp_path)) == ["x.bin"]
 
     def test_overwrite_is_atomic_replace(self, tmp_path):
         path = str(tmp_path / "x.bin")
         D.atomic_write_bytes(path, b"one")
         D.atomic_write_bytes(path, b"two")
-        assert open(path, "rb").read() == b"two"
+        assert Path(path).read_bytes() == b"two"
 
     def test_parts_are_written_in_order(self, tmp_path):
         path = str(tmp_path / "x.bin")
         tail = np.arange(3, dtype="<u2")
         D.atomic_write_bytes(path, [b"ab", memoryview(b"cd"), tail])
-        assert open(path, "rb").read() == b"abcd" + tail.tobytes()
+        assert Path(path).read_bytes() == b"abcd" + tail.tobytes()
 
     def test_failing_parts_leave_the_old_file(self, tmp_path):
         path = str(tmp_path / "x.bin")
@@ -633,7 +634,7 @@ class TestAtomicWrite:
 
         with pytest.raises(RuntimeError, match="boom"):
             D.atomic_write_bytes(path, parts())
-        assert open(path, "rb").read() == b"old"
+        assert Path(path).read_bytes() == b"old"
         assert os.listdir(str(tmp_path)) == ["x.bin"]
 
 

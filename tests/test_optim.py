@@ -69,7 +69,7 @@ class TestAdam:
         params = one_param([1.0, 1.0, 1.0])
         state = O.init_adam(params, ["w"], alpha=2e-4)
         g = np.array([0.3, -0.7, 2.0])
-        O.adam_step(params, {"w": g}, state)
+        O.adam_step(params, {"w": g.copy()}, state)
         # at t=1 the update is alpha * g / (|g| + eps') = alpha * sign(g)
         np.testing.assert_allclose(params["w"], 1.0 - 2e-4 * np.sign(g), rtol=1e-6)
 
@@ -93,7 +93,7 @@ class TestAdam:
 
         p1 = one_param(w.copy())
         s1 = O.init_adam(p1, ["w"])
-        O.adam_step(p1, {"w": g}, s1)
+        O.adam_step(p1, {"w": g.copy()}, s1)
 
         p2 = one_param(w[perm].copy())
         s2 = O.init_adam(p2, ["w"])
@@ -134,7 +134,7 @@ class TestAdam:
         alone = {}
         for name in params:
             one = {name: params[name].copy()}
-            O.adam_step(one, {name: grads[name]}, O.init_adam(one, [name]))
+            O.adam_step(one, {name: grads[name].copy()}, O.init_adam(one, [name]))
             alone[name] = one[name]
         O.adam_step(params, grads, O.init_adam(params, ["a", "b"]))
         for name in params:
@@ -154,8 +154,8 @@ class TestAdam:
         # a fresh update buffer for this tensor would be 4 MB
         params = one_param(np.zeros(1 << 20), np.float32)
         state = O.init_adam(params, ["w"])
+        O.adam_step(params, {"w": np.full(1 << 20, 0.5, np.float32)}, state)
         g = {"w": np.full(1 << 20, 0.5, np.float32)}
-        O.adam_step(params, g, state)
         tracemalloc.start()
         try:
             O.adam_step(params, g, state)
@@ -163,6 +163,37 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
+
+    def test_scratch_is_two_blocks(self):
+        state = O.init_adam(one_param(np.zeros(1 << 20), np.float32), ["w"])
+        assert sum(a.size for a in state.scratch) <= 2 * O.ADAM_BLOCK
+
+    def test_gradient_handed_over_is_overwritten_by_its_update(self):
+        rng = np.random.Generator(np.random.PCG64(4))
+        w = rng.standard_normal(O.ADAM_BLOCK + 5).astype(np.float32)
+        g = rng.standard_normal(w.size).astype(np.float32)
+        m, v = (1.0 - 0.5) * g, (1.0 - 0.999) * (g * g)
+        want = 2e-4 * (m / (1.0 - 0.5)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
+        params = one_param(w, np.float32)
+        handed = g.copy()
+        O.adam_step(params, {"w": handed}, O.init_adam(params, ["w"]))
+        assert handed.tobytes() == want.tobytes()
+        # a read-only gradient is left as it is and gives the same step
+        ro = one_param(w, np.float32)
+        handed = g.copy()
+        handed.setflags(write=False)
+        O.adam_step(ro, {"w": handed}, O.init_adam(ro, ["w"]))
+        assert handed.tobytes() == g.tobytes() and ro["w"].tobytes() == params["w"].tobytes()
+
+    def test_non_finite_moment_is_not_reported_as_a_gradient_fault(self):
+        # the diagnosis reads the gradient, which the update has not yet overwritten
+        params = one_param([1.0, 2.0, 3.0])
+        state = O.init_adam(params, ["w"])
+        state.m["w"][1] = np.nan
+        with pytest.raises(FloatingPointError, match="bound") as err:
+            O.adam_step(params, {"w": np.array([0.1, -0.2, 0.3])}, state)
+        assert not isinstance(err.value, O.NonFiniteGradientError)
+        np.testing.assert_array_equal(params["w"], [1.0, 2.0, 3.0])
 
     def test_moments_mirror_parameter_shapes(self):
         params = {"a": np.zeros((3, 4)), "b": np.zeros(7)}
@@ -227,7 +258,7 @@ class TestBlockedAdam:
         state = O.init_adam(params, ["w"], alpha=alpha, beta1=beta1, beta2=beta2)
         ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
         for t, g in enumerate(grads, start=1):
-            O.adam_step(params, {"w": g}, state)
+            O.adam_step(params, {"w": g.copy()}, state)
             m = beta1 * m + (1.0 - beta1) * g
             v = beta2 * v + (1.0 - beta2) * (g * g)
             ref = ref - alpha * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + 1e-8)

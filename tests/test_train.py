@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,44 +56,44 @@ class TestTensorContainer:
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "t.ckpt")
         T.write_tensor_container(path, {"x": np.ones(1, np.float32)})
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[0] ^= 1
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(T.CheckpointMagicError):
             T.read_tensor_container(path)
 
     def test_version_mismatch(self, tmp_path):
         path = str(tmp_path / "t.ckpt")
         T.write_tensor_container(path, {"x": np.ones(1, np.float32)})
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[8:12] = (99).to_bytes(4, "little")
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(T.CheckpointVersionError):
             T.read_tensor_container(path)
 
     def test_truncation(self, tmp_path):
         path = str(tmp_path / "t.ckpt")
         T.write_tensor_container(path, {"x": np.ones(5, np.float32)})
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-2])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-2])
         with pytest.raises(T.CheckpointTruncatedError):
             T.read_tensor_container(path)
 
     def test_non_utf8_name_is_decode_error(self, tmp_path):
         path = str(tmp_path / "t.ckpt")
         T.write_tensor_container(path, {"x": np.ones(1, np.float32)})
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[20 + 2] = 0xFF  # first byte of the first name, after the header and its length
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(T.CheckpointDecodeError, match="UTF-8"):
             T.read_tensor_container(path)
 
     def test_rank_zero_rejected(self, tmp_path):
         path = str(tmp_path / "t.ckpt")
         T.write_tensor_container(path, {"x": np.ones(1, np.float32)})
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[20 + 2 + 1] = 0  # the rank byte after the one-byte name
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(T.CheckpointError, match="rank 0"):
             T.read_tensor_container(path)
 
@@ -112,7 +113,7 @@ class TestTensorContainer:
             want += struct.pack(f"<H{len(raw)}sB", len(raw), raw, arr.ndim)
             want += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
         want += struct.pack("<I", 2) + b"tr"
-        assert open(path, "rb").read() == want
+        assert Path(path).read_bytes() == want
 
     def test_write_holds_no_copy_of_the_payload(self, tmp_path):
         # 8 MB of float32 tensors; building the container in memory first
@@ -134,10 +135,10 @@ class TestTensorContainer:
     def test_unserializable_tensor_leaves_the_old_file(self, tmp_path):
         path = str(tmp_path / "t.ckpt")
         T.write_tensor_container(path, {"x": np.ones(1, np.float32)})
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         with pytest.raises(T.CheckpointError, match="unserializable"):
             T.write_tensor_container(path, {"a": np.ones(3, np.float32), "n" * (1 << 16): np.ones(1, np.float32)})
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert os.listdir(str(tmp_path)) == ["t.ckpt"]
 
 
@@ -279,9 +280,9 @@ def test_every_truncation_is_typed(tmp_path):
     named = {"adam.t": np.array([4.0], np.float32), "meta.trait": np.array([1.0], np.float32),
              "w": np.arange(6, dtype=np.float32).reshape(2, 3)}
     T.write_tensor_container(path, named, epoch=2, trailer=b'{"a": 1}')
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     for end in range(len(blob)):
-        open(path, "wb").write(blob[:end])
+        Path(path).write_bytes(blob[:end])
         with pytest.raises(T.CheckpointTruncatedError):
             T.load_checkpoint(path)
 
@@ -308,7 +309,7 @@ def _structure_offsets(blob):
 def checkpoint_blob(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("ckpt") / "c.ckpt")
     _small_checkpoint(path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     return blob, _structure_offsets(blob)
 
 
@@ -324,7 +325,7 @@ def test_truncated_or_flipped_checkpoint_loads_or_is_typed(tmp_path_factory, che
         at = data.draw(st.one_of(*map(st.sampled_from, regions), anywhere), label="offset")
         blob[at] ^= data.draw(st.integers(1, 255), label="mask")
     path = str(tmp_path_factory.getbasetemp() / "flipped.ckpt")
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     try:
         ckpt = T.load_checkpoint(path)
     except T.CheckpointError:
@@ -337,13 +338,13 @@ class TestTrainLoop:
         r1 = T.train(tiny_config(str(tmp_path / "a")), dataset)
         r2 = T.train(tiny_config(str(tmp_path / "b")), dataset)
         assert r1.losses == r2.losses
-        b1 = open(r1.checkpoint_path, "rb").read()
-        b2 = open(r2.checkpoint_path, "rb").read()
+        b1 = Path(r1.checkpoint_path).read_bytes()
+        b2 = Path(r2.checkpoint_path).read_bytes()
         assert b1 == b2
 
     def test_loss_log_written(self, tmp_path, dataset):
         res = T.train(tiny_config(str(tmp_path / "a")), dataset)
-        log = open(os.path.join(res.out_dir, "loss_log.csv")).read().splitlines()
+        log = Path(os.path.join(res.out_dir, "loss_log.csv")).read_text().splitlines()
         assert log[0] == "epoch,alpha,train_mae"
         assert len(log) == 3
         assert log[1].startswith("0,")
@@ -380,7 +381,7 @@ class TestTrainLoop:
         # epochs computed after the resume point are bitwise identical;
         # earlier rows round-trip through the textual loss log
         assert [tuple(x) for x in resumed.losses[2:]] == [tuple(x) for x in full.losses[2:]]
-        assert open(resumed.checkpoint_path, "rb").read() == open(full.checkpoint_path, "rb").read()
+        assert Path(resumed.checkpoint_path).read_bytes() == Path(full.checkpoint_path).read_bytes()
 
     def test_resume_past_the_last_epoch_is_refused(self, tmp_path, dataset):
         # epochs count from 0: a 3-epoch run's last checkpoint is epoch 2,
@@ -626,10 +627,10 @@ class TestEvaluate:
         # a NaN sample must stop when map_clips opens the clip: scored, it
         # turns every trait's accuracy into nan
         bad = dataset.split_rows("validation")[0]
-        blob = bytearray(open(dataset.clip_path(bad), "rb").read())
+        blob = bytearray(Path(dataset.clip_path(bad)).read_bytes())
         blob[20:24] = np.array([np.nan], dtype="<f4").tobytes()  # first audio sample
         path = str(tmp_path / "nan.clip")
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         rows = [D.ManifestRow(r.clip_id, path if r is bad else r.path, r.traits, r.split) for r in dataset.rows]
         manifest = D.Manifest(rows=rows, directory=dataset.directory)
         arch = M.mini_architecture()
