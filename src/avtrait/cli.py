@@ -3,9 +3,15 @@
 Subcommands: synth, train, eval, predict, finetune, extract-features,
 train-rnn, predict-rnn, gradcheck. Every command accepts --config, an
 optional file of plain ``key = value`` lines; explicit flags override it.
-The commands that draw random numbers (synth, train, finetune, train-rnn,
-gradcheck) also accept --seed, and all their stochastic behavior flows
-from it; the scoring commands draw none and take no seed.
+A command reads the key of each of its flags but --config, named as the
+flag with "_" for "-" (batch_size for --batch-size), and the keys that
+have no flag: train and finetune audio_crop, frame_crop (crop lengths),
+initial_alpha (Adam's step size) and lr_period (epochs between its /10
+decays), train-rnn alpha (Adam's step size). A config key the command
+does not read is a usage error naming it, raised before any input is
+read. The commands that draw random numbers (synth, train, finetune,
+train-rnn, gradcheck) also accept --seed, and all their stochastic
+behavior flows from it; the scoring commands draw none and take no seed.
 
 The multi-clip commands eval, predict, extract-features and predict-rnn
 score one clip at a time. Each skips, with a warning, a clip it cannot use
@@ -69,6 +75,16 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+_TRAINING_ONLY = ("audio_crop", "frame_crop", "initial_alpha", "lr_period")
+# the config keys that have no flag, of each command that reads some (module docstring)
+CONFIG_ONLY = {"train": _TRAINING_ONLY, "finetune": _TRAINING_ONLY, "train-rnn": ("alpha",)}
+
+
+def config_keys(args) -> set:
+    """The config keys the command parsed into `args` reads: its flags' and its CONFIG_ONLY keys."""
+    return set(vars(args)) - {"command", "config"} | set(CONFIG_ONLY.get(args.command, ()))
+
+
 class Settings:
     """Flag > config file > default, per key."""
 
@@ -78,9 +94,13 @@ class Settings:
 
     def get(self, key: str, default=None):
         v = getattr(self.args, key, None)
-        if v is None:
-            v = self.config.get(key, default)
-        return v
+        return self.config.get(key, default) if v is None else v
+
+    def refuse_unread(self) -> None:
+        """Name every config key the command does not read in a UsageError; called before any input is read."""
+        unread = sorted(set(self.config) - config_keys(self.args))
+        if unread:
+            raise UsageError(f"{self.args.command} reads no config key {', '.join(unread)}")
 
 
 def _setting(settings: Settings, key: str, default=None, cast=int):
@@ -248,6 +268,7 @@ def build_parser() -> _Parser:
 
 def _base_and_rows(s: Settings, command: str):
     """The 5-trait base checkpoint, the manifest and its --split rows (all by default)."""
+    s.refuse_unread()
     ckpt = T.load_checkpoint(s.get("checkpoint"))
     if ckpt.arch.out_dim != 5:
         raise ValueError(f"{command} uses the 5-trait base network")
@@ -272,12 +293,13 @@ def _train_config(s: Settings, **fixed) -> T.TrainConfig:
     """The TrainConfig of `fixed` and the training settings given; TrainConfig checks them all."""
     return T.TrainConfig(
         **_given(s, ("epochs", "batch_size", "seed", "checkpoint_every", "audio_crop", "frame_crop", "lr_period")),
-        **_given(s, ("initial_alpha", "lr_decay_factor", "beta1", "beta2", "epsilon"), float),
+        **_given(s, ("initial_alpha",), float),
         **fixed,
     )
 
 
 def _cmd_synth(s: Settings) -> int:
+    s.refuse_unread()
     manifest = D.synth_dataset(
         n=_setting(s, "n"),
         seed=_setting(s, "seed", SYNTH_SEED),
@@ -294,6 +316,7 @@ def _cmd_train(s: Settings) -> int:
     if s.get("mini") is not None:
         fixed["mini"] = bool(s.get("mini"))
     config = _train_config(s, **fixed)
+    s.refuse_unread()
     manifest = D.load_manifest(s.get("manifest"))
     result = T.train(config, manifest, resume=s.get("resume"))
     last_epoch, alpha, mae = result.losses[-1]
@@ -304,6 +327,7 @@ def _cmd_train(s: Settings) -> int:
 
 def _cmd_eval(s: Settings) -> int:
     stride = _frame_stride(s, T.evaluate)
+    s.refuse_unread()
     ckpt = T.load_checkpoint(s.get("checkpoint"))
     manifest = D.load_manifest(s.get("manifest"))
     split = s.get("split", _default(T.evaluate, "split"))
@@ -336,6 +360,7 @@ def _cmd_finetune(s: Settings) -> int:
     # the checks do not look at the crops, so the base's architecture can
     # join the config after it is read
     config = _train_config(s, out_dir=s.get("out"))
+    s.refuse_unread()
     base = T.load_checkpoint(s.get("checkpoint"))
     manifest = D.load_manifest(s.get("manifest"))
     config = replace(config, mini=base.mini)
@@ -370,6 +395,7 @@ def _cmd_train_rnn(s: Settings) -> int:
     hidden = _given(s, ("hidden",))
     if hidden:  # before any input is read, as RnnTrainConfig checks its settings
         R.check_hidden(hidden["hidden"])
+    s.refuse_unread()
     feats = load_feature_cache(s.get("features"))
     manifest = D.load_manifest(s.get("manifest"))
     labels = {row.clip_id: row.traits.astype(np.float32) for row in manifest.rows}
@@ -398,6 +424,7 @@ def _cmd_predict_rnn(s: Settings) -> int:
 
 
 def _cmd_gradcheck(s: Settings) -> int:
+    s.refuse_unread()
     rows, ok = run_gradcheck(include_network=bool(s.get("mini", False)), **_given(s, ("seed",)))
     print(f"{'layer':30s} {'max_rel_err':>12s} {'tolerance':>10s} result")
     for r in rows:

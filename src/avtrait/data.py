@@ -50,6 +50,7 @@ SAMPLE_RATE = 16000
 FPS = 25
 CANONICAL_HEIGHT = 256
 CANONICAL_WIDTH = 456
+FRAME_PLANES = 3  # R, G, B: every frame's planes, and so the visual stream's input channels
 
 TRAITS = ("openness", "agreeableness", "conscientiousness", "neuroticism", "extraversion")
 SPLITS = ("train", "validation", "test")
@@ -105,8 +106,8 @@ class Clip:
     def __post_init__(self):
         if self.audio.ndim != 2 or self.audio.shape[0] != 1 or self.audio.shape[1] < 1:
             raise ValueError(f"audio must be (1, S>=1), got {self.audio.shape}")
-        if self.frames.ndim != 4 or self.frames.shape[1] != 3 or self.frames.shape[0] < 1:
-            raise ValueError(f"frames must be (T>=1, 3, H, W), got {self.frames.shape}")
+        if self.frames.ndim != 4 or self.frames.shape[1] != FRAME_PLANES or self.frames.shape[0] < 1:
+            raise ValueError(f"frames must be (T>=1, {FRAME_PLANES}, H, W), got {self.frames.shape}")
         if self.frames.dtype != np.uint8:
             raise ValueError(f"frames must be uint8 pixels, got {self.frames.dtype}")
 
@@ -215,7 +216,7 @@ def _check_container(head: bytes, size: int, path: str) -> tuple:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if S < 1 or T < 1 or H < 1 or W < 1:
         raise ExtentOverflowError(f"{path}: zero extent in header (S={S} T={T} H={H} W={W})")
-    expected = _HEADER.size + 4 * S + T * 3 * H * W
+    expected = _HEADER.size + 4 * S + T * FRAME_PLANES * H * W
     if expected > _MAX_PAYLOAD:
         raise ExtentOverflowError(f"{path}: header implies {expected} bytes")
     if size != expected:
@@ -234,8 +235,8 @@ def load_clip(path: str) -> Clip:
     S, T, H, W = _check_container(blob[: _HEADER.size], len(blob), path)
     audio = np.frombuffer(blob, dtype="<f4", count=S, offset=_HEADER.size).reshape(1, S)
     _check_audio(audio, path)
-    frames = np.frombuffer(blob, dtype=np.uint8, count=T * 3 * H * W, offset=_HEADER.size + 4 * S)
-    return Clip(audio=np.ascontiguousarray(audio, dtype=np.float32), frames=frames.reshape(T, 3, H, W))
+    frames = np.frombuffer(blob, dtype=np.uint8, count=T * FRAME_PLANES * H * W, offset=_HEADER.size + 4 * S)
+    return Clip(audio=np.ascontiguousarray(audio, dtype=np.float32), frames=frames.reshape(T, FRAME_PLANES, H, W))
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ class ClipFile:
 
     path: str
     sample_count: int
-    frame_shape: tuple  # (T, 3, H, W)
+    frame_shape: tuple  # (T, FRAME_PLANES, H, W)
 
     @property
     def frame_count(self) -> int:
@@ -280,8 +281,9 @@ class ClipFile:
 
     def frame_rows(self, t: int, top: int, stop: int) -> np.ndarray:
         _, _, H, W = self.frame_shape
-        first = _HEADER.size + 4 * self.sample_count + (t * 3 * H + top) * W
-        return self._read([first + c * H * W for c in range(3)], np.empty((3, stop - top, W), np.uint8))
+        first = _HEADER.size + 4 * self.sample_count + (t * FRAME_PLANES * H + top) * W
+        rows = np.empty((FRAME_PLANES, stop - top, W), np.uint8)
+        return self._read([first + c * H * W for c in range(FRAME_PLANES)], rows)
 
 
 def open_clip(path: str) -> ClipFile:
@@ -292,7 +294,7 @@ def open_clip(path: str) -> ClipFile:
     """
     with open(path, "rb") as fh:
         S, T, H, W = _check_container(fh.read(_HEADER.size), os.fstat(fh.fileno()).st_size, path)
-    clip = ClipFile(path, S, (T, 3, H, W))
+    clip = ClipFile(path, S, (T, FRAME_PLANES, H, W))
     clip.audio_window(0, S)
     return clip
 
@@ -372,7 +374,7 @@ def load_manifest(path: str) -> Manifest:
 # reads from a Clip in memory or from a ClipFile on disk, with the same draws
 # and bitwise-equal results.
 
-def crop_audio(clip: Clip | ClipFile, rng: np.random.Generator, crop: int = 50176) -> np.ndarray:
+def crop_audio(clip: Clip | ClipFile, rng: np.random.Generator, crop: int) -> np.ndarray:
     """Contiguous random temporal window; short audio is zero-padded at the end."""
     S = clip.sample_count
     if S < crop:
@@ -384,7 +386,7 @@ def crop_audio(clip: Clip | ClipFile, rng: np.random.Generator, crop: int = 5017
     return clip.audio_window(start, start + crop)
 
 
-def crop_frame(clip: Clip | ClipFile, rng: np.random.Generator, crop: int = 224) -> np.ndarray:
+def crop_frame(clip: Clip | ClipFile, rng: np.random.Generator, crop: int) -> np.ndarray:
     """Random square crop of a random frame, mirrored left/right half the time."""
     T, _, H, W = clip.frame_shape
     if H < crop or W < crop:
@@ -458,7 +460,7 @@ def _synth_counts(seconds: float, height: int, width: int) -> tuple:
 _SYNTH_BLOCK_BYTES = 1 << 20
 
 
-def synth_clip(rng: np.random.Generator, seconds: float = 2.0, height: int = 48, width: int = 48) -> Clip:
+def synth_clip(rng: np.random.Generator, seconds: float, height: int, width: int) -> Clip:
     """One synthetic clip; consumes a fixed number of draws from rng.
 
     The frames are formed one block of frames at a time, straight into the
@@ -474,7 +476,7 @@ def synth_clip(rng: np.random.Generator, seconds: float = 2.0, height: int = 48,
     phase2 = float(rng.uniform(0.0, 2.0 * math.pi))
     phase3 = float(rng.uniform(0.0, 2.0 * math.pi))
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    base = rng.uniform(_BASE_LO, _BASE_HI, size=3)
+    base = rng.uniform(_BASE_LO, _BASE_HI, size=FRAME_PLANES)
     wobble_phase = float(rng.uniform(0.0, 2.0 * math.pi))
 
     t = np.arange(S, dtype=np.float64) / SAMPLE_RATE
@@ -491,7 +493,7 @@ def synth_clip(rng: np.random.Generator, seconds: float = 2.0, height: int = 48,
     still = base[:, None, None] + _GRADIENT_AMPLITUDE * proj  # (3, H, W), every frame before its wobble
     ts = np.arange(T, dtype=np.float64)
     wobble = _WOBBLE_AMPLITUDE * np.sin(2.0 * math.pi * ts / T + wobble_phase)
-    frames = np.empty((T, 3, height, width), np.uint8)
+    frames = np.empty((T, FRAME_PLANES, height, width), np.uint8)
     step = max(1, _SYNTH_BLOCK_BYTES // still.nbytes)
     pix = np.empty((min(step, T),) + still.shape)
     sums = []
@@ -502,7 +504,7 @@ def synth_clip(rng: np.random.Generator, seconds: float = 2.0, height: int = 48,
         np.round(block, out=block)
         frames[lo : lo + step] = block
         sums.append(unit_frames(frames[lo : lo + step]).sum(axis=(0, 2, 3), dtype=np.float64))
-    means = [math.fsum(part[c] for part in sums) / (T * height * width) for c in range(3)]
+    means = [math.fsum(part[c] for part in sums) / (T * height * width) for c in range(FRAME_PLANES)]
     label = _synth_labels(freq, means, theta)
     return Clip(audio=audio, frames=frames, label=label)
 

@@ -105,7 +105,7 @@ def _batchnorm_case(rng):
     beta = 0.1 * rng.standard_normal(3)
     return _projected(
         rng, {"x": x, "gamma": gamma, "beta": beta},
-        lambda: L.batchnorm_forward(x, L.BatchNormState(gamma, beta, np.zeros(3), np.ones(3)), "train"),
+        lambda: L.batchnorm_forward(x, L.BatchNormState(gamma, beta, np.zeros(3), np.ones(3))),
         lambda cache, R: dict(zip(("gamma", "beta", "x"), L.batchnorm_backward(cache, R))),
     )
 

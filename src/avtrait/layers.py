@@ -3,9 +3,8 @@
 Every forward returns ``(output, cache)``; the matching backward consumes
 the cache plus the upstream gradient and returns gradients with the exact
 shapes of the values they differentiate. All functions are pure given
-explicit state arguments, except ``batchnorm_forward`` in train mode,
-which updates the running statistics in place (single writer: the
-training loop).
+explicit state arguments, except ``batchnorm_forward``, which updates the
+running statistics in place (single writer: the training loop).
 
 1-d layers (audio) and 2-d layers (images) share two pieces of window
 geometry. Gathers read ``_windows``: it copies the input into a zero
@@ -56,8 +55,9 @@ products the forward used, so the rebuild is bitwise equal, and hands it to
 ``relu_backward``. gamma and beta must therefore not change between
 a forward and its backward, as a convolution's input must not.
 
-Eval mode folds each batch norm into the convolution before it
-(``fold_batchnorm``, ``fold_block``). A folded residual block runs in eval
+Batch norm runs unfolded only in training. Eval mode folds it into the
+convolution before it (``fold_batchnorm``, ``fold_block``), checked against
+an unfolded reference in the tests. A folded residual block runs in eval
 mode, as convolutions and in-place rectifiers only, and keeps no cache; any
 other block trains. Every shape check raises ``ShapeMismatchError``.
 """
@@ -426,7 +426,7 @@ def _unit_stride_grads(x, w, grad_out, spec: ConvSpec, input_grad: bool):
 class BatchNormState:
     """Per-channel affine parameters and running statistics.
 
-    running_* are updated in place during train-mode forwards with
+    running_* are updated in place by each batchnorm_forward with
     running <- momentum * running + (1 - momentum) * batch.
     """
 
@@ -453,26 +453,15 @@ def _bn_bcast(v, ndim):
     return v.reshape((1, -1) + (1,) * (ndim - 2))
 
 
-def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str):
-    """Normalize per channel over (batch, spatial) axes.
-
-    Train mode uses batch statistics and updates the running ones; eval
-    mode reads the running statistics and mutates nothing.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+def batchnorm_forward(x: np.ndarray, state: BatchNormState):
+    """Normalize per channel over (batch, spatial) axes by the batch's
+    statistics, and update the running ones; returns (y, cache)."""
     C = state.gamma.shape[0]
     if x.ndim < 2 or x.shape[1] != C:
         raise ShapeMismatchError("batchnorm channels", x.shape, (C,))
-    if mode == "eval":
-        inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
-        xhat = (x - _bn_bcast(state.running_mean, x.ndim)) * _bn_bcast(inv_std, x.ndim)
-        y = _bn_bcast(state.gamma, x.ndim) * xhat + _bn_bcast(state.beta, x.ndim)
-        return y.astype(x.dtype, copy=False), None
-
     n = x.size // C
     if n < 2:
-        raise ValueError(f"train-mode batchnorm needs >= 2 elements per channel, got {n}")
+        raise ValueError(f"batchnorm needs >= 2 elements per channel, got {n}")
     axes = _bn_axes(x)
     mean = x.mean(axis=axes)
     # x.var(axis=axes) is this same subtraction, square and mean; keeping
@@ -498,7 +487,7 @@ def _scale_shift(xhat, gamma, beta, out):
 
 
 def batchnorm_relu(cache, beta, out):
-    """relu(gamma * xhat + beta) from a train-mode batchnorm cache, written into out.
+    """relu(gamma * xhat + beta) from a batchnorm_forward cache, written into out.
 
     Bitwise equal to relu_forward of the batchnorm_forward output that made
     the cache, provided gamma (which the cache holds) and beta have not
@@ -513,8 +502,9 @@ def fold_batchnorm(w: np.ndarray, state: BatchNormState):
 
     Returns (w * s, beta - running_mean * s) with s = gamma /
     sqrt(running_var + epsilon) per output channel, so conv_forward with
-    the folded weight and bias equals conv_forward then
-    batchnorm_forward(..., "eval") up to rounding.
+    the folded weight and bias equals conv_forward then batch norm by the
+    running statistics, up to rounding: the only eval-mode batch norm there
+    is, checked against an unfolded reference in the tests.
     """
     if state.gamma.shape != (w.shape[0],):
         raise ShapeMismatchError("folded batchnorm channels", state.gamma.shape, (w.shape[0],))
@@ -523,12 +513,10 @@ def fold_batchnorm(w: np.ndarray, state: BatchNormState):
 
 
 def batchnorm_backward(cache, grad_out: np.ndarray):
-    """Train-mode adjoint including the batch-statistics dependence.
+    """batchnorm_forward's adjoint, including the batch-statistics dependence.
 
     Returns (dgamma, dbeta, dx).
     """
-    if cache is None:
-        raise ValueError("no cache: eval-mode batchnorm has no backward")
     xhat, inv_std, gamma, n = cache
     if grad_out.shape != xhat.shape:
         raise ShapeMismatchError("batchnorm grad_out", grad_out.shape, xhat.shape)
@@ -764,11 +752,11 @@ def residual_block_forward(x: np.ndarray, blk: ResidualBlockParams):
     # One name for the main path frees each transient once the next layer
     # has it: fewer heap holes for backward to grow around.
     h, c_conv1 = conv_forward(x, blk.conv1_w, blk.spec1)
-    h, c_bn1 = batchnorm_forward(h, blk.bn1, "train")
+    h, c_bn1 = batchnorm_forward(h, blk.bn1)
     h, _ = relu_forward(h)
     h, c_conv2 = conv_forward(h, blk.conv2_w, blk.spec2)
     c_conv2[0] = None
-    n2, c_bn2 = batchnorm_forward(h, blk.bn2, "train")
+    n2, c_bn2 = batchnorm_forward(h, blk.bn2)
     del h
     if blk.shortcut_w is not None:
         sc, c_sc = conv_forward(x, blk.shortcut_w, blk.shortcut_spec)

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Clip, ClipFile, unit_frames
+from .data import FRAME_PLANES, Clip, ClipFile, unit_frames
 from .layers import (
     BatchNormState,
     ConvSpec,
@@ -64,8 +64,6 @@ from .layers import (
     scaled_tanh_backward,
 )
 
-BN_MOMENTUM = 0.9
-BN_EPSILON = 1e-5
 MIN_AUDIO_SAMPLES = 1024  # one valid output after the streams' total stride
 
 
@@ -100,7 +98,7 @@ class Architecture:
         return self.auditory.stage_channels[-1] + self.visual.stage_channels[-1]
 
 
-def full_architecture(out_dim: int = 5, visual_in_channels: int = 3) -> Architecture:
+def full_architecture(out_dim: int = 5) -> Architecture:
     auditory = StreamSpec(
         in_channels=1,
         stem_channels=32,
@@ -114,7 +112,7 @@ def full_architecture(out_dim: int = 5, visual_in_channels: int = 3) -> Architec
         block_kernel=(9,),
     )
     visual = StreamSpec(
-        in_channels=visual_in_channels,
+        in_channels=FRAME_PLANES,
         stem_channels=32,
         stem_kernel=(7, 7),
         stem_stride=(2, 2),
@@ -128,9 +126,9 @@ def full_architecture(out_dim: int = 5, visual_in_channels: int = 3) -> Architec
     return Architecture(auditory=auditory, visual=visual, out_dim=out_dim)
 
 
-def mini_architecture(out_dim: int = 5, visual_in_channels: int = 3) -> Architecture:
+def mini_architecture(out_dim: int = 5) -> Architecture:
     """Channel plan / 8, one block per stage; strides and kernels unchanged."""
-    full = full_architecture(out_dim=out_dim, visual_in_channels=visual_in_channels)
+    full = full_architecture(out_dim=out_dim)
 
     def shrink(stream: StreamSpec) -> StreamSpec:
         return replace(
@@ -150,16 +148,12 @@ def with_out_dim(arch: Architecture, out_dim: int) -> Architecture:
 # ---------------------------------------------------------------------------
 # parameter naming and construction
 
-def _unit_stride(ndim: int) -> tuple:
-    return (1,) * ndim
-
-
 def _block_layout(stream: StreamSpec):
     """Yield (name, in_channels, out_channels, stride) per residual block."""
     in_ch = stream.stem_channels
     for si, (ch, first_stride) in enumerate(zip(stream.stage_channels, stream.stage_strides), start=1):
         for bi in range(1, stream.blocks_per_stage + 1):
-            stride = tuple(first_stride) if bi == 1 else _unit_stride(stream.ndim)
+            stride = tuple(first_stride) if bi == 1 else (1,) * stream.ndim
             yield f"stage{si}.block{bi}", in_ch, ch, stride
             in_ch = ch
 
@@ -179,7 +173,7 @@ def _stream_manifest(stream: StreamSpec, prefix: str):
         for suffix in ("gamma", "beta", "running_mean", "running_var"):
             entries.append((f"{base}.bn2.{suffix}", (out_ch,)))
         # a block that changes channels or strides projects its shortcut
-        if in_ch != out_ch or stride != _unit_stride(stream.ndim):
+        if in_ch != out_ch or stride != (1,) * stream.ndim:
             entries.append((f"{base}.shortcut.w", (out_ch, in_ch) + (1,) * stream.ndim))
     return entries
 
@@ -234,14 +228,8 @@ def validate_params(arch: Architecture, params: dict) -> None:
 # stream execution
 
 def _bn_state(params: dict, prefix: str) -> BatchNormState:
-    return BatchNormState(
-        gamma=params[f"{prefix}.gamma"],
-        beta=params[f"{prefix}.beta"],
-        running_mean=params[f"{prefix}.running_mean"],
-        running_var=params[f"{prefix}.running_var"],
-        momentum=BN_MOMENTUM,
-        epsilon=BN_EPSILON,
-    )
+    """The batch norm's four tensors, at BatchNormState's momentum and epsilon."""
+    return BatchNormState(*(params[f"{prefix}.{k}"] for k in ("gamma", "beta", "running_mean", "running_var")))
 
 
 @functools.cache
@@ -272,7 +260,7 @@ def _block_params(stream: StreamSpec, prefix: str, name: str, in_ch, out_ch, str
         spec1=_same_spec(stream.block_kernel, stride, in_ch, out_ch),
         conv2_w=params[f"{base}.conv2.w"],
         bn2=_bn_state(params, f"{base}.bn2"),
-        spec2=_same_spec(stream.block_kernel, _unit_stride(stream.ndim), out_ch, out_ch),
+        spec2=_same_spec(stream.block_kernel, (1,) * stream.ndim, out_ch, out_ch),
         shortcut_w=shortcut_w,
         shortcut_spec=None if shortcut_w is None else _same_spec((1,) * stream.ndim, stride, in_ch, out_ch),
     )
@@ -307,6 +295,7 @@ class EvalTapeError(ValueError):
 def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict, mode: str):
     """Run one stream to its pooled feature vector; returns ((B, C), tape).
 
+    `mode` is "train" or "eval"; any other raises ValueError naming it.
     Eval mode runs the convolutions with batch norm folded in, keeps no
     layer cache and returns an empty tape. Its stem pools the convolution's
     product before adding the folded shift and rectifying, with the bits of
@@ -323,6 +312,8 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     keeps what residual_block_forward says. Every gamma and beta must stay
     unchanged until its own entry's backward has run.
     """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval":
         folded = params if isinstance(params, FoldedStream) else fold_stream(stream, prefix, params)
         y, _ = conv_forward(x, folded.stem_w, _stem_spec(stream))
@@ -337,7 +328,7 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
         return global_average_pool(y)[0], []
     y, c_conv = conv_forward(x, params[f"{prefix}.stem.conv.w"], _stem_spec(stream))
     bn = _bn_state(params, f"{prefix}.stem.bn")
-    y, c_bn = batchnorm_forward(y, bn, mode)
+    y, c_bn = batchnorm_forward(y, bn)
     y, _ = relu_forward(y)
     pool_spec = _pool_spec(stream)
     y = maxpool_forward(y, pool_spec)[0]
@@ -448,7 +439,7 @@ def forward_train(
     if audio_len is not None and audio.shape[2] != audio_len:
         raise ShapeMismatchError("audio crop", audio.shape, (audio.shape[0], 1, audio_len))
     if frame_size is not None and frames.shape[2:] != (frame_size, frame_size):
-        raise ShapeMismatchError("frame crop", frames.shape, (frames.shape[0], 3, frame_size, frame_size))
+        raise ShapeMismatchError("frame crop", frames.shape, (frames.shape[0], FRAME_PLANES, frame_size, frame_size))
 
     fa, tape_a = forward_stream(audio, arch.auditory, "auditory", params, "train")
     fv, tape_v = forward_stream(frames, arch.visual, "visual", params, "train")

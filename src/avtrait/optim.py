@@ -1,8 +1,9 @@
 """Adam with bias correction, and MAE loss.
 
-AdamState's defaults are the training recipe's: alpha 2e-4, beta1 0.5,
-beta2 0.999, epsilon 1e-8; every other default of these four is read from
-it. The step-decay schedule of alpha is `train.TrainConfig.alpha_for_epoch`.
+The recipe's decays and epsilon are the constants BETA1 0.5, BETA2 0.999
+and EPSILON 1e-8: nothing varies them, so no checkpoint records them. The
+step size alpha, 2e-4 by default (AdamState's), is the one setting; its
+step-decay schedule is `train.TrainConfig.alpha_for_epoch`.
 
 `adam_step` updates one tensor at a time, so it can take each gradient as
 a walk such as `model.backward` or `rnn_head.rnn_backward` hands it over
@@ -22,6 +23,11 @@ import numpy as np
 from .layers import ShapeMismatchError
 
 
+BETA1 = 0.5
+BETA2 = 0.999
+EPSILON = 1e-8
+
+
 class NonFiniteGradientError(FloatingPointError):
     """A gradient contained NaN or inf; message names the parameter."""
 
@@ -39,9 +45,6 @@ class AdamState:
     v: dict = field(default_factory=dict)
     t: int = 0
     alpha: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     scratch: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
@@ -53,22 +56,15 @@ class AdamState:
 ADAM_BLOCK = 1 << 15
 
 
-def check_adam_hyperparameters(alpha, beta1=AdamState.beta1, beta2=AdamState.beta2, epsilon=AdamState.epsilon) -> None:
-    """Reject a step size, decay or epsilon that would make Adam's updates meaningless."""
+def check_alpha(alpha) -> None:
+    """Reject a step size that would make Adam's updates meaningless."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    for name, beta in (("beta1", beta1), ("beta2", beta2)):
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"{name} must be in [0, 1), got {beta}")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
-def init_adam(
-    params: dict, trainable, alpha=AdamState.alpha, beta1=AdamState.beta1, beta2=AdamState.beta2, epsilon=AdamState.epsilon
-) -> AdamState:
-    check_adam_hyperparameters(alpha, beta1, beta2, epsilon)
-    state = AdamState(alpha=alpha, beta1=beta1, beta2=beta2, epsilon=epsilon)
+def init_adam(params: dict, trainable, alpha=AdamState.alpha) -> AdamState:
+    check_alpha(alpha)
+    state = AdamState(alpha=alpha)
     for name in trainable:
         p = params[name]
         state.m[name] = np.zeros(p.shape, p.dtype)
@@ -82,11 +78,11 @@ def init_adam(
 def update_bound(state: AdamState) -> float:
     """Provable cap on any single Adam update magnitude.
 
-    |m_hat| / sqrt(v_hat) <= sqrt((1 - beta1) / (1 - beta2)) by
+    |m_hat| / sqrt(v_hat) <= sqrt((1 - BETA1) / (1 - BETA2)) by
     Cauchy-Schwarz over the gradient history, so no element ever moves
-    further than alpha times that (~22.4 alpha for beta1=0.5, beta2=0.999).
+    further than alpha times that (~22.4 alpha).
     """
-    return state.alpha * math.sqrt((1.0 - state.beta1) / (1.0 - state.beta2))
+    return state.alpha * math.sqrt((1.0 - BETA1) / (1.0 - BETA2))
 
 
 def _flat(moment: np.ndarray, name: str) -> np.ndarray:
@@ -116,7 +112,6 @@ def _checked_update(name: str, p: np.ndarray, g: np.ndarray, state: AdamState, b
     another dtype than the moments, or read-only) gets an update buffer of
     its own, as does a non-contiguous one through its flattened copy.
     """
-    beta1, beta2, alpha, epsilon = state.beta1, state.beta2, state.alpha, state.epsilon
     m = _flat(state.m[name], name)
     v = _flat(state.v[name], name)
     g = g.reshape(-1)
@@ -132,14 +127,14 @@ def _checked_update(name: str, p: np.ndarray, g: np.ndarray, state: AdamState, b
         blk = slice(lo, lo + ADAM_BLOCK)
         gb, mb, vb = g[blk], m[blk], v[blk]
         t_g, t_u = tg[: gb.size], tu[: gb.size]
-        mb *= beta1
-        mb += np.multiply(1.0 - beta1, gb, out=t_g)
-        vb *= beta2
-        vb += np.multiply(1.0 - beta2, np.multiply(gb, gb, out=t_g), out=t_g)
+        mb *= BETA1
+        mb += np.multiply(1.0 - BETA1, gb, out=t_g)
+        vb *= BETA2
+        vb += np.multiply(1.0 - BETA2, np.multiply(gb, gb, out=t_g), out=t_g)
         # the update goes to t_u over the gradient, or straight to its own buffer
         ub, t_d = (t_u, t_g) if u is g else (u[blk], t_u)
-        np.multiply(alpha, np.divide(mb, bc1, out=ub), out=ub)
-        np.divide(ub, np.add(np.sqrt(np.divide(vb, bc2, out=t_d), out=t_d), epsilon, out=t_d), out=ub)
+        np.multiply(state.alpha, np.divide(mb, bc1, out=ub), out=ub)
+        np.divide(ub, np.add(np.sqrt(np.divide(vb, bc2, out=t_d), out=t_d), EPSILON, out=t_d), out=ub)
         peak = float(np.abs(ub, out=t_d).max())
         # a NaN or infinite gradient entry makes its update NaN, so only a
         # block that fails the bound can hold one
@@ -172,8 +167,8 @@ def adam_step(params: dict, grads, state: AdamState):
 
     Each tensor goes in blocks of ADAM_BLOCK elements. Every elementwise
     operation has the operands, order and dtypes of the one-expression form
-        m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g^2,
-        p -= alpha (m / bc1) / (sqrt(v / bc2) + epsilon),
+        m = BETA1 m + (1 - BETA1) g,  v = BETA2 v + (1 - BETA2) g^2,
+        p -= alpha (m / bc1) / (sqrt(v / bc2) + EPSILON),
     so the result is bitwise that form's, whatever the order of tensors.
 
     Failures are per tensor. A tensor whose gradient is not finite, or
@@ -185,8 +180,8 @@ def adam_step(params: dict, grads, state: AdamState):
     if not callable(grads) and pending - grads.keys():
         raise _missing(pending - grads.keys())
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     bound = update_bound(state) * (1.0 + 1e-6)
 
     def update(name: str, g: np.ndarray) -> None:

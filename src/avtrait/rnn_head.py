@@ -46,7 +46,7 @@ from .layers import (
     scaled_tanh_backward,
 )
 from .model import Architecture, clip_features, he_normal
-from .optim import AdamState, adam_step, check_adam_hyperparameters, init_adam, mae_loss
+from .optim import AdamState, adam_step, check_alpha, init_adam, mae_loss
 
 RNN_HIDDEN = 512
 
@@ -86,7 +86,7 @@ class RnnTrainConfig:
             raise ValueError(f"truncation length must be >= 1, got {self.trunc}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout rate must be in [0,1), got {self.dropout}")
-        check_adam_hyperparameters(self.alpha)
+        check_alpha(self.alpha)
 
 
 def head_manifest(input_dim: int = 512, hidden: int = RNN_HIDDEN, out_dim: int = 5) -> dict:

@@ -57,7 +57,7 @@ from .model import (
     validate_params,
     with_out_dim,
 )
-from .optim import AdamState, adam_step, check_adam_hyperparameters, init_adam, mae_loss
+from .optim import AdamState, adam_step, check_alpha, init_adam, mae_loss
 
 log = logging.getLogger(__name__)
 
@@ -92,9 +92,9 @@ class CheckpointManifestError(CheckpointError):
 
 
 class CheckpointDecodeError(CheckpointError):
-    """A field that does not decode: a non-UTF-8 name, a trailer that is not
-    a JSON object holding a PCG64 state, or a counter that is not a whole
-    number."""
+    """A field that does not decode: a non-UTF-8 or repeated name, a trailer
+    that is not a JSON object holding a PCG64 state, or a counter that is
+    not a whole number."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +156,8 @@ def read_tensor_container(path: str):
             end = off + 4 * n
             if end > len(blob):
                 raise CheckpointTruncatedError(f"{path}: tensor {name!r} runs past end of file")
+            if name in named:
+                raise CheckpointDecodeError(f"{path}: tensor name {name!r} appears twice")
             named[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape).copy()
             off = end
         (trailer_len,) = struct.unpack_from("<I", blob, off)
@@ -286,14 +288,10 @@ class TrainConfig:
     audio_crop: Optional[int] = None
     frame_crop: Optional[int] = None
     initial_alpha: float = AdamState.alpha
-    lr_decay_factor: float = 10.0
     lr_period: int = 300
-    beta1: float = AdamState.beta1
-    beta2: float = AdamState.beta2
-    epsilon: float = AdamState.epsilon
 
     def __post_init__(self):
-        for name in ("epochs", "checkpoint_every"):
+        for name in ("epochs", "checkpoint_every", "lr_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.batch_size < 2:
@@ -301,12 +299,7 @@ class TrainConfig:
         for name in ("audio_crop", "frame_crop"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        # below 1 alpha would grow, at 0 divide by zero, below 0 change sign
-        if not (math.isfinite(self.lr_decay_factor) and self.lr_decay_factor >= 1.0):
-            raise ValueError(f"lr_decay_factor must be finite and >= 1, got {self.lr_decay_factor}")
-        if self.lr_period < 1:
-            raise ValueError(f"lr_period must be >= 1, got {self.lr_period}")
-        check_adam_hyperparameters(self.initial_alpha, self.beta1, self.beta2, self.epsilon)
+        check_alpha(self.initial_alpha)
 
     @property
     def crops(self):
@@ -315,10 +308,10 @@ class TrainConfig:
         return audio, frame
 
     def alpha_for_epoch(self, epoch: int) -> float:
-        """Adam's step size in `epoch`: initial_alpha, divided by lr_decay_factor after every lr_period epochs."""
+        """Adam's step size in `epoch`: initial_alpha, divided by 10 after every lr_period epochs."""
         if epoch < 0:
             raise ValueError(f"epoch must be >= 0, got {epoch}")
-        return self.initial_alpha / self.lr_decay_factor ** (epoch // self.lr_period)
+        return self.initial_alpha / 10.0 ** (epoch // self.lr_period)
 
 
 @dataclass
@@ -362,7 +355,7 @@ def _fresh_start(arch: Architecture, config: TrainConfig, base: Optional[dict] =
     params = build_network(arch, init_ss)
     if base is not None:
         params.update({n: v.copy() for n, v in base.items() if not n.startswith("fusion.")})
-    adam = init_adam(params, trainable_names(arch), config.initial_alpha, config.beta1, config.beta2, config.epsilon)
+    adam = init_adam(params, trainable_names(arch), config.initial_alpha)
     return params, adam, np.random.Generator(np.random.PCG64(data_ss))
 
 
@@ -437,7 +430,12 @@ def _run_epochs(
 
 
 def train(config: TrainConfig, manifest: Manifest, resume: Optional[str] = None) -> TrainResult:
-    """Train the challenge model; fully determined by (seed, config, dataset)."""
+    """Train the challenge model; fully determined by (seed, config, dataset).
+
+    A resume takes the parameters, Adam's state, the data generator and the
+    epoch from the checkpoint. No checkpoint records initial_alpha,
+    lr_period, the crops or the batch size: a resume takes them from `config`.
+    """
     arch = mini_architecture() if config.mini else full_architecture()
     if resume is None:
         params, adam, rng = _fresh_start(arch, config)
@@ -454,12 +452,10 @@ def train(config: TrainConfig, manifest: Manifest, resume: Optional[str] = None)
             f"{resume}: checkpoint epoch {ckpt.epoch} leaves no epoch to train (epochs = {config.epochs}, "
             f"so the last is {config.epochs - 1})"
         )
-    adam = ckpt.adam
-    adam.beta1, adam.beta2, adam.epsilon = config.beta1, config.beta2, config.epsilon
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = ckpt.rng_state
     losses = _read_loss_log(os.path.join(config.out_dir, "loss_log.csv"), ckpt.epoch)
-    return _run_epochs(arch, ckpt.params, adam, rng, config, manifest, ckpt.epoch + 1, losses, trait=None)
+    return _run_epochs(arch, ckpt.params, ckpt.adam, rng, config, manifest, ckpt.epoch + 1, losses, trait=None)
 
 
 def finetune_per_trait(base: Checkpoint, trait: int, config: TrainConfig, manifest: Manifest) -> TrainResult:

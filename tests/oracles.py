@@ -84,6 +84,18 @@ def batchnorm_train_loops(x, gamma, beta, epsilon=1e-5):
     return out.reshape(x.shape)
 
 
+def batchnorm_eval_loops(x, state):
+    """Eval-mode batch norm, channel by channel: gamma * (x - running_mean)
+    / sqrt(running_var + epsilon) + beta from a BatchNormState's running
+    statistics, which it does not change. Computed in float64 and returned
+    in x's dtype."""
+    out = np.empty(x.shape, np.float64)
+    for c in range(x.shape[1]):
+        inv = 1.0 / math.sqrt(float(state.running_var[c]) + state.epsilon)
+        out[:, c] = float(state.gamma[c]) * (x[:, c] - float(state.running_mean[c])) * inv + float(state.beta[c])
+    return out.astype(x.dtype)
+
+
 def batchnorm_backward_three_term(xhat, inv_std, gamma, grad_out):
     """Train-mode batch-norm input gradient through dxhat = gamma * g:
     inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) per channel,

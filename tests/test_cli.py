@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 from pathlib import Path
 
@@ -435,9 +436,6 @@ def test_degenerate_setting_is_data_error(workspace, feature_cache, tmp_path, ca
         ("train-rnn", ["--dropout", "1"], "", "dropout rate"),
         ("train-rnn", [], "alpha = nan\n", "alpha"),
         ("train", [], "initial_alpha = nan\n", "alpha"),
-        ("train", [], "beta2 = 1.0\n", "beta2"),
-        ("train", [], "lr_decay_factor = 0\n", "lr_decay_factor"),
-        ("train", [], "lr_decay_factor = nan\n", "lr_decay_factor"),
         ("finetune", [], "initial_alpha = nan\n", "alpha"),
     ],
 )
@@ -469,15 +467,19 @@ def _scoring_argv(tmp_path, command):
 @pytest.mark.parametrize("command", ["eval", "predict", "extract-features", "predict-rnn"])
 @pytest.mark.parametrize("source", ["config", "env"])
 def test_stale_threads_setting_is_ignored(tmp_path, capsys, monkeypatch, command, source):
-    # a worker count from an old config file or DI_THREADS is no longer read:
-    # the command goes on to its inputs and fails only because they are missing
+    # a worker count is no longer read: an old config file that sets one is
+    # refused by name before any input is read, while DI_THREADS is ignored
+    # and the command fails only because its inputs are missing
     argv = _scoring_argv(tmp_path, command)
     if source == "config":
         cfg = str(tmp_path / "c.cfg")
         Path(cfg).write_text("threads = two\n")
         argv += ["--config", cfg]
-    else:
-        monkeypatch.setenv("DI_THREADS", "abc")
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "threads" in err and "missing" not in err
+        return
+    monkeypatch.setenv("DI_THREADS", "abc")
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "missing" in err and "must be" not in err
@@ -495,7 +497,7 @@ def test_bad_frame_stride_exits_before_reading_data(tmp_path, capsys, command, f
 
 def _argv_without_inputs(tmp_path, command):
     """`command` with every required flag, naming inputs that do not exist."""
-    if command in ("eval", "predict"):
+    if command in ("eval", "predict", "extract-features", "predict-rnn"):
         return _scoring_argv(tmp_path, command)
     if command == "synth":
         return ["synth", "--n", "2", "--out", str(tmp_path / "o")]
@@ -565,10 +567,6 @@ def test_crop_below_one_is_refused_before_the_run_directory(workspace, tmp_path,
     "command, key",
     [
         ("train", "initial_alpha"),
-        ("train", "lr_decay_factor"),
-        ("train", "beta1"),
-        ("train", "beta2"),
-        ("train", "epsilon"),
         ("finetune", "initial_alpha"),
         ("synth", "seconds"),
         ("train-rnn", "dropout"),
@@ -583,6 +581,35 @@ def test_non_number_setting_is_usage_error_naming_it(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert f"{key} must be a number, got " in err and "missing" not in err
     assert not os.path.exists(str(tmp_path / "o"))
+
+
+@pytest.mark.parametrize(
+    "command, config, keys",
+    [
+        # Adam's decays and epsilon and the x10 step decay are constants:
+        # an old config that sets them is refused, whatever the values
+        ("train", "beta1 = 0.5\nlr_decay_factor = 10\n", ["beta1", "lr_decay_factor"]),
+        ("train", "beta2 = 1.0\n", ["beta2"]),
+        ("train", "lr_decay_factor = 0\n", ["lr_decay_factor"]),
+        ("train", "lr_decay_factor = nan\n", ["lr_decay_factor"]),
+        ("train", "epsilon = abc\nbeta2 = true\nbeta1 = abc\n", ["beta1", "beta2", "epsilon"]),
+        ("finetune", "lr_period = 2\nmini = true\n", ["mini"]),  # the base checkpoint's size is used
+        ("train-rnn", "batchsize = 4\n", ["batchsize"]),
+        ("eval", "seed = 1\n", ["seed"]),
+        ("predict", "frame_stride = 2\nthreads = 2\n", ["threads"]),
+        ("extract-features", "frame_stride = 2\n", ["frame_stride"]),
+        ("predict-rnn", "hidden = 4\nsplit = train\n", ["hidden"]),
+        ("synth", "config = other.cfg\n", ["config"]),
+        ("gradcheck", "mini = false\ncommand = train\n", ["command"]),
+    ],
+)
+def test_config_key_the_command_does_not_read_is_refused_naming_each(tmp_path, capsys, command, config, keys):
+    cfg = str(tmp_path / "c.cfg")
+    Path(cfg).write_text(config)
+    assert run(_argv_without_inputs(tmp_path, command) + ["--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.rstrip().endswith(f"reads no config key {', '.join(keys)}")
+    assert "missing" not in err and not os.path.exists(str(tmp_path / "o"))
 
 
 class TestNumericFailureExit:
@@ -626,6 +653,25 @@ class TestDefaults:
             run(["train-rnn", "--features", feature_cache, "--manifest", workspace["manifest"],
                  "--out", str(tmp_path / "head")])
         assert seen == [((4, R.RNN_HIDDEN, 5), R.RnnTrainConfig())]
+
+
+class TestConfigKeys:
+    """Each training setting is a config key of the command that builds its
+    config, so none is left unreachable and a removed one cannot linger."""
+
+    # (command, field) pairs that no config key sets
+    API_ONLY = {("finetune", "mini"), ("train-rnn", "batch_size")}  # the base checkpoint's size; the API's batch
+    KEY_OF = {"out_dir": "out"}
+
+    @pytest.mark.parametrize(
+        "command, config_class", [("train", T.TrainConfig), ("finetune", T.TrainConfig), ("train-rnn", R.RnnTrainConfig)]
+    )
+    def test_every_field_is_a_key_and_every_flagless_key_a_field(self, tmp_path, command, config_class):
+        keys = cli.config_keys(cli.build_parser().parse_args(_argv_without_inputs(tmp_path, command)))
+        fields = [f.name for f in dataclasses.fields(config_class)]
+        unreachable = [f for f in fields if self.KEY_OF.get(f, f) not in keys and (command, f) not in self.API_ONLY]
+        assert unreachable == []
+        assert set(cli.CONFIG_ONLY[command]) <= set(fields)
 
 
 class TestConfigFile:

@@ -11,6 +11,7 @@ from avtrait import model as M
 from avtrait.gradcheck import LAYER_CASES
 from oracles import (
     batchnorm_backward_three_term,
+    batchnorm_eval_loops,
     batchnorm_train_loops,
     central_difference,
     conv1d_loops,
@@ -570,13 +571,13 @@ class TestBatchNorm:
     def test_eval_standardized_identity(self):
         rng = rng64(8)
         x = rng.standard_normal((3, 2, 4))
-        y, _ = L.batchnorm_forward(x, self.fresh_state(2), "eval")
+        y = batchnorm_eval_loops(x, self.fresh_state(2))
         np.testing.assert_allclose(y, x, rtol=1e-4, atol=1e-5)
 
     def test_train_normalizes_per_channel(self):
         rng = rng64(9)
         x = rng.standard_normal((4, 3, 5)) * 3.0 + 1.0
-        y, _ = L.batchnorm_forward(x, self.fresh_state(3), "train")
+        y, _ = L.batchnorm_forward(x, self.fresh_state(3))
         np.testing.assert_allclose(y.mean(axis=(0, 2)), 0.0, atol=1e-12)
         np.testing.assert_allclose(y.var(axis=(0, 2)), 1.0, atol=1e-4)
 
@@ -586,7 +587,7 @@ class TestBatchNorm:
         gamma = rng.standard_normal(3) + 1.0
         beta = rng.standard_normal(3)
         state = L.BatchNormState(gamma, beta, np.zeros(3), np.ones(3))
-        y, _ = L.batchnorm_forward(x, state, "train")
+        y, _ = L.batchnorm_forward(x, state)
         np.testing.assert_allclose(y, batchnorm_train_loops(x, gamma, beta), atol=1e-6)
 
     def test_running_stats_update_rule(self):
@@ -595,7 +596,7 @@ class TestBatchNorm:
         state = self.fresh_state(2, momentum=0.9)
         mean = x.mean(axis=(0, 2))
         var = x.var(axis=(0, 2))
-        L.batchnorm_forward(x, state, "train")
+        L.batchnorm_forward(x, state)
         np.testing.assert_allclose(state.running_mean, 0.1 * mean, rtol=1e-12)
         np.testing.assert_allclose(state.running_var, 0.9 + 0.1 * var, rtol=1e-12)
 
@@ -604,8 +605,8 @@ class TestBatchNorm:
         x = rng.standard_normal((3, 2, 4))
         state = self.fresh_state(2)
         before = (state.running_mean.copy(), state.running_var.copy())
-        y1, _ = L.batchnorm_forward(x, state, "eval")
-        y2, _ = L.batchnorm_forward(x, state, "eval")
+        y1 = batchnorm_eval_loops(x, state)
+        y2 = batchnorm_eval_loops(x, state)
         np.testing.assert_array_equal(y1, y2)
         np.testing.assert_array_equal(state.running_mean, before[0])
         np.testing.assert_array_equal(state.running_var, before[1])
@@ -625,7 +626,7 @@ class TestBatchNorm:
         ref = gamma.reshape(bc) * xhat + beta.reshape(bc)
         m = state.momentum
         running = (m * state.running_mean + (1.0 - m) * mean, m * state.running_var + (1.0 - m) * var)
-        y, cache = L.batchnorm_forward(x, state, "train")
+        y, cache = L.batchnorm_forward(x, state)
         assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()
         assert cache[0].tobytes() == xhat.tobytes()
         assert state.running_mean.tobytes() == running[0].tobytes()
@@ -637,7 +638,7 @@ class TestBatchNorm:
         c = shape[1]
         gamma = rng.standard_normal(c) * 2.0
         state = L.BatchNormState(gamma, rng.standard_normal(c), np.zeros(c), np.ones(c))
-        _, cache = L.batchnorm_forward(rng.standard_normal(shape) * 2.0 - 0.5, state, "train")
+        _, cache = L.batchnorm_forward(rng.standard_normal(shape) * 2.0 - 0.5, state)
         g = rng.standard_normal(shape)
         xhat, inv_std, _, _ = cache
         got = L.batchnorm_backward(cache, g)
@@ -647,12 +648,12 @@ class TestBatchNorm:
 
     def test_degenerate_batch_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
-            L.batchnorm_forward(np.ones((1, 2)), self.fresh_state(2), "train")
+            L.batchnorm_forward(np.ones((1, 2)), self.fresh_state(2))
 
     def test_gamma_grad_zero_for_zero_upstream(self):
         rng = rng64(13)
         x = rng.standard_normal((4, 2, 3))
-        _, cache = L.batchnorm_forward(x, self.fresh_state(2), "train")
+        _, cache = L.batchnorm_forward(x, self.fresh_state(2))
         dgamma, dbeta, dx = L.batchnorm_backward(cache, np.zeros((4, 2, 3)))
         assert not dgamma.any() and not dbeta.any() and not dx.any()
 
@@ -663,7 +664,7 @@ class TestBatchNorm:
         x = rng.standard_normal((5, 3, 4))
         state = self.fresh_state(3)
         state.beta[:] = rng.standard_normal(3)
-        _, cache = L.batchnorm_forward(x, state, "train")
+        _, cache = L.batchnorm_forward(x, state)
         _, _, dx = L.batchnorm_backward(cache, np.ones((5, 3, 4)))
         np.testing.assert_allclose(dx.sum(axis=(0, 2)), 0.0, atol=1e-10)
 
@@ -866,11 +867,11 @@ def make_block(rng, kind, ndim=2, in_ch=3, out_ch=None, zero_main=False, affine=
 
 def composed_eval_block(x, blk):
     """An eval-mode residual block from unfolded layers: conv_forward ->
-    batchnorm_forward(..., "eval") -> relu_forward, twice, plus the shortcut."""
+    batchnorm_eval_loops -> relu_forward, twice, plus the shortcut."""
     h1, _ = L.conv_forward(x, blk.conv1_w, blk.spec1)
-    r1, _ = L.relu_forward(L.batchnorm_forward(h1, blk.bn1, "eval")[0])
+    r1, _ = L.relu_forward(batchnorm_eval_loops(h1, blk.bn1))
     h2, _ = L.conv_forward(r1, blk.conv2_w, blk.spec2)
-    n2, _ = L.batchnorm_forward(h2, blk.bn2, "eval")
+    n2 = batchnorm_eval_loops(h2, blk.bn2)
     sc = x if blk.shortcut_w is None else L.conv_forward(x, blk.shortcut_w, blk.shortcut_spec)[0]
     return L.relu_forward(n2 + sc)[0]
 
@@ -889,10 +890,10 @@ def keep_all_block_forward(x, blk):
     """A train-mode residual block from the public layer functions whose
     cache keeps every activation: conv2's input and both rectifier outputs too."""
     h1, c_conv1 = L.conv_forward(x, blk.conv1_w, blk.spec1)
-    n1, c_bn1 = L.batchnorm_forward(h1, blk.bn1, "train")
+    n1, c_bn1 = L.batchnorm_forward(h1, blk.bn1)
     r1, c_relu1 = L.relu_forward(n1)
     h2, c_conv2 = L.conv_forward(r1, blk.conv2_w, blk.spec2)
-    n2, c_bn2 = L.batchnorm_forward(h2, blk.bn2, "train")
+    n2, c_bn2 = L.batchnorm_forward(h2, blk.bn2)
     if blk.shortcut_w is not None:
         sc, c_sc = L.conv_forward(x, blk.shortcut_w, blk.shortcut_spec)
     else:
@@ -990,7 +991,7 @@ class TestBatchNormFold:
         wf, bf = L.fold_batchnorm(w, state)
         y, _ = L.conv_forward(x, wf, spec, bf)
         h, _ = L.conv_forward(x, w, spec)
-        ref, _ = L.relu_forward(L.batchnorm_forward(h, state, "eval")[0])
+        ref, _ = L.relu_forward(batchnorm_eval_loops(h, state))
         np.testing.assert_allclose(np.maximum(y, 0.0), ref, rtol=1e-10)
 
     def test_folded_block_cannot_backpropagate(self):
@@ -1024,10 +1025,10 @@ class TestResidualBlock:
         y, _ = L.residual_block_forward(x, blk)
 
         h1, _ = L.conv_forward(x, blk.conv1_w, blk.spec1)
-        n1, _ = L.batchnorm_forward(h1, make_block(rng64(27), "projection").bn1, "train")
+        n1, _ = L.batchnorm_forward(h1, make_block(rng64(27), "projection").bn1)
         r1 = np.maximum(n1, 0.0)
         h2, _ = L.conv_forward(r1, blk.conv2_w, blk.spec2)
-        n2, _ = L.batchnorm_forward(h2, make_block(rng64(27), "projection").bn2, "train")
+        n2, _ = L.batchnorm_forward(h2, make_block(rng64(27), "projection").bn2)
         sc, _ = L.conv_forward(x, blk.shortcut_w, blk.shortcut_spec)
         ref = np.maximum(n2 + sc, 0.0)
         np.testing.assert_allclose(y, ref, rtol=1e-10)

@@ -24,7 +24,7 @@ from test_layers import (
     random_bn,
     reachable_arrays,
 )
-from oracles import fd_rel_err, stride_trace
+from oracles import batchnorm_eval_loops, fd_rel_err, stride_trace
 
 HERE = os.path.dirname(__file__)
 
@@ -232,7 +232,8 @@ class TestDimensionalCorrespondence:
         # the n^2 <-> n x n mapping is structural, so pre-GAP element
         # counts agree
         L = 224
-        arch = M.full_architecture(visual_in_channels=1)
+        arch = M.full_architecture()
+        arch = dataclasses.replace(arch, visual=dataclasses.replace(arch.visual, in_channels=1))
         params = M.build_network(arch, 0)
         audio = np.zeros((1, 1, L * L), np.float32)
         _, tape_a = M.forward_stream(audio, arch.auditory, "auditory", params, "train")
@@ -305,7 +306,7 @@ def keep_all_stream_forward(x, stream, prefix, params):
     tape = []
     y, c = L.conv_forward(x, params[f"{prefix}.stem.conv.w"], M._stem_spec(stream))
     tape.append(("conv", f"{prefix}.stem.conv", c))
-    y, c = L.batchnorm_forward(y, M._bn_state(params, f"{prefix}.stem.bn"), "train")
+    y, c = L.batchnorm_forward(y, M._bn_state(params, f"{prefix}.stem.bn"))
     tape.append(("bn", f"{prefix}.stem.bn", c))
     y, c = L.relu_forward(y)
     tape.append(("relu", None, c))
@@ -919,7 +920,7 @@ class TestFrameBatches:
 def unfolded_stream(x, stream, prefix, params):
     """An eval-mode stream from unfolded layers, batch norm as its own pass."""
     y, _ = L.conv_forward(x, params[f"{prefix}.stem.conv.w"], M._stem_spec(stream))
-    y, _ = L.relu_forward(L.batchnorm_forward(y, M._bn_state(params, f"{prefix}.stem.bn"), "eval")[0])
+    y, _ = L.relu_forward(batchnorm_eval_loops(y, M._bn_state(params, f"{prefix}.stem.bn")))
     y, _ = L.maxpool_forward(y, M._pool_spec(stream))
     for layout in M._block_layout(stream):
         y = composed_eval_block(y, M._block_params(stream, prefix, *layout, params))
@@ -1026,6 +1027,17 @@ class TestEvalTape:
         feats, tape = M.forward_stream(audio, arch.auditory, "auditory", params, "eval")
         with pytest.raises(M.EvalTapeError):
             M.backward_stream(tape, np.ones_like(feats))
+
+
+class TestStreamMode:
+    @pytest.mark.parametrize("mode", ["infer", "Train", None])
+    def test_unknown_mode_is_refused_naming_it(self, mode):
+        arch = M.mini_architecture()
+        params = M.build_network(arch, 0)
+        before = {n: v.copy() for n, v in params.items()}
+        with pytest.raises(ValueError, match=f"got {mode!r}"):
+            M.forward_stream(np.zeros((2, 1, 1024), np.float32), arch.auditory, "auditory", params, mode)
+        assert all(params[n].tobytes() == v.tobytes() for n, v in before.items())
 
 
 class TestClipMemory:

@@ -76,7 +76,7 @@ class TestAdam:
     def test_100_steps_match_scalar_oracle(self):
         # quadratic f(theta) = theta^2, gradient 2 theta
         params = one_param([1.0])
-        state = O.init_adam(params, ["w"], alpha=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8)
+        state = O.init_adam(params, ["w"], alpha=2e-4)
         trace = []
         for _ in range(100):
             g = 2.0 * params["w"]
@@ -204,18 +204,14 @@ class TestAdam:
 
 class TestUpdateBound:
     def test_paper_betas_value(self):
-        state = O.AdamState(alpha=2e-4, beta1=0.5, beta2=0.999)
+        state = O.AdamState(alpha=2e-4)
         assert O.update_bound(state) == pytest.approx(2e-4 * math.sqrt(500.0))
 
 
 class TestAdamHyperparameters:
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": 0.0}, {"alpha": -1e-4},
-            {"beta1": -0.1}, {"beta1": 1.0}, {"beta1": math.nan}, {"beta2": 1.0},
-            {"epsilon": 0.0}, {"epsilon": -1e-8}, {"epsilon": math.nan},
-        ],
+        [{"alpha": math.nan}, {"alpha": math.inf}, {"alpha": 0.0}, {"alpha": -1e-4}],
     )
     def test_init_rejects(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -249,13 +245,13 @@ class TestBlockedAdam:
         st.sampled_from([np.float32, np.float64]),
         st.integers(0, 2**32 - 1),
         st.sampled_from([1e-4, 2e-4, 3e-2]),
-        st.sampled_from([0.0, 0.5, 0.9]),
-        st.sampled_from([0.9, 0.999]),
     )
-    def test_three_steps_equal_textbook_update_bitwise(self, shape, dtype, seed, alpha, beta1, beta2):
+    def test_three_steps_equal_textbook_update_bitwise(self, shape, dtype, seed, alpha):
+        beta1, beta2 = 0.5, 0.999
+        assert (O.BETA1, O.BETA2, O.EPSILON) == (beta1, beta2, 1e-8)
         p, grads = _adam_case(shape, dtype, seed)
         params = {"w": p.copy()}
-        state = O.init_adam(params, ["w"], alpha=alpha, beta1=beta1, beta2=beta2)
+        state = O.init_adam(params, ["w"], alpha=alpha)
         ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
         for t, g in enumerate(grads, start=1):
             O.adam_step(params, {"w": g.copy()}, state)

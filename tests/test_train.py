@@ -97,6 +97,18 @@ class TestTensorContainer:
         with pytest.raises(T.CheckpointError, match="rank 0"):
             T.read_tensor_container(path)
 
+    def test_repeated_name_is_decode_error(self, tmp_path):
+        # two records named w, built by hand as the writer cannot: reading
+        # them as one w would silently keep only the second tensor
+        blob = struct.pack("<8sIII", b"DIChkpt1", 1, 0, 2)
+        for value in (1.0, 2.0):
+            blob += struct.pack("<H1sBI", 1, b"w", 1, 1) + np.float32(value).tobytes()
+        blob += struct.pack("<I", 0)
+        path = tmp_path / "t.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(T.CheckpointDecodeError, match="'w' appears twice"):
+            T.read_tensor_container(str(path))
+
     def test_layout_matches_the_documented_format(self, tmp_path):
         # a float64, a transposed and a float32 tensor, written out of name order
         named = {
@@ -383,6 +395,15 @@ class TestTrainLoop:
         assert [tuple(x) for x in resumed.losses[2:]] == [tuple(x) for x in full.losses[2:]]
         assert Path(resumed.checkpoint_path).read_bytes() == Path(full.checkpoint_path).read_bytes()
 
+    def test_resume_takes_the_schedule_from_its_config(self, tmp_path, dataset):
+        # the checkpoint records no step size: the resumed epochs follow the
+        # config's initial_alpha and lr_period, each decay a division by 10
+        part = T.train(tiny_config(str(tmp_path / "part"), epochs=2), dataset)
+        resumed = T.train(
+            tiny_config(part.out_dir, epochs=4, initial_alpha=1e-3, lr_period=3), dataset, resume=part.checkpoint_path
+        )
+        assert [(e, a) for e, a, _ in resumed.losses[2:]] == [(2, 1e-3), (3, 1e-3 / 10.0)]
+
     def test_resume_past_the_last_epoch_is_refused(self, tmp_path, dataset):
         # epochs count from 0: a 3-epoch run's last checkpoint is epoch 2,
         # which a run of 2 epochs (0 and 1) or of 1 has already passed
@@ -421,9 +442,6 @@ class TestTrainLoop:
             T.TrainConfig(checkpoint_every=0)
         with pytest.raises(ValueError, match="lr_period"):
             T.TrainConfig(lr_period=0)
-        for factor in (0.0, 0.5, -10.0, float("nan")):
-            with pytest.raises(ValueError, match="lr_decay_factor"):
-                T.TrainConfig(lr_decay_factor=factor)
         with pytest.raises(ValueError, match="epochs"):
             R.RnnTrainConfig(epochs=0)
         with pytest.raises(ValueError, match="hidden"):
@@ -454,11 +472,6 @@ class TestTrainConfigSchedule:
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
             T.TrainConfig().alpha_for_epoch(-1)
-
-    @pytest.mark.parametrize("factor", [0.0, 0.5, -10.0, float("nan"), float("inf")])
-    def test_decay_factor_that_breaks_the_schedule_rejected(self, factor):
-        with pytest.raises(ValueError, match="decay_factor"):
-            T.TrainConfig(lr_decay_factor=factor)
 
     def test_zero_period_rejected(self):
         with pytest.raises(ValueError, match="period"):
