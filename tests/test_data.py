@@ -37,6 +37,13 @@ class TestClipContainer:
         with pytest.raises(ValueError, match="uint8"):
             D.Clip(audio=clip.audio, frames=D.unit_frames(clip.frames))
 
+    @pytest.mark.parametrize("planes", [1, 4])
+    def test_frame_plane_count_other_than_frame_planes_rejected(self, planes):
+        clip = tiny_clip()
+        frames = np.zeros((clip.frame_count, planes) + clip.frames.shape[2:], np.uint8)
+        with pytest.raises(ValueError, match=rf"frames must be \(T>=1, {D.FRAME_PLANES}, H, W\)"):
+            D.Clip(audio=clip.audio, frames=frames)
+
     def test_file_layout_matches_contract(self, tmp_path):
         clip = tiny_clip(S=5, T=1, H=2, W=3)
         path = str(tmp_path / "a.clip")

@@ -53,6 +53,12 @@ class TestBuildNetwork:
         assert params["visual.stem.conv.w"].shape == (32, 3, 7, 7)
         assert params["auditory.stem.conv.w"].shape == (32, 1, 49)
 
+    @pytest.mark.parametrize("factory", [M.full_architecture, M.mini_architecture])
+    def test_visual_stem_takes_every_frame_plane(self, factory):
+        arch = factory()
+        assert arch.visual.in_channels == D.FRAME_PLANES
+        assert M.build_network(arch, 0)["visual.stem.conv.w"].shape[1] == D.FRAME_PLANES
+
     def test_he_std_within_ten_percent(self):
         # a 256-fan-in draw should land near sqrt(2/256)
         rng = rng64(3)
