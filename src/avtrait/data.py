@@ -15,13 +15,16 @@ Inference never holds a clip's frames whole. `open_clip` checks the header,
 the file size and the whole waveform, reads no frame bytes and keeps a
 `ClipFile`: the path and header extents. Scoring then reads the audio, and
 the scored frames one at a time, from the file; `unit_frames` maps each
-frame to [0, 1] floats, and the visual stream runs them in small batches
-(`model.FRAME_BATCH_BYTES`). Training indexes each clip through
-`index_clip`, which loads it whole once (`load_clip`) to check it and keeps
-only a `ClipFile`; each crop then reads only the drawn audio window and the
-drawn frame's crop rows. A `Clip` in memory (`load_clip` keeps its frames
-u8, a read-only view of the file's bytes) and a `ClipFile` offer the same
-reads with bitwise-equal results.
+frame to [0, 1] floats into a batch buffer, and the visual stream runs as
+many frames at once as have `model.FRAME_BATCH_BYTES` of stem columns: 27
+miniature 64x64 frames, or one canonical frame. Training indexes each clip
+through `index_clip`, which loads it whole once (`load_clip`) to check it
+and keeps only a `ClipFile`; each crop then reads only the drawn audio
+window and the drawn frame's crop rows. A `Clip` in memory (`load_clip`
+keeps its frames u8, a read-only view of the file's bytes) and a `ClipFile`
+offer the same reads with bitwise-equal results, and both refuse with a
+ValueError a read that is empty or reaches outside the clip's samples,
+frames or rows.
 
 Manifest: UTF-8 CSV with header
     clip_id,path,openness,agreeableness,conscientiousness,neuroticism,extraversion,split
@@ -125,11 +128,26 @@ class Clip:
 
     def audio_window(self, start: int, stop: int) -> np.ndarray:
         """Samples [start, stop) as a fresh (1, stop - start) array."""
+        _check_audio_window(start, stop, self.sample_count)
         return self.audio[:, start:stop].copy()
 
     def frame_rows(self, t: int, top: int, stop: int) -> np.ndarray:
         """Rows [top, stop) of each channel of frame t: a (3, stop - top, W) u8 view."""
+        _check_frame_rows(t, top, stop, self.frame_shape)
         return self.frames[t, :, top:stop]
+
+
+def _check_audio_window(start: int, stop: int, sample_count: int) -> None:
+    """Refuse a window that is empty or reaches outside the clip's samples."""
+    if not 0 <= start < stop <= sample_count:
+        raise ValueError(f"audio window [{start}, {stop}) is not inside the clip's samples [0, {sample_count})")
+
+
+def _check_frame_rows(t: int, top: int, stop: int, frame_shape: tuple) -> None:
+    """Refuse a frame outside the clip, or rows that are empty or outside a frame."""
+    T, _, H, _ = frame_shape
+    if not (0 <= t < T and 0 <= top < stop <= H):
+        raise ValueError(f"frame {t} rows [{top}, {stop}) are not inside the clip's frames [0, {T}) and rows [0, {H})")
 
 
 @dataclass
@@ -275,11 +293,13 @@ class ClipFile:
         return out
 
     def audio_window(self, start: int, stop: int) -> np.ndarray:
+        _check_audio_window(start, stop, self.sample_count)
         window = self._read([_HEADER.size + 4 * start], np.empty((1, stop - start), dtype="<f4"))
         _check_audio(window, self.path)
         return window.astype(np.float32, copy=False)
 
     def frame_rows(self, t: int, top: int, stop: int) -> np.ndarray:
+        _check_frame_rows(t, top, stop, self.frame_shape)
         _, _, H, W = self.frame_shape
         first = _HEADER.size + 4 * self.sample_count + (t * FRAME_PLANES * H + top) * W
         rows = np.empty((FRAME_PLANES, stop - top, W), np.uint8)

@@ -4,7 +4,7 @@
 it with `numeric_grad` below, and `tests/test_layers.py` runs the same cases
 against the frozen difference loop in `tests/oracles.py`.
 
-All checks run in float64 with h = 1e-5. Per-layer checks differentiate
+All checks run in float64 with step H = 1e-5. Per-layer checks differentiate
 every element; the whole-network check on the miniature configuration
 samples a few elements per tensor (the full element count would be
 needlessly slow without telling us more).
@@ -23,6 +23,7 @@ from .rnn_head import head_manifest, rnn_backward, rnn_forward
 H = 1e-5
 LAYER_TOL = 1e-5
 NETWORK_TOL = 1e-4
+SAMPLES_PER_TENSOR = 4  # elements the network check differentiates in each tensor
 
 
 @dataclass
@@ -50,8 +51,8 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def numeric_grad(f, x: np.ndarray, idx=None, h: float = H) -> np.ndarray:
-    """Central differences of scalar f with respect to x, flattened.
+def numeric_grad(f, x: np.ndarray, idx=None) -> np.ndarray:
+    """Central differences of scalar f with respect to x, flattened, at step H.
 
     Every element of x is perturbed in place, or only the flat indices idx.
     """
@@ -60,12 +61,12 @@ def numeric_grad(f, x: np.ndarray, idx=None, h: float = H) -> np.ndarray:
     out = np.zeros(len(idx), dtype=np.float64)
     for j, i in enumerate(idx):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + H
         fp = f()
-        flat[i] = orig - h
+        flat[i] = orig - H
         fm = f()
         flat[i] = orig
-        out[j] = (fp - fm) / (2.0 * h)
+        out[j] = (fp - fm) / (2.0 * H)
     return out
 
 
@@ -235,7 +236,7 @@ def run_layer_checks(seed: int = 0) -> list:
     return rows
 
 
-def run_network_check(seed: int = 0, samples_per_tensor: int = 4) -> GradCheckRow:
+def run_network_check(seed: int = 0) -> GradCheckRow:
     """Sampled finite differences through the whole miniature network."""
     arch = mini_architecture()
     params = build_network(arch, seed, dtype=np.float64)
@@ -254,7 +255,7 @@ def run_network_check(seed: int = 0, samples_per_tensor: int = 4) -> GradCheckRo
     worst = 0.0
     for name in trainable_names(arch):
         x = params[name]
-        idx = pick.choice(x.size, size=min(samples_per_tensor, x.size), replace=False)
+        idx = pick.choice(x.size, size=min(SAMPLES_PER_TENSOR, x.size), replace=False)
         worst = max(worst, rel_err(analytic[name].reshape(-1)[idx], numeric_grad(loss, x, idx)))
     return GradCheckRow("full_miniature_network", worst, NETWORK_TOL)
 

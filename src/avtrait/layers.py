@@ -21,14 +21,16 @@ input and keeps no copy. ``maxpool_backward`` and a strided
 at a time, in row-major offset order, so each element receives its
 contributions in kernel-offset order.
 
-Both convolution directions work in slices of b batch samples whose
-columns take at most ``COLUMN_BYTES`` (``_slice_samples``), or of one
-sample. A forward sample whose own columns exceed ``COLUMN_BYTES``, as in
-an eval pass over a whole canonical frame or a 15 s waveform, is built and
-multiplied in bands of output rows of at most ``BAND_BYTES``. The window
-view is built with the plain ndarray constructor over its padded buffer,
-which checks that it stays inside that buffer. A training tape keeps layer
-inputs, not columns: the convolution cache is the list ``[x, w, spec]``.
+Both convolution directions build columns for a slice of batch samples at
+a time, and at least one sample. Backward slices take at most
+``COLUMN_BYTES`` of columns (``_slice_samples``). Forward slices of several
+samples take at most ``BAND_BYTES``; a sample larger than that runs alone,
+multiplied whole up to ``COLUMN_BYTES`` and above it, as in an eval pass
+over a whole canonical frame or a 15 s waveform, in bands of output rows of
+at most ``BAND_BYTES``. The window view is built with the plain ndarray
+constructor over its padded buffer, which checks that it stays inside that
+buffer. A training tape keeps layer inputs, not columns: the convolution
+cache is the list ``[x, w, spec]``.
 Convolution backward takes one of two forms. With unit strides and padding
 below the kernel, the transpose is a full correlation with the flipped
 kernel: one build of grad_out's columns, laid out ``(Cout * prod(kernel),
@@ -207,35 +209,44 @@ def _axes(first: int, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # convolution (cross-correlation, zero padding)
 
-# conv_forward and conv_backward build columns for a few batch samples at a
-# time: at most this many bytes of them, and at least one sample, which
-# conv_forward builds in bands when it alone exceeds them (BAND_BYTES). glibc
-# serves a buffer of this size from its heap again on the next call, where a
-# whole-batch one (59 MB for the visual stem at batch 8) is mapped afresh and
-# page-faulted every time. On a 2-core x86-64 VM this made the batch-8 stem
-# backward about a quarter faster than whole-batch columns, and its forward
-# as much (32 -> 25 ms); 4 and 16 MB were no better than 8.
-# conv_backward slices by the columns it builds: grad_out's for a unit-stride
-# convolution, x's for any other. conv_forward's slices and both forms of
-# dx are bitwise equal to one whole-batch pass, since each sample has its
-# own product, but conv_backward sums its slices' dw products, which rounds
-# differently: with one-sample slices, 1336 of the 4608 elements of one
-# mini-network weight gradient moved by up to 4.5e-08. Changing this value
-# or the slice rule therefore moves trained parameters in their last bits.
+# COLUMN_BYTES bounds conv_backward's slices, and so the rounding of dw, and
+# the largest lone sample conv_forward multiplies whole. conv_backward builds
+# columns for as many batch samples as fit in it, and at least one
+# (_slice_samples): grad_out's for a unit-stride convolution, x's for any
+# other. glibc serves a buffer of this size from its heap again on the next
+# call, where a whole-batch one (59 MB for the visual stem at batch 8) is
+# mapped afresh and page-faulted every time; on a 2-core x86-64 VM this made
+# the batch-8 stem backward about a quarter faster than whole-batch columns,
+# and 4 and 16 MB were no better than 8. Both forms of dx are bitwise equal
+# to one whole-batch pass, since each sample has its own product, but
+# conv_backward sums its slices' dw products, which rounds differently: with
+# one-sample slices, 1336 of the 4608 elements of one mini-network weight
+# gradient moved by up to 4.5e-08, and 1 MB slices moved the miniature desk
+# run's validation accuracy from 0.7397 to 0.7500. Changing this value or
+# the slice rule therefore moves trained parameters in their last bits.
 COLUMN_BYTES = 8 << 20
 
-# A sample whose own columns exceed COLUMN_BYTES (an eval pass at real sizes:
-# 17.2 MB for a canonical 256x456 frame's visual stem, 8.4 MB for each of its
-# stage-1 convolutions, 11.8 MB for a 15 s waveform's stem) is built and
-# multiplied in bands of whole output rows (positions, in 1-d) of at most
-# this many bytes of columns: as few bands as fit, of equal rows but the
-# last. With the stems' pool taken before their shift and rectifier, this
-# took the eval tracemalloc peak of a canonical frame from 22.4 to 6.6 MB
-# and of a 15 s waveform from 32.6 to 9.6 MB. Bands cost time in a loop on
-# one input (on a 2-core x86-64 VM the canonical stem took 6.35 ms at this
-# size, 5.72 ms whole and 7.73 ms at 256 KB); 2 MB bands were 3-5% faster
-# than these but level end to end (clip_infer pass_norm_s 2.94 vs 2.84 s,
-# lower in 4 of 6 pairs) for 1 MB more at every peak.
+# BAND_BYTES caps every other piece of conv_forward's columns: a slice of
+# several samples, and a row band of a sample whose own columns exceed
+# COLUMN_BYTES. Each sample keeps its own product, so neither changes a bit
+# of y, and a small sample's product reads its columns from a core's L2
+# cache (2 MB on the x86-64 VM measured) just after the copy that wrote
+# them. 8 MB slices of miniature samples spilled it: six 64x64 frames hold
+# 3.6 MB of stem columns, eight 16000-sample crops 6.3 MB.
+# A lone sample between this and COLUMN_BYTES is multiplied whole: banding
+# those too (canonical stages 2-4, training samples) cost clip_infer 6.6% of
+# its pass time and train_full 4% more peak memory. Above COLUMN_BYTES (an
+# eval pass at real sizes: 17.2 MB for a canonical 256x456 frame's visual
+# stem, 8.4 MB for each of its stage-1 convolutions, 11.8 MB for a 15 s
+# waveform's stem) a sample is built and multiplied in bands of whole output
+# rows (positions, in 1-d): as few bands as fit, of equal rows but the last.
+# With the stems' pool taken before their shift and rectifier, this took the
+# eval tracemalloc peak of a canonical frame from 22.4 to 6.6 MB and of a
+# 15 s waveform from 32.6 to 9.6 MB. Bands cost time in a loop on one input
+# (on a 2-core x86-64 VM the canonical stem took 6.35 ms at this size,
+# 5.72 ms whole and 7.73 ms at 256 KB); 2 MB bands were 3-5% faster than
+# these but level end to end (clip_infer pass_norm_s 2.94 vs 2.84 s, lower
+# in 4 of 6 pairs) for 1 MB more at every peak.
 # A band changes only its product's N, and OpenBLAS does not promise the
 # same bits across N: bands of 1-100 positions of the 15 s stem differed
 # from one product by up to 1.4e-6, and full bands with a short last one
@@ -243,8 +254,7 @@ COLUMN_BYTES = 8 << 20
 # all 64 waveform lengths of 10.7-33 s tried and at every frame of even
 # width, canonical included; rows of odd width were not (301x333 and
 # 470x393 frames' stems, a 100x101 stage-1 map: up to 1.2e-6, with
-# OpenBLAS 0.3.31). It is its own constant, not COLUMN_BYTES, so that a
-# one-byte COLUMN_BYTES still multiplies each small sample whole.
+# OpenBLAS 0.3.31).
 BAND_BYTES = 1 << 20
 
 
@@ -272,15 +282,16 @@ def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, b: Optional[np.nd
     x: (B, Cin, L) for 1-d specs or (B, Cin, H, W) for 2-d specs.
     w: (Cout, Cin, *kernel). b is a folded eval convolution's batch-norm
     shift (fold_batchnorm). Returns (y, cache). The columns are built and
-    multiplied one batch slice of at most COLUMN_BYTES at a time, each
+    multiplied one batch slice of at most BAND_BYTES at a time, each
     slice's product written into its rows of y. A sample whose own columns
-    exceed COLUMN_BYTES runs alone, in bands of whole output rows
-    (positions, in 1-d) of at most BAND_BYTES of columns, each band's
-    product written into its columns of y. The cache is the list [x, w,
-    spec]: the columns are a transient of this call, and conv_backward
-    reads x again, which must not change before it runs. A caller that can
-    rebuild x may drop ``cache[0]`` after this call and put x back before
-    conv_backward, passing the same list.
+    exceed BAND_BYTES runs alone: whole up to COLUMN_BYTES, and above it in
+    bands of whole output rows (positions, in 1-d) of at most BAND_BYTES of
+    columns, each band's product written into its columns of y. Every
+    sample has its own product, so y does not depend on the slices. The
+    cache is the list [x, w, spec]: the columns are a transient of this
+    call, and conv_backward reads x again, which must not change before it
+    runs. A caller that can rebuild x may drop ``cache[0]`` after this call
+    and put x back before conv_backward, passing the same list.
     """
     if x.ndim != spec.ndim + 2:
         raise ShapeMismatchError("conv input rank", x.shape, ("B", spec.in_channels) + spec.kernel)
@@ -303,7 +314,7 @@ def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, b: Optional[np.nd
     order = (0, 1) + _axes(2 + nd, nd) + _axes(2, nd)
     sample_bytes = K * P * x.itemsize
     row = P // outs[0]  # windows per output row
-    step, rows = _slice_samples(sample_bytes), outs[0]
+    step, rows = max(1, BAND_BYTES // sample_bytes), outs[0]
     if sample_bytes > COLUMN_BYTES:
         # as few bands as BAND_BYTES allows, of equal rows but the last
         cap = max(1, BAND_BYTES // (K * row * x.itemsize))
@@ -422,27 +433,28 @@ def _unit_stride_grads(x, w, grad_out, spec: ConvSpec, input_grad: bool):
 # ---------------------------------------------------------------------------
 # batch normalization
 
+# every batch norm's running-statistics momentum and variance floor
+BN_MOMENTUM = 0.9
+BN_EPSILON = 1e-5
+
+
 @dataclass
 class BatchNormState:
     """Per-channel affine parameters and running statistics.
 
     running_* are updated in place by each batchnorm_forward with
-    running <- momentum * running + (1 - momentum) * batch.
+    running <- BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch.
     """
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.9
-    epsilon: float = 1e-5
 
     def __post_init__(self):
         c = self.gamma.shape
         if not (self.beta.shape == self.running_mean.shape == self.running_var.shape == c) or len(c) != 1:
             raise ShapeMismatchError("batchnorm state extents", self.gamma.shape, self.beta.shape)
-        if not 0.0 < self.momentum < 1.0 or self.epsilon <= 0.0:
-            raise ValueError("momentum must be in (0,1) and epsilon positive")
 
 
 def _bn_axes(x):
@@ -469,11 +481,11 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState):
     xhat = x - _bn_bcast(mean, x.ndim)
     y = np.square(xhat)
     var = y.mean(axis=axes)
-    inv_std = 1.0 / np.sqrt(var + state.epsilon)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat *= _bn_bcast(inv_std, x.ndim)
     _scale_shift(xhat, state.gamma, state.beta, y)
 
-    m = state.momentum
+    m = BN_MOMENTUM
     state.running_mean[...] = m * state.running_mean + (1.0 - m) * mean
     state.running_var[...] = m * state.running_var + (1.0 - m) * var
     return y, (xhat, inv_std, state.gamma, n)
@@ -501,14 +513,14 @@ def fold_batchnorm(w: np.ndarray, state: BatchNormState):
     """Fold eval-mode batch norm into the bias-free convolution before it.
 
     Returns (w * s, beta - running_mean * s) with s = gamma /
-    sqrt(running_var + epsilon) per output channel, so conv_forward with
+    sqrt(running_var + BN_EPSILON) per output channel, so conv_forward with
     the folded weight and bias equals conv_forward then batch norm by the
     running statistics, up to rounding: the only eval-mode batch norm there
     is, checked against an unfolded reference in the tests.
     """
     if state.gamma.shape != (w.shape[0],):
         raise ShapeMismatchError("folded batchnorm channels", state.gamma.shape, (w.shape[0],))
-    s = state.gamma / np.sqrt(state.running_var + state.epsilon)
+    s = state.gamma / np.sqrt(state.running_var + BN_EPSILON)
     return w * s.reshape((-1,) + (1,) * (w.ndim - 1)), state.beta - state.running_mean * s
 
 

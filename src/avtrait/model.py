@@ -228,7 +228,7 @@ def validate_params(arch: Architecture, params: dict) -> None:
 # stream execution
 
 def _bn_state(params: dict, prefix: str) -> BatchNormState:
-    """The batch norm's four tensors, at BatchNormState's momentum and epsilon."""
+    """The batch norm's four tensors."""
     return BatchNormState(*(params[f"{prefix}.{k}"] for k in ("gamma", "beta", "running_mean", "running_var")))
 
 
@@ -509,15 +509,18 @@ def _fsum_mean(rows: list) -> np.ndarray:
 
 # clip_features runs a clip's scored frames through the visual stream several
 # at a time, across span boundaries: as many as have at most this many bytes
-# of stem columns, the largest transient of a frame's pass, and at least one
-# frame. On a 2-core x86-64 VM a miniature 64x64 frame, whose 17 small
-# convolutions are mostly call overhead, took 0.84 ms alone, 0.38 ms in a
-# batch of 6 (this budget) and 0.31 ms in a batch of 13 (8 MB); 8 MB also
-# doubled the working set of inference on 64x64 frames. A canonical 256x456
-# frame has 17 MB of stem columns, so it still runs alone. conv_forward
-# builds those in bands of at most layers.BAND_BYTES, so the frame's eval
-# pass peaks at 6.6 MB (tracemalloc) while its stem output is pooled.
-FRAME_BATCH_BYTES = 4 << 20
+# of stem columns, and at least one frame. conv_forward builds the columns of
+# a batch of small frames at most layers.BAND_BYTES at a time, so the budget
+# sets the batch size, not the columns held. A miniature 64x64 frame has
+# 602 KB of stem columns and runs 27 to a batch; its 17 small convolutions
+# are mostly call overhead. On a 2-core x86-64 VM (best of 40 runs of 27
+# frames, three processes) it took 0.45 ms alone and 0.19-0.24 ms in a
+# batch of 27, against 0.39-0.46 ms when 8 MB column slices held 13 frames,
+# and scoring a 3 s 64x64 span peaked at 4.25 MB (tracemalloc), against
+# 4.66 MB for batches of 6. A canonical 256x456 frame has 17.2 MB of
+# stem columns, so it still runs alone, in bands of at most
+# layers.BAND_BYTES, and its eval pass peaks at 6.6 MB.
+FRAME_BATCH_BYTES = 16 << 20
 
 
 def _stem_column_bytes(stream: StreamSpec, frame_shape: tuple, dtype) -> int:
@@ -581,8 +584,8 @@ def forward_infer(arch: Architecture, params: dict, clip: Clip | ClipFile, frame
     are averaged. The fusion head maps that row to the prediction. A
     ClipFile is read one scored frame at a time, and each scored frame
     exactly once; no other frame is read. The scored frames run through
-    the visual stream in small batches, bitwise equal to one at a time.
-    Nothing is mutated, so calls are deterministic.
+    the visual stream in batches (FRAME_BATCH_BYTES), bitwise equal to one
+    at a time. Nothing is mutated, so calls are deterministic.
     """
     if frame_stride < 1:
         raise ValueError("frame_stride must be >= 1")

@@ -2,12 +2,15 @@
 
 Everything here is written as plain, slow, obviously-correct loops with no
 reuse of the package's vectorized code paths. These stay frozen: when a
-test disagrees with an oracle, the implementation is wrong.
+test disagrees with an oracle, the implementation is wrong. The batch-norm
+loops read the package's one setting they share, `layers.BN_EPSILON`.
 """
 
 import math
 
 import numpy as np
+
+from avtrait.layers import BN_EPSILON
 
 
 def matmul_loops(a, b):
@@ -67,7 +70,7 @@ def conv1d_loops(x, w, b, stride, padding):
     return out
 
 
-def batchnorm_train_loops(x, gamma, beta, epsilon=1e-5):
+def batchnorm_train_loops(x, gamma, beta):
     """Per-channel scalar-loop normalization over (batch, spatial)."""
     B, C = x.shape[0], x.shape[1]
     spatial = int(np.prod(x.shape[2:])) if x.ndim > 2 else 1
@@ -77,7 +80,7 @@ def batchnorm_train_loops(x, gamma, beta, epsilon=1e-5):
         vals = [float(xr[b, c, s]) for b in range(B) for s in range(spatial)]
         mean = sum(vals) / len(vals)
         var = sum((v - mean) ** 2 for v in vals) / len(vals)
-        inv = 1.0 / math.sqrt(var + epsilon)
+        inv = 1.0 / math.sqrt(var + BN_EPSILON)
         for b in range(B):
             for s in range(spatial):
                 out[b, c, s] = float(gamma[c]) * (xr[b, c, s] - mean) * inv + float(beta[c])
@@ -86,12 +89,12 @@ def batchnorm_train_loops(x, gamma, beta, epsilon=1e-5):
 
 def batchnorm_eval_loops(x, state):
     """Eval-mode batch norm, channel by channel: gamma * (x - running_mean)
-    / sqrt(running_var + epsilon) + beta from a BatchNormState's running
+    / sqrt(running_var + BN_EPSILON) + beta from a BatchNormState's running
     statistics, which it does not change. Computed in float64 and returned
     in x's dtype."""
     out = np.empty(x.shape, np.float64)
     for c in range(x.shape[1]):
-        inv = 1.0 / math.sqrt(float(state.running_var[c]) + state.epsilon)
+        inv = 1.0 / math.sqrt(float(state.running_var[c]) + BN_EPSILON)
         out[:, c] = float(state.gamma[c]) * (x[:, c] - float(state.running_mean[c])) * inv + float(state.beta[c])
     return out.astype(x.dtype)
 

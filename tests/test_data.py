@@ -2,7 +2,6 @@ import hashlib
 import math
 import os
 import re
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 
 from avtrait import data as D
 from oracles import channel_means_whole_grid, synth_audio, synth_frames_whole_grid
+from tracemem import traced
 
 
 def tiny_clip(rng=None, S=2000, T=3, H=40, W=52, label=None):
@@ -326,6 +326,41 @@ class TestClipFile:
             D.crop_audio(indexed, np.random.Generator(np.random.PCG64(0)), crop)
 
 
+class TestReadsOutsideTheClip:
+    """A Clip and a ClipFile refuse a window or rows that are empty or reach
+    outside the clip, naming what was asked and the clip's extents."""
+
+    S, T, H = 300, 2, 16
+
+    @pytest.fixture(params=["Clip", "ClipFile"])
+    def clip(self, request, tmp_path):
+        clip = tiny_clip(S=self.S, T=self.T, H=self.H, W=12)
+        if request.param == "Clip":
+            return clip
+        path = str(tmp_path / "c.clip")
+        D.save_clip(clip, path)
+        return D.open_clip(path)
+
+    # past the end (a ClipFile read frame bytes there), before the start, empty, reversed
+    @pytest.mark.parametrize("start, stop", [(S - 4, S + 4), (-1, 4), (5, 5), (6, 5)])
+    def test_audio_window_outside_the_samples_refused(self, clip, start, stop):
+        want = f"audio window [{start}, {stop}) is not inside the clip's samples [0, {self.S})"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            clip.audio_window(start, stop)
+
+    # rows past the frame (a ClipFile read the next plane there), before it,
+    # empty; frames before the first and past the last
+    @pytest.mark.parametrize("t, top, stop", [(0, 10, 20), (1, -1, 3), (0, 3, 3), (-1, 0, 4), (T, 0, 4)])
+    def test_frame_rows_outside_the_frames_refused(self, clip, t, top, stop):
+        want = f"frame {t} rows [{top}, {stop}) are not inside the clip's frames [0, {self.T}) and rows [0, {self.H})"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            clip.frame_rows(t, top, stop)
+
+    def test_reads_at_the_edges_are_kept(self, clip):
+        assert clip.audio_window(0, self.S).shape == (1, self.S)
+        assert clip.frame_rows(self.T - 1, 0, self.H).shape == (3, self.H, 12)
+
+
 def _outcome(read, path):
     """What reading path gives: the error's type and message, or "ok"."""
     try:
@@ -603,12 +638,7 @@ class TestSynthClipBlocks:
 
     def test_peak_memory_is_bounded_by_the_frames(self):
         rng = np.random.Generator(np.random.PCG64(5))
-        tracemalloc.start()
-        try:
-            clip = D.synth_clip(rng, 2.0, D.CANONICAL_HEIGHT, D.CANONICAL_WIDTH)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        clip, peak, _ = traced(D.synth_clip, rng, 2.0, D.CANONICAL_HEIGHT, D.CANONICAL_WIDTH)
         assert peak < 2 * clip.frames.nbytes
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from oracles import (
     maxpool1d_windows,
     maxpool2d_windows,
 )
+from tracemem import traced
 
 FD_TOL = 1e-5
 
@@ -129,7 +129,7 @@ class TestConvForward:
         b = rng.standard_normal(4).astype(dtype)
         spec = L.ConvSpec((3,) * ndim, (stride,) * ndim, (1,) * ndim, 2, 4)
         y, _ = L.conv_forward(x, w, spec, b)
-        monkeypatch.setattr(L, "COLUMN_BYTES", 1)
+        monkeypatch.setattr(L, "BAND_BYTES", 1)
         y1, _ = L.conv_forward(x, w, spec, b)
         assert y1.dtype == y.dtype == dtype
         np.testing.assert_array_equal(y1, y)
@@ -140,16 +140,25 @@ class TestConvForward:
         w = rng.standard_normal((4, 4, 3, 3))
         spec = L.ConvSpec((3, 3), (1, 1), (1, 1), 4, 4)
         sample_cols = w[0].size * 32 * 32 * x.itemsize
-        monkeypatch.setattr(L, "COLUMN_BYTES", sample_cols)  # one sample a slice
-        tracemalloc.start()
-        try:
-            L.conv_forward(x, w, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        monkeypatch.setattr(L, "BAND_BYTES", sample_cols)  # one sample a slice
+        peak = traced(L.conv_forward, x, w, spec).peak
         # padded input, output and one slice's columns: about a third of
         # the whole batch's columns
         assert peak < 8 * sample_cols, (peak, 8 * sample_cols)
+
+    def test_small_samples_hold_one_band_of_columns_at_a_time(self):
+        # 32 samples of 147 KB of columns, 4.7 MB in all: slices of 7
+        # samples, each below BAND_BYTES, next to the padded input and the
+        # output, which the call holds whatever its slices
+        rng = rng64(13)
+        x = rng.standard_normal((32, 4, 32, 32)).astype(np.float32)
+        w = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
+        spec = L.ConvSpec((3, 3), (1, 1), (1, 1), 4, 4)
+        sample_cols = w[0].size * 32 * 32 * x.itemsize
+        assert 32 * sample_cols > 4 * L.BAND_BYTES and 32 * sample_cols < L.COLUMN_BYTES
+        (y, _), peak, _ = traced(L.conv_forward, x, w, spec)
+        padded = x.nbytes * 34 * 34 // (32 * 32)
+        assert peak - padded - y.nbytes < L.BAND_BYTES + (64 << 10), (peak - padded - y.nbytes, L.BAND_BYTES)
 
     # the eval convolutions whose one sample's columns exceed COLUMN_BYTES:
     # a canonical 256x456 frame's visual stem and a stage-1 conv after its
@@ -203,13 +212,13 @@ class TestConvForward:
         audio = rng.standard_normal((4, 1, 2048)).astype(np.float32)
         frames = rng.random((4, 3, 32, 32), dtype=np.float32)
         g = rng.standard_normal((4, 5)).astype(np.float32)
-        default = L.COLUMN_BYTES
+        default = L.BAND_BYTES
 
         def step(forward_bytes):
             own = {name: v.copy() for name, v in params.items()}
-            monkeypatch.setattr(L, "COLUMN_BYTES", forward_bytes)
+            monkeypatch.setattr(L, "BAND_BYTES", forward_bytes)
             pred, tape = M.forward_train(arch, own, audio, frames)
-            monkeypatch.setattr(L, "COLUMN_BYTES", default)
+            monkeypatch.setattr(L, "BAND_BYTES", default)
             return pred, M.backward(tape, g), own
 
         want = step(default)
@@ -290,12 +299,7 @@ class TestConvBackward:
         g = rng.standard_normal(y.shape)
         sample_cols = w[0].size * 32 * 32 * g.itemsize
         monkeypatch.setattr(L, "COLUMN_BYTES", sample_cols)  # one sample a slice
-        tracemalloc.start()
-        try:
-            L.conv_backward(cache, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced(L.conv_backward, cache, g).peak
         # dx, one slice's padded gradient and its columns: about a quarter
         # of the whole batch's gradient columns
         assert peak < 8 * sample_cols / 3, (peak, 8 * sample_cols)
@@ -448,23 +452,18 @@ class TestWindows:
         # numpy buffers each strided operand of a ufunc, 64 KB of float64 at
         # its default size; at 16 elements its buffers fit in the slack
         bufsize = np.setbufsize(16)
-        tracemalloc.start()
         try:
             if layer == "maxpool":
                 # the pending mask, and per offset a hit mask and the routed
                 # product
                 temporaries = 2 * y.size + g.nbytes
-                dx = L.maxpool_backward(cache, g)
+                dx, peak, _ = traced(L.maxpool_backward, cache, g)
             else:
                 # the per-slice padded copy, columns and window gradients,
                 # which the weight gradient alone builds too
-                L.conv_backward(cache, g, input_grad=False)
-                temporaries = tracemalloc.get_traced_memory()[1]
-                tracemalloc.reset_peak()
-                dx = L.conv_backward(cache, g)[1]
-            peak = tracemalloc.get_traced_memory()[1]
+                temporaries = traced(L.conv_backward, cache, g, input_grad=False).peak
+                (_, dx), peak, _ = traced(L.conv_backward, cache, g)
         finally:
-            tracemalloc.stop()
             np.setbufsize(bufsize)
         assert dx.shape == x.shape
         assert peak <= x.nbytes + temporaries + 12288, (peak, x.nbytes + temporaries)
@@ -563,10 +562,8 @@ class TestDimensionalCorrespondence:
 
 
 class TestBatchNorm:
-    def fresh_state(self, c, **kw):
-        return L.BatchNormState(
-            gamma=np.ones(c), beta=np.zeros(c), running_mean=np.zeros(c), running_var=np.ones(c), **kw
-        )
+    def fresh_state(self, c):
+        return L.BatchNormState(gamma=np.ones(c), beta=np.zeros(c), running_mean=np.zeros(c), running_var=np.ones(c))
 
     def test_eval_standardized_identity(self):
         rng = rng64(8)
@@ -593,7 +590,7 @@ class TestBatchNorm:
     def test_running_stats_update_rule(self):
         rng = rng64(11)
         x = rng.standard_normal((8, 2, 6))
-        state = self.fresh_state(2, momentum=0.9)
+        state = self.fresh_state(2)
         mean = x.mean(axis=(0, 2))
         var = x.var(axis=(0, 2))
         L.batchnorm_forward(x, state)
@@ -621,10 +618,10 @@ class TestBatchNorm:
         state = L.BatchNormState(gamma, beta, rng.standard_normal(c).astype(dtype), rng.random(c).astype(dtype) + 0.5)
         axes, bc = (0,) + tuple(range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
         mean, var = x.mean(axis=axes), x.var(axis=axes)
-        inv_std = 1.0 / np.sqrt(var + state.epsilon)
+        inv_std = 1.0 / np.sqrt(var + L.BN_EPSILON)
         xhat = (x - mean.reshape(bc)) * inv_std.reshape(bc)
         ref = gamma.reshape(bc) * xhat + beta.reshape(bc)
-        m = state.momentum
+        m = L.BN_MOMENTUM
         running = (m * state.running_mean + (1.0 - m) * mean, m * state.running_var + (1.0 - m) * var)
         y, cache = L.batchnorm_forward(x, state)
         assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()

@@ -3,7 +3,6 @@ import functools
 import hashlib
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from test_layers import (
     reachable_arrays,
 )
 from oracles import batchnorm_eval_loops, fd_rel_err, stride_trace
+from tracemem import traced
 
 HERE = os.path.dirname(__file__)
 
@@ -658,15 +658,13 @@ class TestFusedUpdate:
         audio = rng.standard_normal((8, 1, T.FULL_AUDIO_CROP)).astype(np.float32)
         frames = rng.standard_normal((8, 3, T.FULL_FRAME_CROP, T.FULL_FRAME_CROP)).astype(np.float32)
         target = rng.random((8, 5), dtype=np.float32)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
+
+        def step():
             pred, tape = M.forward_train(arch, params, audio, frames)
             _, dpred = mae_loss(pred, target)
             O.adam_step(params, functools.partial(M.backward, tape, dpred), adam)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+
+        peak = traced(step).peak
         assert peak < self.STEP_BOUND_MB * 1e6, peak / 1e6
 
 
@@ -896,7 +894,10 @@ class TestFrameBatches:
             assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
 
     def test_batches_cross_second_boundaries(self, monkeypatch):
-        k = M.FRAME_BATCH_BYTES // self.column_bytes()
+        # a batch size below FPS that does not divide it: the default k of
+        # 64x64 frames exceeds FPS
+        k = 7
+        monkeypatch.setattr(M, "FRAME_BATCH_BYTES", k * self.column_bytes())
         seconds = 3
         assert math.ceil(seconds * D.FPS / k) < seconds * math.ceil(D.FPS / k)  # k does not divide FPS
         clip = self.clip(seconds * D.FPS, seconds=float(seconds))
@@ -912,7 +913,10 @@ class TestFrameBatches:
 
     def test_canonical_frames_run_alone(self, monkeypatch):
         # a canonical frame's stem columns exceed the budget, so whole-clip
-        # inference holds one frame's work at a time
+        # inference holds one frame's work at a time, in either architecture
+        canonical = (1, D.FRAME_PLANES, D.CANONICAL_HEIGHT, D.CANONICAL_WIDTH)
+        for arch in (self.arch, M.full_architecture()):
+            assert M._stem_column_bytes(arch.visual, canonical, np.float32) > M.FRAME_BATCH_BYTES
         rng = rng64(24)
         clip = D.Clip(
             audio=(rng.random((1, 2000), dtype=np.float32) - 0.5).astype(np.float32),
@@ -1060,12 +1064,7 @@ class TestClipMemory:
         stream = getattr(arch, name)
         folded = M.fold_stream(stream, name, M.build_network(arch, 4))
         x = rng64(12).random(shape, dtype=np.float32)
-        tracemalloc.start()
-        try:
-            M.forward_stream(x, stream, name, folded, "eval")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced(M.forward_stream, x, stream, name, folded, "eval").peak
         assert peak < bound_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_long_clip_peak_stays_near_file_size(self, tmp_path):
@@ -1081,12 +1080,7 @@ class TestClipMemory:
         size = os.path.getsize(path)
         arch = M.mini_architecture()
         params = M.build_network(arch, 3)
-        tracemalloc.start()
-        try:
-            pred = M.forward_infer(arch, params, D.load_clip(path), frame_stride=D.FPS)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        pred, peak, _ = traced(lambda: M.forward_infer(arch, params, D.load_clip(path), frame_stride=D.FPS))
         assert np.all(np.isfinite(pred))
         assert peak < 1.5 * size + 4e6, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB clip"
 
@@ -1103,11 +1097,6 @@ class TestClipMemory:
         manifest = D.Manifest(rows=[row], directory=str(tmp_path))
         arch = M.mini_architecture()
         params = M.build_network(arch, 3)
-        tracemalloc.start()
-        try:
-            [(_, pred)] = T.predict_rows(arch, params, manifest, [row], frame_stride=D.FPS)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        [(_, pred)], peak, _ = traced(T.predict_rows, arch, params, manifest, [row], frame_stride=D.FPS)
         assert pred is not None and np.all(np.isfinite(pred))
         assert peak < size / 4 + 1e6, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB clip"

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 
 from avtrait import optim as O
 from oracles import adam_scalar_reference
+from tracemem import traced
 
 
 class TestMaeLoss:
@@ -156,12 +156,7 @@ class TestAdam:
         state = O.init_adam(params, ["w"])
         O.adam_step(params, {"w": np.full(1 << 20, 0.5, np.float32)}, state)
         g = {"w": np.full(1 << 20, 0.5, np.float32)}
-        tracemalloc.start()
-        try:
-            O.adam_step(params, g, state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced(O.adam_step, params, g, state).peak
         assert peak < 1 << 20, peak
 
     def test_scratch_is_two_blocks(self):

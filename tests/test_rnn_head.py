@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from avtrait import train as T
 from avtrait.layers import lstm_step
 from avtrait.optim import AdamState, adam_step, init_adam, mae_loss
 from oracles import central_difference, fd_rel_err, rnn_backward_per_step
+from tracemem import traced
 
 
 def rng64(seed=0):
@@ -260,12 +260,8 @@ class TestTrainRnn:
         peaks = []
         for n in (2, 4):
             params = R.build_rnn_head(0, input_dim=16, hidden=64)
-            tracemalloc.start()
-            try:
-                R.train_rnn(sequences[:n], params, R.RnnTrainConfig(epochs=1, seed=0, trunc=2, batch_size=2))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            config = R.RnnTrainConfig(epochs=1, seed=0, trunc=2, batch_size=2)
+            peaks.append(traced(R.train_rnn, sequences[:n], params, config).peak)
         assert peaks[1] - peaks[0] < grad_bytes / 2, (peaks, grad_bytes)
 
     def test_batch_size_below_one_is_refused(self):
@@ -317,13 +313,11 @@ class TestFusedWalk:
         target = rng.random((8, 3, 5), dtype=np.float32)
         params = R.build_rnn_head(0, input_dim=64)
         adam = init_adam(params, list(params), 8 * AdamState.alpha)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            adam_step(params, lambda update: R.sequence_gradients(params, seq, target, 15, rng, 0.5, consume=update), adam)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+
+        def gradients(update):
+            return R.sequence_gradients(params, seq, target, 15, rng, 0.5, consume=update)
+
+        peak = traced(adam_step, params, gradients, adam).peak
         assert peak < self.STEP_BOUND_MB * 1e6, peak / 1e6
 
 

@@ -2,7 +2,6 @@ import json
 import os
 import re
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +13,7 @@ from avtrait import data as D
 from avtrait import model as M
 from avtrait import rnn_head as R
 from avtrait import train as T
+from tracemem import traced
 
 
 @pytest.fixture(scope="module")
@@ -133,12 +133,7 @@ class TestTensorContainer:
         named = {f"t{i}": np.full((256, 1024), i, np.float32) for i in range(8)}
         payload = sum(arr.nbytes for arr in named.values())
         path = str(tmp_path / "t.ckpt")
-        tracemalloc.start()
-        try:
-            T.write_tensor_container(path, named)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced(T.write_tensor_container, path, named).peak
         assert peak < payload / 16, (peak, payload)
         _, back, _ = T.read_tensor_container(path)
         for name, arr in named.items():
@@ -514,12 +509,7 @@ class TestTrainClipIndex:
         peaks = []
         for n in (4, 12):
             subset = D.Manifest(rows=manifest.rows[:n], directory=manifest.directory)
-            tracemalloc.start()
-            try:
-                T.train(tiny_config(str(tmp_path / f"run{n}"), epochs=1), subset)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced(T.train, tiny_config(str(tmp_path / f"run{n}"), epochs=1), subset).peak)
         assert abs(peaks[1] - peaks[0]) < clip_bytes / 4, (peaks, clip_bytes)
 
 
@@ -537,21 +527,10 @@ class TestStepMemory:
         audio = rng.standard_normal((2, 1, 1024)).astype(np.float32)
         frames = rng.random((2, 3, 48, 48), dtype=np.float32)
         M.forward_train(arch, params, audio, frames)  # one-time allocations are not the tape's
-        tracemalloc.start()
-        try:
-            _, tape = M.forward_train(arch, params, audio, frames)
-            tape_bytes = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        del tape
+        tape_bytes = traced(M.forward_train, arch, params, audio, frames).held
         peaks = []
         for epochs in (1, 3):  # one step per epoch
-            tracemalloc.start()
-            try:
-                T.train(tiny_config(str(tmp_path / f"run{epochs}"), epochs=epochs, **crops), manifest)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced(T.train, tiny_config(str(tmp_path / f"run{epochs}"), epochs=epochs, **crops), manifest).peak)
         assert peaks[1] - peaks[0] < tape_bytes / 2, (peaks, tape_bytes)
 
 
