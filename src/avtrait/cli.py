@@ -381,12 +381,20 @@ def _cmd_extract_features(s: Settings) -> int:
 
 
 def load_feature_cache(path: str) -> dict:
+    """{clip id: (T, D) features}, every clip's D the same."""
     _, named, _ = T.read_tensor_container(path)
     out = {}
     for name, arr in named.items():
         if not name.startswith("feat.") or arr.ndim != 2:
             raise T.CheckpointManifestError(f"{path}: unexpected tensor {name!r} in feature cache")
         out[name[len("feat.") :]] = arr
+    first = next(iter(out), None)
+    for clip_id, arr in out.items():
+        if arr.shape[1] != out[first].shape[1]:
+            raise T.CheckpointManifestError(
+                f"{path}: feature cache clip {clip_id!r} has {arr.shape[1]}-wide features, "
+                f"but clip {first!r} has {out[first].shape[1]}-wide ones"
+            )
     return out
 
 

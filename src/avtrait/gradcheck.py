@@ -12,6 +12,7 @@ needlessly slow without telling us more).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,14 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     n = np.asarray(numeric, dtype=np.float64).ravel()
     denom = np.maximum(np.abs(a) + np.abs(n), 1e-4)
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+
+
+def collect(walk) -> dict:
+    """{name: gradient} from a walk: a function that hands each gradient to
+    the consume(name, gradient) it is given, as training's backward does."""
+    grads = {}
+    walk(grads.__setitem__)
+    return grads
 
 
 def numeric_grad(f, x: np.ndarray, idx=None) -> np.ndarray:
@@ -196,7 +205,7 @@ def _lstm_segment_case(rng):
         out, tape, _ = rnn_forward(seq, arrays, np.random.Generator(np.random.PCG64(mask_seed)), 0.5, state)
         return out, tape
 
-    return _projected(rng, arrays, forward, lambda tape, R: rnn_backward(tape, R, arrays))
+    return _projected(rng, arrays, forward, lambda tape, R: collect(functools.partial(rnn_backward, tape, R, arrays)))
 
 
 LAYER_CASES = [
@@ -245,7 +254,7 @@ def run_network_check(seed: int = 0) -> GradCheckRow:
     frames = rng.standard_normal((2, 3, 16, 16)) * 0.5
     pred, tape = forward_train(arch, params, audio, frames)
     R = rng.standard_normal(pred.shape)
-    analytic = backward(tape, R)
+    analytic = collect(functools.partial(backward, tape, R))
 
     def loss() -> float:
         pred, _ = forward_train(arch, params, audio, frames)

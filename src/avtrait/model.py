@@ -342,12 +342,12 @@ def forward_stream(x: np.ndarray, stream: StreamSpec, prefix: str, params: dict,
     return y, tape
 
 
-def backward_stream(tape, grad_feat: np.ndarray, consume=None):
+def backward_stream(tape, grad_feat: np.ndarray, consume):
     """Walk a stream tape in reverse, handing each (name, gradient) to
     consume(name, gradient) once its entry's backward has returned (a
     block's residual_block_backward, the stem's conv_backward), and keeping
     none. No later entry reads a tensor already handed over, so a consumer
-    may update it in place. With no `consume`, returns {name: gradient}.
+    may update it in place.
 
     The tape is consumed: each entry is popped before its backward runs,
     so its cache is released once that backward returns and the tape is
@@ -365,8 +365,6 @@ def backward_stream(tape, grad_feat: np.ndarray, consume=None):
             "the stream tape is empty: an eval-mode forward records none, and a backward consumes a "
             "train-mode one; run the forward again in train mode"
         )
-    grads = {}
-    emit = grads.__setitem__ if consume is None else consume
     g = grad_feat
     while tape:
         kind, name, cache = tape.pop()
@@ -375,7 +373,7 @@ def backward_stream(tape, grad_feat: np.ndarray, consume=None):
         elif kind == "block":
             bgrads, g = residual_block_backward(cache, g)
             for key in list(bgrads):
-                emit(f"{name}.{key}", bgrads.pop(key))
+                consume(f"{name}.{key}", bgrads.pop(key))
         elif kind == "stem":
             c_conv, c_bn, beta, pooled, pool_spec = cache
             relu_out = batchnorm_relu(c_bn, beta, np.empty_like(c_bn[0]))
@@ -384,12 +382,11 @@ def backward_stream(tape, grad_feat: np.ndarray, consume=None):
             del relu_out  # before the gradients below
             dgamma, dbeta, g = batchnorm_backward(c_bn, g)
             dw, _ = conv_backward(c_conv, g, input_grad=False)
-            emit(f"{name}.bn.gamma", dgamma)
-            emit(f"{name}.bn.beta", dbeta)
-            emit(f"{name}.conv.w", dw)
+            consume(f"{name}.bn.gamma", dgamma)
+            consume(f"{name}.bn.beta", dbeta)
+            consume(f"{name}.conv.w", dw)
         else:
             raise ValueError(f"unknown tape entry {kind!r}")
-    return grads if consume is None else None
 
 
 @dataclass
@@ -456,15 +453,15 @@ def forward_train(
     return pred, tape
 
 
-def backward(tape: ModelTape, grad_out: np.ndarray, consume=None):
-    """Gradients for every trainable tensor given dL/dpred.
+def backward(tape: ModelTape, grad_out: np.ndarray, consume):
+    """Hand the gradient of every trainable tensor, given dL/dpred, to
+    consume(name, gradient) as it is formed.
 
-    Each (name, gradient) goes to consume(name, gradient) as it is formed,
-    in tape order: fusion.w and fusion.b once linear_backward has formed
-    the features' gradient, then each stream's (backward_stream), auditory
-    first. Nothing else keeps a gradient, so a consumer that applies and
-    drops it (optim.adam_step's update) holds one at a time. With no
-    `consume`, returns {name: gradient} from the same walk.
+    The walk is in tape order: fusion.w and fusion.b once linear_backward
+    has formed the features' gradient, then each stream's
+    (backward_stream), auditory first. Nothing else keeps a gradient, so a
+    consumer that applies and drops it (optim.adam_step's update) holds one
+    at a time.
 
     grad_out is checked before anything is consumed. The tape is then
     consumed: the auditory stream's caches are released as its backward
@@ -475,17 +472,14 @@ def backward(tape: ModelTape, grad_out: np.ndarray, consume=None):
         raise ShapeMismatchError("backward grad_out", grad_out.shape, tape.tanh_cache.shape)
     if not tape.auditory:
         raise EvalTapeError("this ModelTape was already differentiated, which consumed it; run forward_train again")
-    grads = {}
-    emit = grads.__setitem__ if consume is None else consume
     auditory, visual = tape.auditory, tape.visual
     tape.auditory, tape.visual = [], []
     dz = scaled_tanh_backward(tape.tanh_cache, grad_out)
     dw, db, dfeats = linear_backward(tape.fusion_cache, dz)
-    emit("fusion.w", dw)
-    emit("fusion.b", db)
-    backward_stream(auditory, np.ascontiguousarray(dfeats[:, : tape.split]), emit)
-    backward_stream(visual, np.ascontiguousarray(dfeats[:, tape.split :]), emit)
-    return grads if consume is None else None
+    consume("fusion.w", dw)
+    consume("fusion.b", db)
+    backward_stream(auditory, np.ascontiguousarray(dfeats[:, : tape.split]), consume)
+    backward_stream(visual, np.ascontiguousarray(dfeats[:, tape.split :]), consume)
 
 
 # ---------------------------------------------------------------------------

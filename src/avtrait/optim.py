@@ -5,12 +5,12 @@ and EPSILON 1e-8: nothing varies them, so no checkpoint records them. The
 step size alpha, 2e-4 by default (AdamState's), is the one setting; its
 step-decay schedule is `train.TrainConfig.alpha_for_epoch`.
 
-`adam_step` updates one tensor at a time, so it can take each gradient as
-a walk such as `model.backward` or `rnn_head.rnn_backward` hands it over
-and drop it before the next is formed. Each update is written over its
-gradient, so the only scratch is two blocks, which live in the AdamState
-beside the moments and are made with them by `init_adam`: an update
-allocates nothing.
+`adam_step` takes its gradients as a walk, such as `model.backward` or
+`rnn_head.rnn_backward`, which hands each one over as soon as it is
+formed; the tensor is updated then, and the gradient dropped before the
+next is formed. Each update is written over its gradient, so the only
+scratch is two blocks, which live in the AdamState beside the moments and
+are made with them by `init_adam`: an update allocates nothing.
 """
 
 from __future__ import annotations
@@ -147,23 +147,20 @@ def _checked_update(name: str, p: np.ndarray, g: np.ndarray, state: AdamState, b
     p -= u.reshape(p.shape)
 
 
-def adam_step(params: dict, grads, state: AdamState):
+def adam_step(params: dict, walk, state: AdamState):
     """One bias-corrected Adam step, in place, over every tracked parameter.
 
-    `grads` is a mapping {name: gradient}, taken in sorted name order, or a
-    walk: a function that calls the `update(name, gradient)` it is given
-    once per tracked tensor, such as functools.partial(model.backward, tape,
-    dpred). Each tensor is updated when its gradient is handed over. A
-    mapping's untracked names are ignored, and one that lacks a tracked
-    name raises KeyError before anything changes. A walk's untracked or
-    repeated name raises KeyError, as does a tracked tensor that got no
-    gradient by the end of the walk. The step count advances once. Returns
-    what the walk returns, and None for a mapping.
+    `walk` is a function that calls the `update(name, gradient)` it is
+    given once per tracked tensor, such as functools.partial(model.backward,
+    tape, dpred). Each tensor is updated when its gradient is handed over.
+    An untracked or repeated name raises KeyError, as does a tracked tensor
+    that got no gradient by the end of the walk. The step count advances
+    once. Returns what the walk returns.
 
-    The gradients are consumed: each one handed over, from a mapping or a
-    walk, is overwritten with its tensor's update where it is a writeable
-    C-contiguous array of the moments' dtype, whether or not the step
-    succeeds. A caller that reads a gradient afterwards passes a copy.
+    The gradients are consumed: each one handed over is overwritten with
+    its tensor's update where it is a writeable C-contiguous array of the
+    moments' dtype, whether or not the step succeeds. A caller that reads a
+    gradient afterwards passes a copy.
 
     Each tensor goes in blocks of ADAM_BLOCK elements. Every elementwise
     operation has the operands, order and dtypes of the one-expression form
@@ -177,8 +174,6 @@ def adam_step(params: dict, grads, state: AdamState):
     Tensors already updated in the step, and the step count, stay advanced.
     """
     pending = set(state.m)
-    if not callable(grads) and pending - grads.keys():
-        raise _missing(pending - grads.keys())
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
@@ -194,19 +189,10 @@ def adam_step(params: dict, grads, state: AdamState):
         with np.errstate(invalid="ignore"):
             _checked_update(name, params[name], g, state, bc1, bc2, bound)
 
-    result = None
-    if callable(grads):
-        result = grads(update)
-    else:
-        for name in sorted(pending):
-            update(name, grads[name])
+    result = walk(update)
     if pending:
-        raise _missing(pending)
+        raise KeyError(f"gradient missing for parameter {', '.join(map(repr, sorted(pending)))}")
     return result
-
-
-def _missing(names) -> KeyError:
-    return KeyError(f"gradient missing for parameter {', '.join(map(repr, sorted(names)))}")
 
 
 def mae_loss(pred: np.ndarray, target: np.ndarray):

@@ -240,7 +240,7 @@ def _product(segment: dict, layer: str, part) -> np.ndarray:
     return np.concatenate([cache[part] for cache in caches]).T @ dZ
 
 
-def rnn_backward(tape, grad_out: np.ndarray, params: dict, trunc=None, consume=None):
+def rnn_backward(tape, grad_out: np.ndarray, params: dict, consume, trunc=None):
     """Truncated backpropagation through the steps covered by `tape`.
 
     grad_out (B, T, K) is the gradient at rnn_forward's outputs over the
@@ -254,7 +254,7 @@ def rnn_backward(tape, grad_out: np.ndarray, params: dict, trunc=None, consume=N
     product per segment over its B*T' steps: the first segment's plus each
     later one's, in order. Each (name, gradient) goes to consume(name,
     gradient) as soon as it exists and is not kept, so a consumer may update
-    the tensor in place. With no `consume`, returns {name: gradient}.
+    the tensor in place.
     """
     if grad_out.ndim != 3 or grad_out.shape[1] != len(tape):
         raise ValueError(f"grad_out must be (B, T={len(tape)}, K), got {grad_out.shape}")
@@ -263,38 +263,27 @@ def rnn_backward(tape, grad_out: np.ndarray, params: dict, trunc=None, consume=N
         _segment_recurrences(tape[lo : lo + trunc], grad_out[:, lo : lo + trunc], params)
         for lo in range(0, len(tape), trunc)
     ]
-    grads = {}
-    emit = grads.__setitem__ if consume is None else consume
     for name, layer, part in _WALK:
-        emit(name, functools.reduce(operator.iadd, (_product(segment, layer, part) for segment in segments)))
-    return grads if consume is None else None
+        consume(name, functools.reduce(operator.iadd, (_product(segment, layer, part) for segment in segments)))
 
 
-def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, rng=None, dropout: float = 0.0, consume=None):
+def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, consume, rng=None, dropout: float = 0.0):
     """Loss and truncated-BPTT gradients for a batch of equal-length sequences.
 
     seq is (B, T, D) and target (B, T, K), a label for every step. Per-step
     losses are averaged over all B*T*K entries, so the gradients are the
     mean of the sequences' own; each length-`trunc` segment contributes its
     full-BPTT gradient with state carried in numerically. `rng` and
-    `dropout` are rnn_forward's, and `consume` is rnn_backward's: with it,
-    each gradient goes to consume(name, gradient) and grads is None.
-    Returns (loss, grads, outputs (B, T, K)).
+    `dropout` are rnn_forward's, and `consume` is rnn_backward's: each
+    gradient goes to consume(name, gradient). Returns (loss, outputs
+    (B, T, K)).
     """
     if trunc < 1:
         raise ValueError("truncation length must be >= 1")
-    _, hidden, _ = head_dims(params)
-    B, T = seq.shape[:2]
-    state = zero_state(B, hidden, seq.dtype)
-    tape = []
-    outs = []
-    for lo in range(0, T, trunc):
-        out, seg_tape, state = rnn_forward(seq[:, lo : lo + trunc], params, rng, dropout, state=state)
-        tape += seg_tape
-        outs.append(out)
-    outputs = np.concatenate(outs, axis=1)
+    outputs, tape, _ = rnn_forward(seq, params, rng, dropout)
     loss, dout = mae_loss(outputs, np.asarray(target, dtype=seq.dtype))
-    return loss, rnn_backward(tape, dout, params, trunc, consume), outputs
+    rnn_backward(tape, dout, params, consume, trunc)
+    return loss, outputs
 
 
 def _length_batches(lengths, order, size: int):
@@ -336,11 +325,8 @@ def train_rnn(sequences, params: dict, config: RnnTrainConfig):
         for batch in _length_batches(lengths, rng.permutation(len(sequences)), config.batch_size):
             seq = np.stack([sequences[j][0] for j in batch])
             target = np.stack([np.broadcast_to(sequences[j][1], (seq.shape[1], out_dim)) for j in batch])
-            loss, _, _ = adam_step(
-                params,
-                lambda update: sequence_gradients(params, seq, target, config.trunc, rng, config.dropout, consume=update),
-                adam,
-            )
+            walk = functools.partial(sequence_gradients, params, seq, target, config.trunc, rng=rng, dropout=config.dropout)
+            loss, _ = adam_step(params, walk, adam)
             total += loss * len(batch)
         losses.append(total / len(sequences))
     return losses
@@ -353,5 +339,13 @@ def predict_sequence(seq: np.ndarray, params: dict) -> np.ndarray:
 
 
 def predict_rnn(clip: Clip | ClipFile, arch: Architecture, base_params: dict, head_params: dict) -> np.ndarray:
+    """The head's eval-mode prediction over the clip's per-second features.
+
+    A head whose input width is not the base network's feature width is
+    refused before the clip is read.
+    """
+    input_dim, _, _ = head_dims(head_params)
+    if input_dim != arch.fusion_in:
+        raise ValueError(f"rnn head takes {input_dim}-wide features but the base network gives {arch.fusion_in}-wide ones")
     feats = extract_features(clip, arch, base_params)
     return predict_sequence(feats, head_params)

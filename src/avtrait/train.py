@@ -250,7 +250,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             params[name] = arr
     arch, mini = _infer_architecture(path, params)
     adam = None
-    if moments_m:
+    if moments_m or moments_v or "adam.t" in named:
         trainable = set(trainable_names(arch))
         if set(moments_m) != trainable or set(moments_v) != trainable:
             raise CheckpointManifestError(f"{path}: optimizer moments do not cover the trainable set")

@@ -316,6 +316,37 @@ class TestRnnPipeline:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and all(len(l.split(",")) == 6 for l in lines)
 
+    def test_predict_with_a_head_of_another_width_is_refused_before_any_clip_is_scored(
+        self, workspace, capsys, tmp_path, monkeypatch
+    ):
+        head = str(tmp_path / "wide.ckpt")
+        T.write_tensor_container(head, R.build_rnn_head(0, input_dim=512, hidden=8))
+        scored = []
+        extract = R.extract_features
+        monkeypatch.setattr(R, "extract_features", lambda *args: scored.append(args) or extract(*args))
+        code = run(["predict-rnn", "--checkpoint", workspace["ckpt"], "--rnn-head", head,
+                    "--manifest", workspace["manifest"]])
+        assert code == 2 and scored == []
+        err = capsys.readouterr().err
+        assert "rnn head takes 512-wide features" in err and "64-wide" in err
+
+    def test_train_on_a_cache_of_mixed_widths_is_refused_before_training(
+        self, workspace, capsys, tmp_path, monkeypatch
+    ):
+        manifest = D.load_manifest(workspace["manifest"])
+        cache = str(tmp_path / "mixed.ckpt")
+        first, second = (row.clip_id for row in manifest.rows[:2])
+        T.write_tensor_container(cache, {f"feat.{first}": np.ones((2, 64), np.float32),
+                                         f"feat.{second}": np.ones((2, 512), np.float32)})
+        trained = []
+        train = R.train_rnn
+        monkeypatch.setattr(R, "train_rnn", lambda *args: trained.append(args) or train(*args))
+        head = str(tmp_path / "head.ckpt")
+        code = run(["train-rnn", "--features", cache, "--manifest", workspace["manifest"], "--out", head])
+        assert code == 2 and trained == [] and not os.path.exists(head)
+        err = capsys.readouterr().err
+        assert f"clip {second!r} has 512-wide features" in err and f"clip {first!r} has 64-wide" in err
+
 
 @pytest.fixture(scope="module")
 def mixed_split(workspace, tmp_path_factory):

@@ -13,6 +13,7 @@ from avtrait import rnn_head as R
 from avtrait import train as T
 from avtrait import layers as L
 from avtrait import optim as O
+from avtrait.gradcheck import collect
 from avtrait.layers import linear_forward, scaled_tanh
 from avtrait.optim import mae_loss
 from test_layers import (
@@ -25,6 +26,7 @@ from test_layers import (
 )
 from oracles import batchnorm_eval_loops, fd_rel_err, stride_trace
 from tracemem import traced
+from walks import sorted_walk
 
 HERE = os.path.dirname(__file__)
 
@@ -226,7 +228,7 @@ class TestConvSpecs:
             M.forward_stream(audio[:1], arch.auditory, "auditory", params, "eval")
             eval_specs = len(built)
             pred, tape = M.forward_train(arch, params, audio, frames)
-            M.backward(tape, np.ones_like(pred))
+            collect(functools.partial(M.backward, tape, np.ones_like(pred)))
             passes.append((eval_specs, len(built)))
             built.clear()
         assert passes[1] == (0, 0)
@@ -395,7 +397,7 @@ class TestLeanModelTape:
         params, ref, audio, frames = self.inputs(dtype)
         pred, tape = M.forward_train(self.arch, params, audio, frames)
         g = rng64(15).standard_normal(pred.shape).astype(dtype)
-        grads = M.backward(tape, g)
+        grads = collect(functools.partial(M.backward, tape, g))
 
         fa, tape_a = keep_all_stream_forward(audio, self.arch.auditory, "auditory", ref)
         fv, tape_v = keep_all_stream_forward(frames, self.arch.visual, "visual", ref)
@@ -424,20 +426,20 @@ class TestBackward:
 
     def test_zero_upstream_gives_zero_gradients(self):
         pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
-        grads = M.backward(tape, np.zeros_like(pred))
+        grads = collect(functools.partial(M.backward, tape, np.zeros_like(pred)))
         assert set(grads) == set(M.trainable_names(self.arch))
         for g in grads.values():
             assert not g.any()
 
     def test_no_gradient_for_running_stats(self):
         pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
-        grads = M.backward(tape, np.ones_like(pred))
+        grads = collect(functools.partial(M.backward, tape, np.ones_like(pred)))
         assert not any("running" in n for n in grads)
 
     def test_fusion_bias_gradient_is_column_sum_through_tanh(self):
         pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
         g = rng64(3).standard_normal(pred.shape)
-        grads = M.backward(tape, g)
+        grads = collect(functools.partial(M.backward, tape, g))
         # d pred / d z = (1 - tanh(z)^2) / 2 with pred = (tanh(z)+1)/2
         dz = g * (1.0 - (2.0 * pred - 1.0) ** 2) / 2.0
         np.testing.assert_allclose(grads["fusion.b"], dz.sum(axis=0), rtol=1e-9)
@@ -445,15 +447,15 @@ class TestBackward:
     def test_grad_shape_mismatch_rejected(self):
         pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
         with pytest.raises(M.ShapeMismatchError):
-            M.backward(tape, np.zeros((2, 4)))
+            collect(functools.partial(M.backward, tape, np.zeros((2, 4))))
 
     def test_backward_consumes_the_tape_once(self):
         pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
         g = rng64(5).standard_normal(pred.shape)
-        M.backward(tape, g)
+        collect(functools.partial(M.backward, tape, g))
         assert tape.auditory == [] and tape.visual == []
         with pytest.raises(M.EvalTapeError, match="already differentiated"):
-            M.backward(tape, g)
+            collect(functools.partial(M.backward, tape, g))
 
     def test_backward_that_fails_midway_leaves_the_tape_consumed(self, monkeypatch):
         pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
@@ -464,39 +466,38 @@ class TestBackward:
 
         monkeypatch.setattr(M, "backward_stream", fail)
         with pytest.raises(MemoryError):
-            M.backward(tape, g)
+            collect(functools.partial(M.backward, tape, g))
         monkeypatch.undo()
         with pytest.raises(M.EvalTapeError, match="already differentiated"):
-            M.backward(tape, g)
+            collect(functools.partial(M.backward, tape, g))
 
     def test_rejected_grad_out_consumes_nothing(self):
         pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
         with pytest.raises(M.ShapeMismatchError):
-            M.backward(tape, np.zeros((2, 4)))
+            collect(functools.partial(M.backward, tape, np.zeros((2, 4))))
         g = rng64(6).standard_normal(pred.shape)
-        got = M.backward(tape, g)
+        got = collect(functools.partial(M.backward, tape, g))
         # train-mode outputs do not read the running statistics the first
         # forward moved, so a second forward records the same tape
         _, fresh = M.forward_train(self.arch, self.params, self.audio, self.frames)
-        want = M.backward(fresh, g)
+        want = collect(functools.partial(M.backward, fresh, g))
         assert set(got) == set(want)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
 
     def test_consumed_stream_tape_is_rejected_naming_both_causes(self):
         feats, tape = M.forward_stream(self.audio, self.arch.auditory, "auditory", self.params, "train")
-        M.backward_stream(tape, np.ones_like(feats))
+        collect(functools.partial(M.backward_stream, tape, np.ones_like(feats)))
         assert tape == []
         with pytest.raises(M.EvalTapeError, match="eval-mode.*consumes"):
-            M.backward_stream(tape, np.ones_like(feats))
+            collect(functools.partial(M.backward_stream, tape, np.ones_like(feats)))
 
     @pytest.mark.parametrize("stream", ["auditory", "visual"])
     def test_stream_backward_returns_parameter_gradients_only(self, stream):
         # a stream's input is raw waveform or frames: no input gradient
         x = self.audio if stream == "auditory" else self.frames
         feats, tape = M.forward_stream(x, getattr(self.arch, stream), stream, self.params, "train")
-        grads = M.backward_stream(tape, np.ones_like(feats))
-        assert type(grads) is dict
+        grads = collect(functools.partial(M.backward_stream, tape, np.ones_like(feats)))
         assert sorted(grads) == sorted(n for n in M.trainable_names(self.arch) if n.startswith(f"{stream}."))
         for name, g in grads.items():
             assert g.shape == self.params[name].shape, name
@@ -505,7 +506,7 @@ class TestBackward:
         rng = rng64(4)
         pred, tape = M.forward_train(self.arch, self.params, self.audio, self.frames)
         R = rng.standard_normal(pred.shape)
-        grads = M.backward(tape, R)
+        grads = collect(functools.partial(M.backward, tape, R))
 
         def loss():
             p, _ = M.forward_train(self.arch, self.params, self.audio, self.frames)
@@ -545,7 +546,7 @@ class TestFirstStepDigest:
         target = rng.random((4, 5), dtype=np.float32)
         pred, tape = M.forward_train(arch, params, audio, frames)
         loss, dpred = mae_loss(pred, target)
-        grads = M.backward(tape, dpred)
+        grads = collect(functools.partial(M.backward, tape, dpred))
         assert set(grads) == set(M.trainable_names(arch))
         h = hashlib.sha256(pred.tobytes())
         h.update(np.float64(loss).tobytes())
@@ -602,7 +603,7 @@ class TestFusedUpdate:
         _, ref, _, _, ref_tape, _ = self.mini_step()
         adam, ref_adam = O.init_adam(params, M.trainable_names(arch)), O.init_adam(ref, M.trainable_names(arch))
         O.adam_step(params, functools.partial(M.backward, tape, dpred), adam)
-        O.adam_step(ref, M.backward(ref_tape, dpred), ref_adam)
+        O.adam_step(ref, sorted_walk(collect(functools.partial(M.backward, ref_tape, dpred))), ref_adam)
         assert adam.t == ref_adam.t == 1
         for name in params:
             assert params[name].tobytes() == ref[name].tobytes(), name
@@ -1036,7 +1037,7 @@ class TestEvalTape:
         audio = np.zeros((2, 1, 1024), np.float32)
         feats, tape = M.forward_stream(audio, arch.auditory, "auditory", params, "eval")
         with pytest.raises(M.EvalTapeError):
-            M.backward_stream(tape, np.ones_like(feats))
+            collect(functools.partial(M.backward_stream, tape, np.ones_like(feats)))
 
 
 class TestStreamMode:

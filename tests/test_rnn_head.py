@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -7,6 +8,7 @@ from avtrait import data as D
 from avtrait import model as M
 from avtrait import rnn_head as R
 from avtrait import train as T
+from avtrait.gradcheck import collect
 from avtrait.layers import lstm_step
 from avtrait.optim import AdamState, adam_step, init_adam, mae_loss
 from oracles import central_difference, fd_rel_err, rnn_backward_per_step
@@ -20,6 +22,13 @@ def rng64(seed=0):
 def per_step(target, T):
     """(B, K) labels, one per sequence, repeated over T steps as (B, T, K)."""
     return np.broadcast_to(target[:, None], (target.shape[0], T, target.shape[1]))
+
+
+def gradients(params, seq, target, trunc, rng=None, dropout=0.0):
+    """R.sequence_gradients with its walk collected: (loss, grads, outputs)."""
+    grads = {}
+    loss, outputs = R.sequence_gradients(params, seq, target, trunc, grads.__setitem__, rng, dropout)
+    return loss, grads, outputs
 
 
 def toy_head(seed=0, input_dim=6, hidden=5, out_dim=3, dtype=np.float64):
@@ -101,8 +110,8 @@ class TestTruncatedBptt:
         params = toy_head(8)
         seq = rng64(9).standard_normal((1, 15, 6))
         target = per_step(rng64(10).random((1, 3)), 15)
-        loss_t, grads_t, _ = R.sequence_gradients(params, seq, target, trunc=15)
-        loss_f, grads_f, _ = R.sequence_gradients(params, seq, target, trunc=10**9)
+        loss_t, grads_t, _ = gradients(params, seq, target, trunc=15)
+        loss_f, grads_f, _ = gradients(params, seq, target, trunc=10**9)
         assert loss_t == loss_f
         for k in grads_t:
             np.testing.assert_array_equal(grads_t[k], grads_f[k])
@@ -111,15 +120,15 @@ class TestTruncatedBptt:
         params = toy_head(11)
         seq = rng64(12).standard_normal((1, 30, 6))
         target = per_step(rng64(13).random((1, 3)), 30)
-        _, grads, outputs = R.sequence_gradients(params, seq, target, trunc=15)
+        _, grads, outputs = gradients(params, seq, target, trunc=15)
 
         # manual composition: full BPTT on each 15-step half, state carried
         # across the boundary without gradient
         _, dout = mae_loss(outputs, target)
         out1, tape1, state = R.rnn_forward(seq[:, :15], params)
         out2, tape2, _ = R.rnn_forward(seq[:, 15:], params, state=state)
-        g1 = R.rnn_backward(tape1, dout[:, :15], params)
-        g2 = R.rnn_backward(tape2, dout[:, 15:], params)
+        g1 = collect(functools.partial(R.rnn_backward, tape1, dout[:, :15], params))
+        g2 = collect(functools.partial(R.rnn_backward, tape2, dout[:, 15:], params))
         for k in grads:
             np.testing.assert_array_equal(grads[k], g1[k] + g2[k])
 
@@ -127,8 +136,8 @@ class TestTruncatedBptt:
         params = toy_head(14)
         seq = rng64(15).standard_normal((1, 30, 6))
         target = per_step(rng64(16).random((1, 3)), 30)
-        _, g_trunc, _ = R.sequence_gradients(params, seq, target, trunc=15)
-        _, g_full, _ = R.sequence_gradients(params, seq, target, trunc=10**9)
+        _, g_trunc, _ = gradients(params, seq, target, trunc=15)
+        _, g_full, _ = gradients(params, seq, target, trunc=10**9)
         assert any(not np.array_equal(g_trunc[k], g_full[k]) for k in g_trunc)
 
     def test_four_step_gradients_match_finite_differences(self):
@@ -137,10 +146,10 @@ class TestTruncatedBptt:
         target = per_step(rng64(19).random((1, 2)), 4)
 
         def loss():
-            l, _, _ = R.sequence_gradients(params, seq, target, trunc=10**9)
+            l, _, _ = gradients(params, seq, target, trunc=10**9)
             return l
 
-        _, grads, _ = R.sequence_gradients(params, seq, target, trunc=10**9)
+        _, grads, _ = gradients(params, seq, target, trunc=10**9)
         for name, arr in params.items():
             numeric = central_difference(loss, arr)
             assert fd_rel_err(grads[name], numeric) <= 1e-5, name
@@ -152,7 +161,7 @@ class TestTruncatedBptt:
         params = toy_head(20, input_dim=4, hidden=3, out_dim=2)
         seq = rng64(21).standard_normal((1, 6, 4))
         target = per_step(rng64(22).random((1, 2)), 6)
-        _, grads, _ = R.sequence_gradients(params, seq, target, trunc=3)
+        _, grads, _ = gradients(params, seq, target, trunc=3)
         frozen = {k: v.copy() for k, v in params.items()}
 
         def loss():
@@ -180,7 +189,7 @@ class TestPerStepOracle:
         params = toy_head(37, input_dim=6, hidden=8, out_dim=3)
         seq = rng64(38).standard_normal((1, steps, 6))
         target = per_step(rng64(39).random((1, 3)), steps)
-        _, grads, outputs = R.sequence_gradients(params, seq, target, 15, rng=rng64(40), dropout=0.5)
+        _, grads, outputs = gradients(params, seq, target, 15, rng=rng64(40), dropout=0.5)
         _, dout = mae_loss(outputs, target)
         rng = rng64(40)  # the same seed draws the same masks in the same order
         state = None
@@ -189,7 +198,7 @@ class TestPerStepOracle:
             seg = slice(lo, lo + 15)
             out, tape, state = R.rnn_forward(seq[:, seg], params, rng, 0.5, state=state)
             np.testing.assert_array_equal(out, outputs[:, seg])
-            got = R.rnn_backward(tape, dout[:, seg], params)
+            got = collect(functools.partial(R.rnn_backward, tape, dout[:, seg], params))
             ref = rnn_backward_per_step(tape, dout[0, seg], params)
             for k in params:
                 close(got[k], ref[k], k)
@@ -285,7 +294,7 @@ class TestFusedWalk:
     def test_each_tensor_once_in_order_and_no_product_reads_an_updated_weight(self, trunc):
         seq = rng64(60).standard_normal((2, 3, 6))
         target = per_step(rng64(61).random((2, 3)), 3)
-        _, want, _ = R.sequence_gradients(toy_head(62), seq, target, trunc, rng64(63), dropout=0.5)
+        _, want, _ = gradients(toy_head(62), seq, target, trunc, rng64(63), dropout=0.5)
         params = toy_head(62)
         handed = []
 
@@ -293,8 +302,8 @@ class TestFusedWalk:
             handed.append((name, g.copy()))
             params[name][...] = np.nan  # as an update in place would, but louder
 
-        loss, grads, _ = R.sequence_gradients(params, seq, target, trunc, rng64(63), dropout=0.5, consume=overwrite)
-        assert grads is None and np.isfinite(loss)
+        loss, _ = R.sequence_gradients(params, seq, target, trunc, overwrite, rng64(63), dropout=0.5)
+        assert np.isfinite(loss)
         assert [name for name, _ in handed] == self.ORDER
         for name, g in handed:
             assert g.tobytes() == want[name].tobytes(), name
@@ -314,10 +323,8 @@ class TestFusedWalk:
         params = R.build_rnn_head(0, input_dim=64)
         adam = init_adam(params, list(params), 8 * AdamState.alpha)
 
-        def gradients(update):
-            return R.sequence_gradients(params, seq, target, 15, rng, 0.5, consume=update)
-
-        peak = traced(adam_step, params, gradients, adam).peak
+        walk = functools.partial(R.sequence_gradients, params, seq, target, 15, rng=rng, dropout=0.5)
+        peak = traced(adam_step, params, walk, adam).peak
         assert peak < self.STEP_BOUND_MB * 1e6, peak / 1e6
 
 
@@ -343,8 +350,8 @@ class TestBatchedTraining:
         params = toy_head(50, input_dim=6, hidden=5, out_dim=3)
         seq = rng64(51).standard_normal((3, 5, 6))
         target = per_step(rng64(52).random((3, 3)), 5)
-        loss, grads, outputs = R.sequence_gradients(params, seq, target, trunc)
-        alone = [R.sequence_gradients(params, seq[b : b + 1], target[b : b + 1], trunc) for b in range(3)]
+        loss, grads, outputs = gradients(params, seq, target, trunc)
+        alone = [gradients(params, seq[b : b + 1], target[b : b + 1], trunc) for b in range(3)]
         assert loss == pytest.approx(np.mean([a[0] for a in alone]), rel=1e-12)
         np.testing.assert_allclose(outputs, np.concatenate([a[2] for a in alone]), rtol=1e-12)
         for k in grads:
@@ -374,10 +381,10 @@ class TestBatchedTraining:
         batches = []
         sequence_gradients = R.sequence_gradients
 
-        def spy(params, seq, target, trunc, rng=None, dropout=0.0, **kwargs):
+        def spy(params, seq, target, trunc, consume, rng=None, dropout=0.0):
             batches.append([int(j) for j in seq[:, 0, 0]])
             assert seq.shape[1] == lengths[batches[-1][0]] and target.shape == (len(seq), seq.shape[1], 3)
-            return sequence_gradients(params, seq, target, trunc, rng, dropout, **kwargs)
+            return sequence_gradients(params, seq, target, trunc, consume, rng, dropout)
 
         monkeypatch.setattr(R, "sequence_gradients", spy)
         config = R.RnnTrainConfig(epochs=3, seed=9, dropout=0.0, batch_size=3)

@@ -194,6 +194,16 @@ class TestCheckpoint:
         np.testing.assert_array_equal(ckpt.adam.m["fusion.w"], adam.m["fusion.w"])
         assert ckpt.rng_state == rng.bit_generator.state
 
+    @pytest.mark.parametrize("kept", ["adam.v.", "adam.t"])
+    def test_optimizer_state_without_first_moments_is_manifest_error(self, tmp_path, kept):
+        path = str(tmp_path / "c.ckpt")
+        _small_checkpoint(path)
+        epoch, named, trailer = T.read_tensor_container(path)
+        named = {name: arr for name, arr in named.items() if not name.startswith("adam.") or name.startswith(kept)}
+        T.write_tensor_container(path, named, epoch, trailer)
+        with pytest.raises(T.CheckpointManifestError, match="optimizer moments"):
+            T.load_checkpoint(path)
+
     def test_wrong_architecture_manifest_error(self, tmp_path):
         arch, params, adam, rng = self.make_state()
         del params["fusion.b"]
