@@ -25,12 +25,15 @@ Both convolution directions build columns for a slice of batch samples at
 a time, and at least one sample. Backward slices take at most
 ``COLUMN_BYTES`` of columns (``_slice_samples``). Forward slices of several
 samples take at most ``BAND_BYTES``; a sample larger than that runs alone,
-multiplied whole up to ``COLUMN_BYTES`` and above it, as in an eval pass
-over a whole canonical frame or a 15 s waveform, in bands of output rows of
-at most ``BAND_BYTES``. The window view is built with the plain ndarray
-constructor over its padded buffer, which checks that it stays inside that
-buffer. A training tape keeps layer inputs, not columns: the convolution
-cache is the list ``[x, w, spec]``.
+multiplied whole up to ``COLUMN_BYTES``. Above it, as in an eval pass over
+a whole canonical frame or a 15 s waveform, a strided convolution (a stem)
+multiplies the sample in bands of output rows of at most ``BAND_BYTES``,
+and a unit-stride one builds no columns: it lowers the sample once, one
+copy of its padded rows per offset of the kernel's trailing extents, and
+adds one product per kernel row (``_kernel_row_products``). The window view
+is built with the plain ndarray constructor over its padded buffer, which
+checks that it stays inside that buffer. A training tape keeps layer
+inputs, not columns: the convolution cache is the list ``[x, w, spec]``.
 Convolution backward takes one of two forms. With unit strides and padding
 below the kernel, the transpose is a full correlation with the flipped
 kernel: one build of grad_out's columns, laid out ``(Cout * prod(kernel),
@@ -140,6 +143,14 @@ def _check_out_extents(spatial, spec: ConvSpec):
     return outs
 
 
+def _padded(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """A copy of x inside a zero buffer grown by `spec.padding` on both sides of each axis."""
+    spatial = x.shape[2:]
+    buf = np.zeros(x.shape[:2] + tuple(n + 2 * p for n, p in zip(spatial, spec.padding)), x.dtype)
+    buf[(Ellipsis,) + tuple(slice(p, p + n) for n, p in zip(spatial, spec.padding))] = x
+    return buf
+
+
 def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """x's sliding windows for a gather, as a view of a zero padded copy of x.
 
@@ -150,10 +161,8 @@ def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     reach outside the buffer. Scatters do not pad: they add into unpadded
     buffers through the offset plan (_offset_plan).
     """
-    spatial = x.shape[2:]
-    outs = _check_out_extents(spatial, spec)
-    buf = np.zeros(x.shape[:2] + tuple(n + 2 * p for n, p in zip(spatial, spec.padding)), x.dtype)
-    buf[(Ellipsis,) + tuple(slice(p, p + n) for n, p in zip(spatial, spec.padding))] = x
+    outs = _check_out_extents(x.shape[2:], spec)
+    buf = _padded(x, spec)
     st = buf.strides
     return np.ndarray(
         x.shape[:2] + outs + spec.kernel,
@@ -210,20 +219,22 @@ def _axes(first: int, n: int) -> tuple:
 # convolution (cross-correlation, zero padding)
 
 # COLUMN_BYTES bounds conv_backward's slices, and so the rounding of dw, and
-# the largest lone sample conv_forward multiplies whole. conv_backward builds
-# columns for as many batch samples as fit in it, and at least one
-# (_slice_samples): grad_out's for a unit-stride convolution, x's for any
-# other. glibc serves a buffer of this size from its heap again on the next
-# call, where a whole-batch one (59 MB for the visual stem at batch 8) is
-# mapped afresh and page-faulted every time; on a 2-core x86-64 VM this made
-# the batch-8 stem backward about a quarter faster than whole-batch columns,
-# and 4 and 16 MB were no better than 8. Both forms of dx are bitwise equal
-# to one whole-batch pass, since each sample has its own product, but
-# conv_backward sums its slices' dw products, which rounds differently: with
-# one-sample slices, 1336 of the 4608 elements of one mini-network weight
-# gradient moved by up to 4.5e-08, and 1 MB slices moved the miniature desk
-# run's validation accuracy from 0.7397 to 0.7500. Changing this value or
-# the slice rule therefore moves trained parameters in their last bits.
+# the largest lone sample conv_forward multiplies whole; above it, a
+# unit-stride sample takes kernel-row products (_kernel_row_form).
+# conv_backward builds columns for as many batch samples as fit in it, and
+# at least one (_slice_samples): grad_out's for a unit-stride convolution,
+# x's for any other. glibc serves a buffer of this size from its heap again
+# on the next call, where a whole-batch one (59 MB for the visual stem at
+# batch 8) is mapped afresh and page-faulted every time; on a 2-core x86-64
+# VM this made the batch-8 stem backward about a quarter faster than
+# whole-batch columns, and 4 and 16 MB were no better than 8. Both forms of
+# dx are bitwise equal to one whole-batch pass, since each sample has its
+# own product, but conv_backward sums its slices' dw products, which rounds
+# differently: with one-sample slices, 1336 of the 4608 elements of one
+# mini-network weight gradient moved by up to 4.5e-08, and 1 MB slices moved
+# the miniature desk run's validation accuracy from 0.7397 to 0.7500.
+# Changing this value or the slice rule therefore moves trained parameters
+# in their last bits.
 COLUMN_BYTES = 8 << 20
 
 # BAND_BYTES caps every other piece of conv_forward's columns: a slice of
@@ -235,12 +246,14 @@ COLUMN_BYTES = 8 << 20
 # 3.6 MB of stem columns, eight 16000-sample crops 6.3 MB.
 # A lone sample between this and COLUMN_BYTES is multiplied whole: banding
 # those too (canonical stages 2-4, training samples) cost clip_infer 6.6% of
-# its pass time and train_full 4% more peak memory. Above COLUMN_BYTES (an
-# eval pass at real sizes: 17.2 MB for a canonical 256x456 frame's visual
-# stem, 8.4 MB for each of its stage-1 convolutions, 11.8 MB for a 15 s
-# waveform's stem) a sample is built and multiplied in bands of whole output
-# rows (positions, in 1-d): as few bands as fit, of equal rows but the last.
-# With the stems' pool taken before their shift and rectifier, this took the
+# its pass time and train_full 4% more peak memory. Above COLUMN_BYTES, a
+# strided sample (an eval stem at real sizes: 17.2 MB for a canonical
+# 256x456 frame's visual stem, 11.8 MB for a 15 s waveform's auditory stem)
+# is built and multiplied in bands of whole output rows (positions, in 1-d):
+# as few bands as fit, of equal rows but the last. A unit-stride sample
+# above it builds no columns and takes kernel-row products instead
+# (_kernel_row_form), so in an eval pass only the stems band.
+# With the stems' pool taken before their shift and rectifier, bands took the
 # eval tracemalloc peak of a canonical frame from 22.4 to 6.6 MB and of a
 # 15 s waveform from 32.6 to 9.6 MB. Bands cost time in a loop on one input
 # (on a 2-core x86-64 VM the canonical stem took 6.35 ms at this size,
@@ -253,8 +266,7 @@ COLUMN_BYTES = 8 << 20
 # did at 4 of 61 waveform lengths. Equal bands were bitwise one product at
 # all 64 waveform lengths of 10.7-33 s tried and at every frame of even
 # width, canonical included; rows of odd width were not (301x333 and
-# 470x393 frames' stems, a 100x101 stage-1 map: up to 1.2e-6, with
-# OpenBLAS 0.3.31).
+# 470x393 frames' stems: up to 1.2e-6, with OpenBLAS 0.3.31).
 BAND_BYTES = 1 << 20
 
 
@@ -284,10 +296,13 @@ def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, b: Optional[np.nd
     shift (fold_batchnorm). Returns (y, cache). The columns are built and
     multiplied one batch slice of at most BAND_BYTES at a time, each
     slice's product written into its rows of y. A sample whose own columns
-    exceed BAND_BYTES runs alone: whole up to COLUMN_BYTES, and above it in
-    bands of whole output rows (positions, in 1-d) of at most BAND_BYTES of
-    columns, each band's product written into its columns of y. Every
-    sample has its own product, so y does not depend on the slices. The
+    exceed BAND_BYTES runs alone: whole up to COLUMN_BYTES. Above it, a
+    strided convolution's sample is multiplied in bands of whole output
+    rows (positions, in 1-d) of at most BAND_BYTES of columns, each band's
+    product written into its columns of y, and a unit-stride one's takes
+    kernel-row products instead (`_kernel_row_form`,
+    `_kernel_row_products`), which BAND_BYTES does not touch. Every sample
+    has its own products, so y does not depend on the slices. The
     cache is the list [x, w, spec]: the columns are a transient of this
     call, and conv_backward reads x again, which must not change before it
     runs. A caller that can rebuild x may drop ``cache[0]`` after this call
@@ -302,32 +317,96 @@ def conv_forward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, b: Optional[np.nd
     if b is not None and b.shape != (spec.out_channels,):
         raise ShapeMismatchError("conv bias", b.shape, (spec.out_channels,))
 
-    nd = spec.ndim
-    B = x.shape[0]
-    win = _windows(x, spec)
-    outs = win.shape[2 : 2 + nd]
-    wf = w.reshape(spec.out_channels, -1)
+    if _kernel_row_form(x.shape[1:], spec, x.itemsize):
+        y = _kernel_row_products(x, w, spec)
+    else:
+        y = _column_products(_windows(x, spec), w)
+    if b is not None:
+        y += b.reshape((-1,) + (1,) * spec.ndim)
+    return y, [x, w, spec]
+
+
+def _kernel_row_form(sample_shape, spec: ConvSpec, itemsize: int) -> bool:
+    """Whether conv_forward multiplies a sample of shape (C, *spatial) by kernel rows.
+
+    It does when the convolution has unit strides and the sample's columns
+    would take more than COLUMN_BYTES; it builds columns for any other. On
+    a 2-core x86-64 VM (OpenBLAS 0.3.31, minimum of 81 calls) the form took
+    a canonical frame's stage-1 conv from 2.51 ms in row bands to 1.72 ms,
+    and a 15 s waveform's stage-1 and stage-2 convs from 4.87 to 4.52 ms
+    and from 3.00 to 2.63 ms. It is slower on samples under COLUMN_BYTES:
+    canonical stage 3 went 1.03 -> 1.23 ms and stage 4 0.94 -> 1.86 ms.
+    Its lowered copy, 2.9 MB at canonical stage 1, is larger than a 1 MB
+    band, so the eval tracemalloc peak went 6.64 -> 6.71 MB for a
+    canonical frame and 9.62 -> 9.64 MB for a 15 s waveform.
+    """
+    if any(s != 1 for s in spec.stride):
+        return False
+    outs = _check_out_extents(sample_shape[1:], spec)
+    return sample_shape[0] * math.prod(spec.kernel) * math.prod(outs) * itemsize > COLUMN_BYTES
+
+
+def _column_products(win: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w times the columns of each sample's windows, built a batch slice or a row band at a time."""
+    nd = w.ndim - 2
+    B, outs = len(win), win.shape[2 : 2 + nd]
+    wf = w.reshape(w.shape[0], -1)
     K, P = wf.shape[1], math.prod(outs)
+    y = np.empty((B, w.shape[0], P), np.result_type(w, win))
     # Copy kernel-offset-major (b, C, *kernel, *out): that buffer already is
     # cols, one row per (channel, *kernel) and one column per window, and
     # the weight product comes out channel-major with no transpose.
     order = (0, 1) + _axes(2 + nd, nd) + _axes(2, nd)
-    sample_bytes = K * P * x.itemsize
+    sample_bytes = K * P * win.itemsize
     row = P // outs[0]  # windows per output row
     step, rows = max(1, BAND_BYTES // sample_bytes), outs[0]
     if sample_bytes > COLUMN_BYTES:
         # as few bands as BAND_BYTES allows, of equal rows but the last
-        cap = max(1, BAND_BYTES // (K * row * x.itemsize))
+        cap = max(1, BAND_BYTES // (K * row * win.itemsize))
         rows = -(-outs[0] // -(-outs[0] // cap))
-    y = np.empty((B, spec.out_channels, P), np.result_type(w, x))
     for lo in range(0, B, step):
         for r in range(0, outs[0], rows):
             cols = np.ascontiguousarray(win[lo : lo + step, :, r : r + rows].transpose(order))
             np.matmul(wf, cols.reshape(len(cols), K, -1), out=y[lo : lo + step, :, r * row : (r + rows) * row])
             del cols  # before the next band's columns are built
-    if b is not None:
-        y += b[:, None]
-    return y.reshape((B, spec.out_channels) + outs), [x, w, spec]
+    return y.reshape((B, w.shape[0]) + outs)
+
+
+def _kernel_row_products(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """The unit-stride convolution of x, one product per kernel row and sample.
+
+    Each sample is padded and lowered once: for every offset of the
+    kernel's trailing extents, the padded rows shifted by it, laid out
+    (C * prod(kernel[1:]), padded rows * prod(out[1:])) with rows outermost.
+    That is kernel[1:] times the input where columns are prod(kernel) times
+    the output. Kernel row a's weights, w[:, :, a] as
+    (Cout, C * prod(kernel[1:])), times lowered rows a to a + out[0] - 1, a
+    view of the copy, give that row's share of the sample's output; the
+    shares are added in increasing a. In 1-d nothing is lowered: the copy
+    is the padded input and each product takes one kernel tap.
+    """
+    outs = _check_out_extents(x.shape[2:], spec)
+    kh, rest = spec.kernel[0], math.prod(outs[1:])
+    n = outs[0] * rest
+    wr = np.ascontiguousarray(np.moveaxis(w, 2, 0)).reshape(kh, w.shape[0], -1)
+    y = np.empty((x.shape[0], w.shape[0], n), np.result_type(w, x))
+    for i, ys in enumerate(y):
+        padded = _padded(x[i : i + 1], spec)
+        st = padded.strides
+        # shifted[c, *k, r, *o] == padded[0, c, r, *(o + k)]: the ndarray
+        # constructor refuses strides that would leave the buffer
+        shifted = np.ndarray(
+            x.shape[1:2] + spec.kernel[1:] + padded.shape[2:3] + outs[1:],
+            padded.dtype,
+            buffer=padded,
+            strides=st[1:2] + st[3:] + st[2:3] + st[3:],
+        )
+        low = np.ascontiguousarray(shifted).reshape(wr.shape[2], -1)
+        del padded, shifted  # in 2-d, freed before the products
+        np.matmul(wr[0], low[:, :n], out=ys)
+        for a in range(1, kh):
+            ys += np.matmul(wr[a], low[:, a * rest : a * rest + n])
+    return y.reshape((x.shape[0], w.shape[0]) + outs)
 
 
 def conv_backward(cache, grad_out: np.ndarray, input_grad: bool = True):

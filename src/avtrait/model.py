@@ -512,8 +512,9 @@ def _fsum_mean(rows: list) -> np.ndarray:
 # batch of 27, against 0.39-0.46 ms when 8 MB column slices held 13 frames,
 # and scoring a 3 s 64x64 span peaked at 4.25 MB (tracemalloc), against
 # 4.66 MB for batches of 6. A canonical 256x456 frame has 17.2 MB of
-# stem columns, so it still runs alone, in bands of at most
-# layers.BAND_BYTES, and its eval pass peaks at 6.6 MB.
+# stem columns, so it still runs alone: its stem in bands of at most
+# layers.BAND_BYTES and its stage-1 convolutions as kernel-row products,
+# and its eval pass peaks at 6.7 MB (tracemalloc).
 FRAME_BATCH_BYTES = 16 << 20
 
 

@@ -161,19 +161,19 @@ class TestConvForward:
         padded = x.nbytes * 34 * 34 // (32 * 32)
         assert peak - padded - y.nbytes < L.BAND_BYTES + (64 << 10), (peak - padded - y.nbytes, L.BAND_BYTES)
 
-    # the eval convolutions whose one sample's columns exceed COLUMN_BYTES:
-    # a canonical 256x456 frame's visual stem and a stage-1 conv after its
-    # pool, and a 15 s waveform's auditory stem
+    # the strided eval convolutions whose one sample's columns exceed
+    # COLUMN_BYTES: a canonical 256x456 frame's visual stem and a 15 s
+    # waveform's auditory stem (unit-stride ones take kernel-row products,
+    # TestKernelRowProducts)
     @pytest.mark.parametrize(
         "x_shape, w_shape, spec",
         [
             ((1, 3, 256, 456), (32, 3, 7, 7), L.ConvSpec((7, 7), (2, 2), (3, 3), 3, 32)),
-            ((1, 32, 64, 114), (32, 32, 3, 3), L.ConvSpec((3, 3), (1, 1), (1, 1), 32, 32)),
             ((1, 1, 240000), (32, 1, 49), L.ConvSpec((49,), (4,), (24,), 1, 32)),
             # 80399 positions: bands of as many as fit would leave a last one of 164
             ((1, 1, 321595), (32, 1, 49), L.ConvSpec((49,), (4,), (24,), 1, 32)),
         ],
-        ids=["visual-stem", "visual-stage1", "auditory-stem", "auditory-stem-20s"],
+        ids=["visual-stem", "auditory-stem", "auditory-stem-20s"],
     )
     def test_row_bands_match_the_whole_sample_product_at_real_sizes(self, monkeypatch, x_shape, w_shape, spec):
         rng = rng64(11)
@@ -182,6 +182,7 @@ class TestConvForward:
         b = rng.standard_normal(32).astype(np.float32)
         y, _ = L.conv_forward(x, w, spec, b)
         assert w[0].size * y[0, 0].size * x.itemsize > L.COLUMN_BYTES  # one sample, in bands
+        assert not L._kernel_row_form(x.shape[1:], spec, x.itemsize)
         monkeypatch.setattr(L, "BAND_BYTES", 1 << 40)
         whole, _ = L.conv_forward(x, w, spec, b)
         assert y.tobytes() == whole.tobytes()
@@ -229,6 +230,143 @@ class TestConvForward:
             assert set(got[i]) == set(want[i])
             for name in want[i]:
                 np.testing.assert_array_equal(got[i][name], want[i][name], err_msg=name)
+
+
+def kernel_rows(x, w, spec, b=None):
+    """conv_forward's output, checked to come from kernel-row products."""
+    assert L._kernel_row_form(x.shape[1:], spec, x.itemsize)
+    return L.conv_forward(x, w, spec, b)[0]
+
+
+def whole_sample_columns(monkeypatch, x, w, spec, b=None):
+    """conv_forward's output as one column product per whole sample."""
+    with monkeypatch.context() as m:
+        m.setattr(L, "COLUMN_BYTES", 1 << 40)
+        m.setattr(L, "BAND_BYTES", 1 << 40)
+        assert not L._kernel_row_form(x.shape[1:], spec, x.itemsize)
+        return L.conv_forward(x, w, spec, b)[0]
+
+
+def relative_difference(y, ref) -> float:
+    return float(np.max(np.abs(y.astype(np.float64) - ref)) / np.max(np.abs(ref)))
+
+
+# float32 kernel-row products against one column product of the whole
+# sample: the sums are added in another order, and stayed within 7.9e-7 of
+# the largest output over five seeds of the sizes tested here (OpenBLAS
+# 0.3.31, x86-64)
+ROW_PRODUCT_RTOL = 1.1e-6
+
+# (kernel, padding) of unit-stride convolutions: the model's two block
+# kernels, a kernel of more columns than rows, and unpadded ones
+ROW_GEOMETRIES = {
+    "3x3": ((3, 3), (1, 1)),
+    "3x5": ((3, 5), (1, 2)),
+    "3x3-unpadded": ((3, 3), (0, 0)),
+    "9-tap": ((9,), (4,)),
+    "9-tap-unpadded": ((9,), (0,)),
+}
+
+
+class TestKernelRowProducts:
+    """conv_forward's form for a unit-stride sample of more than COLUMN_BYTES of columns."""
+
+    @staticmethod
+    def operands(seed, geometry, width, dtype, batch=2):
+        kernel, padding = ROW_GEOMETRIES[geometry]
+        extent = (6, width) if len(kernel) == 2 else (3 * width,)
+        rng = rng64(seed)
+        x = rng.standard_normal((batch, 3) + extent).astype(dtype)
+        w = rng.standard_normal((4, 3) + kernel).astype(dtype)
+        return x, w, L.ConvSpec(kernel, (1,) * len(kernel), padding, 3, 4)
+
+    @pytest.mark.parametrize("geometry", list(ROW_GEOMETRIES))
+    @pytest.mark.parametrize("width", [7, 8], ids=["odd", "even"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    def test_forced_form_matches_the_loop_oracle(self, monkeypatch, geometry, width, bias):
+        x, w, spec = self.operands(20, geometry, width, np.float64)
+        b = rng64(21).standard_normal(4)
+        monkeypatch.setattr(L, "COLUMN_BYTES", 1)
+        y = kernel_rows(x, w, spec, b if bias else None)
+        oracle = conv2d_loops if spec.ndim == 2 else conv1d_loops
+        padding = spec.padding if spec.ndim == 2 else spec.padding[0]
+        stride = spec.stride if spec.ndim == 2 else 1
+        want = oracle(x, w, b if bias else np.zeros(4), stride, padding)
+        np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("geometry", list(ROW_GEOMETRIES))
+    @pytest.mark.parametrize("width", [7, 8], ids=["odd", "even"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    def test_forced_form_is_near_the_whole_sample_columns_in_float32(self, monkeypatch, geometry, width, bias):
+        x, w, spec = self.operands(22, geometry, width, np.float32)
+        b = rng64(23).standard_normal(4).astype(np.float32) if bias else None
+        want = whole_sample_columns(monkeypatch, x, w, spec, b)
+        monkeypatch.setattr(L, "COLUMN_BYTES", 1)
+        y = kernel_rows(x, w, spec, b)
+        assert y.dtype == np.float32 and y.shape == want.shape
+        assert relative_difference(y, want) <= ROW_PRODUCT_RTOL
+
+    # the unit-stride eval convolutions whose one sample's columns exceed
+    # COLUMN_BYTES unforced: a canonical 256x456 frame's stage-1 convs, and a
+    # 15 s waveform's stage-1 and stage-2 convs
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, spec",
+        [
+            ((1, 32, 64, 114), (32, 32, 3, 3), L.ConvSpec((3, 3), (1, 1), (1, 1), 32, 32)),
+            ((1, 32, 15000), (32, 32, 9), L.ConvSpec((9,), (1,), (4,), 32, 32)),
+            ((1, 64, 3750), (64, 64, 9), L.ConvSpec((9,), (1,), (4,), 64, 64)),
+        ],
+        ids=["visual-stage1", "auditory-stage1", "auditory-stage2"],
+    )
+    def test_real_sizes_are_near_the_whole_sample_columns(self, monkeypatch, x_shape, w_shape, spec):
+        rng = rng64(11)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        w = (rng.standard_normal(w_shape) * 0.1).astype(np.float32)
+        b = rng.standard_normal(w_shape[0]).astype(np.float32)
+        y = kernel_rows(x, w, spec, b)
+        assert relative_difference(y, whole_sample_columns(monkeypatch, x, w, spec, b)) <= ROW_PRODUCT_RTOL
+
+    @pytest.mark.parametrize("geometry", ["3x3", "9-tap"])
+    def test_a_batch_is_bitwise_each_sample_alone(self, monkeypatch, geometry):
+        x, w, spec = self.operands(24, geometry, 7, np.float32, batch=3)
+        b = rng64(25).standard_normal(4).astype(np.float32)
+        monkeypatch.setattr(L, "COLUMN_BYTES", 1)
+        y = kernel_rows(x, w, spec, b)
+        for i in range(3):
+            assert y[i : i + 1].tobytes() == kernel_rows(x[i : i + 1], w, spec, b).tobytes()
+
+    def test_an_odd_width_map_does_not_depend_on_band_bytes(self, monkeypatch):
+        # a 470x393 frame's stage-1 map: its columns' rows of odd width gave
+        # other last bits in 1 MB row bands than whole
+        spatial = (470, 393)
+        for geometry in (((7, 7), (2, 2), (3, 3)), ((3, 3), (2, 2), (1, 1))):  # stem, pool
+            spatial = tuple(L.out_extent(n, *g) for n, g in zip(spatial, zip(*geometry)))
+        assert spatial == (118, 99)
+        rng = rng64(26)
+        x = rng.standard_normal((1, 32) + spatial).astype(np.float32)
+        w = (rng.standard_normal((32, 32, 3, 3)) * 0.1).astype(np.float32)
+        b = rng.standard_normal(32).astype(np.float32)
+        spec = L.ConvSpec((3, 3), (1, 1), (1, 1), 32, 32)
+        assert L.BAND_BYTES == 1 << 20
+        y = kernel_rows(x, w, spec, b)
+        monkeypatch.setattr(L, "BAND_BYTES", 1 << 40)
+        assert y.tobytes() == kernel_rows(x, w, spec, b).tobytes()
+
+    def test_peak_is_the_lowered_copy_not_the_columns(self):
+        # a canonical frame's stage-1 conv: 8.4 MB of columns, against the
+        # output and a 2.9 MB lowered copy (3 shifted copies of the padded
+        # rows), built from the padded input and multiplied after it is
+        # freed, into a kernel row's product of the output's size
+        rng = rng64(27)
+        x = rng.standard_normal((1, 32, 64, 114)).astype(np.float32)
+        w = (rng.standard_normal((32, 32, 3, 3)) * 0.1).astype(np.float32)
+        spec = L.ConvSpec((3, 3), (1, 1), (1, 1), 32, 32)
+        assert L._kernel_row_form(x.shape[1:], spec, x.itemsize)
+        (y, _), peak, _ = traced(L.conv_forward, x, w, spec)
+        lowered, padded = 32 * 3 * 66 * 114 * x.itemsize, 32 * 66 * 116 * x.itemsize
+        bound = y.nbytes + lowered + max(padded, y.nbytes) + (64 << 10)
+        assert peak < bound, (peak, bound)
+        assert bound < w[0].size * y[0, 0].size * x.itemsize  # the columns
 
 
 class TestConvBackward:

@@ -234,6 +234,98 @@ class TestConvSpecs:
         assert passes[1] == (0, 0)
 
 
+def stream_convolutions(arch, prefix, sample_shape):
+    """(name, input sample shape, spec) of each convolution a pass of the stream runs, in order.
+
+    Walked from the architecture's specs and extents alone: nothing runs.
+    `sample_shape` is one input sample's (C, *spatial).
+    """
+    stream = getattr(arch, prefix)
+    params = M.build_network(arch, 0)
+
+    def extents(spatial, spec):
+        return tuple(L.out_extent(*g) for g in zip(spatial, spec.kernel, spec.stride, spec.padding))
+
+    stem = M._stem_spec(stream)
+    convs = [("stem", tuple(sample_shape), stem)]
+    spatial = extents(extents(sample_shape[1:], stem), M._pool_spec(stream))
+    for layout in M._block_layout(stream):
+        name, in_ch, out_ch, _ = layout
+        blk = M._block_params(stream, prefix, *layout, params)
+        inner = extents(spatial, blk.spec1)
+        convs += [(f"{name}.conv1", (in_ch,) + spatial, blk.spec1), (f"{name}.conv2", (out_ch,) + inner, blk.spec2)]
+        if blk.shortcut_spec is not None:
+            convs.append((f"{name}.shortcut", (in_ch,) + spatial, blk.shortcut_spec))
+        spatial = inner
+    return convs
+
+
+def kernel_row_convolutions(arch, prefix, sample_shape) -> list:
+    """The names of the stream's convolutions that conv_forward runs as kernel-row products in float32."""
+    itemsize = np.dtype(np.float32).itemsize
+    return [name for name, shape, spec in stream_convolutions(arch, prefix, sample_shape) if L._kernel_row_form(shape, spec, itemsize)]
+
+
+class TestKernelRowDispatch:
+    """Which convolutions take conv_forward's kernel-row products, from shapes alone.
+
+    A change to layers.COLUMN_BYTES, to the form's rule or to the workloads'
+    shapes that moves a convolution onto that form, or off it, shows here.
+    """
+
+    @pytest.mark.parametrize("architecture", [M.mini_architecture, M.full_architecture])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_the_walk_lists_every_convolution_a_pass_runs(self, monkeypatch, architecture, mode):
+        arch = architecture()
+        params = M.build_network(arch, 1)
+        calls = []
+        run = L.conv_forward
+
+        def recording(x, w, spec, b=None):
+            calls.append((x.shape[1:], spec))
+            return run(x, w, spec, b)
+
+        monkeypatch.setattr(L, "conv_forward", recording)
+        monkeypatch.setattr(M, "conv_forward", recording)
+        rng = rng64(3)
+        for prefix, x in [("auditory", rng.standard_normal((2, 1, 3000))), ("visual", rng.random((2, 3, 40, 56)))]:
+            calls.clear()
+            M.forward_stream(x.astype(np.float32), getattr(arch, prefix), prefix, params, mode)
+            assert calls == [(shape, spec) for _, shape, spec in stream_convolutions(arch, prefix, x.shape[1:])]
+
+    def test_canonical_eval_takes_them_at_stage_one_and_two(self):
+        # a canonical 256x456 frame's stage-1 maps are 64x114 (8.4 MB of
+        # columns); a 15 s waveform's are 15000 positions at stage 1 (17.3 MB)
+        # and 3750 at stage 2 (8.6 MB); every stem is strided
+        arch = M.full_architecture()
+        stage1 = [f"stage1.block{b}.conv{c}" for b in (1, 2) for c in (1, 2)]
+        frame = (D.FRAME_PLANES, D.CANONICAL_HEIGHT, D.CANONICAL_WIDTH)
+        assert kernel_row_convolutions(arch, "visual", frame) == stage1
+        assert kernel_row_convolutions(arch, "auditory", (1, 15 * D.SAMPLE_RATE)) == stage1 + [
+            "stage2.block1.conv2",
+            "stage2.block2.conv1",
+            "stage2.block2.conv2",
+        ]
+
+    @pytest.mark.parametrize(
+        "architecture, prefix, sample_shape",
+        [
+            # train_full's crops: unit-stride columns of at most 3.6 MB a sample
+            (M.full_architecture, "visual", (D.FRAME_PLANES, T.FULL_FRAME_CROP, T.FULL_FRAME_CROP)),
+            (M.full_architecture, "auditory", (1, T.FULL_AUDIO_CROP)),
+            # desk_mini: 48 px / 16000-sample training crops, and the eval
+            # pass over its 64x64 frames and 3 s clips
+            (M.mini_architecture, "visual", (D.FRAME_PLANES, 48, 48)),
+            (M.mini_architecture, "auditory", (1, 16000)),
+            (M.mini_architecture, "visual", (D.FRAME_PLANES, 64, 64)),
+            (M.mini_architecture, "auditory", (1, 3 * D.SAMPLE_RATE)),
+        ],
+        ids=["train-full-visual", "train-full-auditory", "desk-crop-visual", "desk-crop-auditory", "desk-eval-visual", "desk-eval-auditory"],
+    )
+    def test_benchmark_training_and_desk_sizes_take_none(self, architecture, prefix, sample_shape):
+        assert kernel_row_convolutions(architecture(), prefix, sample_shape) == []
+
+
 class TestDimensionalCorrespondence:
     def test_stream_element_counts_match_on_squared_inputs(self):
         # auditory on (1, L^2) vs a one-channel visual stream on (1, L, L):
