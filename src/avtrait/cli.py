@@ -7,11 +7,11 @@ A command reads the key of each of its flags but --config, named as the
 flag with "_" for "-" (batch_size for --batch-size), and the keys that
 have no flag: train and finetune audio_crop, frame_crop (crop lengths),
 initial_alpha (Adam's step size) and lr_period (epochs between its /10
-decays), train-rnn alpha (Adam's step size). A config key the command
-does not read is a usage error naming it, raised before any input is
-read. The commands that draw random numbers (synth, train, finetune,
-train-rnn, gradcheck) also accept --seed, and all their stochastic
-behavior flows from it; the scoring commands draw none and take no seed.
+decays). A config key the command does not read is a usage error naming
+it, raised before any input is read. The commands that draw random
+numbers (synth, train, finetune, train-rnn, gradcheck) also accept
+--seed, and all their stochastic behavior flows from it; the scoring
+commands draw none and take no seed.
 
 The multi-clip commands eval, predict, extract-features and predict-rnn
 score one clip at a time. Each skips, with a warning, a clip it cannot use
@@ -77,7 +77,7 @@ def read_config_file(path: str) -> dict:
 
 _TRAINING_ONLY = ("audio_crop", "frame_crop", "initial_alpha", "lr_period")
 # the config keys that have no flag, of each command that reads some (module docstring)
-CONFIG_ONLY = {"train": _TRAINING_ONLY, "finetune": _TRAINING_ONLY, "train-rnn": ("alpha",)}
+CONFIG_ONLY = {"train": _TRAINING_ONLY, "finetune": _TRAINING_ONLY}
 
 
 def config_keys(args) -> set:
@@ -244,9 +244,6 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True, help="manifest CSV holding each cached clip's labels")
     p.add_argument("--out", required=True, help="head checkpoint file")
     p.add_argument("--epochs", type=int, default=None, help=f"epochs to train, >= 1 (default {r.epochs})")
-    p.add_argument("--trunc", type=int, default=None,
-                   help=f"truncated backpropagation length in seconds of features, >= 1 (default {r.trunc})")
-    p.add_argument("--dropout", type=float, default=None, help=f"dropout rate, in [0, 1) (default {r.dropout})")
     p.add_argument("--hidden", type=int, default=None,
                    help=f"units in each LSTM layer, >= 1 (default {_default(R.build_rnn_head, 'hidden')})")
 
@@ -399,7 +396,7 @@ def load_feature_cache(path: str) -> dict:
 
 
 def _cmd_train_rnn(s: Settings) -> int:
-    config = R.RnnTrainConfig(**_given(s, ("epochs", "seed", "trunc")), **_given(s, ("dropout", "alpha"), float))
+    config = R.RnnTrainConfig(**_given(s, ("epochs", "seed")))
     hidden = _given(s, ("hidden",))
     if hidden:  # before any input is read, as RnnTrainConfig checks its settings
         R.check_hidden(hidden["hidden"])

@@ -536,8 +536,8 @@ def synth_dataset(
     val_count: int = 0,
     test_count: int = 0,
     seconds: float = 2.0,
-    height: int = 48,
-    width: int = 48,
+    height: int = 96,
+    width: int = 96,
 ) -> Manifest:
     """Write n clips plus manifest.csv under out_dir; fully seed-determined.
 

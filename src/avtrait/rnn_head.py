@@ -14,14 +14,12 @@ arXiv 1604.01946). Training takes one Adam step per batch. Each epoch's
 permutation is cut into batches of sequences of one length, so a batch
 holds no padding; ChaLearn's 15 s clips nearly all give T = 15. The loss
 is the per-step MAE averaged over the batch's B*T*K entries, so the
-learning rate is independent of sequence length, and the step size is
-paired with the batch size (see RnnTrainConfig). Backpropagation is
-truncated every `trunc` steps; hidden state crosses truncation boundaries
-numerically but carries no gradient.
+learning rate is independent of sequence length. Gradients flow back
+through every step of a sequence.
 
 Training updates each tensor as soon as its gradient exists, as the base
 network's step does (LOMO's fused update, Lv et al., arXiv 2306.09782).
-rnn_backward runs every segment's recurrences first, which are its only
+rnn_backward runs both layers' recurrences first, which are its only
 reads of the weights, and then forms the eight weight gradients one at a
 time (readout, layer 2, layer 1), handing each to Adam, which writes the
 update over it. So one head gradient is alive at a time.
@@ -30,7 +28,6 @@ update over it. So one head gradient is alive at a time.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,47 +43,31 @@ from .layers import (
     scaled_tanh_backward,
 )
 from .model import Architecture, clip_features, he_normal
-from .optim import AdamState, adam_step, check_alpha, init_adam, mae_loss
+from .optim import AdamState, adam_step, init_adam, mae_loss
 
 RNN_HIDDEN = 512
 
-# Sequences per Adam step. The default step size is scaled with the batch
-# size, batch_size x AdamState.alpha (the linear scaling rule of Goyal et
-# al., arXiv 1706.02677), since a batch learns less per epoch at the
-# unscaled step. On the learning gate's
-# synthetic split (tests/test_rnn_head.py: T = 3, D = 64, 128 units, 20
-# epochs), validation accuracy at seeds 0/1/2 was 0.880/0.884/0.875 at batch
-# 8 and 8 x 2e-4, 0.863/0.871/0.855 one sequence a step at 2e-4, and
-# 0.844/0.853/0.832 at batch 8 and 2e-4, against 0.835/0.853/0.819 for the
-# train-mean predictor; batches of 4 and 16 at their scaled steps gave
-# 0.880/0.882/0.871 and 0.878/0.879/0.877. At desk sizes (16 sequences of
-# T = 3, 64-d, 512 units, 2 epochs) head training took 0.16-0.19 s at batch
-# 8, 0.29-0.32 s at 4 and 0.10 s at 16, against 0.92-1.16 s one sequence a
-# step (2-core x86 VM).
+# The training recipe. RNN_DROPOUT is the rate on each LSTM layer's output.
+# RNN_BATCH is the sequences per Adam step, and RNN_ALPHA the step size
+# scaled with it by the linear scaling rule (Goyal et al., arXiv
+# 1706.02677), since a batch learns less per epoch at the unscaled step. On
+# the learning gate's split (tests/test_rnn_head.py) batch 8 at 8 x 2e-4
+# scored 0.880 at seed 0, against 0.863 one sequence a step at 2e-4 and
+# 0.835 for the train-mean predictor; CHANGES.md has the other seeds, batch
+# sizes and timings.
+RNN_DROPOUT = 0.5
 RNN_BATCH = 8
+RNN_ALPHA = RNN_BATCH * AdamState.alpha
 
 
 @dataclass
 class RnnTrainConfig:
     epochs: int = 100
     seed: int = 0
-    trunc: int = 15
-    dropout: float = 0.5
-    batch_size: int = RNN_BATCH
-    alpha: float | None = None  # batch_size x AdamState.alpha when not given
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.alpha is None:
-            self.alpha = self.batch_size * AdamState.alpha
-        if self.trunc < 1:
-            raise ValueError(f"truncation length must be >= 1, got {self.trunc}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout rate must be in [0,1), got {self.dropout}")
-        check_alpha(self.alpha)
 
 
 def head_manifest(input_dim: int = 512, hidden: int = RNN_HIDDEN, out_dim: int = 5) -> dict:
@@ -206,12 +187,12 @@ def _rows(steps):
 
 
 def _recurrence(caches, dh_in):
-    """BPTT through one LSTM layer's state over a segment.
+    """BPTT through one LSTM layer's state over the whole sequence.
 
     dh_in (T*B, H), step-major, is the gradient reaching each step's output
     from above. Only the dh/dc recurrence runs, per step on (B, H) rows.
     Returns the stacked gate gradients dZ (T*B, 4H), from which the weight
-    gradients are one product each over the segment's steps.
+    gradients are one product each over all the steps.
     """
     B = caches[0][1].shape[0]
     dh = np.zeros_like(dh_in[:B])
@@ -222,67 +203,43 @@ def _recurrence(caches, dh_in):
     return np.concatenate(dz_steps)
 
 
-def _segment_recurrences(tape, grad_out, params) -> dict:
-    """One segment's recurrences, layer 2's first, then layer 1's fed by one
-    dZ2 @ Wx2ᵀ: {layer: (per-step caches, stacked pre-activation gradients)}."""
+def rnn_backward(tape, grad_out: np.ndarray, params: dict, consume):
+    """Backpropagation through every step covered by `tape`.
+
+    grad_out (B, T, K) is the gradient at rnn_forward's outputs over the
+    tape's T steps. The recurrences run first, layer 2's, then layer 1's
+    fed by one dZ2 @ Wx2ᵀ; they read rnn.out.w, both wh and rnn.l2.wx, and
+    nothing after them reads a weight. Then each weight gradient is formed
+    in turn, readout, layer 2, layer 1 (_WALK), as one product over the
+    B*T steps. Each (name, gradient) goes to consume(name, gradient) as
+    soon as it exists and is not kept, so a consumer may update the tensor
+    in place.
+    """
+    if grad_out.ndim != 3 or grad_out.shape[1] != len(tape):
+        raise ValueError(f"grad_out must be (B, T={len(tape)}, K), got {grad_out.shape}")
     caches1, masks1, caches2, masks2, lins, outs = zip(*tape)
     grad_rows = grad_out.transpose(1, 0, 2).reshape(-1, grad_out.shape[2])  # step-major, as the tape
     dz = scaled_tanh_backward(np.concatenate(outs), grad_rows)
     dZ2 = _recurrence(caches2, dropout_backward(_rows(masks2), dz @ params["rnn.out.w"].T))
     dZ1 = _recurrence(caches1, dropout_backward(_rows(masks1), dZ2 @ params["rnn.l2.wx"].T))
-    return {"out": (lins, dz), "l2": (caches2, dZ2), "l1": (caches1, dZ1)}
-
-
-def _product(segment: dict, layer: str, part) -> np.ndarray:
-    caches, dZ = segment[layer]
-    if part is None:
-        return dZ.sum(axis=0)
-    return np.concatenate([cache[part] for cache in caches]).T @ dZ
-
-
-def rnn_backward(tape, grad_out: np.ndarray, params: dict, consume, trunc=None):
-    """Truncated backpropagation through the steps covered by `tape`.
-
-    grad_out (B, T, K) is the gradient at rnn_forward's outputs over the
-    tape's T steps, which are taken in segments of `trunc` steps (one
-    segment when None). Gradients do not flow out of a segment's initial
-    state, which is what truncation means.
-
-    Every segment's recurrences run first; they read rnn.out.w, both wh and
-    rnn.l2.wx, and nothing after them reads a weight. Then each weight
-    gradient is formed in turn, readout, layer 2, layer 1 (_WALK), as one
-    product per segment over its B*T' steps: the first segment's plus each
-    later one's, in order. Each (name, gradient) goes to consume(name,
-    gradient) as soon as it exists and is not kept, so a consumer may update
-    the tensor in place.
-    """
-    if grad_out.ndim != 3 or grad_out.shape[1] != len(tape):
-        raise ValueError(f"grad_out must be (B, T={len(tape)}, K), got {grad_out.shape}")
-    trunc = len(tape) if trunc is None else trunc
-    segments = [
-        _segment_recurrences(tape[lo : lo + trunc], grad_out[:, lo : lo + trunc], params)
-        for lo in range(0, len(tape), trunc)
-    ]
+    by_layer = {"out": (lins, dz), "l2": (caches2, dZ2), "l1": (caches1, dZ1)}
     for name, layer, part in _WALK:
-        consume(name, functools.reduce(operator.iadd, (_product(segment, layer, part) for segment in segments)))
+        caches, dZ = by_layer[layer]
+        consume(name, dZ.sum(axis=0) if part is None else np.concatenate([cache[part] for cache in caches]).T @ dZ)
 
 
-def sequence_gradients(params: dict, seq: np.ndarray, target, trunc: int, consume, rng=None, dropout: float = 0.0):
-    """Loss and truncated-BPTT gradients for a batch of equal-length sequences.
+def sequence_gradients(params: dict, seq: np.ndarray, target, consume, rng=None, dropout: float = 0.0):
+    """Loss and BPTT gradients for a batch of equal-length sequences.
 
     seq is (B, T, D) and target (B, T, K), a label for every step. Per-step
     losses are averaged over all B*T*K entries, so the gradients are the
-    mean of the sequences' own; each length-`trunc` segment contributes its
-    full-BPTT gradient with state carried in numerically. `rng` and
-    `dropout` are rnn_forward's, and `consume` is rnn_backward's: each
-    gradient goes to consume(name, gradient). Returns (loss, outputs
-    (B, T, K)).
+    mean of the sequences' own. `rng` and `dropout` are rnn_forward's, and
+    `consume` is rnn_backward's: each gradient goes to consume(name,
+    gradient). Returns (loss, outputs (B, T, K)).
     """
-    if trunc < 1:
-        raise ValueError("truncation length must be >= 1")
     outputs, tape, _ = rnn_forward(seq, params, rng, dropout)
     loss, dout = mae_loss(outputs, np.asarray(target, dtype=seq.dtype))
-    rnn_backward(tape, dout, params, consume, trunc)
+    rnn_backward(tape, dout, params, consume)
     return loss, outputs
 
 
@@ -303,29 +260,29 @@ def _length_batches(lengths, order, size: int):
 
 
 def train_rnn(sequences, params: dict, config: RnnTrainConfig):
-    """Adam over truncated-BPTT gradients, one step per batch of sequences.
+    """Adam over BPTT gradients, one step per batch of sequences.
 
     sequences: list of (features (T, D), target (K,) or (T, K)). Each epoch
-    draws a permutation and cuts it into batches of up to
-    `config.batch_size` equal-length sequences (_length_batches), stacked
-    as (B, T, D). Returns the per-epoch mean losses; params are updated in
-    place. Each step is adam_step over the batch's backward walk
-    (sequence_gradients with a consumer), so one weight gradient is held at
-    a time.
+    draws a permutation and cuts it into batches of up to RNN_BATCH
+    equal-length sequences (_length_batches), stacked as (B, T, D), each
+    stepped at RNN_ALPHA with RNN_DROPOUT. Returns the per-epoch mean
+    losses; params are updated in place. Each step is adam_step over the
+    batch's backward walk (sequence_gradients with a consumer), so one
+    weight gradient is held at a time.
     """
     if not sequences:
         raise ValueError("no training sequences")
     _, _, out_dim = head_dims(params)
-    adam = init_adam(params, _GRAD_KEYS, config.alpha)
+    adam = init_adam(params, _GRAD_KEYS, RNN_ALPHA)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     lengths = [len(seq) for seq, _ in sequences]
     losses = []
     for _ in range(config.epochs):
         total = 0.0
-        for batch in _length_batches(lengths, rng.permutation(len(sequences)), config.batch_size):
+        for batch in _length_batches(lengths, rng.permutation(len(sequences)), RNN_BATCH):
             seq = np.stack([sequences[j][0] for j in batch])
             target = np.stack([np.broadcast_to(sequences[j][1], (seq.shape[1], out_dim)) for j in batch])
-            walk = functools.partial(sequence_gradients, params, seq, target, config.trunc, rng=rng, dropout=config.dropout)
+            walk = functools.partial(sequence_gradients, params, seq, target, rng=rng, dropout=RNN_DROPOUT)
             loss, _ = adam_step(params, walk, adam)
             total += loss * len(batch)
         losses.append(total / len(sequences))

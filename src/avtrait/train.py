@@ -65,10 +65,12 @@ CHECKPOINT_MAGIC = b"DIChkpt1"
 CHECKPOINT_VERSION = 1
 _HEAD = struct.Struct("<8sIII")
 
+# Each crop leaves several final positions after the streams' total strides
+# of 1024 samples and 32 px: 49 and 7x7 at full size, 8 and 2x2 in miniature.
 FULL_AUDIO_CROP = 50176
 FULL_FRAME_CROP = 224
-MINI_AUDIO_CROP = 1024
-MINI_FRAME_CROP = 32
+MINI_AUDIO_CROP = 8192
+MINI_FRAME_CROP = 64
 
 
 class CheckpointError(ValueError):

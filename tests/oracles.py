@@ -187,8 +187,8 @@ def rnn_backward_per_step(tape, grad_out, params):
 
     Every step forms its own weight-gradient outer products and adds them
     into the totals, layer 2 then layer 1. `rnn_head.rnn_backward` forms
-    one product per segment instead, so the two differ only in summation
-    order.
+    one product over all the steps instead, so the two differ only in
+    summation order.
     """
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     hidden = params["rnn.l1.wh"].shape[0]

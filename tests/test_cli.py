@@ -69,6 +69,13 @@ class TestUsage:
         assert run(_scoring_argv(tmp_path, command) + ["--threads", "2"]) == 1
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--trunc", "15"), ("--dropout", "0.5")])
+    def test_recipe_flag_is_unknown_to_train_rnn(self, tmp_path, capsys, flag, value):
+        # the head trains with one recipe: either flag is refused before any input is read
+        assert run(_argv_without_inputs(tmp_path, "train-rnn") + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err and "missing" not in err
+
 
 class TestSynth:
     def test_same_seed_identical_directories(self, tmp_path):
@@ -195,6 +202,13 @@ class TestTrainCommand:
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert run(["train", "--manifest", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")]) == 2
+
+    def test_synth_defaults_train_at_the_mini_defaults(self, tmp_path):
+        # synth's default frames hold a mini crop, so neither command needs a size
+        data_dir = str(tmp_path / "data")
+        assert run(["synth", "--n", "2", "--out", data_dir]) == 0
+        assert run(["train", "--manifest", os.path.join(data_dir, "manifest.csv"), "--out", str(tmp_path / "run"),
+                    "--mini", "--epochs", "1", "--batch-size", "2"]) == 0
 
 
 class TestEvalCommand:
@@ -461,11 +475,10 @@ def test_degenerate_setting_is_data_error(workspace, feature_cache, tmp_path, ca
 @pytest.mark.parametrize(
     "command, flags, config, message",
     [
-        ("train-rnn", ["--trunc", "0"], "", "truncation length"),
+        ("train-rnn", ["--epochs", "0"], "", "epochs"),
         ("train-rnn", ["--hidden", "0"], "", "hidden"),
         ("train-rnn", [], "hidden = -1\n", "hidden"),
-        ("train-rnn", ["--dropout", "1"], "", "dropout rate"),
-        ("train-rnn", [], "alpha = nan\n", "alpha"),
+        ("train-rnn", [], "epochs = -1\n", "epochs"),
         ("train", [], "initial_alpha = nan\n", "alpha"),
         ("finetune", [], "initial_alpha = nan\n", "alpha"),
     ],
@@ -555,7 +568,7 @@ def _argv_without_inputs(tmp_path, command):
         ("train", "frame_crop"),
         ("finetune", "audio_crop"),
         ("train-rnn", "epochs"),
-        ("train-rnn", "trunc"),
+        ("train-rnn", "seed"),
         ("train-rnn", "hidden"),
         ("synth", "height"),
         ("synth", "val_n"),
@@ -600,8 +613,6 @@ def test_crop_below_one_is_refused_before_the_run_directory(workspace, tmp_path,
         ("train", "initial_alpha"),
         ("finetune", "initial_alpha"),
         ("synth", "seconds"),
-        ("train-rnn", "dropout"),
-        ("train-rnn", "alpha"),
     ],
 )
 @pytest.mark.parametrize("value", ["abc", "true"])
@@ -632,6 +643,11 @@ def test_non_number_setting_is_usage_error_naming_it(tmp_path, capsys, command, 
         ("predict-rnn", "hidden = 4\nsplit = train\n", ["hidden"]),
         ("synth", "config = other.cfg\n", ["config"]),
         ("gradcheck", "mini = false\ncommand = train\n", ["command"]),
+        # the head trains with one recipe: no truncation, dropout, batch or step size
+        ("train-rnn", "trunc = 15\n", ["trunc"]),
+        ("train-rnn", "dropout = 0.5\n", ["dropout"]),
+        ("train-rnn", "alpha = 1e-3\n", ["alpha"]),
+        ("train-rnn", "batch_size = 8\n", ["batch_size"]),
     ],
 )
 def test_config_key_the_command_does_not_read_is_refused_naming_each(tmp_path, capsys, command, config, keys):
@@ -691,7 +707,7 @@ class TestConfigKeys:
     config, so none is left unreachable and a removed one cannot linger."""
 
     # (command, field) pairs that no config key sets
-    API_ONLY = {("finetune", "mini"), ("train-rnn", "batch_size")}  # the base checkpoint's size; the API's batch
+    API_ONLY = {("finetune", "mini")}  # the base checkpoint's size
     KEY_OF = {"out_dir": "out"}
 
     @pytest.mark.parametrize(
@@ -702,7 +718,7 @@ class TestConfigKeys:
         fields = [f.name for f in dataclasses.fields(config_class)]
         unreachable = [f for f in fields if self.KEY_OF.get(f, f) not in keys and (command, f) not in self.API_ONLY]
         assert unreachable == []
-        assert set(cli.CONFIG_ONLY[command]) <= set(fields)
+        assert set(cli.CONFIG_ONLY.get(command, ())) <= set(fields)
 
 
 class TestConfigFile:

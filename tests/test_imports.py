@@ -138,14 +138,16 @@ def imported_modules(source: str) -> set:
 
 
 def test_package_imports_no_thread_pool():
-    # Clips are scored one at a time: each clip's products already run on
-    # every BLAS thread, and two clip workers measured slower than one on a
-    # 2-core VM. Splitting training's elementwise layers (batch norm, the
-    # rectifiers, the pool backward) over two threads lost as well: a
-    # stem-size batch-norm forward took 7.9 ms split against 13.4 ms serial
-    # when idle, but 15.0 against 14.4 ms right after a matrix product,
-    # because OpenBLAS's worker keeps spinning on the second core after each
-    # product. A worker pool comes back only with a measurement it wins.
+    # Clips and frames are scored one at a time. Two frame workers, with
+    # OpenBLAS set to one thread through its own setter, took about a
+    # quarter less time per canonical frame, bitwise, on a 2-core VM. Two
+    # things block them: they lifted clip_infer's peak_rss_mb by about 23%,
+    # past its 5% bound, and benchmarks/tracer.py keeps one span stack,
+    # which concurrent layers would corrupt under --trace 1. Splitting
+    # training's elementwise layers over two threads lost outright, because
+    # OpenBLAS's worker keeps spinning on the second core after each
+    # product. The figures are in CHANGES.md. A worker pool comes back only
+    # with a measurement it wins and both blockers cleared.
     banned = ("concurrent.futures", "threading")
     package = os.path.join(ROOT, "src", "avtrait")
     found = []

@@ -8,7 +8,6 @@ from avtrait import data as D
 from avtrait import model as M
 from avtrait import rnn_head as R
 from avtrait import train as T
-from avtrait.gradcheck import collect
 from avtrait.layers import lstm_step
 from avtrait.optim import AdamState, adam_step, init_adam, mae_loss
 from oracles import central_difference, fd_rel_err, rnn_backward_per_step
@@ -24,10 +23,10 @@ def per_step(target, T):
     return np.broadcast_to(target[:, None], (target.shape[0], T, target.shape[1]))
 
 
-def gradients(params, seq, target, trunc, rng=None, dropout=0.0):
+def gradients(params, seq, target, rng=None, dropout=0.0):
     """R.sequence_gradients with its walk collected: (loss, grads, outputs)."""
     grads = {}
-    loss, outputs = R.sequence_gradients(params, seq, target, trunc, grads.__setitem__, rng, dropout)
+    loss, outputs = R.sequence_gradients(params, seq, target, grads.__setitem__, rng, dropout)
     return loss, grads, outputs
 
 
@@ -105,70 +104,31 @@ class TestRnnForward:
             R.rnn_forward(np.zeros((1, 2, 6)), toy_head(), rng=None, dropout=0.5)
 
 
-class TestTruncatedBptt:
-    def test_fifteen_step_clip_truncation_is_noop(self):
-        params = toy_head(8)
-        seq = rng64(9).standard_normal((1, 15, 6))
-        target = per_step(rng64(10).random((1, 3)), 15)
-        loss_t, grads_t, _ = gradients(params, seq, target, trunc=15)
-        loss_f, grads_f, _ = gradients(params, seq, target, trunc=10**9)
-        assert loss_t == loss_f
-        for k in grads_t:
-            np.testing.assert_array_equal(grads_t[k], grads_f[k])
-
-    def test_thirty_step_gradient_equals_two_segment_composition(self):
-        params = toy_head(11)
-        seq = rng64(12).standard_normal((1, 30, 6))
-        target = per_step(rng64(13).random((1, 3)), 30)
-        _, grads, outputs = gradients(params, seq, target, trunc=15)
-
-        # manual composition: full BPTT on each 15-step half, state carried
-        # across the boundary without gradient
-        _, dout = mae_loss(outputs, target)
-        out1, tape1, state = R.rnn_forward(seq[:, :15], params)
-        out2, tape2, _ = R.rnn_forward(seq[:, 15:], params, state=state)
-        g1 = collect(functools.partial(R.rnn_backward, tape1, dout[:, :15], params))
-        g2 = collect(functools.partial(R.rnn_backward, tape2, dout[:, 15:], params))
-        for k in grads:
-            np.testing.assert_array_equal(grads[k], g1[k] + g2[k])
-
-    def test_truncation_changes_long_range_gradients(self):
-        params = toy_head(14)
-        seq = rng64(15).standard_normal((1, 30, 6))
-        target = per_step(rng64(16).random((1, 3)), 30)
-        _, g_trunc, _ = gradients(params, seq, target, trunc=15)
-        _, g_full, _ = gradients(params, seq, target, trunc=10**9)
-        assert any(not np.array_equal(g_trunc[k], g_full[k]) for k in g_trunc)
-
+class TestBptt:
     def test_four_step_gradients_match_finite_differences(self):
         params = toy_head(17, input_dim=4, hidden=3, out_dim=2)
         seq = rng64(18).standard_normal((1, 4, 4))
         target = per_step(rng64(19).random((1, 2)), 4)
 
         def loss():
-            l, _, _ = gradients(params, seq, target, trunc=10**9)
+            l, _, _ = gradients(params, seq, target)
             return l
 
-        _, grads, _ = gradients(params, seq, target, trunc=10**9)
+        _, grads, _ = gradients(params, seq, target)
         for name, arr in params.items():
             numeric = central_difference(loss, arr)
             assert fd_rel_err(grads[name], numeric) <= 1e-5, name
 
-    def test_truncated_segment_gradients_match_finite_differences(self):
-        # FD of a loss that stops gradients at the boundary: recompute the
-        # carried state with frozen params so only the segment's dependence
-        # is differentiated
+    def test_twenty_step_dropout_gradients_match_finite_differences(self):
+        # gradients flow back through all 20 steps; every loss reseeds the
+        # generator, so the dropout masks stay fixed while a weight moves
         params = toy_head(20, input_dim=4, hidden=3, out_dim=2)
-        seq = rng64(21).standard_normal((1, 6, 4))
-        target = per_step(rng64(22).random((1, 2)), 6)
-        _, grads, _ = gradients(params, seq, target, trunc=3)
-        frozen = {k: v.copy() for k, v in params.items()}
+        seq = rng64(21).standard_normal((1, 20, 4))
+        target = per_step(rng64(22).random((1, 2)), 20)
+        _, grads, _ = gradients(params, seq, target, rng64(23), dropout=0.5)
 
         def loss():
-            _, _, state = R.rnn_forward(seq[:, :3], frozen)
-            out1, _, _ = R.rnn_forward(seq[:, :3], params)
-            out2, _, _ = R.rnn_forward(seq[:, 3:], params, state=state)
-            out = np.concatenate([out1, out2], axis=1)
+            out, _, _ = R.rnn_forward(seq, params, rng64(23), 0.5)
             return float(np.abs(out - target).mean())
 
         for name, arr in params.items():
@@ -179,32 +139,24 @@ class TestTruncatedBptt:
 class TestPerStepOracle:
     @pytest.mark.parametrize("steps", [1, 3, 15, 20])
     def test_segment_backward_matches_per_step_bptt(self, steps):
-        # float64, trunc 15, dropout 0.5: the gradients differ from the
-        # per-step path only in summation order. The error is measured
-        # against each tensor's largest entry, since an entry that nearly
-        # cancels keeps the absolute rounding of the terms that made it.
+        # float64, dropout 0.5: the gradients differ from the per-step path
+        # only in summation order. The error is measured against each
+        # tensor's largest entry, since an entry that nearly cancels keeps
+        # the absolute rounding of the terms that made it.
         def close(got, ref, name):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=name)
 
         params = toy_head(37, input_dim=6, hidden=8, out_dim=3)
         seq = rng64(38).standard_normal((1, steps, 6))
         target = per_step(rng64(39).random((1, 3)), steps)
-        _, grads, outputs = gradients(params, seq, target, 15, rng=rng64(40), dropout=0.5)
+        _, grads, outputs = gradients(params, seq, target, rng=rng64(40), dropout=0.5)
         _, dout = mae_loss(outputs, target)
-        rng = rng64(40)  # the same seed draws the same masks in the same order
-        state = None
-        expect = {k: np.zeros_like(v) for k, v in params.items()}
-        for lo in range(0, steps, 15):
-            seg = slice(lo, lo + 15)
-            out, tape, state = R.rnn_forward(seq[:, seg], params, rng, 0.5, state=state)
-            np.testing.assert_array_equal(out, outputs[:, seg])
-            got = collect(functools.partial(R.rnn_backward, tape, dout[:, seg], params))
-            ref = rnn_backward_per_step(tape, dout[0, seg], params)
-            for k in params:
-                close(got[k], ref[k], k)
-                expect[k] += ref[k]
+        # the same seed draws the same masks in the same order
+        out, tape, _ = R.rnn_forward(seq, params, rng64(40), 0.5)
+        np.testing.assert_array_equal(out, outputs)
+        ref = rnn_backward_per_step(tape, dout[0], params)
         for k in params:
-            close(grads[k], expect[k], k)
+            close(grads[k], ref[k], k)
 
 
 class TestDropout:
@@ -237,7 +189,7 @@ class TestDropout:
 
 
 class TestTrainRnn:
-    def test_overfits_four_synthetic_sequences(self):
+    def test_overfits_four_synthetic_sequences(self, monkeypatch):
         rng = rng64(28)
         sequences = []
         for _ in range(4):
@@ -245,8 +197,9 @@ class TestTrainRnn:
             target = rng.random(3) * 0.8 + 0.1
             sequences.append((seq, target))
         params = toy_head(29, input_dim=6, hidden=16, out_dim=3)
-        config = R.RnnTrainConfig(epochs=400, seed=1, trunc=15, dropout=0.0, alpha=5e-3)
-        losses = R.train_rnn(sequences, params, config)
+        monkeypatch.setattr(R, "RNN_DROPOUT", 0.0)
+        monkeypatch.setattr(R, "RNN_ALPHA", 5e-3)
+        losses = R.train_rnn(sequences, params, R.RnnTrainConfig(epochs=400, seed=1))
         assert losses[-1] < 0.02
 
     def test_training_is_deterministic(self):
@@ -254,47 +207,36 @@ class TestTrainRnn:
         sequences = [(rng.standard_normal((5, 6)), rng.random(3)) for _ in range(2)]
         def run():
             params = toy_head(31, input_dim=6, hidden=8, out_dim=3)
-            R.train_rnn(sequences, params, R.RnnTrainConfig(epochs=3, seed=2, dropout=0.5))
+            R.train_rnn(sequences, params, R.RnnTrainConfig(epochs=3, seed=2))
             return params
         p1, p2 = run(), run()
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
 
-    def test_holds_one_batch_gradients_at_a_time(self):
+    def test_holds_one_batch_gradients_at_a_time(self, monkeypatch):
         # a 64-unit head on 16-d features: 216 KB of gradients per batch,
         # which outweigh the tape of a batch of two 4-step sequences
         rng = rng64(8)
         sequences = [(rng.standard_normal((4, 16)).astype(np.float32), np.full(5, 0.5, np.float32)) for _ in range(4)]
         grad_bytes = sum(v.nbytes for v in R.build_rnn_head(0, input_dim=16, hidden=64).values())
+        monkeypatch.setattr(R, "RNN_BATCH", 2)
         peaks = []
         for n in (2, 4):
             params = R.build_rnn_head(0, input_dim=16, hidden=64)
-            config = R.RnnTrainConfig(epochs=1, seed=0, trunc=2, batch_size=2)
-            peaks.append(traced(R.train_rnn, sequences[:n], params, config).peak)
+            peaks.append(traced(R.train_rnn, sequences[:n], params, R.RnnTrainConfig(epochs=1, seed=0)).peak)
         assert peaks[1] - peaks[0] < grad_bytes / 2, (peaks, grad_bytes)
-
-    def test_batch_size_below_one_is_refused(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            R.RnnTrainConfig(batch_size=0)
-
-    def test_step_size_follows_the_batch_size_unless_given(self):
-        assert R.RnnTrainConfig().alpha == R.RNN_BATCH * AdamState.alpha
-        assert R.RnnTrainConfig(batch_size=1).alpha == AdamState.alpha
-        assert R.RnnTrainConfig(batch_size=16).alpha == 16 * AdamState.alpha
-        assert R.RnnTrainConfig(batch_size=16, alpha=1e-3).alpha == 1e-3
 
 
 class TestFusedWalk:
-    """rnn_backward's walk: every segment's recurrences, then one weight
+    """rnn_backward's walk: both layers' recurrences, then one weight
     gradient at a time, readout, layer 2, layer 1."""
 
     ORDER = ["rnn.out.w", "rnn.out.b", "rnn.l2.wx", "rnn.l2.wh", "rnn.l2.b", "rnn.l1.wx", "rnn.l1.wh", "rnn.l1.b"]
 
-    @pytest.mark.parametrize("trunc", [3, 1])  # one and three segments of T = 3
-    def test_each_tensor_once_in_order_and_no_product_reads_an_updated_weight(self, trunc):
+    def test_each_tensor_once_in_order_and_no_product_reads_an_updated_weight(self):
         seq = rng64(60).standard_normal((2, 3, 6))
         target = per_step(rng64(61).random((2, 3)), 3)
-        _, want, _ = gradients(toy_head(62), seq, target, trunc, rng64(63), dropout=0.5)
+        _, want, _ = gradients(toy_head(62), seq, target, rng64(63), dropout=0.5)
         params = toy_head(62)
         handed = []
 
@@ -302,7 +244,7 @@ class TestFusedWalk:
             handed.append((name, g.copy()))
             params[name][...] = np.nan  # as an update in place would, but louder
 
-        loss, _ = R.sequence_gradients(params, seq, target, trunc, overwrite, rng64(63), dropout=0.5)
+        loss, _ = R.sequence_gradients(params, seq, target, overwrite, rng64(63), dropout=0.5)
         assert np.isfinite(loss)
         assert [name for name, _ in handed] == self.ORDER
         for name, g in handed:
@@ -321,37 +263,37 @@ class TestFusedWalk:
         seq = rng.standard_normal((8, 3, 64)).astype(np.float32)
         target = rng.random((8, 3, 5), dtype=np.float32)
         params = R.build_rnn_head(0, input_dim=64)
-        adam = init_adam(params, list(params), 8 * AdamState.alpha)
+        adam = init_adam(params, list(params), R.RNN_ALPHA)
 
-        walk = functools.partial(R.sequence_gradients, params, seq, target, 15, rng=rng, dropout=0.5)
+        walk = functools.partial(R.sequence_gradients, params, seq, target, rng=rng, dropout=R.RNN_DROPOUT)
         peak = traced(adam_step, params, walk, adam).peak
         assert peak < self.STEP_BOUND_MB * 1e6, peak / 1e6
 
 
 class TestBatchedTraining:
-    def test_batch_of_one_is_the_per_sequence_recipe(self):
-        # SHA-256 of the parameters and losses that per-sequence training,
-        # one Adam step per sequence at alpha 2e-4, gave before batching; a
-        # batch of one takes that step size by default
+    def test_batch_of_one_is_the_per_sequence_recipe(self, monkeypatch):
+        # SHA-256 of the parameters and losses of per-sequence training: one
+        # Adam step per sequence at alpha 2e-4, dropout 0.5, whole-sequence
+        # gradients. A batch of one at that step size takes the same steps.
+        monkeypatch.setattr(R, "RNN_BATCH", 1)
+        monkeypatch.setattr(R, "RNN_ALPHA", AdamState.alpha)
         rng = rng64(7)
         sequences = [(rng.standard_normal((T, 8)).astype(np.float32), rng.random(5).astype(np.float32))
                      for T in (3, 4, 3, 2, 4, 3)]
         params = R.build_rnn_head(4, input_dim=8, hidden=16)
-        config = R.RnnTrainConfig(epochs=3, seed=4, trunc=2, dropout=0.5, batch_size=1)
-        losses = R.train_rnn(sequences, params, config)
+        losses = R.train_rnn(sequences, params, R.RnnTrainConfig(epochs=3, seed=4))
         digest = hashlib.sha256()
         for k in sorted(params):
             digest.update(params[k].tobytes())
         digest.update(np.asarray(losses, np.float64).tobytes())
-        assert digest.hexdigest() == "4e09b1627c33809b1645d11c91a7bbccd3a79960c50bd3f51bdac7bcf1dbe234"
+        assert digest.hexdigest() == "74148858f6a0ef3d2d96c87e00c8ca5d5457654a594e801e7517b863829beba0"
 
-    @pytest.mark.parametrize("trunc", [2, 15])
-    def test_batch_gradients_are_the_mean_of_sequence_gradients(self, trunc):
+    def test_batch_gradients_are_the_mean_of_sequence_gradients(self):
         params = toy_head(50, input_dim=6, hidden=5, out_dim=3)
         seq = rng64(51).standard_normal((3, 5, 6))
         target = per_step(rng64(52).random((3, 3)), 5)
-        loss, grads, outputs = gradients(params, seq, target, trunc)
-        alone = [gradients(params, seq[b : b + 1], target[b : b + 1], trunc) for b in range(3)]
+        loss, grads, outputs = gradients(params, seq, target)
+        alone = [gradients(params, seq[b : b + 1], target[b : b + 1]) for b in range(3)]
         assert loss == pytest.approx(np.mean([a[0] for a in alone]), rel=1e-12)
         np.testing.assert_allclose(outputs, np.concatenate([a[2] for a in alone]), rtol=1e-12)
         for k in grads:
@@ -381,13 +323,15 @@ class TestBatchedTraining:
         batches = []
         sequence_gradients = R.sequence_gradients
 
-        def spy(params, seq, target, trunc, consume, rng=None, dropout=0.0):
+        def spy(params, seq, target, consume, rng=None, dropout=0.0):
             batches.append([int(j) for j in seq[:, 0, 0]])
             assert seq.shape[1] == lengths[batches[-1][0]] and target.shape == (len(seq), seq.shape[1], 3)
-            return sequence_gradients(params, seq, target, trunc, consume, rng, dropout)
+            return sequence_gradients(params, seq, target, consume, rng, dropout)
 
         monkeypatch.setattr(R, "sequence_gradients", spy)
-        config = R.RnnTrainConfig(epochs=3, seed=9, dropout=0.0, batch_size=3)
+        monkeypatch.setattr(R, "RNN_DROPOUT", 0.0)
+        monkeypatch.setattr(R, "RNN_BATCH", 3)
+        config = R.RnnTrainConfig(epochs=3, seed=9)
         R.train_rnn(sequences, toy_head(53, input_dim=4, hidden=4, out_dim=3), config)
         # with no dropout the generator draws only each epoch's permutation
         rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -439,17 +383,20 @@ class TestLearningGate:
         labels = np.stack([label for _, label in validation]).astype(np.float64)
         return 1.0 - float(np.abs(np.asarray(predictions, np.float64) - labels).mean())
 
-    def trained(self, train, validation, seed, **recipe):
+    def trained(self, train, validation, seed):
         params = R.build_rnn_head(seed, input_dim=train[0][0].shape[1], hidden=self.HIDDEN)
-        R.train_rnn(train, params, R.RnnTrainConfig(epochs=self.EPOCHS, seed=seed, **recipe))
+        R.train_rnn(train, params, R.RnnTrainConfig(epochs=self.EPOCHS, seed=seed))
         return self.accuracy([R.predict_sequence(seq, params) for seq, _ in validation], validation)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_default_recipe_beats_the_train_mean_and_keeps_up_with_per_sequence_steps(self, seed):
+    def test_default_recipe_beats_the_train_mean_and_keeps_up_with_per_sequence_steps(self, seed, monkeypatch):
         train, validation = gate_split(seed)
         mean = np.mean([label for _, label in train], axis=0)
         baseline = self.accuracy([mean] * len(validation), validation)
-        per_sequence = self.trained(train, validation, seed, batch_size=1)
+        with monkeypatch.context() as recipe:
+            recipe.setattr(R, "RNN_BATCH", 1)
+            recipe.setattr(R, "RNN_ALPHA", AdamState.alpha)
+            per_sequence = self.trained(train, validation, seed)
         default = self.trained(train, validation, seed)
         figures = f"train mean {baseline:.4f}, per-sequence {per_sequence:.4f}, default {default:.4f}"
         assert default >= baseline + self.MARGIN, figures
